@@ -21,7 +21,7 @@ main(int argc, char **argv)
 
     std::printf("=== Ablation: checkpoint interval (HPCCG, small, 64 "
                 "processes, REINIT-FTI, one failure) ===\n\n");
-    core::GridSpec spec = options.baseSpec();
+    core::GridSpec spec = options.spec;
     spec.apps = {"HPCCG"};
     spec.scales = {64};
     spec.designs = {ft::Design::ReinitFti};

@@ -62,18 +62,15 @@ struct Scenario
 ExperimentConfig
 baseCell(const BenchOptions &options)
 {
-    ExperimentConfig cell;
+    ExperimentConfig cell = options.spec;
     cell.app = "HPCCG";
     cell.nprocs = 64;
-    cell.runs = options.runs;
-    cell.seed = options.seed;
     // Noise off: scenario deltas and the trace-replay identity check
     // must not be smeared by the run-to-run noise model.
     cell.noiseSigma = 0.0;
-    cell.sandboxDir = options.sandboxDir;
-    cell.storage = options.storage;
-    cell.drain = options.drain;
-    cell.drainDepth = options.drainDepth;
+    // Uncached: the fault counters are snapshot-diffed around each
+    // grid, and a replayed cell injects nothing.
+    cell.cacheDir.clear();
     cell.injectFailure = true;
     return cell;
 }
@@ -106,7 +103,7 @@ main(int argc, char **argv)
                 "(HPCCG, small) ===\n");
     std::printf("(methodology: %d runs averaged per configuration, "
                 "noise off)\n\n",
-                options.runs);
+                options.spec.runs);
 
     const std::vector<int> scales =
         options.quick ? std::vector<int>{64} : std::vector<int>{64, 512};
@@ -186,9 +183,9 @@ main(int argc, char **argv)
     const std::vector<ft::FailureEvent> schedule =
         ft::generateSchedule(fm, generated.nprocs, iters, rng);
 
-    std::filesystem::create_directories(options.sandboxDir);
+    std::filesystem::create_directories(options.spec.sandboxDir);
     const std::string trace_path =
-        options.sandboxDir + "/ablation-correlated.trace";
+        options.spec.sandboxDir + "/ablation-correlated.trace";
     ft::writeTraceFile(trace_path, schedule);
     const std::vector<ft::FailureEvent> replayed =
         ft::readTraceFile(trace_path);
@@ -380,7 +377,7 @@ main(int argc, char **argv)
     const storage::StorageFaultPlan fault_plan =
         core::storageFaultPlanFor(fault_gen, 0);
     const std::string fault_trace_path =
-        options.sandboxDir + "/ablation-storage-faults.trace";
+        options.spec.sandboxDir + "/ablation-storage-faults.trace";
     storage::writeFaultTraceFile(fault_trace_path, fault_plan.windows);
     const std::vector<storage::FaultWindow> fault_replayed =
         storage::readFaultTraceFile(fault_trace_path);
@@ -430,7 +427,7 @@ main(int argc, char **argv)
                  "  \"traceEvents\": %zu,\n"
                  "  \"sdcCheckOverheadPct\": %.4f,\n"
                  "  \"scenarios\": [\n",
-                 options.quick ? "true" : "false", options.runs,
+                 options.quick ? "true" : "false", options.spec.runs,
                  runner.jobs(), format_ok ? "true" : "false",
                  replay_ok ? "true" : "false", schedule.size(),
                  sdc_overhead_pct);

@@ -26,7 +26,7 @@ main(int argc, char **argv)
 
     std::printf("=== Ablation: FTI checkpoint levels (HPCCG, small, 64 "
                 "processes, REINIT-FTI) ===\n\n");
-    core::GridSpec spec = options.baseSpec();
+    core::GridSpec spec = options.spec;
     spec.apps = {"HPCCG"};
     spec.scales = {64};
     spec.designs = {ft::Design::ReinitFti};

@@ -26,13 +26,10 @@ main(int argc, char **argv)
                        "ULFM App(s)", "Reinit App(s)", "Overhead(%)"});
     for (double slowdown : {0.0, 0.014, 0.028, 0.056}) {
         for (int procs : {64, 512}) {
-            core::ExperimentConfig config;
+            core::ExperimentConfig config = options.spec;
             config.app = "HPCCG";
             config.nprocs = procs;
-            config.runs = options.runs;
-            config.seed = options.seed;
             config.noiseSigma = 0.0;
-            config.sandboxDir = options.sandboxDir;
             config.costParams.ulfmAppSlowdownPerLevel = slowdown;
 
             config.design = ft::Design::UlfmFti;

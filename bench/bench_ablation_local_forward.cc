@@ -200,7 +200,7 @@ main(int argc, char **argv)
         const double fwd =
             runLocalForward(procs, tasks, fail_task, fail_rank);
         const double global = runGlobalRestart(
-            options.sandboxDir, procs, tasks, fail_task, fail_rank);
+            options.spec.sandboxDir, procs, tasks, fail_task, fail_rank);
         table.addRow({std::to_string(procs), std::to_string(tasks),
                       util::Table::cell(fwd),
                       util::Table::cell(global),

@@ -27,7 +27,7 @@ main(int argc, char **argv)
     std::printf("=== Projection: measured MATCH quantities x Young/Daly "
                 "model (HPCCG, small, 512 processes) ===\n\n");
 
-    core::GridSpec spec = options.baseSpec();
+    core::GridSpec spec = options.spec;
     spec.apps = {"HPCCG"};
     spec.scales = {512};
     spec.injectFailure = true;

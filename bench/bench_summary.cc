@@ -41,25 +41,19 @@ struct Cell
     int procs;
 };
 
-/** One concrete cell on top of the shared base spec, so this bench
- *  maps runs/seed/sandbox/cache exactly like the figure benches (and
- *  shares their disk-cached cells). */
+/** One concrete cell on top of the parsed options, so this bench maps
+ *  runs/seed/sandbox/cache exactly like the figure benches (and shares
+ *  their disk-cached cells). */
 ExperimentConfig
-makeConfig(const core::GridSpec &base, const Cell &cell, Design design,
+makeConfig(const BenchOptions &options, const Cell &cell, Design design,
            bool inject)
 {
-    ExperimentConfig config;
+    ExperimentConfig config = options.spec;
     config.app = cell.app;
     config.input = cell.input;
     config.nprocs = cell.procs;
     config.design = design;
     config.injectFailure = inject;
-    config.runs = base.runs;
-    config.seed = base.seed;
-    config.sandboxDir = base.sandboxDir;
-    config.cacheDir = base.cacheDir;
-    config.costParams = base.costParams;
-    config.noiseSigma = base.noiseSigma;
     return config;
 }
 
@@ -72,7 +66,7 @@ main(int argc, char **argv)
 
     // The evaluation grid (Table I): scaling sweep + input sweep.
     std::vector<Cell> cells;
-    for (const std::string &app : options.apps) {
+    for (const std::string &app : options.spec.apps) {
         const auto &spec = apps::findApp(app);
         for (int procs : spec.scalingSizes) {
             if (options.quick && procs != spec.scalingSizes.front() &&
@@ -87,14 +81,13 @@ main(int argc, char **argv)
     // Four variants per cell, executed in one parallel grid pass:
     // the three designs with an injected failure plus a clean Restart
     // run for the checkpoint-write share.
-    const core::GridSpec base = options.baseSpec();
     std::vector<ExperimentConfig> grid;
     grid.reserve(cells.size() * 4);
     for (const Cell &cell : cells) {
-        grid.push_back(makeConfig(base, cell, Design::RestartFti, true));
-        grid.push_back(makeConfig(base, cell, Design::ReinitFti, true));
-        grid.push_back(makeConfig(base, cell, Design::UlfmFti, true));
-        grid.push_back(makeConfig(base, cell, Design::RestartFti, false));
+        for (Design design : {Design::RestartFti, Design::ReinitFti,
+                              Design::UlfmFti})
+            grid.push_back(makeConfig(options, cell, design, true));
+        grid.push_back(makeConfig(options, cell, Design::RestartFti, false));
     }
     core::GridTiming timing;
     const auto results = options.makeRunner().run(grid, &timing);

@@ -27,7 +27,7 @@ main(int argc, char **argv)
 
     util::Table table({"Application", "Small Input", "Medium Input",
                        "Large Input", "Number of processes"});
-    for (const std::string &app : options.apps) {
+    for (const std::string &app : options.spec.apps) {
         const auto &spec = apps::findApp(app);
         std::ostringstream procs;
         for (std::size_t i = 0; i < spec.scalingSizes.size(); ++i) {

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "src/ft/failure_model.hh"
@@ -21,73 +25,303 @@ using core::GridRunner;
 using core::GridSpec;
 using ft::Design;
 
-void
-badChoice(const char *flag, const std::string &got,
-          std::initializer_list<const char *> choices)
-{
-    std::string menu;
-    for (const char *choice : choices) {
-        if (!menu.empty())
-            menu += ", ";
-        menu += choice;
-    }
-    util::fatal("%s: unknown value '%s' (valid choices: %s)", flag,
-                got.c_str(), menu.c_str());
-}
-
 namespace
 {
 
 /**
+ * One command-line flag. parse() dispatches on these rows and --help
+ * prints them, so each flag is named exactly once.
+ */
+struct Flag
+{
+    const char *name;
+    /** Value placeholder; nullptr marks a switch. A '|'-separated
+     *  hint lists the accepted choices. */
+    const char *hint;
+    const char *help;
+    /** Apply the flag; `value` is nullptr for a switch. */
+    void (*apply)(BenchOptions &options, const Flag &flag,
+                  const char *value);
+};
+
+/** Reject a value with the menu of choices the flag's hint lists —
+ *  "unknown X" without the menu makes the user go read the source. */
+[[noreturn]] void
+badChoice(const Flag &flag, const char *value)
+{
+    std::string menu = flag.hint;
+    for (std::size_t at = menu.find('|'); at != std::string::npos;
+         at = menu.find('|', at))
+        menu.replace(at, 1, ", ");
+    util::fatal("%s: unknown value '%s' (valid choices: %s)", flag.name,
+                value, menu.c_str());
+}
+
+/** An enum flag matched against its values' labels (kindName & co.). */
+template <typename T>
+T
+choiceFlag(const Flag &flag, const char *value,
+           std::initializer_list<T> choices, const char *(*label)(T))
+{
+    for (const T choice : choices) {
+        if (std::strcmp(value, label(choice)) == 0)
+            return choice;
+    }
+    badChoice(flag, value);
+}
+
+/*
  * Strict numeric flag parsing. The silent-atoi alternative turns
  * `--jobs abc` into `--jobs 0` — a different, valid-looking
  * configuration — so every numeric flag rejects non-numeric,
- * trailing-garbage and out-of-range values with a diagnostic that
- * echoes the offending text, like badChoice does for enum flags.
+ * trailing-garbage, non-finite and out-of-range values with a
+ * diagnostic that echoes the offending text.
  */
-long
-parseIntFlag(const char *flag, const char *value, long min)
+
+int
+intFlag(const Flag &flag, const char *value, int min)
 {
     char *end = nullptr;
     errno = 0;
     const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE)
-        util::fatal("%s: invalid value '%s' (expected an integer)",
-                    flag, value);
-    if (parsed < min)
-        util::fatal("%s: invalid value '%s' (expected an integer "
-                    ">= %ld)",
-                    flag, value, min);
-    return parsed;
+    if (end == value || *end != '\0' || errno == ERANGE || parsed < min ||
+        parsed > std::numeric_limits<int>::max())
+        util::fatal("%s: invalid value '%s' (expected an integer in "
+                    "[%d, %d])",
+                    flag.name, value, min,
+                    std::numeric_limits<int>::max());
+    return static_cast<int>(parsed);
 }
 
 std::uint64_t
-parseU64Flag(const char *flag, const char *value)
+u64Flag(const Flag &flag, const char *value)
 {
     char *end = nullptr;
     errno = 0;
-    if (value[0] == '-')
-        util::fatal("%s: invalid value '%s' (expected a non-negative "
-                    "integer)",
-                    flag, value);
     const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE)
+    if (value[0] == '-' || end == value || *end != '\0' ||
+        errno == ERANGE)
         util::fatal("%s: invalid value '%s' (expected a non-negative "
                     "integer)",
-                    flag, value);
+                    flag.name, value);
     return parsed;
 }
 
 double
-parseDoubleFlag(const char *flag, const char *value, double min)
+numberFlag(const Flag &flag, const char *value, double min,
+           double max = std::numeric_limits<double>::infinity())
 {
     char *end = nullptr;
     const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || parsed < min)
-        util::fatal("%s: invalid value '%s' (expected a number "
-                    ">= %g)",
-                    flag, value, min);
+    if (end == value || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < min || parsed > max)
+        util::fatal("%s: invalid value '%s' (expected a finite number "
+                    "in [%g, %g])",
+                    flag.name, value, min, max);
     return parsed;
+}
+
+void printHelp();
+
+using Opt = BenchOptions;
+
+const Flag kFlags[] = {
+    {"--quick", nullptr,
+     "2 runs, endpoints-only scaling sweep (64 and 512 processes)",
+     [](Opt &o, const Flag &, const char *) {
+         o.quick = true;
+         o.spec.runs = 2;
+     }},
+    {"--runs", "N", "runs averaged per configuration (default 5)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.runs = intFlag(f, v, 1);
+     }},
+    {"--seed", "S", "base RNG seed for failure sites and noise "
+                    "(default 42)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.seed = u64Flag(f, v);
+     }},
+    {"--csv", "DIR", "also write one CSV table per app into DIR",
+     [](Opt &o, const Flag &, const char *v) { o.csvDir = v; }},
+    {"--apps", "A,B", "restrict the grid to these apps (see the list "
+                      "below)",
+     [](Opt &o, const Flag &, const char *v) {
+         std::istringstream list(v);
+         std::string name;
+         while (std::getline(list, name, ','))
+             o.spec.apps.push_back(name);
+     }},
+    {"--sandbox", "DIR", "checkpoint sandbox root, result cache in "
+                         "DIR/cell-cache (default "
+                         "/dev/shm/match-fti-bench)",
+     [](Opt &o, const Flag &, const char *v) { o.spec.sandboxDir = v; }},
+    {"--jobs", "N", "grid worker threads (default: hardware "
+                    "concurrency; output is identical for any N)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.jobs = intFlag(f, v, 0);
+     }},
+    {"--storage", "mem|disk", "checkpoint sandbox backend (default "
+                              "mem: zero-syscall hot path)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.storage = choiceFlag(
+             f, v, {storage::Kind::Mem, storage::Kind::Disk},
+             storage::kindName);
+     }},
+    {"--drain", "sync|async", "PFS drain execution (default async: "
+                              "flush I/O overlaps compute; output "
+                              "identical)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.drain = choiceFlag(
+             f, v, {storage::DrainMode::Sync, storage::DrainMode::Async},
+             storage::drainModeName);
+     }},
+    {"--drain-depth", "N", "burst-buffer queue bound, 0 = unbounded "
+                           "(default 4; wall-clock only)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.drainDepth = intFlag(f, v, 0);
+     }},
+    {"--drain-capacity", "BYTES", "burst-buffer capacity; flushes "
+                                  "stall (priced) when staged bytes "
+                                  "exceed it (default 0 = unbounded)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.drainCapacityBytes =
+             static_cast<std::size_t>(u64Flag(f, v));
+     }},
+    {"--pin", "none|auto|cores", "pin grid workers across NUMA "
+                                 "nodes/cores (auto: only when every "
+                                 "worker can own a core; output "
+                                 "identical for every mode)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.pin = choiceFlag(f, v,
+                            {core::PinMode::None, core::PinMode::Auto,
+                             core::PinMode::Cores},
+                            core::pinModeName);
+     }},
+    {"--cell-timeout", "SECS|auto", "wall-clock watchdog per cell "
+                                    "attempt (auto: 5x the grid's "
+                                    "completed-cell p99; 0 disables)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.policy.autoTimeout = std::strcmp(v, "auto") == 0;
+         o.policy.cellTimeoutSeconds =
+             o.policy.autoTimeout ? 0.0 : numberFlag(f, v, 0.0);
+     }},
+    {"--cell-retries", "N", "attempts after the first before a "
+                            "throwing/hung cell is quarantined "
+                            "(default 2)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.policy.cellRetries = intFlag(f, v, 0);
+     }},
+    {"--resume", nullptr, "journal cell status next to the result "
+                          "cache and resume a killed grid (default)",
+     [](Opt &o, const Flag &, const char *) { o.policy.resume = true; }},
+    {"--no-resume", nullptr, "discard the journal history (the result "
+                             "cache itself is untouched)",
+     [](Opt &o, const Flag &, const char *) {
+         o.policy.resume = false;
+     }},
+    {"--strict", nullptr, "exit nonzero when any cell was quarantined",
+     [](Opt &o, const Flag &, const char *) { o.strict = true; }},
+    {"--failure-model", "single|independent|correlated|trace",
+     "failure process for injected runs (default single: the paper's "
+     "one uniform crash)",
+     [](Opt &o, const Flag &f, const char *v) {
+         if (!ft::parseFailureModel(v, o.spec.failureModel))
+             badChoice(f, v);
+     }},
+    {"--failure-trace", "FILE", "replay a failure trace (see "
+                                "bench/FAILURE_TRACES.md; implies "
+                                "--failure-model trace)",
+     [](Opt &o, const Flag &, const char *v) {
+         o.spec.traceEvents = ft::readTraceFile(v);
+         o.spec.failureModel = ft::FailureModelKind::Trace;
+     }},
+    {"--mean-failures", "M", "expected failures per run "
+                             "(independent/correlated models)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.meanFailures = numberFlag(f, v, 0.0);
+     }},
+    {"--cascade-prob", "P", "node/rack cascade probability "
+                            "(correlated model)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.cascadeProb = numberFlag(f, v, 0.0, 1.0);
+     }},
+    {"--corrupt-fraction", "F", "fraction of failures demoted to "
+                                "silent checkpoint corruption",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.corruptFraction = numberFlag(f, v, 0.0, 1.0);
+     }},
+    {"--sdc-checks", nullptr, "CRC32C-verify checkpoints at recovery, "
+                              "fall back to older checkpoints on rot",
+     [](Opt &o, const Flag &, const char *) { o.spec.sdcChecks = true; }},
+    {"--scrub-stride", "N", "verify the newest checkpoint every N "
+                            "iterations (needs --sdc-checks)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.scrubStride = intFlag(f, v, 0);
+     }},
+    {"--transform", "none|delta|compress|delta+compress",
+     "checkpoint data reduction (default none; see "
+     "bench/TRANSFORMS.md)",
+     [](Opt &o, const Flag &f, const char *v) {
+         if (!storage::parseTransformKind(v, o.spec.transform))
+             badChoice(f, v);
+         o.spec.transforms = {o.spec.transform};
+     }},
+    {"--storage-fault-windows", "N", "storage-tier fault windows per "
+                                     "run (default 0 = off; see "
+                                     "bench/FAULTS.md)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.storageFaultWindows = intFlag(f, v, 0);
+     }},
+    {"--storage-fault-pfs-bias", "P", "probability a drawn window "
+                                      "targets the PFS tier (default "
+                                      "0.75)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.storageFaultPfsBias = numberFlag(f, v, 0.0, 1.0);
+     }},
+    {"--storage-fault-mean-epochs", "N", "mean fault-window length in "
+                                         "checkpoint epochs (default 2)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.storageFaultMeanEpochs = intFlag(f, v, 1);
+     }},
+    {"--storage-fault-strikes", "N", "failing attempts per (window, "
+                                     "path) before the tier heals; "
+                                     "more than --io-retry-limit is a "
+                                     "persistent outage (default 2)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.storageFaultStrikes = intFlag(f, v, 1);
+     }},
+    {"--storage-fault-trace", "FILE", "replay a storage-fault trace "
+                                      "verbatim (engages at least one "
+                                      "window)",
+     [](Opt &o, const Flag &, const char *v) {
+         o.spec.storageFaultTrace = storage::readFaultTraceFile(v);
+     }},
+    {"--io-retry-limit", "N", "checkpoint clients' bounded retry "
+                              "budget on storage errors (default 3)",
+     [](Opt &o, const Flag &f, const char *v) {
+         o.spec.ioRetryLimit = intFlag(f, v, 0);
+     }},
+    {"--perf", nullptr, "time the grid under both backends and both "
+                        "drain modes, write BENCH_<name>.json",
+     [](Opt &o, const Flag &, const char *) { o.perf = true; }},
+    {"--perf-dir", "DIR", "where BENCH_<name>.json lands (default .)",
+     [](Opt &o, const Flag &, const char *v) { o.perfDir = v; }},
+    {"--help", nullptr, "print this help and exit (also -h)",
+     [](Opt &, const Flag &, const char *) {
+         printHelp();
+         std::exit(0);
+     }},
+};
+
+void
+printHelp()
+{
+    std::printf("options:\n");
+    for (const Flag &flag : kFlags) {
+        std::printf("  %s%s%s  %s\n", flag.name, flag.hint ? " " : "",
+                    flag.hint ? flag.hint : "", flag.help);
+    }
+    std::printf("valid apps: %s\n", apps::registryNames().c_str());
 }
 
 } // anonymous namespace
@@ -96,287 +330,43 @@ BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions options;
+    options.spec.sandboxDir = "/dev/shm/match-fti-bench";
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--quick") {
-            options.quick = true;
-            options.runs = 2;
-        } else if (arg == "--runs" && i + 1 < argc) {
-            options.runs =
-                static_cast<int>(parseIntFlag("--runs", argv[++i], 1));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = parseU64Flag("--seed", argv[++i]);
-        } else if (arg == "--csv" && i + 1 < argc) {
-            options.csvDir = argv[++i];
-        } else if (arg == "--sandbox" && i + 1 < argc) {
-            options.sandboxDir = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs =
-                static_cast<int>(parseIntFlag("--jobs", argv[++i], 0));
-        } else if (arg == "--storage" && i + 1 < argc) {
-            const std::string kind = argv[++i];
-            if (kind == "mem")
-                options.storage = storage::Kind::Mem;
-            else if (kind == "disk")
-                options.storage = storage::Kind::Disk;
-            else
-                badChoice("--storage", kind, {"mem", "disk"});
-        } else if (arg == "--drain" && i + 1 < argc) {
-            const std::string mode = argv[++i];
-            if (mode == "sync")
-                options.drain = storage::DrainMode::Sync;
-            else if (mode == "async")
-                options.drain = storage::DrainMode::Async;
-            else
-                badChoice("--drain", mode, {"sync", "async"});
-        } else if (arg == "--drain-depth" && i + 1 < argc) {
-            options.drainDepth = static_cast<int>(
-                parseIntFlag("--drain-depth", argv[++i], 0));
-        } else if (arg == "--drain-capacity" && i + 1 < argc) {
-            options.drainCapacityBytes = static_cast<std::size_t>(
-                parseU64Flag("--drain-capacity", argv[++i]));
-        } else if (arg == "--cell-timeout" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            if (value == "auto") {
-                options.autoCellTimeout = true;
-                options.cellTimeoutSeconds = 0.0;
-            } else {
-                char *end = nullptr;
-                const double seconds = std::strtod(value.c_str(), &end);
-                if (end == value.c_str() || *end != '\0' || seconds < 0.0)
-                    badChoice("--cell-timeout", value,
-                              {"auto", "SECONDS (0 disables)"});
-                options.cellTimeoutSeconds = seconds;
-                options.autoCellTimeout = false;
-            }
-        } else if (arg == "--cell-retries" && i + 1 < argc) {
-            options.cellRetries = static_cast<int>(
-                parseIntFlag("--cell-retries", argv[++i], 0));
-        } else if (arg == "--resume") {
-            options.resume = true;
-        } else if (arg == "--no-resume") {
-            options.resume = false;
-        } else if (arg == "--strict") {
-            options.strict = true;
-        } else if (arg == "--pin" && i + 1 < argc) {
-            const std::string mode = argv[++i];
-            if (mode == "none")
-                options.pin = core::PinMode::None;
-            else if (mode == "auto")
-                options.pin = core::PinMode::Auto;
-            else if (mode == "cores")
-                options.pin = core::PinMode::Cores;
-            else
-                badChoice("--pin", mode, {"none", "auto", "cores"});
-        } else if (arg == "--failure-model" && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (!ft::parseFailureModel(name, options.failureModel)) {
-                badChoice("--failure-model", name,
-                          {"single", "independent", "correlated",
-                           "trace"});
-            }
-        } else if (arg == "--failure-trace" && i + 1 < argc) {
-            options.traceEvents = ft::readTraceFile(argv[++i]);
-            options.failureModel = ft::FailureModelKind::Trace;
-        } else if (arg == "--mean-failures" && i + 1 < argc) {
-            options.meanFailures =
-                parseDoubleFlag("--mean-failures", argv[++i], 0.0);
-        } else if (arg == "--cascade-prob" && i + 1 < argc) {
-            options.cascadeProb =
-                parseDoubleFlag("--cascade-prob", argv[++i], 0.0);
-        } else if (arg == "--corrupt-fraction" && i + 1 < argc) {
-            options.corruptFraction =
-                parseDoubleFlag("--corrupt-fraction", argv[++i], 0.0);
-        } else if (arg == "--sdc-checks") {
-            options.sdcChecks = true;
-        } else if (arg == "--scrub-stride" && i + 1 < argc) {
-            options.scrubStride = static_cast<int>(
-                parseIntFlag("--scrub-stride", argv[++i], 0));
-        } else if (arg == "--storage-fault-windows" && i + 1 < argc) {
-            options.storageFaultWindows = static_cast<int>(
-                parseIntFlag("--storage-fault-windows", argv[++i], 0));
-        } else if (arg == "--storage-fault-pfs-bias" && i + 1 < argc) {
-            options.storageFaultPfsBias = parseDoubleFlag(
-                "--storage-fault-pfs-bias", argv[++i], 0.0);
-        } else if (arg == "--storage-fault-mean-epochs" && i + 1 < argc) {
-            options.storageFaultMeanEpochs = static_cast<int>(parseIntFlag(
-                "--storage-fault-mean-epochs", argv[++i], 1));
-        } else if (arg == "--storage-fault-strikes" && i + 1 < argc) {
-            options.storageFaultStrikes = static_cast<int>(
-                parseIntFlag("--storage-fault-strikes", argv[++i], 1));
-        } else if (arg == "--storage-fault-trace" && i + 1 < argc) {
-            options.storageFaultTrace =
-                storage::readFaultTraceFile(argv[++i]);
-            // A replayed trace engages the engine even without an
-            // explicit window count (the draws are skipped anyway).
-            if (options.storageFaultWindows == 0)
-                options.storageFaultWindows = 1;
-        } else if (arg == "--io-retry-limit" && i + 1 < argc) {
-            options.ioRetryLimit = static_cast<int>(
-                parseIntFlag("--io-retry-limit", argv[++i], 0));
-        } else if (arg == "--transform" && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (!storage::parseTransformKind(name, options.transform)) {
-                badChoice("--transform", name,
-                          {"none", "delta", "compress",
-                           "delta+compress"});
-            }
-        } else if (arg == "--perf") {
-            options.perf = true;
-        } else if (arg == "--perf-dir" && i + 1 < argc) {
-            options.perfDir = argv[++i];
-        } else if (arg == "--apps" && i + 1 < argc) {
-            std::istringstream list(argv[++i]);
-            std::string name;
-            while (std::getline(list, name, ','))
-                options.apps.push_back(name);
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "options: [--quick] [--runs N] [--seed S] [--csv DIR] "
-                "[--apps A,B] [--sandbox DIR] [--jobs N] "
-                "[--storage mem|disk] [--drain sync|async] "
-                "[--drain-depth N] [--drain-capacity BYTES] "
-                "[--pin none|auto|cores] "
-                "[--cell-timeout SECS|auto] [--cell-retries N] "
-                "[--resume|--no-resume] [--strict] "
-                "[--failure-model single|independent|correlated|trace] "
-                "[--failure-trace FILE] [--mean-failures M] "
-                "[--cascade-prob P] [--corrupt-fraction F] "
-                "[--sdc-checks] [--scrub-stride N] "
-                "[--transform none|delta|compress|delta+compress] "
-                "[--storage-fault-windows N] "
-                "[--storage-fault-pfs-bias P] "
-                "[--storage-fault-mean-epochs N] "
-                "[--storage-fault-strikes N] "
-                "[--storage-fault-trace FILE] [--io-retry-limit N] "
-                "[--perf] [--perf-dir DIR]\n"
-                "  --jobs N  grid worker threads (default: hardware "
-                "concurrency; output is identical for any N)\n"
-                "  --storage mem|disk  checkpoint sandbox backend "
-                "(default mem: zero-syscall hot path)\n"
-                "  --drain sync|async  PFS drain execution (default "
-                "async: flush I/O overlaps compute; output identical)\n"
-                "  --drain-depth N  burst-buffer queue bound, 0 = "
-                "unbounded (wall-clock only)\n"
-                "  --pin none|auto|cores  pin grid workers across "
-                "NUMA nodes/cores (auto: only when every worker can "
-                "own a core; workers' blob pools stay node-local; "
-                "output identical for every mode)\n"
-                "  --failure-model M  failure process for injected "
-                "runs (default single: the paper's one uniform crash; "
-                "independent/correlated draw multi-failure schedules; "
-                "trace replays --failure-trace)\n"
-                "  --failure-trace FILE  replay a failure trace "
-                "(see bench/FAILURE_TRACES.md; implies "
-                "--failure-model trace)\n"
-                "  --mean-failures M  expected failures per run "
-                "(independent/correlated models)\n"
-                "  --cascade-prob P  node/rack cascade probability "
-                "(correlated model)\n"
-                "  --corrupt-fraction F  fraction of failures demoted "
-                "to silent checkpoint corruption\n"
-                "  --sdc-checks  CRC32C-verify checkpoints at "
-                "recovery, fall back to older checkpoints on rot\n"
-                "  --scrub-stride N  verify the newest checkpoint "
-                "every N iterations (needs --sdc-checks)\n"
-                "  --drain-capacity BYTES  burst-buffer capacity; "
-                "flushes stall (priced) when staged bytes exceed it\n"
-                "  --transform T  checkpoint data reduction (default "
-                "none; delta = differential checkpoints vs the "
-                "previous epoch, compress = RLE on L4 drain traffic; "
-                "virtual-result axis, part of the cache key)\n"
-                "  --storage-fault-windows N  deterministic storage-"
-                "tier fault windows per run (default 0 = off; see "
-                "bench/FAULTS.md; virtual-result axis, part of the "
-                "cache key)\n"
-                "  --storage-fault-pfs-bias P  probability a drawn "
-                "window targets the PFS tier (default 0.75)\n"
-                "  --storage-fault-mean-epochs N  mean fault-window "
-                "length in checkpoint epochs (default 2)\n"
-                "  --storage-fault-strikes N  failing attempts per "
-                "(window, path) before the tier heals; more than "
-                "--io-retry-limit models a persistent outage "
-                "(default 2)\n"
-                "  --storage-fault-trace FILE  replay a storage-fault "
-                "trace verbatim (see bench/FAULTS.md; engages the "
-                "engine)\n"
-                "  --io-retry-limit N  checkpoint clients' bounded "
-                "retry budget on storage errors (default 3; backoff "
-                "priced in virtual time)\n"
-                "  --cell-timeout SECS|auto  wall-clock watchdog per "
-                "cell attempt (auto: 5x the grid's completed-cell p99; "
-                "0 disables; wall-clock only, never in the cache key)\n"
-                "  --cell-retries N  attempts after the first before a "
-                "throwing/hung cell is quarantined (default 2)\n"
-                "  --resume | --no-resume  journal cell status next to "
-                "the result cache and resume a killed grid (default "
-                "on; --no-resume discards the journal history)\n"
-                "  --strict  exit nonzero when any cell was "
-                "quarantined\n"
-                "  --perf    time the grid under both backends and "
-                "both drain modes, write BENCH_<name>.json\n"
-                "  valid apps: %s\n",
-                apps::registryNames().c_str());
-            std::exit(0);
-        } else {
-            util::fatal("unknown option: %s", arg.c_str());
+        const char *arg =
+            std::strcmp(argv[i], "-h") == 0 ? "--help" : argv[i];
+        const auto flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [arg](const Flag &f) { return std::strcmp(f.name, arg) == 0; });
+        if (flag == std::end(kFlags))
+            util::fatal("unknown option: %s (see --help)", arg);
+        const char *value = nullptr;
+        if (flag->hint) {
+            if (i + 1 == argc)
+                util::fatal("%s: missing value (%s)", arg, flag->hint);
+            value = argv[++i];
         }
+        flag->apply(options, *flag, value);
     }
-    if (options.apps.empty()) {
-        for (const auto &spec : apps::registry())
-            options.apps.push_back(spec.name);
+    GridSpec &spec = options.spec;
+    // A replayed trace engages the engine even without an explicit
+    // window count (the draws are skipped anyway).
+    if (!spec.storageFaultTrace.empty() && spec.storageFaultWindows == 0)
+        spec.storageFaultWindows = 1;
+    spec.cacheDir = spec.sandboxDir + "/cell-cache";
+    if (spec.apps.empty()) {
+        for (const auto &app : apps::registry())
+            spec.apps.push_back(app.name);
     } else {
-        for (const std::string &name : options.apps)
+        for (const std::string &name : spec.apps)
             apps::findApp(name); // fail fast with the valid-name list
     }
     return options;
 }
 
-core::GridSpec
-BenchOptions::baseSpec() const
-{
-    GridSpec spec;
-    spec.apps = apps;
-    spec.runs = runs;
-    spec.seed = seed;
-    spec.sandboxDir = sandboxDir;
-    spec.cacheDir = sandboxDir + "/cell-cache";
-    spec.storage = storage;
-    spec.drain = drain;
-    spec.drainDepth = drainDepth;
-    spec.failureModel = failureModel;
-    spec.meanFailures = meanFailures;
-    spec.cascadeProb = cascadeProb;
-    spec.corruptFraction = corruptFraction;
-    spec.traceEvents = traceEvents;
-    spec.sdcChecks = sdcChecks;
-    spec.scrubStride = scrubStride;
-    spec.drainCapacityBytes = drainCapacityBytes;
-    spec.transforms = {transform};
-    spec.storageFaultWindows = storageFaultWindows;
-    spec.storageFaultPfsBias = storageFaultPfsBias;
-    spec.storageFaultMeanEpochs = storageFaultMeanEpochs;
-    spec.storageFaultStrikes = storageFaultStrikes;
-    spec.storageFaultTrace = storageFaultTrace;
-    spec.ioRetryLimit = ioRetryLimit;
-    return spec;
-}
-
-core::GridPolicy
-BenchOptions::gridPolicy() const
-{
-    core::GridPolicy policy;
-    policy.cellTimeoutSeconds = cellTimeoutSeconds;
-    policy.autoTimeout = autoCellTimeout;
-    policy.cellRetries = cellRetries;
-    policy.resume = resume;
-    return policy;
-}
-
 core::GridRunner
 BenchOptions::makeRunner() const
 {
-    return core::GridRunner(jobs, pin, gridPolicy());
+    return core::GridRunner(jobs, pin, policy);
 }
 
 int
@@ -549,7 +539,7 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
                  "  \"computedCells\": %zu,\n"
                  "  \"backends\": [\n",
                  def.slug, def.figure, options.quick ? "true" : "false",
-                 options.runs, jobs, core::GridRunner::hardwareJobs(),
+                 options.spec.runs, jobs, core::GridRunner::hardwareJobs(),
                  core::pinModeName(options.pin), cells, computed);
     for (std::size_t i = 0; i < samples.size(); ++i)
         writeJsonTiming(out, "storage",
@@ -694,9 +684,9 @@ runFigure(const BenchOptions &options, const FigureDef &def)
                 def.inject ? "one injected process failure"
                            : "no process failures");
     std::printf("(methodology: %d runs averaged per configuration)\n\n",
-                options.runs);
+                options.spec.runs);
 
-    GridSpec spec = options.baseSpec();
+    GridSpec spec = options.spec;
     spec.injectFailure = def.inject;
     if (def.sweep == Sweep::ScalingSizes) {
         spec.inputs = {InputSize::Small};
@@ -815,7 +805,7 @@ runFigure(const BenchOptions &options, const FigureDef &def)
     }
 
     std::size_t at = 0;
-    for (const std::string &app : options.apps) {
+    for (const std::string &app : options.spec.apps) {
         std::vector<std::string> headers;
         if (def.sweep == Sweep::ScalingSizes)
             headers = {"#Processes", "Design"};

@@ -129,7 +129,9 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
             }
             next[v] = best;
         }
-        community.swap(next);
+        // Copy, never swap: FTI's protected region 1 points at
+        // community's buffer, which a swap would hand to `next` to free.
+        std::copy(next.begin(), next.end(), community.begin());
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 

@@ -60,6 +60,17 @@ constexpr std::uint64_t kStorageFaultStream = 0x5fa17ULL;
 
 } // anonymous namespace
 
+// Tripwire: a new ExperimentConfig field changes the struct's size and
+// fails this assert until it is hashed below (or listed as wall-clock
+// only in configKey's documentation), added to the key-coverage test
+// in tests/core/test_experiment.cc, and the size here updated. The
+// size is pinned for the LP64 libstdc++ ABI the CI builds with.
+#if defined(__GLIBCXX__) && defined(__LP64__)
+static_assert(sizeof(ExperimentConfig) == 592,
+              "ExperimentConfig changed: decide whether the new field "
+              "enters configKey()");
+#endif
+
 std::string
 configKey(const ExperimentConfig &config)
 {
@@ -71,6 +82,7 @@ configKey(const ExperimentConfig &config)
             h *= 0x100000001b3ULL;
         }
     };
+    mix(&kResultFormatVersion, sizeof(kResultFormatVersion));
     mix(config.app.data(), config.app.size());
     const int scalars[] = {static_cast<int>(config.input), config.nprocs,
                            static_cast<int>(config.design),

@@ -206,8 +206,19 @@ std::uint64_t cellSeed(const ExperimentConfig &config, int run);
  */
 std::string execId(const ExperimentConfig &config, int run);
 
-/** Exact result-cache key: hashes every field that influences the
- *  result (and nothing else — sandbox/cache paths are excluded). */
+/**
+ * Version of the simulated semantics behind a cached result, hashed
+ * into every configKey(). Bump it in any change that alters the result
+ * of an unchanged configuration (cost model, app kernels, recovery
+ * paths, the .cell format): every previously cached cell then misses
+ * instead of replaying a result the current code would not produce.
+ */
+inline constexpr std::uint32_t kResultFormatVersion = 1;
+
+/** Exact result-cache key: hashes kResultFormatVersion and every field
+ *  that influences the result, and nothing else — the wall-clock-only
+ *  fields storage, drain, drainDepth, sandboxDir, cacheDir and cancel
+ *  are excluded. */
 std::string configKey(const ExperimentConfig &config);
 
 /**

@@ -238,44 +238,14 @@ GridSpec::enumerate() const
                         for (int level : ckptLevels) {
                           for (storage::TransformKind transform :
                                transforms) {
-                            ExperimentConfig config;
+                            ExperimentConfig config = *this;
                             config.app = app;
                             config.input = input;
                             config.nprocs = nprocs;
                             config.design = design;
-                            config.injectFailure = injectFailure;
-                            config.runs = runs;
-                            config.seed = seed;
-                            config.ckptLevel = level;
                             config.ckptStride = stride;
-                            config.sandboxDir = sandboxDir;
-                            config.cacheDir = cacheDir;
-                            config.costParams = costParams;
-                            config.noiseSigma = noiseSigma;
-                            config.storage = storage;
-                            config.drain = drain;
-                            config.drainDepth = drainDepth;
-                            config.failureModel = failureModel;
-                            config.meanFailures = meanFailures;
-                            config.cascadeProb = cascadeProb;
-                            config.corruptFraction = corruptFraction;
-                            config.traceEvents = traceEvents;
-                            config.sdcChecks = sdcChecks;
-                            config.scrubStride = scrubStride;
-                            config.drainCapacityBytes =
-                                drainCapacityBytes;
+                            config.ckptLevel = level;
                             config.transform = transform;
-                            config.deltaRebase = deltaRebase;
-                            config.storageFaultWindows =
-                                storageFaultWindows;
-                            config.storageFaultPfsBias =
-                                storageFaultPfsBias;
-                            config.storageFaultMeanEpochs =
-                                storageFaultMeanEpochs;
-                            config.storageFaultStrikes =
-                                storageFaultStrikes;
-                            config.storageFaultTrace = storageFaultTrace;
-                            config.ioRetryLimit = ioRetryLimit;
                             cells.push_back(std::move(config));
                           }
                         }

@@ -40,11 +40,17 @@ namespace match::core
 {
 
 /**
- * Declarative description of an evaluation grid. enumerate() expands
- * the axes into ExperimentConfig cells ordered app -> scale -> input ->
- * design -> stride -> level (the order the paper's figures list rows).
+ * Declarative description of an evaluation grid: a base
+ * ExperimentConfig that carries every knob shared by the grid's cells,
+ * plus the swept axes below. enumerate() expands the axes into cells
+ * ordered app -> scale -> input -> design -> stride -> level ->
+ * transform (the order the paper's figures list rows). Each cell is a
+ * copy of the base config with the per-cell fields `app`, `input`,
+ * `nprocs`, `design`, `ckptStride`, `ckptLevel` and `transform`
+ * overwritten from the axes, so setting those inherited fields on a
+ * spec has no effect on its cells.
  */
-struct GridSpec
+struct GridSpec : ExperimentConfig
 {
     /** Apps to sweep; empty means the full six-app registry. */
     std::vector<std::string> apps;
@@ -81,51 +87,6 @@ struct GridSpec
      *  adjacently in figure output. */
     std::vector<storage::TransformKind> transforms{
         storage::TransformKind::None};
-
-    /** Full-envelope cadence of the delta chain, copied verbatim into
-     *  every cell (ExperimentConfig::deltaRebase). */
-    int deltaRebase = 8;
-
-    /** Inject one process failure per run. */
-    bool injectFailure = false;
-
-    /** Paper methodology: five runs averaged per cell. */
-    int runs = 5;
-    std::uint64_t seed = 42;
-    std::string sandboxDir = "/tmp/match-fti";
-    /** Non-empty: memoize cell results on disk (thread-safe). */
-    std::string cacheDir;
-    simmpi::CostParams costParams{};
-    double noiseSigma = 0.01;
-    /** Checkpoint sandbox storage (results are identical for any
-     *  kind; only wall time changes). */
-    storage::Kind storage = storage::Kind::Mem;
-    /** PFS drain execution mode and queue depth (results are identical
-     *  for any combination; only wall time changes). */
-    storage::DrainMode drain = storage::DrainMode::Async;
-    int drainDepth = 4;
-
-    /** Failure-scenario engine axes, copied verbatim into every cell
-     *  (see ExperimentConfig). Virtual-result knobs, unlike
-     *  storage/drain/pin. */
-    ft::FailureModelKind failureModel = ft::FailureModelKind::Single;
-    double meanFailures = 1.0;
-    double cascadeProb = 0.35;
-    double corruptFraction = 0.0;
-    std::vector<ft::FailureEvent> traceEvents;
-    bool sdcChecks = false;
-    int scrubStride = 0;
-    std::size_t drainCapacityBytes = 0;
-
-    /** Storage-fault engine axes, copied verbatim into every cell (see
-     *  ExperimentConfig). Virtual-result knobs like the failure-model
-     *  axes above; 0 windows leaves every cell's backend undecorated. */
-    int storageFaultWindows = 0;
-    double storageFaultPfsBias = 0.75;
-    int storageFaultMeanEpochs = 2;
-    int storageFaultStrikes = 2;
-    std::vector<storage::FaultWindow> storageFaultTrace;
-    int ioRetryLimit = 3;
 
     /** Expand the axes into concrete cells (deterministic order). */
     std::vector<ExperimentConfig> enumerate() const;

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <atomic>
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "src/core/experiment.hh"
 
@@ -386,45 +389,138 @@ TEST(Experiment, TraceReplayReproducesCorrelatedRunBitForBit)
     EXPECT_EQ(gen.recoveries, rep.recoveries);
 }
 
-TEST(Experiment, ConfigKeyDistinguishesFailureScenarioAxes)
+TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
 {
-    const auto base = smallConfig(Design::ReinitFti, true);
-    const std::string key = configKey(base);
-    auto model = base;
-    model.failureModel = ft::FailureModelKind::IndependentExp;
-    EXPECT_NE(configKey(model), key);
-    auto mean = base;
-    mean.meanFailures = 2.5;
-    EXPECT_NE(configKey(mean), key);
-    auto cascade = base;
-    cascade.cascadeProb = 0.7;
-    EXPECT_NE(configKey(cascade), key);
-    auto corrupt = base;
-    corrupt.corruptFraction = 0.25;
-    EXPECT_NE(configKey(corrupt), key);
-    auto sdc = base;
-    sdc.sdcChecks = true;
-    EXPECT_NE(configKey(sdc), key);
-    auto scrubbed = base;
-    scrubbed.sdcChecks = true;
-    scrubbed.scrubStride = 5;
-    EXPECT_NE(configKey(scrubbed), configKey(sdc));
-    auto capped = base;
-    capped.drainCapacityBytes = std::size_t{1} << 20;
-    EXPECT_NE(configKey(capped), key);
-    auto transformed = base;
-    transformed.transform = storage::TransformKind::Delta;
-    EXPECT_NE(configKey(transformed), key);
-    auto rebased = transformed;
-    rebased.deltaRebase = 3;
-    EXPECT_NE(configKey(rebased), configKey(transformed));
-    auto traced = base;
-    traced.failureModel = ft::FailureModelKind::Trace;
-    traced.traceEvents = {{3, 1, ft::FailureKind::Crash}};
-    auto traced2 = traced;
-    traced2.traceEvents = {{3, 2, ft::FailureKind::Crash}};
-    EXPECT_NE(configKey(traced), key);
-    EXPECT_NE(configKey(traced2), configKey(traced));
+    // One row per ExperimentConfig field (the static_assert next to
+    // configKey() fails the build when a field is added without a
+    // decision here). Element-level rows (two traces differing in one
+    // member) check that list contents are hashed, not just sizes.
+    struct Field
+    {
+        const char *name;
+        void (*mutate)(ExperimentConfig &config);
+    };
+    const Field keyed[] = {
+        {"app", [](ExperimentConfig &c) { c.app = "HPCCG"; }},
+        {"input", [](ExperimentConfig &c) { c.input = InputSize::Medium; }},
+        {"nprocs", [](ExperimentConfig &c) { c.nprocs = 16; }},
+        {"design", [](ExperimentConfig &c) { c.design = Design::UlfmFti; }},
+        {"injectFailure",
+         [](ExperimentConfig &c) { c.injectFailure = false; }},
+        {"failureModel",
+         [](ExperimentConfig &c) {
+             c.failureModel = ft::FailureModelKind::IndependentExp;
+         }},
+        {"meanFailures", [](ExperimentConfig &c) { c.meanFailures = 2.5; }},
+        {"cascadeProb", [](ExperimentConfig &c) { c.cascadeProb = 0.7; }},
+        {"corruptFraction",
+         [](ExperimentConfig &c) { c.corruptFraction = 0.25; }},
+        {"traceEvents",
+         [](ExperimentConfig &c) {
+             c.traceEvents = {{3, 1, ft::FailureKind::Crash}};
+         }},
+        {"traceEvents[0].rank",
+         [](ExperimentConfig &c) {
+             c.traceEvents = {{3, 2, ft::FailureKind::Crash}};
+         }},
+        {"storageFaultWindows",
+         [](ExperimentConfig &c) { c.storageFaultWindows = 2; }},
+        {"storageFaultPfsBias",
+         [](ExperimentConfig &c) { c.storageFaultPfsBias = 0.5; }},
+        {"storageFaultMeanEpochs",
+         [](ExperimentConfig &c) { c.storageFaultMeanEpochs = 4; }},
+        {"storageFaultStrikes",
+         [](ExperimentConfig &c) { c.storageFaultStrikes = 9; }},
+        {"storageFaultTrace",
+         [](ExperimentConfig &c) {
+             c.storageFaultTrace = {{1, 2, storage::PathClass::Pfs,
+                                     storage::FaultKind::WriteFault, 2}};
+         }},
+        {"storageFaultTrace[0].strikes",
+         [](ExperimentConfig &c) {
+             c.storageFaultTrace = {{1, 2, storage::PathClass::Pfs,
+                                     storage::FaultKind::WriteFault, 3}};
+         }},
+        {"ioRetryLimit", [](ExperimentConfig &c) { c.ioRetryLimit = 5; }},
+        {"sdcChecks", [](ExperimentConfig &c) { c.sdcChecks = true; }},
+        {"scrubStride", [](ExperimentConfig &c) { c.scrubStride = 5; }},
+        {"drainCapacityBytes",
+         [](ExperimentConfig &c) {
+             c.drainCapacityBytes = std::size_t{1} << 20;
+         }},
+        {"transform",
+         [](ExperimentConfig &c) {
+             c.transform = storage::TransformKind::Delta;
+         }},
+        {"deltaRebase", [](ExperimentConfig &c) { c.deltaRebase = 3; }},
+        {"runs", [](ExperimentConfig &c) { c.runs = 4; }},
+        {"seed", [](ExperimentConfig &c) { c.seed = 43; }},
+        {"ckptLevel", [](ExperimentConfig &c) { c.ckptLevel = 3; }},
+        {"ckptStride", [](ExperimentConfig &c) { c.ckptStride = 5; }},
+        {"costParams",
+         [](ExperimentConfig &c) { c.costParams.computeFlops *= 2.0; }},
+        {"noiseSigma", [](ExperimentConfig &c) { c.noiseSigma = 0.02; }},
+    };
+    static const std::atomic<bool> cancel_token{false};
+    const Field wall_clock[] = {
+        {"storage",
+         [](ExperimentConfig &c) { c.storage = storage::Kind::Disk; }},
+        {"drain",
+         [](ExperimentConfig &c) { c.drain = storage::DrainMode::Sync; }},
+        {"drainDepth", [](ExperimentConfig &c) { c.drainDepth = 0; }},
+        {"sandboxDir",
+         [](ExperimentConfig &c) { c.sandboxDir = "/elsewhere"; }},
+        {"cacheDir", [](ExperimentConfig &c) { c.cacheDir = "/cache"; }},
+        {"cancel", [](ExperimentConfig &c) { c.cancel = &cancel_token; }},
+    };
+
+    const ExperimentConfig base = smallConfig(Design::ReinitFti, true);
+    std::set<std::string> keys{configKey(base)};
+    for (const Field &field : keyed) {
+        ExperimentConfig changed = base;
+        field.mutate(changed);
+        EXPECT_TRUE(keys.insert(configKey(changed)).second)
+            << field.name << " does not move the key";
+    }
+    for (const Field &field : wall_clock) {
+        ExperimentConfig changed = base;
+        field.mutate(changed);
+        EXPECT_EQ(configKey(changed), configKey(base))
+            << field.name << " is wall-clock only but moves the key";
+    }
+}
+
+TEST(Experiment, MiniViteCheckpointedRunsAreRepeatable)
+{
+    // miniVite once swapped its FTI-protected community buffer for a
+    // temporary every pass, leaving the protected region on freed
+    // memory: delta+compress checkpoints then encoded whatever the
+    // heap held and identical cells returned different results.
+    ExperimentConfig config;
+    config.app = "miniVite";
+    config.nprocs = 64;
+    config.design = Design::ReinitFti;
+    config.ckptLevel = 3;
+    config.ckptStride = 1;
+    config.transform = storage::TransformKind::DeltaCompress;
+    config.runs = 1;
+    config.drain = storage::DrainMode::Sync;
+    config.sandboxDir =
+        (fs::temp_directory_path() / "match-core-tests").string();
+    const ExperimentResult first = runExperiment(config);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+        const ExperimentResult again = runExperiment(config);
+        ASSERT_EQ(again.perRun.size(), first.perRun.size());
+        const ft::Breakdown &a = first.mean;
+        const ft::Breakdown &b = again.mean;
+        EXPECT_EQ(a.application, b.application) << "repeat " << repeat;
+        EXPECT_EQ(a.ckptWrite, b.ckptWrite) << "repeat " << repeat;
+        EXPECT_EQ(a.ckptRead, b.ckptRead) << "repeat " << repeat;
+        EXPECT_EQ(a.recovery, b.recovery) << "repeat " << repeat;
+        EXPECT_EQ(a.attempts, b.attempts) << "repeat " << repeat;
+        EXPECT_EQ(a.recoveries, b.recoveries) << "repeat " << repeat;
+        EXPECT_EQ(a.failureFired, b.failureFired) << "repeat " << repeat;
+    }
 }
 
 TEST(Experiment, SdcChecksPriceVerificationWithoutChangingOutcome)

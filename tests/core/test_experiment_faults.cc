@@ -201,37 +201,3 @@ TEST(ExperimentFaults, StorageFaultAndProcessFailureInSameEpoch)
     EXPECT_GT(after.pricedRetries, before.pricedRetries);
     EXPECT_GT(after.injectedWriteFaults, before.injectedWriteFaults);
 }
-
-TEST(ExperimentFaults, ConfigKeyDistinguishesStorageFaultAxes)
-{
-    const auto base = faultyConfig(Design::ReinitFti, 0);
-    const std::string key = configKey(base);
-
-    auto windows = base;
-    windows.storageFaultWindows = 2;
-    EXPECT_NE(configKey(windows), key);
-
-    auto bias = base;
-    bias.storageFaultPfsBias = 0.5;
-    EXPECT_NE(configKey(bias), key);
-
-    auto epochs = base;
-    epochs.storageFaultMeanEpochs = 4;
-    EXPECT_NE(configKey(epochs), key);
-
-    auto strikes = base;
-    strikes.storageFaultStrikes = 9;
-    EXPECT_NE(configKey(strikes), key);
-
-    auto retry = base;
-    retry.ioRetryLimit = 5;
-    EXPECT_NE(configKey(retry), key);
-
-    auto trace = base;
-    trace.storageFaultTrace = {
-        {1, 2, PathClass::Pfs, FaultKind::WriteFault, 2}};
-    EXPECT_NE(configKey(trace), key);
-    auto trace2 = trace;
-    trace2.storageFaultTrace[0].strikes = 3;
-    EXPECT_NE(configKey(trace2), configKey(trace));
-}
