@@ -15,6 +15,7 @@
 #include "src/fti/fti.hh"
 #include "src/simmpi/runtime.hh"
 #include "src/storage/blob.hh"
+#include "src/storage/transform.hh"
 #include "src/util/crc32c.hh"
 
 using namespace match;
@@ -215,6 +216,69 @@ BM_Recover(benchmark::State &state)
                             sizeof(double));
 }
 BENCHMARK(BM_Recover);
+
+/**
+ * Recovery at scale, the FTI share of a Fig. 6/9 recovery cell: a
+ * fresh P-rank job scans the committed meta records and restores the
+ * newest link of a delta chain (a full checkpoint plus three deltas).
+ * Each iteration first commits new epochs, untimed, so the records are
+ * new text as in a grid where every cell writes its own. The
+ * `metaParses` counter (per iteration) stays at the number of records,
+ * one parse per distinct text per thread, while `metaHits` grows with
+ * P: every rank still fetches and checks every record.
+ */
+void
+BM_RecoverScaling(benchmark::State &state)
+{
+    const int procs = static_cast<int>(state.range(0));
+    constexpr int kEpochs = 4;
+    auto cfg = benchConfig(1);
+    cfg.execId = "micro-recover-p" + std::to_string(procs);
+    cfg.backend = match::storage::makeBackend(match::storage::Kind::Mem);
+    cfg.transform = match::storage::TransformKind::Delta;
+    JobOptions opts;
+    opts.nprocs = procs;
+    const fti::MetaMemoStats before = fti::metaMemoStats();
+    // Never reset between the runs google-benchmark makes per row, so
+    // no round's records repeat one the memo still holds.
+    static int round = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        fti::Fti::purge(cfg);
+        ++round;
+        Runtime writer;
+        writer.run(opts, [&](Proc &proc) {
+            fti::Fti fti(proc, cfg);
+            std::vector<double> data(1 << 10, round + proc.rank());
+            fti.protect(0, data.data(), data.size() * sizeof(double));
+            for (int id = 1; id <= kEpochs; ++id) {
+                data[static_cast<std::size_t>(id)] += id;
+                fti.checkpoint(id);
+            }
+            fti.finalize();
+        });
+        state.ResumeTiming();
+        Runtime runtime;
+        runtime.run(opts, [&](Proc &proc) {
+            fti::Fti fti(proc, cfg);
+            std::vector<double> data(1 << 10, 0.0);
+            fti.protect(0, data.data(), data.size() * sizeof(double));
+            fti.recover();
+            benchmark::DoNotOptimize(data.data());
+            fti.finalize();
+        });
+    }
+    fti::Fti::purge(cfg);
+    const fti::MetaMemoStats after = fti::metaMemoStats();
+    state.counters["metaParses"] = benchmark::Counter(
+        static_cast<double>(after.misses - before.misses),
+        benchmark::Counter::kAvgIterations);
+    state.counters["metaHits"] = benchmark::Counter(
+        static_cast<double>(after.hits - before.hits),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RecoverScaling)->Arg(64)->Arg(512)->Unit(
+    benchmark::kMillisecond);
 
 } // namespace
 

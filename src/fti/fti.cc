@@ -117,10 +117,9 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     store_.createDirectories(execDir(config_) + "/pfs/diff");
     recoveryCkptId_ = newestCommittedCkpt();
     if (recoveryCkptId_ > 0) {
-        MetaInfo meta;
-        if (loadMeta(recoveryCkptId_, meta)) {
-            prevCkptId_ = meta.ckptId;
-            prevLevel_ = meta.level;
+        if (const auto meta = loadMeta(recoveryCkptId_)) {
+            prevCkptId_ = meta->ckptId;
+            prevLevel_ = meta->level;
         }
     }
 }
@@ -237,38 +236,137 @@ Fti::commitMeta(const MetaInfo &meta)
         [&] { store_.writeAtomic(path, text.data(), text.size()); });
 }
 
-bool
-Fti::loadMeta(int ckpt_id, MetaInfo &meta) const
+std::shared_ptr<const MetaInfo>
+parseMeta(const storage::Blob &text)
 {
-    // Retry exhaustion reads as "metadata missing": recovery walks to
-    // an older committed checkpoint instead of aborting on a tier
-    // fault window.
-    const storage::Blob text =
-        fetchRetry(metaFile(config_, ckpt_id), /*checked=*/true);
-    if (!text)
-        return false;
     util::IniFile ini;
     if (!ini.parseString(
             std::string(reinterpret_cast<const char *>(text.data()),
                         text.size())))
-        return false;
-    meta.ckptId = static_cast<int>(ini.getInt("ckpt", "id", 0));
-    meta.level = static_cast<int>(ini.getInt("ckpt", "level", 0));
-    meta.nprocs = static_cast<int>(ini.getInt("ckpt", "nprocs", 0));
-    if (meta.ckptId != ckpt_id || meta.level < 1 || meta.nprocs < 1)
-        return false;
-    meta.bytesPerRank.resize(meta.nprocs);
-    meta.checksumPerRank.resize(meta.nprocs);
-    for (int r = 0; r < meta.nprocs; ++r) {
-        meta.bytesPerRank[r] = static_cast<std::size_t>(
-            ini.getInt("ranks", "bytes" + std::to_string(r), -1));
+        return nullptr;
+    auto meta = std::make_shared<MetaInfo>();
+    meta->ckptId = static_cast<int>(ini.getInt("ckpt", "id", 0));
+    meta->level = static_cast<int>(ini.getInt("ckpt", "level", 0));
+    meta->nprocs = static_cast<int>(ini.getInt("ckpt", "nprocs", 0));
+    if (meta->level < 1 || meta->nprocs < 1)
+        return meta;
+    // Grown entry by entry, so a garbled nprocs cannot size a huge
+    // allocation before the first missing entry rejects the record.
+    for (int r = 0; r < meta->nprocs; ++r) {
         const std::string crc =
             ini.getString("ranks", "crc" + std::to_string(r), "");
-        if (crc.empty())
-            return false;
-        meta.checksumPerRank[r] = std::strtoull(crc.c_str(), nullptr, 10);
+        if (crc.empty()) {
+            meta->bytesPerRank.clear();
+            meta->checksumPerRank.clear();
+            return meta;
+        }
+        meta->bytesPerRank.push_back(static_cast<std::size_t>(
+            ini.getInt("ranks", "bytes" + std::to_string(r), -1)));
+        meta->checksumPerRank.push_back(
+            std::strtoull(crc.c_str(), nullptr, 10));
     }
-    return true;
+    meta->complete = true;
+    return meta;
+}
+
+namespace
+{
+
+/**
+ * The calling thread's parsed meta records, least recently used
+ * evicted first. Each entry pins the text buffer it was parsed from, so
+ * a buffer address seen again is the same immutable bytes — the fast
+ * path under MemBackend, whose fetch hands out the stored object. A
+ * fresh copy (DiskBackend) matches by size, CRC32C and equal bytes.
+ */
+struct MetaMemo
+{
+    struct Entry
+    {
+        storage::Blob text;
+        std::shared_ptr<const MetaInfo> meta;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Entry> entries;
+    std::uint64_t clock = 0;
+    MetaMemoStats stats;
+
+    static MetaMemo &
+    local()
+    {
+        thread_local MetaMemo memo;
+        return memo;
+    }
+
+    Entry *
+    find(const storage::Blob &text)
+    {
+        for (Entry &e : entries)
+            if (e.text.data() == text.data() && e.text.size() == text.size())
+                return &e;
+        const std::uint32_t crc = text.crc32c();
+        for (Entry &e : entries) {
+            if (e.text.size() == text.size() && e.text.crc32c() == crc &&
+                (text.size() == 0 ||
+                 std::memcmp(e.text.data(), text.data(), text.size()) ==
+                     0)) {
+                e.text = text; // the newest buffer takes the fast path
+                return &e;
+            }
+        }
+        return nullptr;
+    }
+};
+
+} // anonymous namespace
+
+std::shared_ptr<const MetaInfo>
+parseMetaMemo(const storage::Blob &text)
+{
+    MetaMemo &memo = MetaMemo::local();
+    ++memo.clock;
+    if (MetaMemo::Entry *hit = memo.find(text)) {
+        hit->lastUse = memo.clock;
+        ++memo.stats.hits;
+        return hit->meta;
+    }
+    ++memo.stats.misses;
+    MetaMemo::Entry entry{text, parseMeta(text), memo.clock};
+    if (memo.entries.size() < kMetaMemoCapacity) {
+        memo.entries.push_back(entry);
+    } else {
+        *std::min_element(memo.entries.begin(), memo.entries.end(),
+                          [](const auto &a, const auto &b) {
+                              return a.lastUse < b.lastUse;
+                          }) = entry;
+        ++memo.stats.evictions;
+    }
+    return entry.meta;
+}
+
+MetaMemoStats
+metaMemoStats()
+{
+    return MetaMemo::local().stats;
+}
+
+std::shared_ptr<const MetaInfo>
+Fti::loadMeta(int ckpt_id) const
+{
+    // Retry exhaustion reads as "metadata missing": recovery walks to
+    // an older committed checkpoint instead of aborting on a tier
+    // fault window. Every call fetches, even when the parse is
+    // memoized: meta reads are fault-injectable per actor, so a skipped
+    // fetch would shift strike budgets and priced retries.
+    const storage::Blob text =
+        fetchRetry(metaFile(config_, ckpt_id), /*checked=*/true);
+    if (!text)
+        return nullptr;
+    std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
+    if (!meta || !meta->complete || meta->ckptId != ckpt_id)
+        return nullptr;
+    return meta;
 }
 
 int
@@ -282,11 +380,9 @@ Fti::newestCommittedCkpt() const
         const int id = std::atoi(name.c_str() + 4);
         if (id <= newest)
             continue;
-        MetaInfo meta;
-        if (loadMeta(id, meta) &&
-            meta.nprocs == proc_.runtime().commSize(comm_)) {
+        const auto meta = loadMeta(id);
+        if (meta && meta->nprocs == proc_.runtime().commSize(comm_))
             newest = id;
-        }
     }
     return newest;
 }
@@ -303,11 +399,9 @@ Fti::committedCkptsNewestFirst() const
         if (name.rfind("ckpt", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 4);
-        MetaInfo meta;
-        if (id > 0 && loadMeta(id, meta) &&
-            meta.nprocs == proc_.runtime().commSize(comm_)) {
+        const auto meta = id > 0 ? loadMeta(id) : nullptr;
+        if (meta && meta->nprocs == proc_.runtime().commSize(comm_))
             ids.push_back(id);
-        }
     }
     std::sort(ids.begin(), ids.end(),
               [](int a, int b) { return a > b; });
@@ -891,22 +985,23 @@ Fti::checkpoint(int ckpt_id, int level)
     };
     const int size = proc_.runtime().commSize(comm_);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
+    // Only the root reads the gathered table and the record built from
+    // it; the other ranks size neither (a non-root gather ignores its
+    // receive buffer).
     Entry mine{blob_bytes, crc};
-    std::vector<Entry> entries(static_cast<std::size_t>(size));
+    std::vector<Entry> entries(rank == 0 ? static_cast<std::size_t>(size)
+                                         : 0);
     proc_.gather(0, &mine, sizeof(mine), entries.data(), comm_);
 
     MetaInfo meta;
     meta.ckptId = ckpt_id;
     meta.level = level;
     meta.nprocs = size;
-    meta.bytesPerRank.resize(size);
-    meta.checksumPerRank.resize(size);
-    if (rank == 0) {
-        for (int r = 0; r < size; ++r) {
-            meta.bytesPerRank[r] =
-                static_cast<std::size_t>(entries[r].bytes);
-            meta.checksumPerRank[r] = entries[r].crc;
-        }
+    meta.bytesPerRank.reserve(entries.size());
+    meta.checksumPerRank.reserve(entries.size());
+    for (const Entry &e : entries) {
+        meta.bytesPerRank.push_back(static_cast<std::size_t>(e.bytes));
+        meta.checksumPerRank.push_back(e.crc);
     }
 
     if (level == 3) {
@@ -916,11 +1011,8 @@ Fti::checkpoint(int ckpt_id, int level)
         std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size));
         std::uint64_t my_size = blob_bytes;
         proc_.allgather(&my_size, sizeof(my_size), sizes.data(), comm_);
-        MetaInfo enc_meta = meta;
-        enc_meta.bytesPerRank.resize(size);
-        for (int r = 0; r < size; ++r)
-            enc_meta.bytesPerRank[r] =
-                static_cast<std::size_t>(sizes[r]);
+        MetaInfo enc_meta;
+        enc_meta.bytesPerRank.assign(sizes.begin(), sizes.end());
         encodeGroupParity(ckpt_id, enc_meta);
         proc_.barrier(comm_);
     }
@@ -1216,8 +1308,8 @@ Fti::loadImage(const MetaInfo &meta, bool checked, int depth)
         util::fatal("delta chain of checkpoint %d is malformed",
                     meta.ckptId);
     }
-    MetaInfo base_meta;
-    if (!loadMeta(info.baseCkptId, base_meta)) {
+    const auto base_meta = loadMeta(info.baseCkptId);
+    if (!base_meta) {
         if (checked)
             return storage::Blob();
         util::fatal("delta base checkpoint %d lost its metadata",
@@ -1227,12 +1319,12 @@ Fti::loadImage(const MetaInfo &meta, bool checked, int depth)
     // reads back; price it like the recovery read it is.
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-        base_meta.level,
+        base_meta->level,
         static_cast<std::size_t>(
-            static_cast<double>(base_meta.bytesPerRank[rank]) *
+            static_cast<double>(base_meta->bytesPerRank[rank]) *
             config_.virtualFactor),
         proc_.runtime().commSize(comm_)));
-    storage::Blob base = loadImage(base_meta, checked, depth + 1);
+    storage::Blob base = loadImage(*base_meta, checked, depth + 1);
     if (!base)
         return storage::Blob();
     return deltaTx_.decode(stored, base, checked);
@@ -1273,9 +1365,10 @@ Fti::recover()
         faultEpoch_ = id;
         if (faults_)
             faults_->setEpoch(id);
-        MetaInfo meta;
-        if (!loadMeta(id, meta))
+        const auto meta_ptr = loadMeta(id);
+        if (!meta_ptr)
             continue; // same per-actor outcome on every rank
+        const MetaInfo &meta = *meta_ptr;
         // An L4 restore reads objects the drain may still be
         // streaming: wait out the channel (virtually and in
         // wall-clock) first.
@@ -1342,9 +1435,10 @@ Fti::recoverChecked()
         faultEpoch_ = id;
         if (faults_)
             faults_->setEpoch(id);
-        MetaInfo meta;
-        if (!loadMeta(id, meta))
+        const auto meta_ptr = loadMeta(id);
+        if (!meta_ptr)
             continue; // same per-actor outcome on every rank
+        const MetaInfo &meta = *meta_ptr;
         if (meta.level == 4)
             drainBarrier();
         const storage::Blob blob = loadImage(meta, /*checked=*/true);
@@ -1406,8 +1500,8 @@ Fti::scrub()
     const int newest = newestCommittedCkpt();
     if (newest == 0)
         return;
-    MetaInfo meta;
-    if (!loadMeta(newest, meta) || meta.level > 3)
+    const auto meta = loadMeta(newest);
+    if (!meta || meta->level > 3)
         return; // L4 objects live behind the drain; nothing local
     CategoryScope scope(proc_, TimeCategory::CkptWrite);
     const double t0 = proc_.now();
@@ -1420,12 +1514,12 @@ Fti::scrub()
     // nothing to verify and the next recovery handles the fallout.
     const storage::Blob blob = fetchRetry(path, /*checked=*/true);
     const double virt_bytes =
-        static_cast<double>(meta.bytesPerRank[rank]) *
+        static_cast<double>(meta->bytesPerRank[rank]) *
         config_.virtualFactor;
     proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
         static_cast<std::size_t>(virt_bytes)));
-    const bool ok = blob && blob.size() == meta.bytesPerRank[rank] &&
-                    blob.crc32c() == meta.checksumPerRank[rank];
+    const bool ok = blob && blob.size() == meta->bytesPerRank[rank] &&
+                    blob.crc32c() == meta->checksumPerRank[rank];
     if (!ok && blob) {
         // Deleting the rotten object turns a silent-corruption hazard
         // into an ordinary lost-object recovery: the next recover()
@@ -1462,16 +1556,11 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         }
         if (!text)
             continue;
-        util::IniFile ini;
-        if (!ini.parseString(
-                std::string(reinterpret_cast<const char *>(text.data()),
-                            text.size())))
-            continue;
-        const int lvl = static_cast<int>(ini.getInt("ckpt", "level", 0));
-        if (lvl < 1)
+        const std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
+        if (!meta || meta->level < 1)
             continue;
         newest = id;
-        level = lvl;
+        level = meta->level;
     }
     if (newest == 0)
         return;

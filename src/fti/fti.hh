@@ -39,11 +39,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/fti/config.hh"
 #include "src/simmpi/proc.hh"
+#include "src/storage/blob.hh"
 #include "src/storage/faults.hh"
 
 namespace match::fti
@@ -60,6 +62,45 @@ struct ProtectedRegion
 /** FNV-1a 64-bit checksum used for checkpoint integrity. */
 std::uint64_t fnv1a(const void *data, std::size_t bytes,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);
+
+/** One checkpoint's metadata record (the INI text rank 0 commits). */
+struct MetaInfo
+{
+    int ckptId = 0;
+    int level = 0;
+    int nprocs = 0;
+    std::vector<std::size_t> bytesPerRank;
+    std::vector<std::uint64_t> checksumPerRank;
+    /** Level and nprocs are positive and every rank has a checksum.
+     *  The per-rank vectors are filled only for a complete record. */
+    bool complete = false;
+};
+
+/**
+ * Parse a metadata record's text (pure; util::IniFile is the parser).
+ * Null when the text is not an INI document.
+ */
+std::shared_ptr<const MetaInfo> parseMeta(const storage::Blob &text);
+
+/**
+ * parseMeta through the calling thread's memo: a bounded LRU keyed by
+ * the exact text bytes (same buffer, or same size and equal bytes). All
+ * ranks of a job run on one thread, so each distinct record is parsed
+ * once per worker thread instead of once per rank per read.
+ */
+std::shared_ptr<const MetaInfo> parseMetaMemo(const storage::Blob &text);
+
+/** Records the per-thread meta memo holds before evicting. */
+constexpr std::size_t kMetaMemoCapacity = 64;
+
+/** The calling thread's meta memo counters. */
+struct MetaMemoStats
+{
+    std::uint64_t hits = 0;      ///< lookups served without parsing
+    std::uint64_t misses = 0;    ///< lookups that parsed the text
+    std::uint64_t evictions = 0; ///< records dropped at capacity
+};
+MetaMemoStats metaMemoStats();
 
 /** Per-rank FTI instance (the library is an MPI library: one per rank). */
 class Fti
@@ -195,15 +236,6 @@ class Fti
     static void corruptAtRest(const FtiConfig &config, int rank);
 
   private:
-    struct MetaInfo
-    {
-        int ckptId = 0;
-        int level = 0;
-        int nprocs = 0;
-        std::vector<std::size_t> bytesPerRank;
-        std::vector<std::uint64_t> checksumPerRank;
-    };
-
     /** Snapshot every protected region into one pooled, sealed blob
      *  (the only payload copy on the checkpoint hot path). */
     storage::Blob serializeRegions() const;
@@ -228,7 +260,10 @@ class Fti
                          double factor) const;
     storage::DrainWorker &drain() { return *config_.drain; }
     void commitMeta(const MetaInfo &meta);
-    bool loadMeta(int ckpt_id, MetaInfo &meta) const;
+    /** Fetch (with the retry policy) and parse checkpoint `ckpt_id`'s
+     *  record; null when it is missing, unreadable, incomplete or
+     *  names another id. */
+    std::shared_ptr<const MetaInfo> loadMeta(int ckpt_id) const;
     int newestCommittedCkpt() const;
     /** Every committed checkpoint id, newest first (the SDC recovery
      *  ladder walks this list). */
