@@ -213,7 +213,7 @@ std::string execId(const ExperimentConfig &config, int run);
  * paths, the .cell format): every previously cached cell then misses
  * instead of replaying a result the current code would not produce.
  */
-inline constexpr std::uint32_t kResultFormatVersion = 1;
+inline constexpr std::uint32_t kResultFormatVersion = 2;
 
 /** Exact result-cache key: hashes kResultFormatVersion and every field
  *  that influences the result, and nothing else — the wall-clock-only

@@ -359,8 +359,7 @@ Fti::loadMeta(int ckpt_id) const
     // fault window. Every call fetches, even when the parse is
     // memoized: meta reads are fault-injectable per actor, so a skipped
     // fetch would shift strike budgets and priced retries.
-    const storage::Blob text =
-        fetchRetry(metaFile(config_, ckpt_id), /*checked=*/true);
+    const storage::Blob text = fetchRetry(metaFile(config_, ckpt_id));
     if (!text)
         return nullptr;
     std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
@@ -391,8 +390,8 @@ std::vector<int>
 Fti::committedCkptsNewestFirst() const
 {
     // Derived from the shared meta directory, so every rank of the
-    // communicator computes the same list — the SDC ladder's collective
-    // agreement rounds line up without communication.
+    // communicator computes the same list — the recovery ladder's
+    // collective verification votes line up without communication.
     std::vector<int> ids;
     for (const std::string &name :
          store_.listDir(execDir(config_) + "/meta")) {
@@ -503,27 +502,23 @@ Fti::ioRetry(Op &&op) const -> decltype(op())
 }
 
 storage::Blob
-Fti::fetchRetry(const std::string &path, bool checked) const
+Fti::fetchRetry(const std::string &path) const
 {
     try {
         return ioRetry([&] { return storage::fetch(store_, path); });
     } catch (const storage::StorageError &) {
-        if (checked)
-            return storage::Blob(); // rung vote: object unreadable
-        throw;
+        return storage::Blob(); // unreadable past the budget: lost
     }
 }
 
 bool
-Fti::readRetry(const std::string &path, std::vector<std::uint8_t> &out,
-               bool checked) const
+Fti::readRetry(const std::string &path,
+               std::vector<std::uint8_t> &out) const
 {
     try {
         return ioRetry([&] { return store_.read(path, out); });
     } catch (const storage::StorageError &) {
-        if (checked)
-            return false;
-        throw;
+        return false;
     }
 }
 
@@ -585,12 +580,11 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     std::vector<RsCodec::ShardView> data(k);
     std::vector<storage::Blob> members(k);
     for (int i = 0; i < k; ++i) {
-        // checked=true folds retry exhaustion into "missing", which is
+        // fetchRetry folds retry exhaustion into "missing", which is
         // fatal here either way; the checkpoint pre-flight demotes L3
         // when local reads are persistently exhausted, so only a real
         // loss can trip this.
-        members[i] = fetchRetry(ckptFile(config_, group_lo + i, ckpt_id),
-                                /*checked=*/true);
+        members[i] = fetchRetry(ckptFile(config_, group_lo + i, ckpt_id));
         if (!members[i])
             util::fatal("L3 encode: missing data file for rank %d",
                         group_lo + i);
@@ -1070,8 +1064,59 @@ Fti::checkpoint(int ckpt_id, int level)
 // Recovery
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t>
-Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
+namespace
+{
+
+/** The one integrity rule for a stored object: present, with the size
+ *  and CRC32C that `rank`'s entries of the committed record name. */
+bool
+intact(const storage::Blob &blob, const MetaInfo &meta, int rank)
+{
+    return blob && blob.size() == meta.bytesPerRank[rank] &&
+           blob.crc32c() == meta.checksumPerRank[rank];
+}
+
+/**
+ * Reassemble a legacy L4 differential checkpoint (transform none) of
+ * `image_bytes`: `payload` is [u64 image size] then [u64 offset]
+ * [u64 len][bytes] per changed block, applied over `base`. These are
+ * stored bytes parsed before anything can verify them, so malformed
+ * framing gives a null blob, never an abort.
+ */
+storage::Blob
+applyLegacyDiff(const storage::Blob &base, const storage::Blob &payload,
+                std::size_t image_bytes)
+{
+    std::uint64_t full;
+    if (payload.size() < sizeof(full))
+        return storage::Blob();
+    std::memcpy(&full, payload.data(), sizeof(full));
+    if (full != image_bytes)
+        return storage::Blob(); // could never verify; don't allocate it
+    std::vector<std::uint8_t> out(image_bytes, 0);
+    const std::size_t keep = std::min(image_bytes, base.size());
+    std::memcpy(out.data(), base.data(), keep);
+    storage::noteBlobCopy(keep);
+    for (std::size_t off = sizeof(full); off < payload.size();) {
+        std::uint64_t at, len;
+        if (payload.size() - off < sizeof(at) + sizeof(len))
+            return storage::Blob();
+        std::memcpy(&at, payload.data() + off, sizeof(at));
+        std::memcpy(&len, payload.data() + off + sizeof(at), sizeof(len));
+        off += sizeof(at) + sizeof(len);
+        if (len > payload.size() - off || at > out.size() ||
+            len > out.size() - at)
+            return storage::Blob();
+        std::memcpy(out.data() + at, payload.data() + off, len);
+        off += len;
+    }
+    return storage::Blob::fromVector(std::move(out));
+}
+
+} // anonymous namespace
+
+storage::Blob
+Fti::reconstructFromGroup(const MetaInfo &meta)
 {
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     const int gs = config_.groupSize;
@@ -1087,20 +1132,19 @@ Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
     std::vector<std::optional<std::vector<std::uint8_t>>> shards(
         static_cast<std::size_t>(k + m));
     for (int i = 0; i < k; ++i) {
+        const int member = group_lo + i;
         std::vector<std::uint8_t> buf;
-        if (readRetry(ckptFile(config_, group_lo + i, meta.ckptId), buf,
-                      /*checked=*/true)) {
-            // SDC mode screens each data shard: a corrupt member would
-            // poison the whole stripe's reconstruction, while treating
-            // it as *missing* lets the parity rebuild it.
-            if (checked &&
-                (buf.size() != meta.bytesPerRank[group_lo + i] ||
-                 util::crc32c(buf.data(), buf.size()) !=
-                     meta.checksumPerRank[group_lo + i]))
-                continue;
-            buf.resize(stripe, 0);
-            shards[i] = std::move(buf);
-        }
+        // A data shard that is unreadable, mis-sized or fails its CRC32C
+        // is a lost shard: a corrupt member would poison the whole
+        // stripe's reconstruction, while the parity rebuilds a missing
+        // one.
+        if (!readRetry(ckptFile(config_, member, meta.ckptId), buf) ||
+            buf.size() != meta.bytesPerRank[member] ||
+            util::crc32c(buf.data(), buf.size()) !=
+                meta.checksumPerRank[member])
+            continue;
+        buf.resize(stripe, 0);
+        shards[i] = std::move(buf);
     }
     for (int p = 0; p < m; ++p) {
         std::vector<std::uint8_t> buf;
@@ -1108,257 +1152,174 @@ Fti::reconstructFromGroup(const MetaInfo &meta, bool checked)
         // budget is simply a lost shard — the codec reconstructs
         // around it while enough members survive.
         if (readRetry(parityFile(config_, group_lo + p, meta.ckptId),
-                      buf, /*checked=*/true)) {
-            if (buf.size() == stripe)
-                shards[k + p] = std::move(buf);
-        }
+                      buf) &&
+            buf.size() == stripe)
+            shards[k + p] = std::move(buf);
     }
     const RsCodec codec(k, m);
     auto data = codec.reconstruct(shards);
-    if (data.empty()) {
-        if (checked)
-            return {};
-        util::fatal("L3 recovery failed: too many lost shards in group "
-                    "[%d, %d)", group_lo, group_hi);
-    }
+    if (data.empty())
+        return storage::Blob();
     auto blob = std::move(data[rank - group_lo]);
     blob.resize(meta.bytesPerRank[rank]);
-    return blob;
+    return storage::Blob::fromVector(std::move(blob));
 }
 
 storage::Blob
-Fti::readPfsBlob(const MetaInfo &meta, bool checked)
+Fti::readPfsBlob(const MetaInfo &meta, const char *&why)
 {
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    if (storage::Blob whole =
-            fetchRetry(pfsFile(config_, rank, meta.ckptId), checked)) {
-        if (storage::transformHasCompress(config_.transform)) {
-            // The PFS object is the compressed envelope; the meta
-            // checksum covers the decompressed (staged) bytes, so
-            // decode first, then let the caller verify. Decompression
-            // is a real recovery-path cost, priced inline.
-            const std::uint64_t raw = storage::compressRawBytes(whole);
-            storage::Blob decoded =
-                storage::compressDecode(whole, checked);
-            if (decoded)
-                proc_.sleepFor(
-                    proc_.runtime().costModel().transformDecompress(
-                        static_cast<std::size_t>(
-                            static_cast<double>(raw) *
-                            config_.virtualFactor)));
-            return decoded;
-        }
-        return whole;
+    // Unlike the local tiers, a PFS read exhausted past the retry
+    // budget throws StorageError, which ends the rung.
+    const auto fetch = [this](const std::string &path) {
+        return ioRetry([&] { return storage::fetch(store_, path); });
+    };
+    if (storage::Blob whole = fetch(pfsFile(config_, rank, meta.ckptId))) {
+        if (!storage::transformHasCompress(config_.transform))
+            return whole;
+        // The PFS object is the compressed envelope; the meta checksum
+        // covers the decompressed (staged) bytes, so decode first, then
+        // let the caller verify. Decompression is a real recovery-path
+        // cost, priced inline.
+        const std::uint64_t raw = storage::compressRawBytes(whole);
+        storage::Blob decoded = storage::compressDecode(whole);
+        if (decoded)
+            proc_.sleepFor(proc_.runtime().costModel().transformDecompress(
+                static_cast<std::size_t>(static_cast<double>(raw) *
+                                         config_.virtualFactor)));
+        else
+            why = "corrupt compress envelope";
+        return decoded;
     }
     if (config_.transform != storage::TransformKind::None) {
         // Transform-enabled flushes always write the whole object;
         // its absence means the checkpoint is lost, not differential.
-        if (checked)
-            return storage::Blob();
-        util::fatal("L4 recovery: missing PFS object for rank %d",
-                    rank);
+        why = "PFS object lost";
+        return storage::Blob();
     }
     // Differential path: base + the delta for this checkpoint. The
     // base and delta are immutable fetched views; the restored image
     // is materialized once into a fresh buffer.
     const std::string dir =
         execDir(config_) + "/pfs/diff/rank" + std::to_string(rank);
-    const storage::Blob base = fetchRetry(dir + "/base.fti", checked);
+    const storage::Blob base = fetch(dir + "/base.fti");
     if (!base) {
-        if (checked)
-            return storage::Blob();
-        util::fatal("L4 recovery: no base image for rank %d", rank);
-    }
-    const storage::Blob payload = fetchRetry(
-        dir + "/delta" + std::to_string(meta.ckptId) + ".fti", checked);
-    if (!payload)
-        return base; // checkpoint was the base itself
-    MATCH_ASSERT(payload.size() >= sizeof(std::uint64_t),
-                 "truncated delta file");
-    std::uint64_t full;
-    std::memcpy(&full, payload.data(), sizeof(full));
-    std::vector<std::uint8_t> out(full, 0);
-    const std::size_t keep =
-        std::min(static_cast<std::size_t>(full), base.size());
-    std::memcpy(out.data(), base.data(), keep);
-    storage::noteBlobCopy(keep);
-    std::size_t off = sizeof(full);
-    while (off < payload.size()) {
-        std::uint64_t at, len;
-        MATCH_ASSERT(off + 2 * sizeof(std::uint64_t) <= payload.size(),
-                     "truncated delta record");
-        std::memcpy(&at, payload.data() + off, sizeof(at));
-        std::memcpy(&len, payload.data() + off + sizeof(at), sizeof(len));
-        off += 2 * sizeof(std::uint64_t);
-        MATCH_ASSERT(off + len <= payload.size() && at + len <= out.size(),
-                     "delta record out of range");
-        std::memcpy(out.data() + at, payload.data() + off, len);
-        off += len;
-    }
-    return storage::Blob::fromVector(std::move(out));
-}
-
-storage::Blob
-Fti::readBlobForRecovery(const MetaInfo &meta)
-{
-    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::uint64_t want_crc = meta.checksumPerRank[rank];
-    const std::size_t want_bytes = meta.bytesPerRank[rank];
-    const auto intact = [&](const storage::Blob &blob) {
-        return blob && blob.size() == want_bytes &&
-               blob.crc32c() == want_crc;
-    };
-
-    if (meta.level <= 3) {
-        // checked=true on the escalation reads: an object unreadable
-        // past the retry budget is treated exactly like a lost one —
-        // the level's redundancy absorbs it before anything fatals.
-        if (storage::Blob blob = fetchRetry(
-                ckptFile(config_, rank, meta.ckptId), /*checked=*/true);
-            intact(blob)) {
-            return blob;
-        }
-        // Local copy lost or corrupt: escalate by level.
-        if (meta.level == 2) {
-            const int holder = (rank + 1) % meta.nprocs;
-            if (storage::Blob blob = fetchRetry(
-                    partnerFile(config_, holder, rank, meta.ckptId),
-                    /*checked=*/true);
-                intact(blob)) {
-                return blob;
-            }
-            util::fatal("L2 recovery failed for rank %d: local and "
-                        "partner copies both lost", rank);
-        }
-        if (meta.level == 3) {
-            auto data = reconstructFromGroup(meta);
-            if (util::crc32c(data.data(), data.size()) == want_crc)
-                return storage::Blob::fromVector(std::move(data));
-            util::fatal("L3 recovery failed checksum for rank %d", rank);
-        }
-        util::fatal("L1 recovery failed for rank %d: checkpoint lost "
-                    "(L1 cannot survive node-storage loss)", rank);
-    }
-    const storage::Blob blob = readPfsBlob(meta);
-    if (intact(blob))
-        return blob;
-    util::fatal("L4 recovery failed checksum for rank %d", rank);
-}
-
-storage::Blob
-Fti::tryReadBlobChecked(const MetaInfo &meta)
-{
-    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::uint64_t want_crc = meta.checksumPerRank[rank];
-    const std::size_t want_bytes = meta.bytesPerRank[rank];
-    const auto intact = [&](const storage::Blob &blob) {
-        return blob && blob.size() == want_bytes &&
-               blob.crc32c() == want_crc;
-    };
-
-    if (meta.level <= 3) {
-        if (storage::Blob blob = fetchRetry(
-                ckptFile(config_, rank, meta.ckptId), /*checked=*/true);
-            intact(blob)) {
-            return blob;
-        }
-        if (meta.level == 2) {
-            const int holder = (rank + 1) % meta.nprocs;
-            if (storage::Blob blob = fetchRetry(
-                    partnerFile(config_, holder, rank, meta.ckptId),
-                    /*checked=*/true);
-                intact(blob)) {
-                return blob;
-            }
-        }
-        if (meta.level == 3) {
-            auto data = reconstructFromGroup(meta, /*checked=*/true);
-            if (!data.empty() &&
-                util::crc32c(data.data(), data.size()) == want_crc)
-                return storage::Blob::fromVector(std::move(data));
-        }
+        why = "PFS base image lost";
         return storage::Blob();
     }
-    const storage::Blob blob = readPfsBlob(meta, /*checked=*/true);
-    return intact(blob) ? blob : storage::Blob();
+    const storage::Blob payload =
+        fetch(dir + "/delta" + std::to_string(meta.ckptId) + ".fti");
+    if (!payload)
+        return base; // checkpoint was the base itself
+    storage::Blob image =
+        applyLegacyDiff(base, payload, meta.bytesPerRank[rank]);
+    if (!image)
+        why = "truncated or malformed delta file";
+    return image;
 }
 
 storage::Blob
-Fti::loadImage(const MetaInfo &meta, bool checked, int depth)
+Fti::readStored(const MetaInfo &meta, const char *&why)
 {
-    storage::Blob stored =
-        checked ? tryReadBlobChecked(meta) : readBlobForRecovery(meta);
+    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
+    if (meta.level == 4) {
+        const storage::Blob blob = readPfsBlob(meta, why);
+        if (intact(blob, meta, rank))
+            return blob;
+        if (blob)
+            why = "PFS object failed its checksum";
+        return storage::Blob();
+    }
+    // Local tiers: an object unreadable past the retry budget is
+    // treated exactly like a lost one, so the level's redundancy
+    // absorbs it.
+    if (storage::Blob blob =
+            fetchRetry(ckptFile(config_, rank, meta.ckptId));
+        intact(blob, meta, rank))
+        return blob;
+    if (meta.level == 2) {
+        const int holder = (rank + 1) % meta.nprocs;
+        if (storage::Blob blob = fetchRetry(
+                partnerFile(config_, holder, rank, meta.ckptId));
+            intact(blob, meta, rank))
+            return blob;
+        why = "local and partner copies both lost";
+    } else if (meta.level == 3) {
+        if (storage::Blob blob = reconstructFromGroup(meta);
+            intact(blob, meta, rank))
+            return blob;
+        why = "too many lost or corrupt shards in the encoding group";
+    } else {
+        why = "checkpoint lost (L1 cannot survive node-storage loss)";
+    }
+    return storage::Blob();
+}
+
+storage::Blob
+Fti::loadImage(const MetaInfo &meta, const char *&why, int depth)
+{
+    const storage::Blob stored = readStored(meta, why);
     if (!storage::transformHasDelta(config_.transform) || !stored)
         return stored;
     const storage::DeltaInfo info = storage::deltaInspect(stored);
     if (!info.valid) {
-        if (checked)
-            return storage::Blob();
-        util::fatal("corrupt delta envelope in checkpoint %d",
-                    meta.ckptId);
-    }
-    if (info.isFull)
-        return deltaTx_.decode(stored, storage::Blob(), checked);
-    // Base ids decrease strictly along a well-formed chain; the depth
-    // bound stops a corrupt-but-verifiable cycle from looping.
-    if (depth >= 64 || info.baseCkptId <= 0 ||
-        info.baseCkptId >= meta.ckptId) {
-        if (checked)
-            return storage::Blob();
-        util::fatal("delta chain of checkpoint %d is malformed",
-                    meta.ckptId);
-    }
-    const auto base_meta = loadMeta(info.baseCkptId);
-    if (!base_meta) {
-        if (checked)
-            return storage::Blob();
-        util::fatal("delta base checkpoint %d lost its metadata",
-                    info.baseCkptId);
-    }
-    // Each chain link is an additional stored object the rank really
-    // reads back; price it like the recovery read it is.
-    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-        base_meta->level,
-        static_cast<std::size_t>(
-            static_cast<double>(base_meta->bytesPerRank[rank]) *
-            config_.virtualFactor),
-        proc_.runtime().commSize(comm_)));
-    storage::Blob base = loadImage(*base_meta, checked, depth + 1);
-    if (!base)
+        why = "corrupt delta envelope";
         return storage::Blob();
-    return deltaTx_.decode(stored, base, checked);
+    }
+    storage::Blob base; // a full envelope decodes without one
+    if (!info.isFull) {
+        // Base ids decrease strictly along a well-formed chain; the
+        // depth bound stops a corrupt-but-verifiable cycle from looping.
+        if (depth >= 64 || info.baseCkptId <= 0 ||
+            info.baseCkptId >= meta.ckptId) {
+            why = "malformed delta chain";
+            return storage::Blob();
+        }
+        const auto base_meta = loadMeta(info.baseCkptId);
+        if (!base_meta) {
+            why = "delta base checkpoint lost its metadata";
+            return storage::Blob();
+        }
+        // Each chain link is an additional stored object the rank
+        // really reads back; price it like the recovery read it is.
+        const int rank =
+            proc_.runtime().commRank(proc_.globalIndex(), comm_);
+        proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
+            base_meta->level,
+            static_cast<std::size_t>(
+                static_cast<double>(base_meta->bytesPerRank[rank]) *
+                config_.virtualFactor),
+            proc_.runtime().commSize(comm_)));
+        base = loadImage(*base_meta, why, depth + 1);
+        if (!base)
+            return base;
+    }
+    storage::Blob image = deltaTx_.decode(stored, base);
+    if (!image)
+        why = "corrupt delta envelope";
+    return image;
 }
 
 void
 Fti::recover()
 {
     MATCH_ASSERT(!finalized_, "recover after finalize");
-    if (config_.sdcChecks) {
-        recoverChecked();
-        return;
-    }
-    const std::vector<int> ladder = committedCkptsNewestFirst();
-    if (ladder.empty())
-        util::fatal("FTI_Recover called with no committed checkpoint");
-
     CategoryScope scope(proc_, TimeCategory::CkptRead);
     const double t0 = proc_.now();
     const int size = proc_.runtime().commSize(comm_);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
 
-    // Newest-first ladder: a rung whose storage tier faulted past the
-    // retry budget (StorageError) falls back to the next older
-    // committed checkpoint instead of aborting. Strike counters are
-    // per (actor, path), so every rank charges its OWN budget against
-    // every object — including the shared rank-less meta files — and
-    // identical ladders make identical decisions on every rank without
-    // communication; one rank's retries can never heal a window for a
-    // later rank and let it restore a different id. A *lost* object
-    // (not a faulting tier) still fatals inside loadImage, exactly as
-    // before this engine existed.
-    bool restored = false;
-    for (const int id : ladder) {
+    // One newest-first walk. Every rank derives the same ladder from
+    // the shared meta directory and charges its OWN strike budget
+    // against every object (per-actor counters, rank-less meta files
+    // included), so tier decisions agree without communication.
+    // config_.sdcChecks decides three things only: whether each rung
+    // is a priced allreduce-MIN verification vote, whether a lost rung
+    // is fatal, and whether running out of rungs is a fresh start.
+    storage::Blob restored;
+    int restored_id = 0;
+    int restored_level = 0;
+    for (const int id : committedCkptsNewestFirst()) {
         // Re-key this rank's fault epoch to the rung before its meta
         // read: the windows of the checkpoint being restored gate all
         // of the rung's I/O, the meta file included.
@@ -1374,109 +1335,60 @@ Fti::recover()
         // wall-clock) first.
         if (meta.level == 4)
             drainBarrier();
-        storage::Blob blob;
+        storage::Blob image;
+        const char *why = nullptr;
+        bool tier_exhausted = false;
         try {
-            blob = loadImage(meta, /*checked=*/false);
+            image = loadImage(meta, why);
         } catch (const storage::StorageError &err) {
+            // A storage tier faulting past the retry budget ends the
+            // rung in both modes: fall back to an older checkpoint.
+            tier_exhausted = true;
             if (rank == 0)
                 util::warn("FTI recover: checkpoint %d unreadable "
                            "(%s), falling back to an older one", id,
                            err.what());
-            continue;
+        }
+        // Verification and the restore read are priced from the stored
+        // bytes (for a delta chain, the envelope, not the image).
+        const auto stored_bytes = static_cast<std::size_t>(
+            static_cast<double>(meta.bytesPerRank[rank]) *
+            config_.virtualFactor);
+        if (config_.sdcChecks) {
+            // A checkpoint any rank cannot verify is rejected by all.
+            proc_.sleepFor(
+                proc_.runtime().costModel().scrubVerify(stored_bytes));
+            if (proc_.allreduceInt(image ? 1 : 0, simmpi::ReduceOp::Min,
+                                   comm_) == 0) {
+                if (rank == 0)
+                    util::warn("FTI recover: checkpoint %d failed SDC "
+                               "verification, falling back to an older "
+                               "one", id);
+                continue;
+            }
+        } else if (!image) {
+            if (tier_exhausted)
+                continue;
+            util::fatal("L%d recovery failed for rank %d (checkpoint "
+                        "%d): %s", meta.level, rank, id, why);
         }
         MATCH_DEBUG("FTI recover: g=%d comm=%d rank=%d ckpt=%d "
                     "bytes=%zu", proc_.globalIndex(), comm_, rank, id,
-                    blob.size());
-        deserializeRegions(blob.data(), blob.size());
-
-        const double virt_bytes =
-            static_cast<double>(blob.size()) * config_.virtualFactor;
+                    image.size());
+        deserializeRegions(image.data(), image.size());
         proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-            meta.level, static_cast<std::size_t>(virt_bytes), size));
-
-        if (storage::transformHasDelta(config_.transform)) {
-            // The restored image becomes the reference the next delta
-            // is encoded against; the restored checkpoint (and,
-            // transitively, its chain) must outlive whatever this
-            // incarnation writes.
-            deltaTx_.setReference(blob, id);
-            deltaDepth_ = 0;
-            deltaChain_.clear();
-            deltaChain_.emplace_back(id, meta.level);
-        }
-        lastCkptId_ = id;
-        restored = true;
-        break;
-    }
-    if (!restored)
-        util::fatal("FTI_Recover: every committed checkpoint is "
-                    "unreadable (storage tiers exhausted)");
-    recoveryCkptId_ = 0; // the paper's loop recovers exactly once
-    readSeconds_ += proc_.now() - t0;
-}
-
-void
-Fti::recoverChecked()
-{
-    CategoryScope scope(proc_, TimeCategory::CkptRead);
-    const double t0 = proc_.now();
-    const int size = proc_.runtime().commSize(comm_);
-    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-
-    // Walk the committed checkpoints newest-first. Every rank derives
-    // the same ladder from the shared meta directory and votes on each
-    // rung with an allreduce-MIN, so the collective sequence is
-    // identical across the communicator: a checkpoint any rank cannot
-    // verify is rejected by all, and everyone moves to the next rung
-    // together. The verify pass itself is priced per attempt.
-    bool restored = false;
-    int restored_id = 0;
-    for (const int id : committedCkptsNewestFirst()) {
-        faultEpoch_ = id;
-        if (faults_)
-            faults_->setEpoch(id);
-        const auto meta_ptr = loadMeta(id);
-        if (!meta_ptr)
-            continue; // same per-actor outcome on every rank
-        const MetaInfo &meta = *meta_ptr;
-        if (meta.level == 4)
-            drainBarrier();
-        const storage::Blob blob = loadImage(meta, /*checked=*/true);
-        const double virt_bytes =
-            static_cast<double>(meta.bytesPerRank[rank]) *
-            config_.virtualFactor;
-        proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
-            static_cast<std::size_t>(virt_bytes)));
-        const std::int64_t all_ok = proc_.allreduceInt(
-            blob ? 1 : 0, simmpi::ReduceOp::Min, comm_);
-        if (all_ok == 0) {
-            if (rank == 0)
-                util::warn("FTI recover: checkpoint %d failed SDC "
-                           "verification, falling back to an older one",
-                           id);
-            continue;
-        }
-        deserializeRegions(blob.data(), blob.size());
-        proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-            meta.level, static_cast<std::size_t>(virt_bytes), size));
-        if (storage::transformHasDelta(config_.transform)) {
-            deltaTx_.setReference(blob, id);
-            deltaDepth_ = 0;
-            deltaChain_.clear();
-            deltaChain_.emplace_back(id, meta.level);
-        }
-        restored = true;
+            meta.level, stored_bytes, size));
+        restored = std::move(image);
         restored_id = id;
+        restored_level = meta.level;
         break;
     }
-    if (!restored && storage::transformHasDelta(config_.transform)) {
-        // Fresh start: the next checkpoint must be a self-contained
-        // full envelope.
-        deltaTx_.clearReference();
-        deltaDepth_ = 0;
-        deltaChain_.clear();
-    }
-    if (!restored && rank == 0) {
+    if (restored_id != 0) {
+        lastCkptId_ = restored_id;
+    } else if (!config_.sdcChecks) {
+        util::fatal("FTI_Recover: no committed checkpoint could be "
+                    "restored (storage tiers exhausted)");
+    } else if (rank == 0) {
         // Never a silent wrong result: with every committed checkpoint
         // unverifiable, declare a fresh start — the protected regions
         // keep their initial values and the loop re-executes from
@@ -1484,11 +1396,18 @@ Fti::recoverChecked()
         util::warn("FTI recover: no committed checkpoint passed SDC "
                    "verification; restarting from initial state");
     }
-    MATCH_DEBUG("FTI recoverChecked: g=%d rank=%d ckpt=%d",
-                proc_.globalIndex(), rank, restored_id);
-    if (restored)
-        lastCkptId_ = restored_id;
-    recoveryCkptId_ = 0;
+    if (storage::transformHasDelta(config_.transform)) {
+        // The restored image is the reference the next delta is encoded
+        // against, and the restored checkpoint (transitively, its chain)
+        // must outlive whatever this incarnation writes. After a fresh
+        // start (no image) the next checkpoint is a full envelope.
+        deltaTx_.setReference(restored, restored_id);
+        deltaDepth_ = 0;
+        deltaChain_.clear();
+        if (restored_id != 0)
+            deltaChain_.emplace_back(restored_id, restored_level);
+    }
+    recoveryCkptId_ = 0; // the paper's loop recovers exactly once
     readSeconds_ += proc_.now() - t0;
 }
 
@@ -1512,15 +1431,13 @@ Fti::scrub()
     const std::string path = ckptFile(config_, rank, newest);
     // Retry exhaustion reads as "missing": the scrub just finds
     // nothing to verify and the next recovery handles the fallout.
-    const storage::Blob blob = fetchRetry(path, /*checked=*/true);
+    const storage::Blob blob = fetchRetry(path);
     const double virt_bytes =
         static_cast<double>(meta->bytesPerRank[rank]) *
         config_.virtualFactor;
     proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
         static_cast<std::size_t>(virt_bytes)));
-    const bool ok = blob && blob.size() == meta->bytesPerRank[rank] &&
-                    blob.crc32c() == meta->checksumPerRank[rank];
-    if (!ok && blob) {
+    if (blob && !intact(blob, *meta, rank)) {
         // Deleting the rotten object turns a silent-corruption hazard
         // into an ordinary lost-object recovery: the next recover()
         // falls back to this level's redundancy deterministically.

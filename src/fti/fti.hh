@@ -142,17 +142,22 @@ class Fti
 
     /**
      * FTI_Recover: restore all protected regions from the newest
-     * committed checkpoint. Sizes must match the registrations.
-     * Falls back to partner copies (L2), RS reconstruction (L3) or
-     * base+delta replay (L4) when the primary file is gone.
+     * committed checkpoint that can be restored. Sizes must match the
+     * registrations.
      *
-     * With config.sdcChecks the restored payload is additionally
-     * CRC32C-verified and the ranks agree (allreduce-MIN) on the result:
-     * a checkpoint any rank cannot verify is skipped by everyone, and
-     * recovery walks down to the next older committed checkpoint — or
-     * declares a fresh start — instead of aborting or silently
-     * restoring corrupt state. Without sdcChecks an unrecoverable
-     * object stays fatal (the historical behaviour, bit-for-bit).
+     * One ladder walks the committed checkpoints newest-first. Each
+     * rung reads this rank's stored object, falling back to the partner
+     * copy (L2) or RS reconstruction (L3) when the local one is lost or
+     * fails its CRC32C, follows a delta chain back to its full envelope,
+     * and prices the restore read from the stored bytes. A storage tier
+     * faulting past the retry budget moves every rank to the next rung.
+     *
+     * config.sdcChecks sets the policy. With it, each rung is a priced
+     * verification vote (allreduce-MIN): a checkpoint any rank cannot
+     * restore is skipped by everyone, and running out of rungs is a
+     * fresh start (initial values), never a silently restored rot.
+     * Without it, a lost object is fatal ("L<level> recovery failed
+     * ...") and so is running out of rungs.
      */
     void recover();
 
@@ -265,34 +270,34 @@ class Fti
      *  names another id. */
     std::shared_ptr<const MetaInfo> loadMeta(int ckpt_id) const;
     int newestCommittedCkpt() const;
-    /** Every committed checkpoint id, newest first (the SDC recovery
+    /** Every committed checkpoint id, newest first (the recovery
      *  ladder walks this list). */
     std::vector<int> committedCkptsNewestFirst() const;
     void cleanupOlderCheckpoints(int keep_id);
-    storage::Blob readBlobForRecovery(const MetaInfo &meta);
-    /** The sdcChecks recovery ladder (see recover()). */
-    void recoverChecked();
-    /** Non-fatal, CRC32C-verified read for the sdcChecks recovery
-     *  ladder: a null blob means "this rank cannot restore this
-     *  checkpoint" (lost, corrupt, or redundancy exhausted). */
-    storage::Blob tryReadBlobChecked(const MetaInfo &meta);
-    /** @param checked return empty instead of fataling when the group
-     *         cannot be reconstructed; CRC32C-screen data shards. */
-    std::vector<std::uint8_t> reconstructFromGroup(const MetaInfo &meta,
-                                                   bool checked = false);
-    /** @param checked return a null blob instead of fataling when the
-     *         base image is gone. */
-    storage::Blob readPfsBlob(const MetaInfo &meta, bool checked = false);
+    /**
+     * This rank's stored object of a committed checkpoint, verified
+     * against the meta (which covers the post-transform bytes), with
+     * the level's redundancy tried before giving up. Null, with `why`
+     * set, when it is lost or corrupt. An exhausted PFS read throws
+     * StorageError.
+     */
+    storage::Blob readStored(const MetaInfo &meta, const char *&why);
+    /** RS-rebuild this rank's object from its encoding group; data
+     *  shards failing their CRC32C count as lost. Null when too many
+     *  shards are gone. */
+    storage::Blob reconstructFromGroup(const MetaInfo &meta);
+    /** This rank's L4 object, decompressed or reassembled from the
+     *  legacy base+diff layout, not yet verified (see readStored). */
+    storage::Blob readPfsBlob(const MetaInfo &meta, const char *&why);
     /**
      * Resolve a committed checkpoint to its serialized image: read the
-     * stored object (verified against the meta, which covers the
-     * post-transform bytes), then — with the delta transform on —
+     * stored object (readStored), then — with the delta transform on —
      * follow the envelope's base links back to the last full envelope
      * and reassemble. Each chain link is priced as the recovery read
-     * it is. `checked` returns a null blob instead of fataling on a
-     * lost link or malformed envelope.
+     * it is. Null, with `why` set, on a lost or corrupt object, a lost
+     * link or a malformed envelope.
      */
-    storage::Blob loadImage(const MetaInfo &meta, bool checked,
+    storage::Blob loadImage(const MetaInfo &meta, const char *&why,
                             int depth = 0);
     /** Remove one committed checkpoint's stored objects (this rank's
      *  files per level; rank 0 retires the metadata). */
@@ -311,14 +316,13 @@ class Fti
     auto ioRetry(Op &&op) const -> decltype(op());
     /** The retry budget (the fault engine's when one is attached). */
     int ioRetryLimit() const;
-    /** storage::fetch with the retry policy; `checked` turns retry
-     *  exhaustion into a null blob (a recovery-ladder rung vote)
-     *  instead of letting the StorageError propagate. */
-    storage::Blob fetchRetry(const std::string &path, bool checked) const;
-    /** Backend::read with the retry policy; `checked` turns retry
-     *  exhaustion into false (object unreadable) instead of throwing. */
+    /** storage::fetch with the retry policy; retry exhaustion reads
+     *  as a lost object (a null blob). */
+    storage::Blob fetchRetry(const std::string &path) const;
+    /** Backend::read with the retry policy; retry exhaustion reads as
+     *  a lost object (false). */
     bool readRetry(const std::string &path,
-                   std::vector<std::uint8_t> &out, bool checked) const;
+                   std::vector<std::uint8_t> &out) const;
 
     simmpi::Proc &proc_;
     FtiConfig config_;

@@ -773,8 +773,7 @@ Scr::tryFetchFromPrefix(const std::string &name)
         const storage::Blob envelope = fetchSoft(src);
         if (!envelope)
             return false;
-        const storage::Blob raw =
-            storage::compressDecode(envelope, /*checked=*/true);
+        const storage::Blob raw = storage::compressDecode(envelope);
         if (!raw)
             return false;
         proc_.sleepFor(proc_.runtime().costModel().transformDecompress(

@@ -92,14 +92,12 @@ getU64(const std::uint8_t *p)
     return v;
 }
 
-/** Checked decode soft-fails (the SDC ladder falls back to an older
- *  rung); unchecked decode means the caller had no reason to doubt the
- *  bytes, so corruption is a hard stop. */
+/** Decoding soft-fails on malformed bytes: the caller (a recovery
+ *  rung) decides whether a lost image is fatal or a fallback. */
 Blob
-malformed(const char *what, bool checked)
+malformed(const char *what)
 {
-    if (!checked)
-        util::fatal("transform: %s", what);
+    MATCH_DEBUG("transform: %s", what);
     return Blob();
 }
 
@@ -248,11 +246,11 @@ deltaInspect(const Blob &envelope)
 }
 
 Blob
-deltaDecode(const Blob &envelope, const Blob &base, bool checked)
+deltaDecode(const Blob &envelope, const Blob &base)
 {
     const DeltaInfo info = deltaInspect(envelope);
     if (!info.valid)
-        return malformed("not a delta envelope", checked);
+        return malformed("not a delta envelope");
 
     const std::size_t image_bytes =
         static_cast<std::size_t>(info.imageBytes);
@@ -266,8 +264,7 @@ deltaDecode(const Blob &envelope, const Blob &base, bool checked)
     }
 
     if (!base || base.size() != image_bytes)
-        return malformed("delta base image missing or mis-sized",
-                         checked);
+        return malformed("delta base image missing or mis-sized");
     MutableBlob out = BlobPool::local().acquire(image_bytes);
     if (image_bytes > 0)
         std::memcpy(out.data(), base.data(), image_bytes);
@@ -275,15 +272,14 @@ deltaDecode(const Blob &envelope, const Blob &base, bool checked)
     std::size_t r = kDeltaHeaderBytes + kDeltaDiffExtraBytes;
     while (r < envelope.size()) {
         if (envelope.size() - r < kDeltaRecordBytes)
-            return malformed("truncated delta record", checked);
+            return malformed("truncated delta record");
         const std::uint64_t off = getU64(p + r);
         const std::uint64_t len = getU64(p + r + 8);
         r += kDeltaRecordBytes;
         if (len > envelope.size() - r)
-            return malformed("delta record overruns the envelope",
-                             checked);
+            return malformed("delta record overruns the envelope");
         if (off > info.imageBytes || len > info.imageBytes - off)
-            return malformed("delta record outside the image", checked);
+            return malformed("delta record outside the image");
         std::memcpy(out.data() + off, p + r,
                     static_cast<std::size_t>(len));
         r += static_cast<std::size_t>(len);
@@ -345,11 +341,11 @@ compressEncode(const Blob &raw)
 }
 
 Blob
-compressDecode(const Blob &envelope, bool checked)
+compressDecode(const Blob &envelope)
 {
     if (!envelope || envelope.size() < kCompressHeaderBytes ||
         getU32(envelope.data()) != kCompressMagic)
-        return malformed("not a compress envelope", checked);
+        return malformed("not a compress envelope");
     const std::uint8_t *p = envelope.data();
     const std::uint8_t method = p[4];
     const std::uint64_t raw64 = getU64(p + 8);
@@ -359,7 +355,7 @@ compressDecode(const Blob &envelope, bool checked)
 
     if (method == kMethodStored) {
         if (pn != raw)
-            return malformed("stored payload size mismatch", checked);
+            return malformed("stored payload size mismatch");
         MutableBlob out = BlobPool::local().acquire(raw);
         if (raw > 0)
             std::memcpy(out.data(), payload, raw);
@@ -367,7 +363,7 @@ compressDecode(const Blob &envelope, bool checked)
         return std::move(out).seal();
     }
     if (method != kMethodRle)
-        return malformed("unknown compress method", checked);
+        return malformed("unknown compress method");
 
     MutableBlob out = BlobPool::local().acquire(raw);
     std::size_t w = 0;
@@ -376,7 +372,7 @@ compressDecode(const Blob &envelope, bool checked)
         if (c <= 127) {
             const std::size_t len = static_cast<std::size_t>(c) + 1;
             if (len > pn - r || len > raw - w)
-                return malformed("RLE literal run overruns", checked);
+                return malformed("RLE literal run overruns");
             std::memcpy(out.data() + w, payload + r, len);
             w += len;
             r += len;
@@ -385,13 +381,13 @@ compressDecode(const Blob &envelope, bool checked)
         } else {
             const std::size_t len = 257 - static_cast<std::size_t>(c);
             if (r >= pn || len > raw - w)
-                return malformed("RLE repeat run overruns", checked);
+                return malformed("RLE repeat run overruns");
             std::memset(out.data() + w, payload[r++], len);
             w += len;
         }
     }
     if (w != raw)
-        return malformed("RLE decode size mismatch", checked);
+        return malformed("RLE decode size mismatch");
     noteDecode(TransformStage::Compress);
     return std::move(out).seal();
 }

@@ -29,9 +29,8 @@
  * present when the owning transform is enabled — decode is config
  * driven, never byte-sniffed, so transforms-off runs store raw bytes
  * bit-identical to the pre-transform code. Every encoder/decoder
- * validates structure; `checked` decode returns a null Blob on
- * malformed input (the SDC ladder treats it like a checksum miss),
- * unchecked decode fatals.
+ * validates structure; decode returns a null Blob on malformed input
+ * (a recovery rung treats it like a checksum miss).
  *
  * Accounting: every encode/decode updates process-global per-stage
  * bytesIn/bytesOut counters (transformGlobalStats) that benches
@@ -128,17 +127,16 @@ DeltaInfo deltaInspect(const Blob &envelope);
 /**
  * Decode a delta envelope back to the image. Full envelopes ignore
  * `base`; delta envelopes apply their dirty records over it (the
- * caller resolves baseCkptId to the decoded base image first). On
- * malformed input: null Blob when `checked`, fatal otherwise.
+ * caller resolves baseCkptId to the decoded base image first). Null
+ * Blob on malformed input.
  */
-Blob deltaDecode(const Blob &envelope, const Blob &base, bool checked);
+Blob deltaDecode(const Blob &envelope, const Blob &base);
 
 /** RLE-compress `raw` (stored fallback when incompressible). */
 Blob compressEncode(const Blob &raw);
 
-/** Undo compressEncode(). On malformed input: null Blob when
- *  `checked`, fatal otherwise. */
-Blob compressDecode(const Blob &envelope, bool checked);
+/** Undo compressEncode(). Null Blob on malformed input. */
+Blob compressDecode(const Blob &envelope);
 
 /** Decoded size a compress envelope claims (0 when malformed) — for
  *  pricing a decompression without performing it. */
@@ -160,9 +158,9 @@ class BlobTransform
     /** Encode `input` into a self-describing envelope. */
     virtual Blob apply(const Blob &input) = 0;
 
-    /** Decode an envelope produced by apply(). Malformed input: null
-     *  Blob when `checked`, fatal otherwise. */
-    virtual Blob reverse(const Blob &envelope, bool checked) = 0;
+    /** Decode an envelope produced by apply(). Null Blob on
+     *  malformed input. */
+    virtual Blob reverse(const Blob &envelope) = 0;
 
     TransformStats stats() const { return stats_; }
 
@@ -234,15 +232,15 @@ class DeltaTransform final : public BlobTransform
 
     /** Decode a FULL envelope; delta forms need decode() with a base. */
     Blob
-    reverse(const Blob &envelope, bool checked) override
+    reverse(const Blob &envelope) override
     {
-        return decode(envelope, Blob(), checked);
+        return decode(envelope, Blob());
     }
 
     Blob
-    decode(const Blob &envelope, const Blob &base, bool checked)
+    decode(const Blob &envelope, const Blob &base)
     {
-        return noteReverse(deltaDecode(envelope, base, checked));
+        return noteReverse(deltaDecode(envelope, base));
     }
 
   private:
@@ -264,9 +262,9 @@ class CompressTransform final : public BlobTransform
     }
 
     Blob
-    reverse(const Blob &envelope, bool checked) override
+    reverse(const Blob &envelope) override
     {
-        return noteReverse(compressDecode(envelope, checked));
+        return noteReverse(compressDecode(envelope));
     }
 };
 

@@ -268,6 +268,8 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
     // doubles means a simulation-visible behavior change leaked in.
     // The tuples cover all three designs, an RS-encoded L3 cell, a
     // drained L4 cell, and both the injected and failure-free paths.
+    // The last three rows were recorded before the plain and sdcChecks
+    // recovery ladders merged into one walk, and pin both modes of it.
     struct Golden
     {
         Design design;
@@ -276,6 +278,13 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
         double app, ckptW, ckptR, rec;
         int recoveries;
         bool fired;
+        // Knobs of the SDC-ladder and legacy-diff rows; the defaults
+        // keep the cell as smallConfig builds it.
+        int stride = 0; // 0: the config's default stride
+        bool sdc = false;
+        double corrupt = 0.0;
+        storage::TransformKind transform = storage::TransformKind::None;
+        double meanFailures = 0.0; // > 0: independent failures
     };
     const Golden fixtures[] = {
         {Design::ReinitFti, 1, true, 0.39149574690426153,
@@ -287,14 +296,39 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
          0.6974270126201727, 2, true},
         {Design::ReinitFti, 4, false, 0.26857265373982575,
          0.060751006691229847, 0.0, 0.0, 0, false},
+        // The SDC ladder: CRC votes over an L4 delta+compress chain with
+        // corrupt events among the failures, and over an L3 group.
+        {Design::ReinitFti, 4, true, 0.27732673184454343,
+         0.51280579785929958, 0.0019322964666666359,
+         0.23148310859719673, 1, true, 2, true, 0.5,
+         storage::TransformKind::DeltaCompress, 3.0},
+        {Design::ReinitFti, 3, true, 0.29685643658495298,
+         0.55974931053346588, 0.0034863429333332717,
+         0.45224575317725513, 2, true, 2, true},
+        // The plain ladder restoring through the legacy L4 base+diff
+        // layout (transform none).
+        {Design::ReinitFti, 4, true, 0.29685643658495298,
+         0.53911910558049159, 0.00091120000000000003,
+         0.45224575317725507, 2, true, 2},
     };
     for (const Golden &g : fixtures) {
         auto config = smallConfig(g.design, g.inject);
         config.runs = 2; // the fixture was recorded with two runs
         config.ckptLevel = g.level;
+        if (g.stride > 0)
+            config.ckptStride = g.stride;
+        config.sdcChecks = g.sdc;
+        config.corruptFraction = g.corrupt;
+        config.transform = g.transform;
+        if (g.meanFailures > 0.0) {
+            config.failureModel = ft::FailureModelKind::IndependentExp;
+            config.meanFailures = g.meanFailures;
+        }
         const auto r = runExperiment(config);
-        const std::string label = std::string(ft::designName(g.design)) +
-                                  " L" + std::to_string(g.level);
+        const std::string label =
+            std::string(ft::designName(g.design)) + " L" +
+            std::to_string(g.level) + (g.sdc ? " sdc " : " ") +
+            storage::transformKindName(g.transform);
         EXPECT_DOUBLE_EQ(r.mean.application, g.app) << label;
         EXPECT_DOUBLE_EQ(r.mean.ckptWrite, g.ckptW) << label;
         EXPECT_DOUBLE_EQ(r.mean.ckptRead, g.ckptR) << label;

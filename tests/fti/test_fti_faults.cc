@@ -5,7 +5,9 @@
  * rank-less objects, so strike budgets have to be charged per actor —
  * with a single global counter, the first ranks' retries drain the
  * window's strikes and a later rank's attempt crosses the boundary and
- * succeeds, splitting the job across two checkpoint ids.
+ * succeeds, splitting the job across two checkpoint ids. A PFS read
+ * exhausted past the retry budget ends its rung alike with and without
+ * sdcChecks.
  */
 
 #include <gtest/gtest.h>
@@ -102,3 +104,54 @@ TEST(FtiFaults, RecoveryLadderStaysRankUniformOnSharedMeta)
     });
     Fti::purge(config);
 }
+
+class FtiPfsReadOutage : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(FtiPfsReadOutage, ExhaustedPfsReadEndsTheRungInBothModes)
+{
+    // A PFS read exhausted past the retry budget is not a lost object:
+    // with or without sdcChecks (the parameter) it ends the rung, and
+    // every rank restores the older L4 checkpoint instead of failing.
+    auto config = cfg(GetParam() ? "pfs-outage-sdc" : "pfs-outage-plain");
+    config.defaultLevel = 4;
+    config.sdcChecks = GetParam();
+    Fti::purge(config);
+    const int procs = 4;
+
+    Runtime rt1;
+    rt1.run(options(procs), [&](Proc &proc) {
+        Fti fti(proc, config);
+        int iter = 0;
+        fti.protect(0, &iter, sizeof(iter));
+        for (int id = 1; id <= 2; ++id) {
+            iter = id;
+            fti.checkpoint(id);
+        }
+        fti.finalize();
+    });
+
+    // Far more strikes than the retry budget: a persistent outage of
+    // checkpoint 2's PFS objects (its meta lives on the local tier).
+    storage::StorageFaultPlan plan;
+    plan.windows = {{2, 2, PathClass::Pfs, FaultKind::ReadFault, 100}};
+    config.backend = std::make_shared<storage::FaultInjectingBackend>(
+        storage::makeBackend(storage::Kind::Disk), plan,
+        /*retryLimit=*/3);
+
+    Runtime rt2;
+    rt2.run(options(procs), [&](Proc &proc) {
+        Fti fti(proc, config);
+        int iter = -1;
+        fti.protect(0, &iter, sizeof(iter));
+        EXPECT_EQ(fti.status(), 2);
+        fti.recover();
+        EXPECT_EQ(fti.lastCheckpointId(), 1) << "rank " << proc.rank();
+        EXPECT_EQ(iter, 1) << "rank " << proc.rank();
+        fti.finalize();
+    });
+    Fti::purge(config);
+}
+
+INSTANTIATE_TEST_SUITE_P(SdcChecks, FtiPfsReadOutage, ::testing::Bool());

@@ -59,7 +59,40 @@ writeTwoCheckpoints(const FtiConfig &config, int nprocs)
         fti.checkpoint(1);
         std::fill(data.begin(), data.end(), 2.0);
         fti.checkpoint(2);
+        fti.finalize();
     });
+}
+
+/** Cut rank 0's stored legacy L4 diff of checkpoint 2 (transform
+ *  none) to 4 bytes: too short even for its image-size header. */
+void
+truncateLegacyDiff(const FtiConfig &config)
+{
+    const std::string delta =
+        Fti::execDir(config) + "/pfs/diff/rank0/delta2.fti";
+    ASSERT_TRUE(fs::exists(delta));
+    fs::resize_file(delta, 4);
+}
+
+/** A fresh 4-rank job that recovers and returns rank 0's restored
+ *  value (every element holds it). */
+double
+recoverAndReadValue(const FtiConfig &config)
+{
+    double value = 0.0;
+    Runtime rt;
+    rt.run(options(4), [&](Proc &proc) {
+        Fti fti(proc, config);
+        std::vector<double> data(64, 0.0);
+        fti.protect(0, data.data(), data.size() * sizeof(double));
+        fti.recover();
+        for (const double v : data)
+            EXPECT_EQ(v, data[0]);
+        if (proc.globalIndex() == 0)
+            value = data[0];
+        fti.finalize();
+    });
+    return value;
 }
 
 } // namespace
@@ -190,4 +223,33 @@ TEST(FtiSdc, IntactScrubKeepsObjectAndRecoveryRestoresNewest)
         for (const double v : data)
             ASSERT_EQ(v, 4.0);
     });
+}
+
+TEST(FtiSdc, TruncatedLegacyL4DiffFallsBackToOlderCheckpoint)
+{
+    // The base+diff framing is parsed before anything can verify it:
+    // malformed stored bytes must be a soft miss, and the vote then
+    // walks every rank down to checkpoint 1.
+    auto config = cfg("l4-diff-truncated", 4);
+    config.keepOnlyLatest = false;
+    Fti::purge(config);
+    writeTwoCheckpoints(config, 4);
+    truncateLegacyDiff(config);
+    EXPECT_EQ(recoverAndReadValue(config), 1.0);
+    Fti::purge(config);
+}
+
+TEST(FtiSdcDeath, TruncatedLegacyL4DiffIsFatalWithoutSdcChecks)
+{
+    // Without sdcChecks a lost L4 object is fatal as for every level:
+    // a clean exit naming the level, not an assertion abort.
+    auto config = cfg("l4-diff-truncated-plain", 4);
+    config.keepOnlyLatest = false;
+    config.sdcChecks = false;
+    Fti::purge(config);
+    writeTwoCheckpoints(config, 4);
+    truncateLegacyDiff(config);
+    EXPECT_EXIT(recoverAndReadValue(config), ::testing::ExitedWithCode(1),
+                "L4 recovery failed");
+    Fti::purge(config);
 }

@@ -231,3 +231,30 @@ TEST(FtiTransform, L4DeltaCompressChainRecovers)
     expectRecoversEpoch(config, 4, 3);
     Fti::purge(config);
 }
+
+TEST(FtiTransform, PlainDeltaRestoreIsPricedFromStoredBytes)
+{
+    // The restore read is priced from the bytes the rank reads back —
+    // the stored delta envelope, not the decoded image — with and
+    // without sdcChecks. One epoch gives a single full envelope, so no
+    // chain link adds to the read time.
+    auto config = cfg("delta-read-price", TransformKind::Delta);
+    Fti::purge(config);
+    writeEpochs(config, 4, 1);
+    Runtime rt;
+    rt.run(options(4), [&](Proc &proc) {
+        Fti fti(proc, config);
+        std::vector<double> data(128, -1.0);
+        fti.protect(0, data.data(), data.size() * sizeof(double));
+        fti.recover();
+        const std::uintmax_t stored =
+            fs::file_size(Fti::ckptFile(config, proc.rank(), 1));
+        ASSERT_GT(stored, data.size() * sizeof(double));
+        EXPECT_DOUBLE_EQ(fti.readSeconds(),
+                         proc.runtime().costModel().checkpointRead(
+                             1, static_cast<std::size_t>(stored),
+                             proc.size()));
+        fti.finalize();
+    });
+    Fti::purge(config);
+}

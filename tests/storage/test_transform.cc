@@ -4,7 +4,8 @@
  * names round-trip, compress survives compressible and incompressible
  * inputs (stored fallback), delta encodes full and diff envelopes that
  * decode back byte-identically, corrupt envelopes are rejected softly
- * in checked mode, and the per-instance/per-stage counters move.
+ * (a null Blob, never a fatal), and the per-instance/per-stage
+ * counters move.
  */
 
 #include <gtest/gtest.h>
@@ -83,8 +84,7 @@ TEST(Compress, RoundTripsCompressibleInputAndShrinksIt)
     const Blob envelope = storage::compressEncode(input);
     EXPECT_LT(envelope.size(), input.size());
     EXPECT_EQ(storage::compressRawBytes(envelope), input.size());
-    const Blob decoded =
-        storage::compressDecode(envelope, /*checked=*/false);
+    const Blob decoded = storage::compressDecode(envelope);
     EXPECT_EQ(asBytes(decoded), raw);
 }
 
@@ -98,8 +98,7 @@ TEST(Compress, StoredFallbackOnIncompressibleInput)
     const Blob input = sealBytes(std::vector<std::uint8_t>(raw));
     const Blob envelope = storage::compressEncode(input);
     EXPECT_LE(envelope.size(), input.size() + 16);
-    const Blob decoded =
-        storage::compressDecode(envelope, /*checked=*/false);
+    const Blob decoded = storage::compressDecode(envelope);
     EXPECT_EQ(asBytes(decoded), raw);
 }
 
@@ -107,27 +106,25 @@ TEST(Compress, EmptyInputRoundTrips)
 {
     const Blob envelope =
         storage::compressEncode(sealBytes({}));
-    const Blob decoded =
-        storage::compressDecode(envelope, /*checked=*/false);
+    const Blob decoded = storage::compressDecode(envelope);
     EXPECT_TRUE(decoded);
     EXPECT_EQ(decoded.size(), 0u);
 }
 
-TEST(Compress, CheckedDecodeRejectsCorruptEnvelopesSoftly)
+TEST(Compress, DecodeRejectsCorruptEnvelopesSoftly)
 {
     std::vector<std::uint8_t> raw(512, 0xaa);
     const Blob envelope =
         storage::compressEncode(sealBytes(std::move(raw)));
-    // Magic, method tag and truncation all fail checked decode.
-    EXPECT_FALSE(storage::compressDecode(corrupt(envelope, 0), true));
-    EXPECT_FALSE(storage::compressDecode(corrupt(envelope, 4), true));
+    // Magic, method tag and truncation all fail decode.
+    EXPECT_FALSE(storage::compressDecode(corrupt(envelope, 0)));
+    EXPECT_FALSE(storage::compressDecode(corrupt(envelope, 4)));
     std::vector<std::uint8_t> truncated = asBytes(envelope);
     truncated.resize(truncated.size() / 2);
-    EXPECT_FALSE(
-        storage::compressDecode(sealBytes(std::move(truncated)), true));
-    EXPECT_FALSE(storage::compressDecode(sealBytes({1, 2, 3}), true));
+    EXPECT_FALSE(storage::compressDecode(sealBytes(std::move(truncated))));
+    EXPECT_FALSE(storage::compressDecode(sealBytes({1, 2, 3})));
     // The pristine envelope still decodes.
-    EXPECT_TRUE(storage::compressDecode(envelope, true));
+    EXPECT_TRUE(storage::compressDecode(envelope));
 }
 
 TEST(Delta, FirstApplyIsFullAndRoundTrips)
@@ -143,7 +140,7 @@ TEST(Delta, FirstApplyIsFullAndRoundTrips)
     ASSERT_TRUE(info.valid);
     EXPECT_TRUE(info.isFull);
     EXPECT_EQ(info.imageBytes, raw.size());
-    const Blob decoded = tx.reverse(envelope, /*checked=*/false);
+    const Blob decoded = tx.reverse(envelope);
     EXPECT_EQ(asBytes(decoded), raw);
 }
 
@@ -171,7 +168,7 @@ TEST(Delta, SparseDirtyBlocksYieldSmallDeltaThatReassembles)
     EXPECT_LT(envelope.size(), image.size() / 4)
         << "a 3-byte change must not ship the whole image";
 
-    const Blob decoded = tx.decode(envelope, base, /*checked=*/false);
+    const Blob decoded = tx.decode(envelope, base);
     EXPECT_EQ(asBytes(decoded), next_raw);
 }
 
@@ -185,7 +182,7 @@ TEST(Delta, IdenticalEpochYieldsNearEmptyDelta)
         tx.apply(sealBytes(std::vector<std::uint8_t>(raw)));
     ASSERT_TRUE(storage::deltaInspect(envelope).valid);
     EXPECT_LT(envelope.size(), 64u) << "no dirty blocks -> header only";
-    EXPECT_EQ(asBytes(tx.decode(envelope, base, false)), raw);
+    EXPECT_EQ(asBytes(tx.decode(envelope, base)), raw);
 }
 
 TEST(Delta, SizeMismatchForcesFullEnvelope)
@@ -199,10 +196,10 @@ TEST(Delta, SizeMismatchForcesFullEnvelope)
     ASSERT_TRUE(info.valid);
     EXPECT_TRUE(info.isFull)
         << "a delta between different-shape epochs is meaningless";
-    EXPECT_EQ(asBytes(tx.reverse(envelope, false)), raw);
+    EXPECT_EQ(asBytes(tx.reverse(envelope)), raw);
 }
 
-TEST(Delta, CheckedDecodeRejectsCorruptionSoftly)
+TEST(Delta, DecodeRejectsCorruptionSoftly)
 {
     DeltaTransform tx(64);
     std::vector<std::uint8_t> base_raw(1024, 9);
@@ -216,19 +213,19 @@ TEST(Delta, CheckedDecodeRejectsCorruptionSoftly)
 
     // Corrupt magic -> structurally invalid.
     EXPECT_FALSE(storage::deltaInspect(corrupt(envelope, 1)).valid);
-    EXPECT_FALSE(tx.decode(corrupt(envelope, 1), base, true));
+    EXPECT_FALSE(tx.decode(corrupt(envelope, 1), base));
     // Corrupt a record offset (first record field lives right after
     // the 24-byte diff header) so it points outside the image.
-    EXPECT_FALSE(tx.decode(corrupt(envelope, 30, 0xff), base, true));
+    EXPECT_FALSE(tx.decode(corrupt(envelope, 30, 0xff), base));
     // A delta decoded against the wrong-size base is rejected.
     EXPECT_FALSE(tx.decode(
-        envelope, sealBytes(std::vector<std::uint8_t>(8, 0)), true));
+        envelope, sealBytes(std::vector<std::uint8_t>(8, 0))));
     // Truncation is rejected.
     std::vector<std::uint8_t> truncated = asBytes(envelope);
     truncated.resize(20);
-    EXPECT_FALSE(tx.decode(sealBytes(std::move(truncated)), base, true));
+    EXPECT_FALSE(tx.decode(sealBytes(std::move(truncated)), base));
     // The pristine envelope still decodes.
-    EXPECT_TRUE(tx.decode(envelope, base, true));
+    EXPECT_TRUE(tx.decode(envelope, base));
 }
 
 TEST(TransformStats, InstanceAndGlobalCountersMove)
@@ -243,9 +240,9 @@ TEST(TransformStats, InstanceAndGlobalCountersMove)
     const std::vector<std::uint8_t> raw(2048, 5);
     const Blob image = sealBytes(std::vector<std::uint8_t>(raw));
     const Blob denv = dtx.apply(image);
-    dtx.reverse(denv, false);
+    dtx.reverse(denv);
     const Blob cenv = ctx.apply(image);
-    ctx.reverse(cenv, false);
+    ctx.reverse(cenv);
 
     EXPECT_EQ(dtx.stats().applies, 1u);
     EXPECT_EQ(dtx.stats().reverses, 1u);
