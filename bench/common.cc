@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -187,16 +188,6 @@ const Flag kFlags[] = {
          o.spec.drainCapacityBytes =
              static_cast<std::size_t>(u64Flag(f, v));
      }},
-    {"--pin", "none|auto|cores", "pin grid workers across NUMA "
-                                 "nodes/cores (auto: only when every "
-                                 "worker can own a core; output "
-                                 "identical for every mode)",
-     [](Opt &o, const Flag &f, const char *v) {
-         o.pin = choiceFlag(f, v,
-                            {core::PinMode::None, core::PinMode::Auto,
-                             core::PinMode::Cores},
-                            core::pinModeName);
-     }},
     {"--cell-timeout", "SECS|auto", "wall-clock watchdog per cell "
                                     "attempt (auto: 5x the grid's "
                                     "completed-cell p99; 0 disables)",
@@ -366,7 +357,7 @@ BenchOptions::parse(int argc, char **argv)
 core::GridRunner
 BenchOptions::makeRunner() const
 {
-    return core::GridRunner(jobs, pin, policy);
+    return core::GridRunner(jobs, policy);
 }
 
 int
@@ -534,13 +525,12 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
                  "  \"runsPerCell\": %d,\n"
                  "  \"jobs\": %d,\n"
                  "  \"hardwareConcurrency\": %d,\n"
-                 "  \"pin\": \"%s\",\n"
                  "  \"cells\": %zu,\n"
                  "  \"computedCells\": %zu,\n"
                  "  \"backends\": [\n",
                  def.slug, def.figure, options.quick ? "true" : "false",
                  options.spec.runs, jobs, core::GridRunner::hardwareJobs(),
-                 core::pinModeName(options.pin), cells, computed);
+                 cells, computed);
     for (std::size_t i = 0; i < samples.size(); ++i)
         writeJsonTiming(out, "storage",
                         storage::kindName(samples[i].kind),
@@ -851,6 +841,9 @@ runFigure(const BenchOptions &options, const FigureDef &def)
                 util::warn("cannot write %s", path.c_str());
         }
     }
+    // The tables round to 0.01 s and omit ckptRead; the digest covers
+    // every result field at full precision.
+    std::printf("grid digest: %016" PRIx64 "\n", core::gridDigest(results));
 
     return reportCellFailures(timing);
 }

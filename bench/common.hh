@@ -39,9 +39,6 @@ struct BenchOptions
      *  concurrency). Results and printed output are byte-identical
      *  for every value of N; only wall time changes. */
     int jobs = 0;
-    /** --pin none|auto|cores: grid worker placement (wall-clock
-     *  only; results are identical for every mode). */
-    core::PinMode pin = core::PinMode::None;
     /** --strict: exit nonzero when any cell was quarantined (default:
      *  finish the healthy cells and report). */
     bool strict = false;
@@ -63,7 +60,7 @@ struct BenchOptions
 
     static BenchOptions parse(int argc, char **argv);
 
-    /** A runner carrying jobs, pin mode and the grid policy — the one
+    /** A runner carrying jobs and the grid policy — the one
      *  constructor every GridRunner bench should use, so the
      *  watchdog/retry/resume flags reach every grid uniformly. */
     core::GridRunner makeRunner() const;

@@ -5,160 +5,31 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "src/core/manifest.hh"
+#include "src/fti/fti.hh"
 #include "src/util/logging.hh"
 
 namespace match::core
 {
 
-const char *
-pinModeName(PinMode mode)
-{
-    switch (mode) {
-      case PinMode::None: return "none";
-      case PinMode::Auto: return "auto";
-      case PinMode::Cores: return "cores";
-    }
-    return "unknown";
-}
-
 namespace
 {
 
-/** Parse a sysfs cpulist ("0-3,8,10-11") into cpu ids. */
-std::vector<int>
-parseCpuList(const std::string &list)
-{
-    std::vector<int> cpus;
-    std::istringstream in(list);
-    std::string range;
-    while (std::getline(in, range, ',')) {
-        if (range.empty())
-            continue;
-        int lo = 0, hi = 0;
-        if (std::sscanf(range.c_str(), "%d-%d", &lo, &hi) == 2) {
-            for (int cpu = lo; cpu <= hi; ++cpu)
-                cpus.push_back(cpu);
-        } else if (std::sscanf(range.c_str(), "%d", &lo) == 1) {
-            cpus.push_back(lo);
-        }
-    }
-    return cpus;
-}
+/** Auto watchdog: arm once this many cells were computed, at this
+ *  multiple of their p99 wall time (floored at 1 s). */
+constexpr std::size_t kAutoTimeoutMinSamples = 8;
+constexpr double kAutoTimeoutFactor = 5.0;
 
-/**
- * CPUs grouped by NUMA node, hwloc-free: each
- * /sys/devices/system/node/node<N>/cpulist names the node's cores.
- * Hosts without that tree (non-Linux, containers hiding sysfs) fall
- * back to one node holding every hardware thread.
- */
-std::vector<std::vector<int>>
-cpuTopology()
-{
-    std::vector<std::vector<int>> nodes;
-#ifdef __linux__
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    // Enumerate the node*/ directory entries rather than counting ids
-    // from zero: node numbering is sparse on hosts with offlined
-    // nodes, and a gap must not truncate the topology.
-    std::vector<int> ids;
-    for (const auto &entry :
-         fs::directory_iterator("/sys/devices/system/node", ec)) {
-        const std::string name = entry.path().filename().string();
-        int id = -1;
-        if (std::sscanf(name.c_str(), "node%d", &id) == 1 && id >= 0)
-            ids.push_back(id);
-    }
-    std::sort(ids.begin(), ids.end());
-    for (const int id : ids) {
-        std::ifstream in("/sys/devices/system/node/node" +
-                         std::to_string(id) + "/cpulist");
-        std::string list;
-        if (!std::getline(in, list))
-            continue;
-        auto cpus = parseCpuList(list);
-        if (!cpus.empty())
-            nodes.push_back(std::move(cpus));
-    }
-#endif
-    if (nodes.empty()) {
-        const int hw = GridRunner::hardwareJobs();
-        nodes.emplace_back();
-        for (int cpu = 0; cpu < hw; ++cpu)
-            nodes.back().push_back(cpu);
-    }
-    return nodes;
-}
-
-/**
- * Target CPU per worker, or empty when this (mode, workers) pair runs
- * unpinned. Workers spread round-robin across nodes first — so their
- * thread-local blob pools land on distinct memory controllers — then
- * across each node's cores.
- */
-std::vector<int>
-pinPlan(PinMode mode, int workers)
-{
-    if (mode == PinMode::None || workers <= 1)
-        return {};
-    const auto nodes = cpuTopology();
-    int total = 0;
-    for (const auto &node : nodes)
-        total += static_cast<int>(node.size());
-    // Auto pins only when every worker can own a core; an
-    // oversubscribed pool is better left to the OS scheduler.
-    if (mode == PinMode::Auto && (total <= 1 || workers > total))
-        return {};
-    // Interleave nodes but hand out every core exactly once before
-    // reusing any: with unequal node sizes a plain w % nnodes walk
-    // would double-book a small node's cores while a large node's sat
-    // idle. Cursors only reset once all `total` cores are assigned.
-    std::vector<int> plan(static_cast<std::size_t>(workers));
-    std::vector<std::size_t> next(nodes.size(), 0);
-    std::size_t node = 0;
-    int assigned = 0;
-    for (int w = 0; w < workers; ++w) {
-        if (assigned == total) {
-            std::fill(next.begin(), next.end(), 0);
-            assigned = 0;
-        }
-        while (next[node] >= nodes[node].size())
-            node = (node + 1) % nodes.size();
-        plan[w] = nodes[node][next[node]++];
-        ++assigned;
-        node = (node + 1) % nodes.size();
-    }
-    return plan;
-}
-
-/** Best-effort affinity set for the calling thread (pinning is a
- *  wall-clock hint; failure must never affect results). */
-void
-pinSelfTo(int cpu)
-{
-#ifdef __linux__
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    if (sched_setaffinity(0, sizeof(set), &set) != 0)
-        MATCH_DEBUG("grid: sched_setaffinity(cpu %d) failed", cpu);
-#else
-    (void)cpu;
-#endif
-}
+/** Retry backoff: base * 2^strike, capped. */
+constexpr double kBackoffBaseSeconds = 0.05;
+constexpr double kBackoffCapSeconds = 2.0;
 
 /** Human-readable cell label for failure records and logs. */
 std::string
@@ -257,9 +128,38 @@ GridSpec::enumerate() const
     return cells;
 }
 
-GridRunner::GridRunner(int jobs, PinMode pin, GridPolicy policy)
-    : jobs_(jobs > 0 ? jobs : hardwareJobs()), pin_(pin),
-      policy_(std::move(policy))
+std::uint64_t
+gridDigest(const std::vector<ExperimentResult> &results)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a offset basis
+    const auto f64 = [&h](double v) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        h = fti::fnv1a(&bits, sizeof bits, h);
+    };
+    const auto i64 = [&h](std::int64_t v) {
+        h = fti::fnv1a(&v, sizeof v, h);
+    };
+    const auto breakdown = [&](const ft::Breakdown &b) {
+        f64(b.application);
+        f64(b.ckptWrite);
+        f64(b.ckptRead);
+        f64(b.recovery);
+        i64(b.attempts);
+        i64(b.recoveries);
+        i64(b.failureFired ? 1 : 0);
+    };
+    for (const ExperimentResult &r : results) {
+        breakdown(r.mean);
+        i64(static_cast<std::int64_t>(r.perRun.size()));
+        for (const ft::Breakdown &b : r.perRun)
+            breakdown(b);
+    }
+    return h;
+}
+
+GridRunner::GridRunner(int jobs, GridPolicy policy)
+    : jobs_(jobs > 0 ? jobs : hardwareJobs()), policy_(std::move(policy))
 {}
 
 int
@@ -345,11 +245,9 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
         if (!policy_.autoTimeout)
             return 0.0;
         std::lock_guard<std::mutex> lock(computed_mu);
-        if (static_cast<int>(computed_seconds.size()) <
-            policy_.autoTimeoutMinSamples) {
+        if (computed_seconds.size() < kAutoTimeoutMinSamples)
             return 0.0;
-        }
-        return std::max(1.0, policy_.autoTimeoutFactor *
+        return std::max(1.0, kAutoTimeoutFactor *
                                  percentileOf(computed_seconds, 0.99));
     };
 
@@ -490,14 +388,11 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
                            "retrying",
                            cellSummary(cells[i]).c_str(), attempts,
                            last_error.c_str());
-                double backoff = policy_.backoffBaseSeconds;
+                double backoff = kBackoffBaseSeconds;
                 for (int b = 0; b < strike; ++b)
                     backoff *= 2.0;
-                backoff = std::min(backoff, policy_.backoffCapSeconds);
-                if (backoff > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(backoff));
-                }
+                std::this_thread::sleep_for(std::chrono::duration<double>(
+                    std::min(backoff, kBackoffCapSeconds)));
             }
         }
     };
@@ -532,23 +427,13 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
     }
 
     if (workers <= 1) {
-        // The calling thread runs the grid itself; it is never pinned
-        // (an affinity mask must not leak past run()).
+        // The calling thread runs the grid itself.
         drain(0);
     } else {
-        // Pin each spawned worker before it touches any memory: its
-        // thread-local blob pool then allocates — and first-touches —
-        // on the worker's own core/NUMA node.
-        const std::vector<int> plan = pinPlan(pin_, workers);
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                if (!plan.empty())
-                    pinSelfTo(plan[static_cast<std::size_t>(w)]);
-                drain(w);
-            });
-        }
+        for (int w = 0; w < workers; ++w)
+            pool.emplace_back(drain, w);
         for (auto &t : pool)
             t.join();
     }

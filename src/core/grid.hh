@@ -93,29 +93,6 @@ struct GridSpec : ExperimentConfig
 };
 
 /**
- * Worker-thread placement policy. Pinning is wall-clock only: results
- * are bit-identical for every mode (cells are deterministic in their
- * configuration, never in their scheduling).
- *
- * Workers are distributed round-robin across NUMA nodes and then
- * across the cores of each node (hwloc-free: the topology comes from
- * /sys/devices/system/node, with a single-node fallback), using
- * sched_setaffinity. Because each worker allocates its checkpoint
- * buffers from its own thread-local BlobPool, pinning also keeps hot
- * buffers node-local by first touch — above ~16 workers the shared
- * allocator otherwise shows up in the cell p99.
- */
-enum class PinMode
-{
-    None,  ///< let the OS scheduler float workers (historical default)
-    Auto,  ///< pin when it can help: >1 worker and workers <= cores
-    Cores, ///< always pin, round-robin over nodes then cores
-};
-
-/** Lower-case label ("none", "auto", "cores") for flags and logs. */
-const char *pinModeName(PinMode mode);
-
-/**
  * Fault-tolerance policy of one grid execution. Everything here is
  * wall-clock machinery — watchdog deadlines, retry budgets, journaled
  * resume — and none of it may perturb simulated results: a cell either
@@ -131,20 +108,15 @@ struct GridPolicy
     double cellTimeoutSeconds = 0.0;
 
     /** Derive the deadline from this grid's own completed cells: once
-     *  autoTimeoutMinSamples cells finished, an attempt running longer
-     *  than max(1s, autoTimeoutFactor x p99 of completed-cell wall
-     *  time) is cancelled. A fixed cellTimeoutSeconds wins when both
-     *  are set. */
+     *  8 cells finished, an attempt running longer than max(1s, 5 x
+     *  p99 of completed-cell wall time) is cancelled. A fixed
+     *  cellTimeoutSeconds wins when both are set. */
     bool autoTimeout = false;
-    int autoTimeoutMinSamples = 8;
-    double autoTimeoutFactor = 5.0;
 
     /** Retries after the first attempt before a cell is quarantined
      *  (attempts = cellRetries + 1). Retries are spaced by capped
-     *  exponential backoff: base * 2^strike, at most cap. */
+     *  exponential backoff: 50 ms * 2^strike, at most 2 s. */
     int cellRetries = 2;
-    double backoffBaseSeconds = 0.05;
-    double backoffCapSeconds = 2.0;
 
     /** Journal per-cell status into <cacheDir>/grid.manifest and
      *  resume a previously killed grid: done cells replay from the
@@ -208,6 +180,15 @@ struct GridTiming
 };
 
 /**
+ * Full-precision fingerprint of a grid's results: FNV-1a over the bit
+ * pattern of every ft::Breakdown field of each result's mean and
+ * perRun, in result order (per result: mean, perRun count, then each
+ * run — the field order perfbench digests a cell in). The figure
+ * tables round to 0.01 s; equal digests mean bit-identical results.
+ */
+std::uint64_t gridDigest(const std::vector<ExperimentResult> &results);
+
+/**
  * Executes grid cells on a pool of worker threads. Identical cells are
  * deduplicated (computed once, result shared), concurrency is bounded
  * by the job count, and the result vector is index-aligned with the
@@ -218,16 +199,11 @@ class GridRunner
 {
   public:
     /** @param jobs worker threads; <= 0 selects hardwareJobs().
-     *  @param pin worker placement policy (wall-clock only).
      *  @param policy fault-tolerance policy (wall-clock only). */
-    explicit GridRunner(int jobs = 0, PinMode pin = PinMode::None,
-                        GridPolicy policy = GridPolicy{});
+    explicit GridRunner(int jobs = 0, GridPolicy policy = GridPolicy{});
 
     /** Worker threads this runner will use. */
     int jobs() const { return jobs_; }
-
-    /** Worker placement policy. */
-    PinMode pin() const { return pin_; }
 
     /** Fault-tolerance policy. */
     const GridPolicy &policy() const { return policy_; }
@@ -261,7 +237,6 @@ class GridRunner
 
   private:
     int jobs_ = 1;
-    PinMode pin_ = PinMode::None;
     GridPolicy policy_{};
 };
 

@@ -788,14 +788,15 @@ Scr::tryFetchFromPrefix(const std::string &name)
     return true;
 }
 
-bool
-Scr::ensureRestartFile(const std::string &name, bool fatal_on_lost)
+int
+Scr::ensureRestartFile(const std::string &name)
 {
-    const std::string path =
-        datasetDir(config_, restartDataset_, rank()) + "/" + name;
-    fetchedFromPrefix_ = false;
-    if (store_.exists(path))
-        return true;
+    // Cached and rebuilt copies read at the redundancy tier's speed; a
+    // prefix fetch is a PFS read.
+    const int cacheTier = config_.scheme == Redundancy::Xor ? 3 : 1;
+    if (store_.exists(datasetDir(config_, restartDataset_, rank()) + "/" +
+                      name))
+        return cacheTier;
     bool rebuilt = false;
     switch (config_.scheme) {
       case Redundancy::Single:
@@ -807,27 +808,9 @@ Scr::ensureRestartFile(const std::string &name, bool fatal_on_lost)
         rebuilt = tryRebuildFromXor(name);
         break;
     }
-    if (!rebuilt) {
-        fetchedFromPrefix_ = tryFetchFromPrefix(name);
-        if (!fetchedFromPrefix_) {
-            if (!fatal_on_lost)
-                return false;
-            switch (config_.scheme) {
-              case Redundancy::Single:
-                util::fatal("SCR SINGLE cannot rebuild lost file %s "
-                            "(no flushed PFS copy)", path.c_str());
-              case Redundancy::Partner:
-                util::fatal("SCR PARTNER rebuild failed for rank "
-                            "%d: partner copy lost too and no "
-                            "flushed PFS copy", rank());
-              case Redundancy::Xor:
-                util::fatal("SCR XOR rebuild failed: two losses in "
-                            "rank %d's group and no flushed PFS "
-                            "copy", rank());
-            }
-        }
-    }
-    return true;
+    if (rebuilt)
+        return cacheTier;
+    return tryFetchFromPrefix(name) ? 4 : 0;
 }
 
 bool
@@ -863,27 +846,37 @@ Scr::routeRestartFile(const std::string &name)
             faults_->setEpoch(restartDataset_);
         const std::string path =
             datasetDir(config_, restartDataset_, rank()) + "/" + name;
-        bool ok = ensureRestartFile(name, !config_.sdcChecks);
-        if (ok && config_.sdcChecks && !verifyRestartFile(path)) {
+        int tier = ensureRestartFile(name);
+        if (tier == 0 && !config_.sdcChecks) {
+            switch (config_.scheme) {
+              case Redundancy::Single:
+                util::fatal("SCR SINGLE cannot rebuild lost file %s "
+                            "(no flushed PFS copy)", path.c_str());
+              case Redundancy::Partner:
+                util::fatal("SCR PARTNER rebuild failed for rank "
+                            "%d: partner copy lost too and no "
+                            "flushed PFS copy", rank());
+              case Redundancy::Xor:
+                util::fatal("SCR XOR rebuild failed: two losses in "
+                            "rank %d's group and no flushed PFS "
+                            "copy", rank());
+            }
+        }
+        if (tier != 0 && config_.sdcChecks && !verifyRestartFile(path)) {
             // The cache copy is rot: drop it and give the redundancy
             // and prefix tiers one shot at producing a clean copy.
             store_.remove(path);
-            ok = ensureRestartFile(name, false) &&
-                 verifyRestartFile(path);
-            if (!ok)
+            tier = ensureRestartFile(name);
+            if (tier != 0 && !verifyRestartFile(path))
+                tier = 0;
+            if (tier == 0)
                 store_.remove(path);
         }
-        if (ok) {
+        if (tier != 0) {
             std::size_t bytes = 0;
             store_.size(path, bytes);
-            // A prefix fetch is a PFS read; rebuilt/cached copies read
-            // at the redundancy tier's speed.
-            const int level =
-                fetchedFromPrefix_
-                    ? 4
-                    : (config_.scheme == Redundancy::Xor ? 3 : 1);
             proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-                level, bytes, size()));
+                tier, bytes, size()));
             return path;
         }
         // SDC mode only: every tier of this dataset is lost or rot.

@@ -210,10 +210,11 @@ class Scr
     bool tryRebuildFromXor(const std::string &name);
     bool tryFetchFromPrefix(const std::string &name);
     /** Make the rank's cache copy of `name` exist, escalating through
-     *  the redundancy tiers; with fatal_on_lost the exhausted ladder
-     *  aborts with the historical messages, otherwise it returns
-     *  false. */
-    bool ensureRestartFile(const std::string &name, bool fatal_on_lost);
+     *  the redundancy tiers. Returns the tier it came from, which
+     *  prices the read (1 cache/partner, 3 XOR, 4 prefix fetch), or 0
+     *  when every tier is lost; routeRestartFile decides what a loss
+     *  means. */
+    int ensureRestartFile(const std::string &name);
     /** CRC32C-verify a restored file against its sidecar (priced via
      *  scrubVerify); a missing sidecar is accepted. */
     bool verifyRestartFile(const std::string &path);
@@ -255,9 +256,6 @@ class Scr
     int lastCommitted_ = 0;
     std::vector<std::string> routedFiles_;
     bool finalized_ = false;
-    /** This rank's last restart read came from the prefix (priced as a
-     *  PFS read instead of a cache-tier read). */
-    bool fetchedFromPrefix_ = false;
     /** Virtual-time accounting of this rank's flush-to-prefix jobs. */
     storage::DrainChannel drainChannel_;
 };

@@ -623,7 +623,9 @@ Runtime::send(int g, CommId comm, Rank dest, Tag tag, const void *buf,
         rs.clock + costModel_.pointToPoint(virtual_bytes) * factor;
 
     RankState &dr = ranks_[destGlobal];
-    if (dr.blockReason == BlockReason::Recv && dr.recvComm == comm &&
+    if (dr.blockReason == BlockReason::Recv &&
+        dr.fiber->state() == Fiber::State::Blocked &&
+        dr.recvComm == comm &&
         (dr.recvSrc == anySource || dr.recvSrc == srcLocal) &&
         (dr.recvTag == anyTag || dr.recvTag == tag)) {
         // Rendezvous fast path: the destination is parked inside a
@@ -631,7 +633,10 @@ Runtime::send(int g, CommId comm, Rank dest, Tag tag, const void *buf,
         // — no pooled staging copy, no mailbox round trip. The receiver
         // finishes the virtual-time arithmetic when it resumes, with the
         // same formula the mailbox path uses, so results are
-        // bit-identical either way.
+        // bit-identical either way. A woken receiver keeps its Recv
+        // block reason until it resumes, and it may resume into a
+        // Reinit rollback that abandons the posted buffer — so only a
+        // still-parked fiber takes the fast path.
         MATCH_ASSERT(bytes <= dr.recvCapacity, "receive buffer too small");
         std::memcpy(dr.recvBuf, buf, bytes);
         dr.recvStatus.source = srcLocal;

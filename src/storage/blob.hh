@@ -21,8 +21,7 @@
  *    pooled Blob returns its buffer to the pool that allocated it (or
  *    frees it when the pool is gone — blobs may outlive their pool).
  *    Each grid worker thread owns its own pool (BlobPool::local()), so
- *    hot buffers are allocated, first-touched and recycled on the
- *    worker's own core/NUMA node.
+ *    workers recycle buffers without sharing a lock.
  *
  * Accounting: the pool layer counts buffer allocations, pool hits and
  * every payload byte the *storage data plane* memcpys (backend raw
@@ -209,8 +208,8 @@ class BlobPool
     static BlobStats globalStats();
 
     /** The calling thread's own pool. Grid workers allocate and recycle
-     *  through it, so with pinned workers (GridRunner PinMode) the hot
-     *  buffers stay node-local by first touch. */
+     *  through it, so a worker's hot buffers are reused by that worker
+     *  alone, with no cross-thread contention. */
     static BlobPool &local();
 
   private:

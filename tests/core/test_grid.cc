@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "src/core/grid.hh"
@@ -144,6 +145,7 @@ TEST(GridRunner, ParallelRunIsBitIdenticalToSerial)
     ASSERT_EQ(parallel.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i)
         expectIdentical(serial[i], parallel[i]);
+    EXPECT_EQ(gridDigest(serial), gridDigest(parallel));
     fs::remove_all(spec.sandboxDir);
 }
 
@@ -167,33 +169,6 @@ TEST(GridRunner, AsyncDrainStaysBitIdenticalForAnyWorkerCount)
         expectIdentical(sync[i], async_serial[i]);
         expectIdentical(sync[i], async_parallel[i]);
     }
-}
-
-TEST(GridRunner, PinnedRunIsBitIdenticalToUnpinned)
-{
-    // Worker placement is wall-clock only: pinning workers to cores
-    // (and keeping their blob pools node-local) must not perturb a
-    // single simulated byte, for any pin mode.
-    const GridSpec spec = smallSpec("pin");
-    const auto cells = spec.enumerate();
-    const auto unpinned = GridRunner(4, PinMode::None).run(cells);
-    const auto cores = GridRunner(4, PinMode::Cores).run(cells);
-    const auto autop = GridRunner(2, PinMode::Auto).run(cells);
-    ASSERT_EQ(unpinned.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        expectIdentical(unpinned[i], cores[i]);
-        expectIdentical(unpinned[i], autop[i]);
-    }
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridRunner, PinModeIsRecordedAndNamed)
-{
-    EXPECT_EQ(GridRunner(2, PinMode::Cores).pin(), PinMode::Cores);
-    EXPECT_EQ(GridRunner(2).pin(), PinMode::None);
-    EXPECT_STREQ(pinModeName(PinMode::None), "none");
-    EXPECT_STREQ(pinModeName(PinMode::Auto), "auto");
-    EXPECT_STREQ(pinModeName(PinMode::Cores), "cores");
 }
 
 TEST(GridRunner, DuplicateCellsShareOneComputation)
@@ -246,4 +221,27 @@ TEST(GridRunner, JobCountDefaultsToHardware)
     EXPECT_GE(GridRunner().jobs(), 1);
     EXPECT_EQ(GridRunner(3).jobs(), 3);
     EXPECT_EQ(GridRunner(0).jobs(), GridRunner::hardwareJobs());
+}
+
+TEST(GridDigest, SeesOneUlpInAnyResultField)
+{
+    ExperimentResult r;
+    r.mean = {1.5, 0.25, 0.125, 0.75, 2, 1, true};
+    r.perRun = {r.mean, r.mean};
+    const std::vector<ExperimentResult> grid{r, r};
+    const std::uint64_t base = gridDigest(grid);
+    EXPECT_EQ(gridDigest(grid), base);
+    EXPECT_NE(gridDigest({}), base);
+
+    // One ulp of ckptRead in one run — invisible in the 2-decimal
+    // figure tables, which also have no ckptRead column.
+    std::vector<ExperimentResult> moved = grid;
+    double &read = moved[1].perRun[0].ckptRead;
+    read = std::nextafter(read, 1.0);
+    EXPECT_NE(gridDigest(moved), base);
+
+    // The same values in another cell order are a different grid.
+    std::vector<ExperimentResult> swapped = moved;
+    std::swap(swapped[0], swapped[1]);
+    EXPECT_NE(gridDigest(swapped), gridDigest(moved));
 }

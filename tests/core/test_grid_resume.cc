@@ -83,14 +83,12 @@ struct HookGuard
     ~HookGuard() { setCellHookForTesting(nullptr); }
 };
 
-/** Quarantine-friendly policy: quick backoff, one retry. */
+/** Quarantine-friendly policy: one retry. */
 GridPolicy
 fastRetryPolicy(int retries = 1)
 {
     GridPolicy policy;
     policy.cellRetries = retries;
-    policy.backoffBaseSeconds = 0.001;
-    policy.backoffCapSeconds = 0.002;
     return policy;
 }
 
@@ -237,7 +235,7 @@ TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
             if (configKey(config) == poison_key)
                 throw std::runtime_error("poison cell");
         });
-        results = GridRunner(4, PinMode::None, fastRetryPolicy())
+        results = GridRunner(4, fastRetryPolicy())
                       .run(cells, &timing);
     }
 
@@ -286,7 +284,7 @@ TEST(GridRunner, TransientFailureRetriesThenSucceeds)
                 throw std::runtime_error("transient fault");
             }
         });
-        results = GridRunner(2, PinMode::None, fastRetryPolicy(2))
+        results = GridRunner(2, fastRetryPolicy(2))
                       .run(cells, &timing);
     }
 
@@ -327,7 +325,7 @@ TEST(GridRunner, WatchdogCancelsHungCellAndQuarantinesIt)
                     std::chrono::milliseconds(1));
             }
         });
-        results = GridRunner(2, PinMode::None, policy)
+        results = GridRunner(2, policy)
                       .run(cells, &timing);
     }
 
@@ -425,7 +423,7 @@ TEST(GridRunner, NoResumePolicyDiscardsJournalButKeepsCache)
     policy.resume = false;
     const std::uint64_t before = experimentComputeCount();
     GridTiming timing;
-    GridRunner(2, PinMode::None, policy).run(cells, &timing);
+    GridRunner(2, policy).run(cells, &timing);
     EXPECT_EQ(experimentComputeCount(), before);
     EXPECT_EQ(timing.cellsFromCache, cells.size());
     fs::remove_all(spec.sandboxDir);

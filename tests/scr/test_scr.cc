@@ -176,32 +176,56 @@ TEST(Scr, XorSurvivesOneLossPerGroup)
     Scr::purge(cfg);
 }
 
-TEST(ScrDeath, SingleCannotRebuildLostFile)
+TEST(ScrDeath, LostFileWithNoTierLeftIsFatalPerScheme)
 {
-    const auto cfg = testConfig("single-loss", Redundancy::Single);
-    Scr::purge(cfg);
+    // Without sdcChecks, a restart file no tier can produce is fatal,
+    // with one message per redundancy scheme. Each row deletes rank 0's
+    // cache copy plus whatever that scheme would rebuild it from; no
+    // dataset was flushed, so the prefix fetch fails too.
+    struct Row
     {
-        Runtime rt;
-        rt.run(options(2), [&](Proc &proc) {
-            Scr scr(proc, cfg);
-            std::vector<double> state(8, 1.0);
-            scr.startCheckpoint();
-            writeState(scr.routeFile("s.bin"), state);
-            scr.completeCheckpoint(true);
-        });
-    }
-    fs::remove_all(Scr::datasetDir(cfg, 1, 0));
-    EXPECT_EXIT(
+        Redundancy scheme;
+        std::vector<std::string> lost; ///< dirs under dataset 1
+        const char *message;
+    };
+    const Row rows[] = {
+        {Redundancy::Single, {"rank0"}, "SCR SINGLE cannot rebuild"},
+        {Redundancy::Partner, {"rank0", "rank1-partner0"},
+         "SCR PARTNER rebuild failed for rank 0: partner copy lost too"},
+        {Redundancy::Xor, {"rank0", "rank1"},
+         "SCR XOR rebuild failed: two losses"},
+    };
+    for (const Row &row : rows) {
+        const std::string scheme = redundancyName(row.scheme);
+        const auto cfg = testConfig("loss-" + scheme, row.scheme);
+        Scr::purge(cfg);
         {
             Runtime rt;
             rt.run(options(2), [&](Proc &proc) {
                 Scr scr(proc, cfg);
-                scr.startRestart();
-                scr.routeRestartFile("s.bin");
+                std::vector<double> state(8, 1.0);
+                scr.startCheckpoint();
+                writeState(scr.routeFile("s.bin"), state);
+                scr.completeCheckpoint(true);
             });
-        },
-        ::testing::ExitedWithCode(1), "SINGLE cannot rebuild");
-    Scr::purge(cfg);
+        }
+        const fs::path dataset =
+            fs::path(Scr::datasetDir(cfg, 1, 0)).parent_path();
+        for (const std::string &dir : row.lost)
+            ASSERT_TRUE(fs::remove_all(dataset / dir) > 0) << dir;
+        EXPECT_EXIT(
+            {
+                Runtime rt;
+                rt.run(options(2), [&](Proc &proc) {
+                    Scr scr(proc, cfg);
+                    scr.startRestart();
+                    scr.routeRestartFile("s.bin");
+                });
+            },
+            ::testing::ExitedWithCode(1), row.message)
+            << scheme;
+        Scr::purge(cfg);
+    }
 }
 
 TEST(Scr, NeedCheckpointFollowsInterval)

@@ -193,6 +193,48 @@ TEST(ReinitPolicy, StateRestartedOnlyAfterFailure)
         states_seen.count(static_cast<int>(ReinitState::Restarted)));
 }
 
+TEST(ReinitPolicy, RolledBackSenderDoesNotFillAParkedReceiversOldBuffer)
+{
+    // Rank 0 forwards one message per iteration to rank 1 after it
+    // hears from rank 2; rank 2 dies at iteration 3. When the failure
+    // fires, rank 1 is parked in a recv from rank 0. Recovery wakes it,
+    // but rank 0 has the lower clock, so it resumes first, rolls back,
+    // re-enters resilient_main and sends before rank 1 has resumed. That
+    // send must go to rank 1's mailbox: taking the rendezvous fast path
+    // into the old incarnation's posted buffer would lose the message
+    // when rank 1 unwinds, and the job would deadlock.
+    constexpr int kIters = 6;
+    Runtime rt;
+    auto p = plan(3, 2);
+    std::vector<int> received;
+    int finished = 0;
+    const JobResult result = rt.runReinit(
+        options(3, ErrorPolicy::Reinit, p),
+        [&](Proc &proc, ReinitState state) {
+            if (proc.rank() == 1 && state == ReinitState::Restarted)
+                received.clear();
+            for (int i = 0; i < kIters; ++i) {
+                proc.iterationPoint(i);
+                int value = i;
+                if (proc.rank() == 0) {
+                    proc.send(1, 0, &value, sizeof(value));
+                    proc.recv(2, 0, &value, sizeof(value));
+                } else if (proc.rank() == 1) {
+                    proc.recv(0, 0, &value, sizeof(value));
+                    received.push_back(value);
+                } else {
+                    proc.send(0, 0, &value, sizeof(value));
+                }
+            }
+            ++finished;
+        });
+    EXPECT_FALSE(result.aborted);
+    EXPECT_EQ(result.recoveries, 1);
+    EXPECT_TRUE(p->fired);
+    EXPECT_EQ(finished, 3);
+    EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // ULFM (Return) policy
 // ---------------------------------------------------------------------------
