@@ -45,5 +45,6 @@ main(int argc, char **argv)
     std::printf("Note: application time includes the work re-executed "
                 "since the last checkpoint, which grows with the "
                 "stride; write time shrinks with the stride.\n");
+    printGridDigest(results);
     return gridExitCode(options, reportCellFailures(timing));
 }

@@ -29,6 +29,7 @@
  * --perf-dir for CI's perf-trajectory artifact.
  */
 
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -407,6 +408,14 @@ main(int argc, char **argv)
         util::warn("storage-fault trace replay diverged from the "
                    "generated plan");
 
+    // One digest over every grid above, in the order they ran.
+    std::vector<core::ExperimentResult> all_results = results;
+    all_results.insert(all_results.end(), pressure.begin(), pressure.end());
+    for (const FaultRow &row : fault_rows)
+        all_results.insert(all_results.end(), row.results.begin(),
+                           row.results.end());
+    const std::uint64_t digest = printGridDigest(all_results);
+
     // Perf record: per-scenario rows for CI's trajectory artifact.
     std::filesystem::create_directories(options.perfDir);
     const std::string json_path =
@@ -422,13 +431,14 @@ main(int argc, char **argv)
                  "  \"quick\": %s,\n"
                  "  \"runsPerCell\": %d,\n"
                  "  \"jobs\": %d,\n"
+                 "  \"digest\": \"%016" PRIx64 "\",\n"
                  "  \"traceRoundTripIdentical\": %s,\n"
                  "  \"traceReplayBitIdentical\": %s,\n"
                  "  \"traceEvents\": %zu,\n"
                  "  \"sdcCheckOverheadPct\": %.4f,\n"
                  "  \"scenarios\": [\n",
                  options.quick ? "true" : "false", options.spec.runs,
-                 runner.jobs(), format_ok ? "true" : "false",
+                 runner.jobs(), digest, format_ok ? "true" : "false",
                  replay_ok ? "true" : "false", schedule.size(),
                  sdc_overhead_pct);
     for (std::size_t i = 0; i < rows.size(); ++i) {

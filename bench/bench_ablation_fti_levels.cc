@@ -50,5 +50,6 @@ main(int argc, char **argv)
                       util::Table::cell(mean.total())});
     }
     std::printf("%s\n", table.toString().c_str());
+    printGridDigest(results);
     return gridExitCode(options, reportCellFailures(timing));
 }

@@ -75,5 +75,6 @@ main(int argc, char **argv)
                 "Restart) persists and the gap widens as MTBF shrinks "
                 "— the paper's motivation for cheap MPI recovery at "
                 "exascale failure rates.\n");
+    printGridDigest(results);
     return gridExitCode(options, reportCellFailures(timing));
 }

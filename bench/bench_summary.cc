@@ -139,5 +139,6 @@ main(int argc, char **argv)
                   util::Table::cell(1000.0 * util::mean(read_seconds), 1) +
                       " ms"});
     std::printf("%s\n", table.toString().c_str());
+    printGridDigest(results);
     return gridExitCode(options, reportCellFailures(timing));
 }

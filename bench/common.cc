@@ -494,6 +494,7 @@ writeJsonTiming(std::FILE *out, const char *key, const char *label,
 /**
  * Emit BENCH_<slug>.json: the per-bench perf record CI uploads as an
  * artifact, accumulating the repo's wall-clock trajectory PR by PR.
+ * `digest` is the grid digest of the rendered (mem-backend) results.
  */
 void
 writePerfRecord(const BenchOptions &options, const FigureDef &def,
@@ -502,7 +503,8 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
                 const std::vector<DrainSample> &drain_samples,
                 const std::vector<TransformSample> &transform_samples,
                 const storage::BlobStats &mem_blob,
-                const std::vector<core::CellFailure> &failures)
+                const std::vector<core::CellFailure> &failures,
+                std::uint64_t digest)
 {
     std::filesystem::create_directories(options.perfDir);
     const std::string path =
@@ -527,10 +529,11 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
                  "  \"hardwareConcurrency\": %d,\n"
                  "  \"cells\": %zu,\n"
                  "  \"computedCells\": %zu,\n"
+                 "  \"digest\": \"%016" PRIx64 "\",\n"
                  "  \"backends\": [\n",
                  def.slug, def.figure, options.quick ? "true" : "false",
                  options.spec.runs, jobs, core::GridRunner::hardwareJobs(),
-                 cells, computed);
+                 cells, computed, digest);
     for (std::size_t i = 0; i < samples.size(); ++i)
         writeJsonTiming(out, "storage",
                         storage::kindName(samples[i].kind),
@@ -791,7 +794,8 @@ runFigure(const BenchOptions &options, const FigureDef &def)
         }
         writePerfRecord(options, def, runner.jobs(), cells.size(),
                         samples, drain_samples, transform_samples,
-                        mem_blob, timing.failures);
+                        mem_blob, timing.failures,
+                        core::gridDigest(results));
     }
 
     std::size_t at = 0;
@@ -841,11 +845,16 @@ runFigure(const BenchOptions &options, const FigureDef &def)
                 util::warn("cannot write %s", path.c_str());
         }
     }
-    // The tables round to 0.01 s and omit ckptRead; the digest covers
-    // every result field at full precision.
-    std::printf("grid digest: %016" PRIx64 "\n", core::gridDigest(results));
-
+    printGridDigest(results);
     return reportCellFailures(timing);
+}
+
+std::uint64_t
+printGridDigest(const std::vector<core::ExperimentResult> &results)
+{
+    const std::uint64_t digest = core::gridDigest(results);
+    std::printf("grid digest: %016" PRIx64 "\n", digest);
+    return digest;
 }
 
 int

@@ -15,7 +15,9 @@
 #ifndef MATCH_BENCH_COMMON_HH
 #define MATCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/core/grid.hh"
 
@@ -72,6 +74,14 @@ struct BenchOptions
  * the count across their grids and feed it to gridExitCode.
  */
 int reportCellFailures(const core::GridTiming &timing);
+
+/**
+ * Print `grid digest: <16 hex>`, core::gridDigest over every result
+ * field at full precision (the tables round to 0.01 s and omit
+ * ckptRead), and return the digest for the bench's perf record.
+ */
+std::uint64_t printGridDigest(
+    const std::vector<core::ExperimentResult> &results);
 
 /** Process exit code honoring --strict: nonzero iff any cell was
  *  quarantined and strict mode is on. */

@@ -30,10 +30,94 @@ constexpr double jitterSecondsPerProc = 30e-6;
 /** Real (executed) atoms per rank. */
 constexpr int realAtoms = 64;
 
-constexpr double ljCutoff = 2.5;
 constexpr double boxEdge = 8.0; ///< real local box edge (sigma units)
 
 } // anonymous namespace
+
+namespace detail
+{
+
+bool
+LjNeighbourList::stale(const double *px, const double *py,
+                       const double *pz, int n) const
+{
+    if (x0_.size() != static_cast<std::size_t>(n))
+        return true;
+    const double limit = 0.5 * rebuildFraction * verletSkin;
+    for (int i = 0; i < n; ++i) {
+        const double dx = px[i] - x0_[i];
+        const double dy = py[i] - y0_[i];
+        const double dz = pz[i] - z0_[i];
+        // Negated so a NaN displacement also rebuilds.
+        if (!(dx * dx + dy * dy + dz * dz < limit * limit))
+            return true;
+    }
+    return false;
+}
+
+void
+LjNeighbourList::build(const double *px, const double *py,
+                       const double *pz, int n)
+{
+    const double rl = ljCutoff + verletSkin;
+    x0_.assign(px, px + n);
+    y0_.assign(py, py + n);
+    z0_.assign(pz, pz + n);
+    first_.resize(static_cast<std::size_t>(n) + 1);
+    nbr_.clear();
+    for (int i = 0; i < n; ++i) {
+        first_[i] = static_cast<int>(nbr_.size());
+        for (int j = i + 1; j < n; ++j) {
+            const double dx = px[i] - px[j];
+            const double dy = py[i] - py[j];
+            const double dz = pz[i] - pz[j];
+            // Negated so a NaN distance is listed: the cutoff test in
+            // forces() lets it through, as the all-pairs loop does.
+            if (!(dx * dx + dy * dy + dz * dz > rl * rl))
+                nbr_.push_back(j);
+        }
+    }
+    first_[n] = static_cast<int>(nbr_.size());
+    ++builds_;
+}
+
+double
+LjNeighbourList::forces(const double *px, const double *py,
+                        const double *pz, double *fx, double *fy,
+                        double *fz, int n)
+{
+    if (stale(px, py, pz, n))
+        build(px, py, pz, n);
+    std::fill(fx, fx + n, 0.0);
+    std::fill(fy, fy + n, 0.0);
+    std::fill(fz, fz + n, 0.0);
+    double pot = 0.0;
+    const double rc2 = ljCutoff * ljCutoff;
+    for (int i = 0; i < n; ++i) {
+        for (int k = first_[i]; k < first_[i + 1]; ++k) {
+            const int j = nbr_[k];
+            const double dx = px[i] - px[j];
+            const double dy = py[i] - py[j];
+            const double dz = pz[i] - pz[j];
+            const double r2 = dx * dx + dy * dy + dz * dz;
+            if (r2 > rc2 || r2 < 1e-12)
+                continue;
+            const double inv2 = 1.0 / r2;
+            const double inv6 = inv2 * inv2 * inv2;
+            const double force = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
+            fx[i] += force * dx;
+            fy[i] += force * dy;
+            fz[i] += force * dz;
+            fx[j] -= force * dx;
+            fy[j] -= force * dy;
+            fz[j] -= force * dz;
+            pot += 4.0 * inv6 * (inv6 - 1.0);
+        }
+    }
+    return pot;
+}
+
+} // namespace detail
 
 ComdConfig
 ComdConfig::fromArgs(const std::vector<std::string> &args)
@@ -106,6 +190,7 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
         ghost_hi(32 * 3);
 
     const double dt = 1e-3;
+    detail::LjNeighbourList neighbours;
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.steps, [&](int) {
         // Exchange boundary atom positions with the z neighbors.
@@ -118,34 +203,11 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
                        ghost_lo.data(), ghost_hi.data(),
                        halo_out.size() * sizeof(double), halo_virt);
 
-        // Lennard-Jones forces with a cutoff (all-pairs on the small
-        // real set; the Table-I-scale force loop is priced below).
-        std::fill(fx.begin(), fx.end(), 0.0);
-        std::fill(fy.begin(), fy.end(), 0.0);
-        std::fill(fz.begin(), fz.end(), 0.0);
-        double pot = 0.0;
-        const double rc2 = ljCutoff * ljCutoff;
-        for (int i = 0; i < n; ++i) {
-            for (int j = i + 1; j < n; ++j) {
-                const double dx = px[i] - px[j];
-                const double dy = py[i] - py[j];
-                const double dz = pz[i] - pz[j];
-                const double r2 = dx * dx + dy * dy + dz * dz;
-                if (r2 > rc2 || r2 < 1e-12)
-                    continue;
-                const double inv2 = 1.0 / r2;
-                const double inv6 = inv2 * inv2 * inv2;
-                const double force = 24.0 * inv2 * inv6 *
-                                     (2.0 * inv6 - 1.0);
-                fx[i] += force * dx;
-                fy[i] += force * dy;
-                fz[i] += force * dz;
-                fx[j] -= force * dx;
-                fy[j] -= force * dy;
-                fz[j] -= force * dz;
-                pot += 4.0 * inv6 * (inv6 - 1.0);
-            }
-        }
+        // Lennard-Jones forces with a cutoff (a neighbour list on the
+        // small real set; the Table-I-scale force loop is priced below).
+        const double pot = neighbours.forces(px.data(), py.data(),
+                                             pz.data(), fx.data(),
+                                             fy.data(), fz.data(), n);
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 

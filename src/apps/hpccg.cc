@@ -53,48 +53,67 @@ struct LocalCg
     }
     std::size_t rows() const { return plane() * nz; }
 
-    /** Interior index into a ghosted field (z in [0, nz)). */
-    std::size_t
-    gidx(std::size_t i, int z) const
+    /** Interior of a ghosted field: contiguous from plane 1, so every
+     *  elementwise update walks x, r, p and ap with one index. */
+    double *interior(std::vector<double> &ghosted)
     {
-        return plane() * static_cast<std::size_t>(z + 1) + i;
+        return ghosted.data() + plane();
     }
 };
 
-/** 7-point Laplacian SpMV on the ghosted p: ap = A*p. SPD with the
- *  diagonal dominating (6+1 on the diagonal keeps CG well-behaved). */
-void
-spmv(LocalCg &cg)
+/** 7-point Laplacian SpMV on the ghosted p: ap = A*p, returning the
+ *  local p.Ap summed in row order. SPD with the diagonal dominating
+ *  (6+1 on the diagonal keeps CG well-behaved). Neighbours outside the
+ *  x/y boundary are skipped; the z ghost planes are zero at the slab
+ *  ends. */
+double
+spmvDot(LocalCg &cg)
 {
-    const std::size_t pl = cg.plane();
+    const std::ptrdiff_t nx = cg.nx;
+    const std::ptrdiff_t pl = static_cast<std::ptrdiff_t>(cg.plane());
+    const double *g = cg.interior(cg.p);
+    double *ap = cg.ap.data();
+    double pap = 0.0;
     for (int z = 0; z < cg.nz; ++z) {
         for (int y = 0; y < cg.ny; ++y) {
-            for (int x = 0; x < cg.nx; ++x) {
-                const std::size_t i =
-                    static_cast<std::size_t>(y) * cg.nx + x +
-                    static_cast<std::size_t>(z) * pl;
-                const std::size_t g = cg.gidx(i % pl, z);
-                double sum = 7.0 * cg.p[g];
-                if (x > 0) sum -= cg.p[g - 1];
-                if (x < cg.nx - 1) sum -= cg.p[g + 1];
-                if (y > 0) sum -= cg.p[g - cg.nx];
-                if (y < cg.ny - 1) sum -= cg.p[g + cg.nx];
-                sum -= cg.p[g - pl]; // ghost planes are zero at ends
-                sum -= cg.p[g + pl];
-                cg.ap[i] = sum;
+            for (int x = 0; x < cg.nx; ++x, ++g, ++ap) {
+                double sum = 7.0 * g[0];
+                if (x > 0) sum -= g[-1];
+                if (x < cg.nx - 1) sum -= g[1];
+                if (y > 0) sum -= g[-nx];
+                if (y < cg.ny - 1) sum -= g[nx];
+                sum -= g[-pl];
+                sum -= g[pl];
+                *ap = sum;
+                pap += g[0] * sum;
             }
         }
     }
+    return pap;
 }
 
+/** x += alpha p, r -= alpha ap; returns the new r.r in row order. */
 double
-localDot(const std::vector<double> &a, const std::vector<double> &b,
-         std::size_t n)
+updateXr(double *__restrict x, double *__restrict r,
+         const double *__restrict p, const double *__restrict ap,
+         std::size_t rows, double alpha)
 {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += a[i] * b[i];
-    return sum;
+    double rr = 0.0;
+    for (std::size_t i = 0; i < rows; ++i) {
+        x[i] += alpha * p[i];
+        r[i] -= alpha * ap[i];
+        rr += r[i] * r[i];
+    }
+    return rr;
+}
+
+/** p = r + beta p. */
+void
+updateP(double *__restrict p, const double *__restrict r,
+        std::size_t rows, double beta)
+{
+    for (std::size_t i = 0; i < rows; ++i)
+        p[i] = r[i] + beta * p[i];
 }
 
 } // anonymous namespace
@@ -131,10 +150,11 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
 
     // b = 1, x0 = 0  =>  r = b, p = r.
     std::fill(cg.r.begin(), cg.r.end(), 1.0);
-    for (int z = 0; z < cg.nz; ++z)
-        for (std::size_t i = 0; i < cg.plane(); ++i)
-            cg.p[cg.gidx(i, z)] = cg.r[z * cg.plane() + i];
-    cg.rtrans = proc.allreduce(localDot(cg.r, cg.r, cg.rows()));
+    std::copy(cg.r.begin(), cg.r.end(), cg.interior(cg.p));
+    double rr = 0.0;
+    for (double v : cg.r)
+        rr += v * v;
+    cg.rtrans = proc.allreduce(rr);
 
     // FTI setup: protect the CG state that principles 1-3 of the paper's
     // data-dependency analysis identify (defined before the loop, used
@@ -167,32 +187,22 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
                        static_cast<std::size_t>(real_bytes_halo),
                        static_cast<std::size_t>(virt_bytes_halo));
 
-        spmv(cg);
+        const double local_pap = spmvDot(cg);
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 
-        double local_pap = 0.0;
-        for (int z = 0; z < cg.nz; ++z)
-            for (std::size_t i = 0; i < pl; ++i)
-                local_pap += cg.p[cg.gidx(i, z)] * cg.ap[z * pl + i];
         const double pap = proc.allreduce(local_pap);
         // Guard against exact convergence within the fixed iteration
         // budget (keeps re-executed iterations NaN-free).
         const double alpha = pap != 0.0 ? cg.rtrans / pap : 0.0;
-        for (int z = 0; z < cg.nz; ++z) {
-            for (std::size_t i = 0; i < pl; ++i) {
-                cg.x[cg.gidx(i, z)] += alpha * cg.p[cg.gidx(i, z)];
-                cg.r[z * pl + i] -= alpha * cg.ap[z * pl + i];
-            }
-        }
+        const double local_rr =
+            updateXr(cg.interior(cg.x), cg.r.data(), cg.interior(cg.p),
+                     cg.ap.data(), cg.rows(), alpha);
         const double old_rtrans = cg.rtrans;
-        cg.rtrans = proc.allreduce(localDot(cg.r, cg.r, cg.rows()));
+        cg.rtrans = proc.allreduce(local_rr);
         const double beta =
             old_rtrans != 0.0 ? cg.rtrans / old_rtrans : 0.0;
-        for (int z = 0; z < cg.nz; ++z)
-            for (std::size_t i = 0; i < pl; ++i)
-                cg.p[cg.gidx(i, z)] =
-                    cg.r[z * pl + i] + beta * cg.p[cg.gidx(i, z)];
+        updateP(cg.interior(cg.p), cg.r.data(), cg.rows(), beta);
     });
 
     fti.finalize();

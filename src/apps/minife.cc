@@ -66,11 +66,11 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
     const int local_rows = std::max(1, (z_hi - z_lo)) * cfg.nx * cfg.ny;
     const int real_rows = std::min(local_rows, 256);
 
-    // --- Assembly: build a strictly-diagonally-dominant SPD stencil ---
-    // (a stand-in for the hex-element stiffness matrix; the structure
-    // below is a 1-D 3-point stencil over the rank's rows plus coupling
+    // --- Assembly: a strictly-diagonally-dominant SPD stencil ---
+    // (a stand-in for the hex-element stiffness matrix: a 1-D 3-point
+    // stencil over the rank's rows with diagonal `diag`, plus coupling
     // to the z-neighbors through the halo).
-    std::vector<double> diag(real_rows, 4.0);
+    constexpr double diag = 4.0;
     std::vector<double> x(real_rows, 0.0), r(real_rows, 1.0),
         p(real_rows, 1.0), ap(real_rows, 0.0);
     double rtrans = proc.allreduce([&] {
@@ -109,25 +109,34 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
         halo_hi = p.back();
         exchangeHalo1d(proc, &halo_lo, &halo_hi, &ghost_lo, &ghost_hi,
                        sizeof(double), halo_virt);
-        // ap = A p with neighbor coupling at the slab ends.
-        for (int i = 0; i < real_rows; ++i) {
-            double sum = diag[i] * p[i];
-            if (i > 0)
-                sum -= p[i - 1];
-            else if (rank > 0)
-                sum -= ghost_lo;
-            if (i < real_rows - 1)
-                sum -= p[i + 1];
-            else if (rank < size - 1)
+        // ap = A p with neighbor coupling at the slab ends, which the
+        // first and last rows take through the ghosts; p.Ap is summed
+        // in row order on the way.
+        const int last = real_rows - 1;
+        double sum = diag * p[0];
+        if (rank > 0)
+            sum -= ghost_lo;
+        if (last > 0)
+            sum -= p[1];
+        else if (rank < size - 1)
+            sum -= ghost_hi;
+        ap[0] = sum;
+        double local_pap = 0.0; // +0.0 first: a -0.0 term must not lead
+        local_pap += p[0] * sum;
+        for (int i = 1; i < last; ++i) {
+            ap[i] = diag * p[i] - p[i - 1] - p[i + 1];
+            local_pap += p[i] * ap[i];
+        }
+        if (last > 0) {
+            sum = diag * p[last] - p[last - 1];
+            if (rank < size - 1)
                 sum -= ghost_hi;
-            ap[i] = sum;
+            ap[last] = sum;
+            local_pap += p[last] * sum;
         }
         proc.compute(model_flops_base);
         proc.sleepFor(jitterSecondsPerProc * size);
 
-        double local_pap = 0.0;
-        for (int i = 0; i < real_rows; ++i)
-            local_pap += p[i] * ap[i];
         const double pap = proc.allreduce(local_pap);
         const double alpha = pap != 0.0 ? rtrans / pap : 0.0;
         double local_rr = 0.0;

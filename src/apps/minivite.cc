@@ -62,23 +62,27 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
 
     // Synthetic local graph: clustered ring + random chords. Community
     // structure is planted in blocks of 32 so Louvain has something to
-    // find; the layout is deterministic per rank.
+    // find; the layout is deterministic per rank. CSR adjacency: vertex
+    // v's neighbours are adj[first[v] .. first[v + 1]).
     const int n = realVertices;
-    std::vector<std::vector<int>> adj(n);
+    std::vector<int> first(n + 1), adj;
+    adj.reserve(static_cast<std::size_t>(n) * degree);
     {
         util::Rng rng(777, static_cast<std::uint64_t>(proc.rank()));
         for (int v = 0; v < n; ++v) {
+            first[v] = static_cast<int>(adj.size());
             const int block = v / 32;
             for (int k = 0; k < degree - 2; ++k) {
                 // Mostly intra-block edges.
                 const int u = block * 32 +
                               static_cast<int>(rng.below(32));
                 if (u != v)
-                    adj[v].push_back(u);
+                    adj.push_back(u);
             }
-            adj[v].push_back((v + 1) % n);
-            adj[v].push_back(static_cast<int>(rng.below(n)));
+            adj.push_back((v + 1) % n);
+            adj.push_back(static_cast<int>(rng.below(n)));
         }
+        first[n] = static_cast<int>(adj.size());
     }
 
     std::vector<std::int32_t> community(n);
@@ -105,26 +109,38 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
     std::vector<std::int32_t> digest(64), all_digests(
         static_cast<std::size_t>(64) * size);
 
+    std::vector<std::int32_t> next(n), nbr_comm(degree);
+
     // The paper's checkpoint stride of 10 applies to miniVite's short
     // phase loop too (one checkpoint mid-run).
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.maxPhases, [&](int) {
         // Local Louvain pass: move each vertex to the most frequent
         // community among its neighbours (greedy modularity proxy).
-        std::vector<std::int32_t> next = community;
         for (int v = 0; v < n; ++v) {
+            // Gather the neighbours' communities once, then count them
+            // with a small linear scan (degree is tiny). Each community
+            // is counted at its first occurrence only: a repeat has the
+            // same count and cannot change the choice below.
+            const int deg = first[v + 1] - first[v];
+            for (int k = 0; k < deg; ++k)
+                nbr_comm[k] = community[adj[first[v] + k]];
             int best = community[v];
             int best_count = 0;
-            // Count neighbour communities with a small linear scan
-            // (degree is tiny).
-            for (int u : adj[v]) {
-                int count = 0;
-                for (int w : adj[v])
-                    count += (community[w] == community[u]);
+            for (int k = 0; k < deg; ++k) {
+                const std::int32_t c = nbr_comm[k];
+                bool repeat = false;
+                for (int m = 0; m < k; ++m)
+                    repeat |= (nbr_comm[m] == c);
+                if (repeat)
+                    continue;
+                int count = 1;
+                for (int m = k + 1; m < deg; ++m)
+                    count += (nbr_comm[m] == c);
                 if (count > best_count ||
-                    (count == best_count && community[u] < best)) {
+                    (count == best_count && c < best)) {
                     best_count = count;
-                    best = community[u];
+                    best = c;
                 }
             }
             next[v] = best;
@@ -143,9 +159,9 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
         // Global modularity proxy: fraction of edges inside communities.
         long local_in = 0, local_all = 0;
         for (int v = 0; v < n; ++v) {
-            for (int u : adj[v]) {
+            for (int k = first[v]; k < first[v + 1]; ++k) {
                 ++local_all;
-                local_in += (community[u] == community[v]);
+                local_in += (community[adj[k]] == community[v]);
             }
         }
         const double in = static_cast<double>(

@@ -212,6 +212,8 @@ std::string execId(const ExperimentConfig &config, int run);
  * of an unchanged configuration (cost model, app kernels, recovery
  * paths, the .cell format): every previously cached cell then misses
  * instead of replaying a result the current code would not produce.
+ * Such a change also moves the pinned answers it touches: the app
+ * finals in tests/apps/test_apps.cc and CI's fig6 grid-digest pin.
  */
 inline constexpr std::uint32_t kResultFormatVersion = 2;
 

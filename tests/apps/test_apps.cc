@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <utility>
 
 #include "src/apps/amg.hh"
 #include "src/apps/app.hh"
@@ -19,6 +23,7 @@
 #include "src/apps/minife.hh"
 #include "src/apps/minivite.hh"
 #include "src/ft/design.hh"
+#include "src/util/rng.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -64,6 +69,26 @@ runApp(const std::string &app, Design design, bool inject, int procs = 8)
         spec.main(proc, fcfg, params);
     });
     return finals;
+}
+
+/** 64-bit FNV-1a over the finals, one 64-bit word (a double's bits)
+ *  per step in rank order. */
+std::uint64_t
+finalsHash(const std::vector<double> &finals)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (double v : finals) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof bits);
+        h = (h ^ bits) * 1099511628211ULL;
+    }
+    return h;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 } // namespace
@@ -224,6 +249,245 @@ TEST(AppNumerics, MiniviteModularityImproves)
     }
 }
 
+TEST(AppNumerics, FinalsPinnedBitForBit)
+{
+    // The kernels are rewritten for speed only under one rule: every
+    // floating-point operation runs in the same order, so each app's
+    // answer at p8 is pinned to the bit. A change here is a result
+    // change: it needs a kResultFormatVersion bump and new pins.
+    const std::pair<const char *, std::uint64_t> pins[] = {
+        {"AMG", 0x833bb15b785ef483ULL},
+        {"CoMD", 0x4dad21999ed483c3ULL},
+        {"HPCCG", 0xa0594445a1d9fd83ULL},
+        {"LULESH", 0x6062e91f8704ab74ULL},
+        {"miniFE", 0x4e7fd32e80d77763ULL},
+        {"miniVite", 0x421d6cedca21875bULL},
+    };
+    for (const auto &[app, pin] : pins)
+        for (Design design :
+             {Design::RestartFti, Design::ReinitFti, Design::UlfmFti})
+            EXPECT_EQ(finalsHash(runApp(app, design, false)), pin)
+                << app << " under " << ft::designName(design);
+}
+
+// ---------------------------------------------------------------------------
+// CoMD's neighbour list is bit-identical to the all-pairs loop
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+struct Atoms
+{
+    std::vector<double> x, y, z;
+};
+
+struct Forces
+{
+    std::vector<double> fx, fy, fz;
+    double pot = 0.0;
+};
+
+/** The all-pairs Lennard-Jones loop the neighbour list replaces. */
+Forces
+allPairsForces(const Atoms &a)
+{
+    const int n = static_cast<int>(a.x.size());
+    Forces f{std::vector<double>(n, 0.0), std::vector<double>(n, 0.0),
+             std::vector<double>(n, 0.0), 0.0};
+    const double rc2 = detail::ljCutoff * detail::ljCutoff;
+    for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j) {
+            const double dx = a.x[i] - a.x[j];
+            const double dy = a.y[i] - a.y[j];
+            const double dz = a.z[i] - a.z[j];
+            const double r2 = dx * dx + dy * dy + dz * dz;
+            if (r2 > rc2 || r2 < 1e-12)
+                continue;
+            const double inv2 = 1.0 / r2;
+            const double inv6 = inv2 * inv2 * inv2;
+            const double force = 24.0 * inv2 * inv6 * (2.0 * inv6 - 1.0);
+            f.fx[i] += force * dx;
+            f.fy[i] += force * dy;
+            f.fz[i] += force * dz;
+            f.fx[j] -= force * dx;
+            f.fy[j] -= force * dy;
+            f.fz[j] -= force * dz;
+            f.pot += 4.0 * inv6 * (inv6 - 1.0);
+        }
+    }
+    return f;
+}
+
+Forces
+listForces(detail::LjNeighbourList &list, const Atoms &a)
+{
+    const int n = static_cast<int>(a.x.size());
+    Forces f{std::vector<double>(n), std::vector<double>(n),
+             std::vector<double>(n), 0.0};
+    f.pot = list.forces(a.x.data(), a.y.data(), a.z.data(), f.fx.data(),
+                        f.fy.data(), f.fz.data(), n);
+    return f;
+}
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void
+expectListMatchesAllPairs(detail::LjNeighbourList &list, const Atoms &a)
+{
+    const Forces got = listForces(list, a);
+    const Forces want = allPairsForces(a);
+    EXPECT_TRUE(sameBits(got.fx, want.fx));
+    EXPECT_TRUE(sameBits(got.fy, want.fy));
+    EXPECT_TRUE(sameBits(got.fz, want.fz));
+    EXPECT_TRUE(sameBits(got.pot, want.pot))
+        << got.pot << " vs " << want.pot;
+}
+
+/** 64 atoms uniformly at random in a box of edge 6 (CoMD's real set
+ *  has 64 atoms in a box of edge 8; denser puts more pairs near the
+ *  cutoff). */
+Atoms
+randomAtoms(std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    Atoms a;
+    for (int i = 0; i < 64; ++i) {
+        a.x.push_back(rng.uniform(0.0, 6.0));
+        a.y.push_back(rng.uniform(0.0, 6.0));
+        a.z.push_back(rng.uniform(0.0, 6.0));
+    }
+    return a;
+}
+
+/** Largest per-atom displacement that keeps the list. */
+constexpr double kKeepRadius =
+    0.5 * detail::rebuildFraction * detail::verletSkin;
+
+/** Move atom i by `length` towards atom j. */
+void
+moveTowards(Atoms &a, int i, int j, double length)
+{
+    const double dx = a.x[j] - a.x[i];
+    const double dy = a.y[j] - a.y[i];
+    const double dz = a.z[j] - a.z[i];
+    const double d = std::sqrt(dx * dx + dy * dy + dz * dz);
+    a.x[i] += length * dx / d;
+    a.y[i] += length * dy / d;
+    a.z[i] += length * dz / d;
+}
+
+/** For each atom, the nearest atom outside the list radius: the pair
+ *  a too-small skin would first miss. */
+std::vector<int>
+nearestUnlisted(const Atoms &a)
+{
+    const double rl = detail::ljCutoff + detail::verletSkin;
+    const int n = static_cast<int>(a.x.size());
+    std::vector<int> partner(n, -1);
+    for (int i = 0; i < n; ++i) {
+        double best = 0.0;
+        for (int j = 0; j < n; ++j) {
+            const double dx = a.x[i] - a.x[j];
+            const double dy = a.y[i] - a.y[j];
+            const double dz = a.z[i] - a.z[j];
+            const double r2 = dx * dx + dy * dy + dz * dz;
+            if (r2 > rl * rl && (partner[i] < 0 || r2 < best)) {
+                partner[i] = j;
+                best = r2;
+            }
+        }
+    }
+    return partner;
+}
+
+} // namespace
+
+TEST(ComdNeighbourList, MatchesAllPairsOnRandomConfigurations)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        detail::LjNeighbourList list;
+        expectListMatchesAllPairs(list, randomAtoms(seed));
+        EXPECT_EQ(list.builds(), 1);
+    }
+}
+
+TEST(ComdNeighbourList, MovesJustUnderTheThresholdKeepTheListExact)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Atoms a = randomAtoms(seed);
+        detail::LjNeighbourList list;
+        expectListMatchesAllPairs(list, a);
+        // Every atom closes on its nearest unlisted atom by just under
+        // the keep radius: mutual partners close the gap by twice that.
+        const std::vector<int> partner = nearestUnlisted(a);
+        for (int i = 0; i < 64; ++i)
+            if (partner[i] >= 0)
+                moveTowards(a, i, partner[i], 0.999 * kKeepRadius);
+        expectListMatchesAllPairs(list, a);
+        EXPECT_EQ(list.builds(), 1) << "seed " << seed;
+    }
+}
+
+TEST(ComdNeighbourList, AMoveJustOverTheThresholdRebuilds)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        Atoms a = randomAtoms(seed);
+        detail::LjNeighbourList list;
+        expectListMatchesAllPairs(list, a);
+        const int i = static_cast<int>(seed % 64);
+        const int j = nearestUnlisted(a)[i];
+        ASSERT_GE(j, 0);
+        moveTowards(a, i, j, 1.001 * kKeepRadius);
+        expectListMatchesAllPairs(list, a);
+        EXPECT_EQ(list.builds(), 2) << "seed " << seed;
+    }
+}
+
+TEST(ComdNeighbourList, RestoringOlderPositionsInPlaceStaysExact)
+{
+    // FTI restores the protected positions in place: the list sees the
+    // same arrays jump back to an older configuration.
+    Atoms a = randomAtoms(7);
+    const Atoms checkpoint = a;
+    detail::LjNeighbourList list;
+    expectListMatchesAllPairs(list, a);
+    util::Rng rng(99);
+    for (int step = 0; step < 40; ++step) {
+        for (int i = 0; i < 64; ++i) {
+            a.x[i] += rng.uniform(-0.02, 0.02);
+            a.y[i] += rng.uniform(-0.02, 0.02);
+            a.z[i] += rng.uniform(-0.02, 0.02);
+        }
+        expectListMatchesAllPairs(list, a);
+    }
+    const int builds = list.builds();
+    EXPECT_GT(builds, 1);
+    a = checkpoint;
+    expectListMatchesAllPairs(list, a);
+    EXPECT_EQ(list.builds(), builds + 1);
+}
+
+TEST(ComdNeighbourList, NonFinitePositionsMatchTheAllPairsLoop)
+{
+    // A silently corrupted restore can leave NaN or infinite positions.
+    // The all-pairs loop lets a NaN distance through its cutoff test,
+    // so the list must keep such pairs rather than drop them.
+    Atoms a = randomAtoms(3);
+    detail::LjNeighbourList list;
+    expectListMatchesAllPairs(list, a);
+    a.x[5] = std::nan("");
+    expectListMatchesAllPairs(list, a);
+    a.y[9] = std::numeric_limits<double>::infinity();
+    expectListMatchesAllPairs(list, a);
+    EXPECT_EQ(list.builds(), 3);
+}
+
 // ---------------------------------------------------------------------------
 // Failure equivalence: every app under every design
 // ---------------------------------------------------------------------------
@@ -240,8 +504,8 @@ TEST_P(AppDesignMatrix, FailureDoesNotChangeTheAnswer)
     const auto failed = runApp(app, design, true);
     ASSERT_EQ(clean.size(), failed.size());
     for (std::size_t r = 0; r < clean.size(); ++r)
-        EXPECT_DOUBLE_EQ(clean[r], failed[r])
-            << app << " under " << ft::designName(design) << " rank "
+        EXPECT_TRUE(sameBits(clean[r], failed[r]))
+            << clean[r] << " vs " << failed[r] << ": " << app << " under " << ft::designName(design) << " rank "
             << r;
 }
 
