@@ -1,6 +1,7 @@
 #include "src/fti/fti.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
@@ -31,6 +32,33 @@ fnv1a(const void *data, std::size_t bytes, std::uint64_t seed)
 // Path helpers
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** Append n in decimal (std::to_string's digits, no temporary). */
+template <typename Int>
+void
+appendDecimal(std::string &out, Int n)
+{
+    char digits[24];
+    const char *end = std::to_chars(digits, digits + sizeof(digits), n).ptr;
+    out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
+/** prefix + decimal id + suffix, built in one allocation. */
+std::string
+idPath(const std::string &prefix, int id, const char *suffix)
+{
+    std::string path;
+    path.reserve(prefix.size() + 12 + std::strlen(suffix));
+    path.append(prefix);
+    appendDecimal(path, id);
+    path.append(suffix);
+    return path;
+}
+
+} // anonymous namespace
+
 std::string
 Fti::execDir(const FtiConfig &config)
 {
@@ -44,10 +72,21 @@ Fti::localDir(const FtiConfig &config, int rank)
 }
 
 std::string
+Fti::ckptPrefix(const FtiConfig &config, int rank)
+{
+    return localDir(config, rank) + "/ckpt";
+}
+
+std::string
+Fti::metaPrefix(const FtiConfig &config)
+{
+    return execDir(config) + "/meta/ckpt";
+}
+
+std::string
 Fti::ckptFile(const FtiConfig &config, int rank, int ckpt_id)
 {
-    return localDir(config, rank) + "/ckpt" + std::to_string(ckpt_id) +
-           ".fti";
+    return idPath(ckptPrefix(config, rank), ckpt_id, ".fti");
 }
 
 std::string
@@ -75,8 +114,7 @@ Fti::pfsFile(const FtiConfig &config, int rank, int ckpt_id)
 std::string
 Fti::metaFile(const FtiConfig &config, int ckpt_id)
 {
-    return execDir(config) + "/meta/ckpt" + std::to_string(ckpt_id) +
-           ".meta";
+    return idPath(metaPrefix(config), ckpt_id, ".meta");
 }
 
 void
@@ -110,6 +148,7 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     // down to a pointer test.
     faults_ =
         dynamic_cast<storage::FaultInjectingBackend *>(&store_);
+    bindPaths();
     store_.createDirectories(localDir(config_, proc_.runtime().commRank(
                                                    proc_.globalIndex(),
                                                    comm_)));
@@ -122,6 +161,33 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
             prevLevel_ = meta->level;
         }
     }
+}
+
+void
+Fti::setComm(simmpi::CommId comm)
+{
+    comm_ = comm;
+    bindPaths(); // a shrunken world renumbers the ranks
+}
+
+void
+Fti::bindPaths()
+{
+    ckptPrefix_ = ckptPrefix(
+        config_, proc_.runtime().commRank(proc_.globalIndex(), comm_));
+    metaPrefix_ = metaPrefix(config_);
+}
+
+std::string
+Fti::ckptPath(int ckpt_id) const
+{
+    return idPath(ckptPrefix_, ckpt_id, ".fti");
+}
+
+std::string
+Fti::metaPath(int ckpt_id) const
+{
+    return idPath(metaPrefix_, ckpt_id, ".meta");
 }
 
 void
@@ -217,21 +283,77 @@ Fti::deserializeRegions(const std::uint8_t *data, std::size_t bytes)
 // Metadata
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** Call f(r) for every r in [0, n), in the order of r's decimal
+ *  strings (0, 1, 10, 100, 101, ..., 11, ..., 2, ...): a walk of the
+ *  decimal digit trie, so no keys are built or sorted. */
+template <typename F>
+void
+forEachInDecimalStringOrder(int n, F &&f)
+{
+    if (n <= 0)
+        return;
+    f(0); // "0" is the only string that starts with '0'
+    long long r = 1;
+    for (int emitted = 1; emitted < n; ++emitted) {
+        f(static_cast<int>(r));
+        if (r * 10 < n) {
+            r *= 10; // "r" is followed by "r0"
+        } else {
+            // Climb past every last sibling, then step to the next one.
+            while (r % 10 == 9 || r + 1 >= n)
+                r /= 10;
+            ++r;
+        }
+    }
+}
+
+} // anonymous namespace
+
+std::string
+formatMeta(const MetaInfo &meta)
+{
+    // util::IniFile::toString's layout: sections, then keys, in
+    // std::map (lexicographic) order, each section closed by a blank
+    // line. The [ranks] section exists only when it has keys.
+    std::string text;
+    text.reserve(64 + static_cast<std::size_t>(std::max(meta.nprocs, 0)) *
+                          48);
+    text += "[ckpt]\nid = ";
+    appendDecimal(text, meta.ckptId);
+    text += "\nlevel = ";
+    appendDecimal(text, meta.level);
+    text += "\nnprocs = ";
+    appendDecimal(text, meta.nprocs);
+    text += "\n\n";
+    if (meta.nprocs <= 0)
+        return text;
+    text += "[ranks]\n";
+    forEachInDecimalStringOrder(meta.nprocs, [&](int r) {
+        text += "bytes";
+        appendDecimal(text, r);
+        text += " = ";
+        appendDecimal(text, static_cast<long>(meta.bytesPerRank[r]));
+        text += '\n';
+    });
+    forEachInDecimalStringOrder(meta.nprocs, [&](int r) {
+        text += "crc";
+        appendDecimal(text, r);
+        text += " = ";
+        appendDecimal(text, meta.checksumPerRank[r]);
+        text += '\n';
+    });
+    text += '\n';
+    return text;
+}
+
 void
 Fti::commitMeta(const MetaInfo &meta)
 {
-    util::IniFile ini;
-    ini.setInt("ckpt", "id", meta.ckptId);
-    ini.setInt("ckpt", "level", meta.level);
-    ini.setInt("ckpt", "nprocs", meta.nprocs);
-    for (int r = 0; r < meta.nprocs; ++r) {
-        ini.setInt("ranks", "bytes" + std::to_string(r),
-                   static_cast<long>(meta.bytesPerRank[r]));
-        ini.set("ranks", "crc" + std::to_string(r),
-                std::to_string(meta.checksumPerRank[r]));
-    }
-    const std::string path = metaFile(config_, meta.ckptId);
-    const std::string text = ini.toString();
+    const std::string path = metaPath(meta.ckptId);
+    const std::string text = formatMeta(meta);
     ioRetry(
         [&] { store_.writeAtomic(path, text.data(), text.size()); });
 }
@@ -359,7 +481,7 @@ Fti::loadMeta(int ckpt_id) const
     // fault window. Every call fetches, even when the parse is
     // memoized: meta reads are fault-injectable per actor, so a skipped
     // fetch would shift strike budgets and priced retries.
-    const storage::Blob text = fetchRetry(metaFile(config_, ckpt_id));
+    const storage::Blob text = fetchRetry(metaPath(ckpt_id));
     if (!text)
         return nullptr;
     std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
@@ -414,7 +536,7 @@ Fti::removeCheckpointFiles(int id, int level)
     const int size = proc_.runtime().commSize(comm_);
     const int owner = (rank + size - 1) % size; // whose L2 copy I hold
     if (level <= 3)
-        store_.remove(ckptFile(config_, rank, id));
+        store_.remove(ckptPath(id));
     if (level == 2)
         store_.remove(partnerFile(config_, rank, owner, id));
     if (level == 3)
@@ -434,7 +556,7 @@ Fti::removeCheckpointFiles(int id, int level)
         });
     }
     if (rank == 0)
-        store_.remove(metaFile(config_, id));
+        store_.remove(metaPath(id));
 }
 
 void
@@ -527,8 +649,7 @@ Fti::writeLocal(int ckpt_id, const storage::Blob &blob)
 {
     // The constructor created this rank's local directory. The store
     // takes a handle to the sealed snapshot — no payload copy.
-    const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::string path = ckptFile(config_, rank, ckpt_id);
+    const std::string path = ckptPath(ckpt_id);
     ioRetry([&] { store_.write(path, storage::Blob(blob)); });
 }
 
@@ -1234,7 +1355,7 @@ Fti::readStored(const MetaInfo &meta, const char *&why)
     // treated exactly like a lost one, so the level's redundancy
     // absorbs it.
     if (storage::Blob blob =
-            fetchRetry(ckptFile(config_, rank, meta.ckptId));
+            fetchRetry(ckptPath(meta.ckptId));
         intact(blob, meta, rank))
         return blob;
     if (meta.level == 2) {
@@ -1428,7 +1549,7 @@ Fti::scrub()
     if (faults_)
         faults_->setEpoch(newest);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::string path = ckptFile(config_, rank, newest);
+    const std::string path = ckptPath(newest);
     // Retry exhaustion reads as "missing": the scrub just finds
     // nothing to verify and the next recovery handles the fallout.
     const storage::Blob blob = fetchRetry(path);

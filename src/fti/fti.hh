@@ -83,6 +83,14 @@ struct MetaInfo
 std::shared_ptr<const MetaInfo> parseMeta(const storage::Blob &text);
 
 /**
+ * A metadata record's text, written in one pass: byte-identical to the
+ * util::IniFile document with [ckpt] id/level/nprocs and [ranks]
+ * bytes<r>/crc<r> entries (keys in lexicographic order). The per-rank
+ * vectors must hold nprocs entries.
+ */
+std::string formatMeta(const MetaInfo &meta);
+
+/**
  * parseMeta through the calling thread's memo: a bounded LRU keyed by
  * the exact text bytes (same buffer, or same size and equal bytes). All
  * ranks of a job run on one thread, so each distinct record is parsed
@@ -178,7 +186,7 @@ class Fti
 
     /** Re-bind to a repaired world communicator (paper Fig. 3 note:
      *  "FTI must use the repaired world communicator"). */
-    void setComm(simmpi::CommId comm) { comm_ = comm; }
+    void setComm(simmpi::CommId comm);
 
     /** This instance's effective configuration (drain/backend bound). */
     const FtiConfig &config() const { return config_; }
@@ -241,6 +249,16 @@ class Fti
     static void corruptAtRest(const FtiConfig &config, int rank);
 
   private:
+    /** Path prefixes "<ckptFile without id and suffix>" and
+     *  "<metaFile without id and suffix>"; ids are appended to them. */
+    static std::string ckptPrefix(const FtiConfig &config, int rank);
+    static std::string metaPrefix(const FtiConfig &config);
+    /** Cache this rank's prefixes (construction and setComm). */
+    void bindPaths();
+    /** ckptFile(config_, this rank, id) and metaFile(config_, id),
+     *  from the cached prefixes. */
+    std::string ckptPath(int ckpt_id) const;
+    std::string metaPath(int ckpt_id) const;
     /** Snapshot every protected region into one pooled, sealed blob
      *  (the only payload copy on the checkpoint hot path). */
     storage::Blob serializeRegions() const;
@@ -327,6 +345,10 @@ class Fti
     simmpi::Proc &proc_;
     FtiConfig config_;
     simmpi::CommId comm_;
+    /** ckptPrefix(config_, this rank) and metaPrefix(config_), the
+     *  prefixes ckptPath and metaPath append the id to. */
+    std::string ckptPrefix_;
+    std::string metaPrefix_;
     /** Sandbox storage (config's backend, or the shared DiskBackend). */
     storage::Backend &store_;
     /** The fault engine when store_ is a FaultInjectingBackend, else

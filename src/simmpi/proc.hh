@@ -179,6 +179,16 @@ class Proc
         runtime_->allgather(g_, resolve(comm), in, bytes, out, bytes);
     }
 
+    /** Allgather priced as `virtual_bytes` per rank that moves no real
+     *  bytes (the collective twin of sendScaled, for an exchange whose
+     *  result no code reads). */
+    void
+    allgatherPriced(std::size_t virtual_bytes, CommId comm = commNull)
+    {
+        runtime_->allgather(g_, resolve(comm), nullptr, 0, nullptr,
+                            virtual_bytes);
+    }
+
     /** Exclusive prefix sum over int64 (rank 0 gets 0). */
     std::int64_t
     exscan(std::int64_t value, CommId comm = commNull)

@@ -899,10 +899,11 @@ Runtime::releaseColl(int slot)
     op.expected = 0;
     op.arrivedCount = 0;
     op.consumedCount = 0;
-    // Clear, never shrink: the next op in this slot reuses every
-    // contribution/result buffer at its old capacity.
-    for (auto &contrib : op.contrib)
-        contrib.clear();
+    // Clear, never shrink: the next op in this slot reuses the flat
+    // contribution and result buffers at their old capacity. The stale
+    // contribution bytes stay in place (the next op overwrites every
+    // slot it reads, as its given flags record).
+    op.stride = 0;
     op.result.clear();
     op.maxArrival = 0.0;
     op.failed = false;
@@ -960,7 +961,7 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
         op.bytes = virtual_bytes;
         op.expected = static_cast<int>(c.members.size());
         op.arrived.assign(c.members.size(), false);
-        op.contrib.resize(c.members.size());
+        op.given.assign(c.members.size(), false);
     }
     CollectiveOp &op = collOps_[slot];
     MATCH_ASSERT(op.kind == kind && op.data == data,
@@ -969,11 +970,8 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
     MATCH_ASSERT(!op.arrived[lr], "rank joined the same collective twice");
     op.arrived[lr] = true;
     ++op.arrivedCount;
-    if (in && in_bytes) {
-        op.contrib[lr].assign(
-            static_cast<const std::uint8_t *>(in),
-            static_cast<const std::uint8_t *>(in) + in_bytes);
-    }
+    if (in && in_bytes)
+        contribute(op, lr, in, in_bytes);
     op.maxArrival = std::max(op.maxArrival,
                              rs.clock + costModel_.sideOverhead());
 
@@ -1015,6 +1013,29 @@ Runtime::joinCollective(int g, CollKind kind, CollData data, CommId comm,
 }
 
 void
+Runtime::contribute(CollectiveOp &op, int lr, const void *in,
+                    std::size_t bytes)
+{
+    const auto *p = static_cast<const std::uint8_t *>(in);
+    if (op.data == CollData::Bcast) {
+        op.result.assign(p, p + bytes);
+        return;
+    }
+    if (op.stride == 0) {
+        // The first contribution fixes the stride. The buffer only
+        // grows: a warm slot holds the largest op it has served.
+        op.stride = bytes;
+        const std::size_t need = op.arrived.size() * bytes;
+        if (op.contrib.size() < need)
+            op.contrib.resize(need);
+    }
+    MATCH_ASSERT(bytes == op.stride,
+                 "collective contributions differ in size");
+    std::memcpy(op.contrib.data() + lr * op.stride, p, bytes);
+    op.given[lr] = true;
+}
+
+void
 Runtime::completeCollective(CollectiveOp &op)
 {
     const Communicator &c = commRef(op.comm);
@@ -1037,28 +1058,36 @@ Runtime::completeCollective(CollectiveOp &op)
 namespace
 {
 
+/** Fold every given contribution into op.result in local-rank order:
+ *  the first one seeds it, the rest combine elementwise. */
 template <typename T>
 void
-combine(std::vector<std::uint8_t> &acc, const std::vector<std::uint8_t> &in,
-        ReduceOp op)
+reduceInto(std::vector<std::uint8_t> &result,
+           const std::vector<std::uint8_t> &contrib,
+           const std::vector<bool> &given, std::size_t stride, ReduceOp op)
 {
-    if (acc.empty()) {
-        acc = in;
-        return;
-    }
-    MATCH_ASSERT(acc.size() == in.size(), "reduce contribution mismatch");
-    auto *a = reinterpret_cast<T *>(acc.data());
-    const auto *b = reinterpret_cast<const T *>(in.data());
-    const std::size_t n = acc.size() / sizeof(T);
-    for (std::size_t i = 0; i < n; ++i) {
-        switch (op) {
-          case ReduceOp::Sum: a[i] = a[i] + b[i]; break;
-          case ReduceOp::Min: a[i] = std::min(a[i], b[i]); break;
-          case ReduceOp::Max: a[i] = std::max(a[i], b[i]); break;
-          case ReduceOp::Prod: a[i] = a[i] * b[i]; break;
-          case ReduceOp::LogicalAnd:
-            a[i] = static_cast<T>(a[i] && b[i]);
-            break;
+    result.clear();
+    for (std::size_t r = 0; r < given.size(); ++r) {
+        if (!given[r])
+            continue;
+        const std::uint8_t *in = contrib.data() + r * stride;
+        if (result.empty()) {
+            result.assign(in, in + stride);
+            continue;
+        }
+        for (std::size_t off = 0; off + sizeof(T) <= stride;
+             off += sizeof(T)) {
+            T a, b;
+            std::memcpy(&a, result.data() + off, sizeof(T));
+            std::memcpy(&b, in + off, sizeof(T));
+            switch (op) {
+              case ReduceOp::Sum: a = a + b; break;
+              case ReduceOp::Min: a = std::min(a, b); break;
+              case ReduceOp::Max: a = std::max(a, b); break;
+              case ReduceOp::Prod: a = a * b; break;
+              case ReduceOp::LogicalAnd: a = static_cast<T>(a && b); break;
+            }
+            std::memcpy(result.data() + off, &a, sizeof(T));
         }
     }
 }
@@ -1076,36 +1105,36 @@ Runtime::reduceBytes(CollectiveOp &op)
         op.result.clear();
         return;
       case CollData::ReduceDouble:
-        op.result.clear();
-        for (const auto &contrib : op.contrib)
-            combine<double>(op.result, contrib, op.rop);
+        reduceInto<double>(op.result, op.contrib, op.given, op.stride,
+                           op.rop);
         return;
       case CollData::ReduceInt64:
-        op.result.clear();
-        for (const auto &contrib : op.contrib)
-            combine<std::int64_t>(op.result, contrib, op.rop);
+        reduceInto<std::int64_t>(op.result, op.contrib, op.given,
+                                 op.stride, op.rop);
         return;
       case CollData::Bcast:
-        op.result.assign(op.contrib[op.root].begin(),
-                         op.contrib[op.root].end());
-        return;
+        return; // the root's bytes went straight into op.result
       case CollData::Gather:
       case CollData::Allgather:
         op.result.clear();
-        for (const auto &contrib : op.contrib)
-            op.result.insert(op.result.end(), contrib.begin(),
-                             contrib.end());
+        for (std::size_t r = 0; r < op.given.size(); ++r) {
+            if (op.given[r]) {
+                const std::uint8_t *in = op.contrib.data() + r * op.stride;
+                op.result.insert(op.result.end(), in, in + op.stride);
+            }
+        }
         return;
       case CollData::ExscanInt64: {
         op.result.clear();
-        op.result.resize(op.contrib.size() * sizeof(std::int64_t));
-        auto *vals = reinterpret_cast<std::int64_t *>(op.result.data());
+        op.result.resize(op.given.size() * sizeof(std::int64_t));
         std::int64_t running = 0;
-        for (std::size_t r = 0; r < op.contrib.size(); ++r) {
-            vals[r] = running;
-            if (!op.contrib[r].empty()) {
+        for (std::size_t r = 0; r < op.given.size(); ++r) {
+            std::memcpy(op.result.data() + r * sizeof(running), &running,
+                        sizeof(running));
+            if (op.given[r]) {
                 std::int64_t v;
-                std::memcpy(&v, op.contrib[r].data(), sizeof(v));
+                std::memcpy(&v, op.contrib.data() + r * op.stride,
+                            sizeof(v));
                 running += v;
             }
         }

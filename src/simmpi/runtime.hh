@@ -460,7 +460,10 @@ class Runtime
     /** One in-flight collective, living in a recycled slot of
      *  collOps_. Identified by (comm, seq); slots keep their buffer
      *  capacities across reuse so steady-state collectives allocate
-     *  nothing. */
+     *  nothing. Contributions share one flat buffer in local-rank
+     *  order: rank r's bytes sit at [r * stride, (r + 1) * stride)
+     *  when given[r]. A broadcast's only contribution, the root's,
+     *  goes straight into result. */
     struct CollectiveOp
     {
         bool active = false;
@@ -475,7 +478,9 @@ class Runtime
         int arrivedCount = 0;
         int consumedCount = 0;
         std::vector<bool> arrived;
-        std::vector<std::vector<std::uint8_t>> contrib;
+        std::vector<bool> given;
+        std::size_t stride = 0; ///< 0 until the first contribution
+        std::vector<std::uint8_t> contrib;
         std::vector<std::uint8_t> result;
         SimTime maxArrival = 0.0;
         bool failed = false;
@@ -549,6 +554,9 @@ class Runtime
                         std::size_t in_bytes, std::size_t virtual_bytes,
                         void *out, std::size_t out_offset,
                         std::size_t out_bytes);
+    /** Store local rank lr's contribution in op's flat buffer. */
+    void contribute(CollectiveOp &op, int lr, const void *in,
+                    std::size_t bytes);
     void completeCollective(CollectiveOp &op);
     void reduceBytes(CollectiveOp &op);
     /** Slot of the active (comm, seq) op in collOps_, or -1. */

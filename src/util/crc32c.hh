@@ -9,8 +9,9 @@
  *
  *  - a portable slice-by-8 table kernel (eight 256-entry tables,
  *    8 bytes per iteration), the correctness reference;
- *  - the x86 SSE4.2 crc32 instruction kernel (3 x _mm_crc32_u64 per
- *    cycle on modern cores), selected at runtime via cpu::features().
+ *  - the x86 SSE4.2 crc32 instruction kernel, selected at runtime via
+ *    cpu::features(): three interleaved _mm_crc32_u64 streams over
+ *    3 x 8 KiB and 3 x 256 B chunks, joined with zero-shift tables.
  *
  * Both kernels accept any alignment and length and agree bit-for-bit;
  * MATCH_CRC_KERNEL=scalar forces the table kernel (mirroring the

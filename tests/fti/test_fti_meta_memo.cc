@@ -295,3 +295,63 @@ INSTANTIATE_TEST_SUITE_P(Backends, FtiMetaMemo,
                              return std::string(
                                  storage::kindName(info.param));
                          });
+
+namespace
+{
+
+/** The record text as util::IniFile serializes it (the reference
+ *  layout fti::formatMeta writes directly). */
+std::string
+iniMetaText(const MetaInfo &meta)
+{
+    util::IniFile ini;
+    ini.setInt("ckpt", "id", meta.ckptId);
+    ini.setInt("ckpt", "level", meta.level);
+    ini.setInt("ckpt", "nprocs", meta.nprocs);
+    for (int r = 0; r < meta.nprocs; ++r) {
+        ini.setInt("ranks", "bytes" + std::to_string(r),
+                   static_cast<long>(meta.bytesPerRank[r]));
+        ini.set("ranks", "crc" + std::to_string(r),
+                std::to_string(meta.checksumPerRank[r]));
+    }
+    return ini.toString();
+}
+
+} // namespace
+
+TEST(FtiMetaText, DirectWriterMatchesIniFileAndRoundTrips)
+{
+    // Rank counts on both sides of each extra decimal digit, where the
+    // lexicographic key order differs most from the numeric one.
+    for (int nprocs : {1, 2, 9, 10, 11, 99, 100, 101, 512}) {
+        MetaInfo meta;
+        meta.ckptId = 1000 + nprocs;
+        meta.level = 1 + nprocs % 4;
+        meta.nprocs = nprocs;
+        for (int r = 0; r < nprocs; ++r) {
+            meta.bytesPerRank.push_back(
+                (std::size_t{1} << 40) + 18432 + static_cast<std::size_t>(r));
+            // CRC32C values at the top of their range, plus the widest
+            // value the uint64 field can hold.
+            meta.checksumPerRank.push_back(
+                r == 0 ? ~std::uint64_t{0}
+                       : 0xFFFFFFFFull - static_cast<std::uint64_t>(r));
+        }
+        meta.complete = true;
+        const std::string text = fti::formatMeta(meta);
+        ASSERT_EQ(text, iniMetaText(meta)) << "nprocs " << nprocs;
+
+        const auto parsed = fti::parseMeta(asBlob(text));
+        ASSERT_NE(parsed, nullptr);
+        expectSameMeta(parsed.get(), &meta);
+
+        // First sight parses; an equal copy in a fresh buffer is a hit
+        // and yields the same record.
+        const auto first = fti::parseMetaMemo(asBlob(text));
+        const auto before = fti::metaMemoStats();
+        const auto again = fti::parseMetaMemo(asBlob(text));
+        EXPECT_EQ(fti::metaMemoStats().hits, before.hits + 1);
+        expectSameMeta(first.get(), &meta);
+        expectSameMeta(again.get(), &meta);
+    }
+}

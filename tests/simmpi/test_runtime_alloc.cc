@@ -182,28 +182,54 @@ TEST(SimMpiRuntimeAlloc, SteadyStatePingPongIsAllocationFree)
 
 TEST(SimMpiRuntimeAlloc, SteadyStateCollectivesAreAllocationFree)
 {
+    // Every collective kind shares the slots' flat contribution and
+    // result buffers; once each has run, none may touch the heap.
+    constexpr int kProcs = 8;
     Runtime rt;
     std::uint64_t delta = ~0ull;
     double sum = 0.0;
-    rt.run(options(8), [&](Proc &proc) {
+    bool results_ok = true;
+    rt.run(options(kProcs), [&](Proc &proc) {
+        const int me = proc.rank();
+        std::int64_t row[4] = {};
+        std::int64_t all_rows[4 * kProcs] = {};
+        std::int64_t gathered[2 * kProcs] = {};
         auto round = [&](int iters) {
             double acc = 0.0;
             for (int i = 0; i < iters; ++i) {
-                acc = proc.allreduce(static_cast<double>(proc.rank()));
+                acc = proc.allreduce(static_cast<double>(me));
                 proc.barrier();
+                for (int k = 0; k < 4; ++k)
+                    row[k] = me * 4 + k + i;
+                proc.allgather(row, sizeof(row), all_rows);
+                proc.gather(kProcs - 1, row, 2 * sizeof(std::int64_t),
+                            gathered);
+                std::int64_t token = me == 3 ? 1000 + i : -1;
+                proc.bcast(3, &token, sizeof(token));
+                const std::int64_t prefix = proc.exscan(me + 1);
+                bool ok = token == 1000 + i && prefix == me * (me + 1) / 2;
+                for (int r = 0; r < kProcs; ++r) {
+                    for (int k = 0; k < 4; ++k)
+                        ok = ok && all_rows[4 * r + k] == r * 4 + k + i;
+                    if (me == kProcs - 1)
+                        ok = ok && gathered[2 * r] == r * 4 + i &&
+                             gathered[2 * r + 1] == r * 4 + 1 + i;
+                }
+                results_ok = results_ok && ok;
             }
             return acc;
         };
         round(16); // warm-up
         const std::uint64_t before = allocCount();
         const double acc = round(64);
-        if (proc.rank() == 0) {
+        if (me == 0) {
             delta = allocCount() - before;
             sum = acc;
         }
     });
     EXPECT_EQ(delta, 0u) << "per-collective heap traffic crept back in";
     EXPECT_DOUBLE_EQ(sum, 0.0 + 1 + 2 + 3 + 4 + 5 + 6 + 7);
+    EXPECT_TRUE(results_ok);
 }
 
 TEST(SimMpiRuntimeAlloc, ConcurrentRuntimesRecyclePooledState)

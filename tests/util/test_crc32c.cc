@@ -3,8 +3,10 @@
  * CRC32C contract tests: the RFC 3720 check value, incremental ==
  * whole-buffer equivalence at every split point, agreement with an
  * independent bitwise reference over random buffers at every alignment,
- * and the dispatcher's kernel name. MATCH_CRC_KERNEL=scalar in the CI
- * matrix pins the slice-by-8 path so both kernels pass this file.
+ * the lengths where the SSE4.2 kernel's 3-way blocking (3 x 256 B and
+ * 3 x 8 KiB chunks) starts and ends, and the dispatcher's kernel name.
+ * CI runs this file once more with MATCH_CRC_KERNEL=scalar, which pins
+ * the slice-by-8 path, so both kernels pass it.
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +83,60 @@ TEST(Crc32c, MatchesBitwiseReferenceAtEveryAlignmentAndLength)
             EXPECT_EQ(crc32c(buf.data() + offset, len),
                       referenceCrc32c(buf.data() + offset, len))
                 << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+namespace
+{
+
+/** Lengths at the edges of the 3-way kernel's short (3 x 256 B) and
+ *  long (3 x 8 KiB) chunks, and an odd ~100 KiB length that runs both
+ *  passes and the tails. */
+const std::size_t kBlockingEdges[] = {767,   768,   769,   1535,  1536,
+                                      1537,  24575, 24576, 24577, 49152,
+                                      102407};
+
+std::vector<std::uint8_t>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    match::util::Rng rng(seed);
+    std::vector<std::uint8_t> buf(n);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.below(256));
+    return buf;
+}
+
+} // namespace
+
+TEST(Crc32c, MatchesReferenceAtThreeWayBlockingEdges)
+{
+    const std::vector<std::uint8_t> buf = randomBytes(102407 + 8, 20261018);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len : kBlockingEdges) {
+            EXPECT_EQ(crc32c(buf.data() + offset, len),
+                      referenceCrc32c(buf.data() + offset, len))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32c, IncrementalEqualsWholeAcrossBlockingEdges)
+{
+    // Split points on both sides of each chunk boundary, so a piece
+    // starts or ends one byte into (or short of) a 3-way chunk.
+    const std::vector<std::uint8_t> buf = randomBytes(102407, 7);
+    for (std::size_t len : kBlockingEdges) {
+        const std::uint32_t whole = crc32c(buf.data(), len);
+        for (std::size_t split :
+             {std::size_t{1}, std::size_t{7}, std::size_t{767},
+              std::size_t{768}, std::size_t{769}, std::size_t{24575},
+              std::size_t{24576}, std::size_t{24577}, len / 2, len - 1}) {
+            if (split > len)
+                continue;
+            const std::uint32_t head = crc32c(0u, buf.data(), split);
+            EXPECT_EQ(crc32c(head, buf.data() + split, len - split), whole)
+                << "len " << len << " split at " << split;
         }
     }
 }
