@@ -1,7 +1,7 @@
 /**
  * @file
- * FTI configuration, read from an INI file like the real library
- * (FTI_Init's first argument is the config path).
+ * FTI configuration: the real library's [basic]/[advanced] INI
+ * settings plus the simulation's storage and transform knobs.
  */
 
 #ifndef MATCH_FTI_CONFIG_HH
@@ -13,12 +13,11 @@
 #include "src/storage/backend.hh"
 #include "src/storage/drain.hh"
 #include "src/storage/transform.hh"
-#include "src/util/ini.hh"
 
 namespace match::fti
 {
 
-/** Parsed [basic]/[advanced] FTI configuration. */
+/** FTI configuration (the real library's [basic]/[advanced] keys). */
 struct FtiConfig
 {
     /** Root of the checkpoint sandbox. Subdirectories model the storage
@@ -97,7 +96,7 @@ struct FtiConfig
     /** Storage backend the sandbox lives in. Null selects the shared
      *  DiskBackend (the historical on-disk semantics); experiment runs
      *  install a per-run MemBackend here so the checkpoint hot path
-     *  makes zero syscalls. Not part of the INI round trip. */
+     *  makes zero syscalls. */
     std::shared_ptr<storage::Backend> backend;
 
     /** Drain worker executing L4 PFS flushes. Shared by every FTI
@@ -106,18 +105,8 @@ struct FtiConfig
      *  create a private sync worker — flushes then run inline at
      *  enqueue, which is what the unit tests that inspect the sandbox
      *  between phases rely on. Simulated results are bit-identical for
-     *  any worker mode or queue depth; only wall-clock changes. Not
-     *  part of the INI round trip. */
+     *  any worker mode or queue depth; only wall-clock changes. */
     std::shared_ptr<storage::DrainWorker> drain;
-
-    /** Load from an INI file; missing keys keep their defaults. */
-    static FtiConfig fromFile(const std::string &path);
-
-    /** Load from INI text (used by tests). */
-    static FtiConfig fromIni(const util::IniFile &ini);
-
-    /** Serialize to INI for round-tripping. */
-    util::IniFile toIni() const;
 };
 
 } // namespace match::fti

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/fti/rs_codec.hh"
-#include "src/util/crc32c.hh"
+#include "src/util/ini.hh"
 #include "src/util/logging.hh"
 #include "src/util/phase.hh"
 
@@ -149,11 +149,6 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     faults_ =
         dynamic_cast<storage::FaultInjectingBackend *>(&store_);
     bindPaths();
-    store_.createDirectories(localDir(config_, proc_.runtime().commRank(
-                                                   proc_.globalIndex(),
-                                                   comm_)));
-    store_.createDirectories(execDir(config_) + "/meta");
-    store_.createDirectories(execDir(config_) + "/pfs/diff");
     recoveryCkptId_ = newestCommittedCkpt();
     if (recoveryCkptId_ > 0) {
         if (const auto meta = loadMeta(recoveryCkptId_)) {
@@ -354,8 +349,9 @@ Fti::commitMeta(const MetaInfo &meta)
 {
     const std::string path = metaPath(meta.ckptId);
     const std::string text = formatMeta(meta);
-    ioRetry(
-        [&] { store_.writeAtomic(path, text.data(), text.size()); });
+    const storage::Blob blob =
+        storage::BlobPool::local().copyOf(text.data(), text.size());
+    ioRetry([&] { store_.writeAtomic(path, blob); });
 }
 
 std::shared_ptr<const MetaInfo>
@@ -398,7 +394,7 @@ namespace
  * The calling thread's parsed meta records, least recently used
  * evicted first. Each entry pins the text buffer it was parsed from, so
  * a buffer address seen again is the same immutable bytes — the fast
- * path under MemBackend, whose fetch hands out the stored object. A
+ * path under MemBackend, whose read hands out the stored object. A
  * fresh copy (DiskBackend) matches by size, CRC32C and equal bytes.
  */
 struct MetaMemo
@@ -627,30 +623,19 @@ storage::Blob
 Fti::fetchRetry(const std::string &path) const
 {
     try {
-        return ioRetry([&] { return storage::fetch(store_, path); });
+        return ioRetry([&] { return store_.read(path); });
     } catch (const storage::StorageError &) {
         return storage::Blob(); // unreadable past the budget: lost
-    }
-}
-
-bool
-Fti::readRetry(const std::string &path,
-               std::vector<std::uint8_t> &out) const
-{
-    try {
-        return ioRetry([&] { return store_.read(path, out); });
-    } catch (const storage::StorageError &) {
-        return false;
     }
 }
 
 void
 Fti::writeLocal(int ckpt_id, const storage::Blob &blob)
 {
-    // The constructor created this rank's local directory. The store
-    // takes a handle to the sealed snapshot — no payload copy.
+    // The store takes a handle to the sealed snapshot — no payload
+    // copy.
     const std::string path = ckptPath(ckpt_id);
-    ioRetry([&] { store_.write(path, storage::Blob(blob)); });
+    ioRetry([&] { store_.write(path, blob); });
 }
 
 void
@@ -662,12 +647,8 @@ Fti::writePartnerCopy(int ckpt_id, const storage::Blob &blob)
     const int size = proc_.runtime().commSize(comm_);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     const int holder = (rank + 1) % size;
-    if (!auxDirsCreated_) {
-        store_.createDirectories(localDir(config_, holder));
-        auxDirsCreated_ = true;
-    }
     const std::string path = partnerFile(config_, holder, rank, ckpt_id);
-    ioRetry([&] { store_.write(path, storage::Blob(blob)); });
+    ioRetry([&] { store_.write(path, blob); });
 }
 
 void
@@ -689,12 +670,12 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     if (m == 0)
         return;
 
-    // Fetch the members' blobs for the encoder: a refcounted view
+    // Read the members' blobs for the encoder: a refcounted handle
     // under MemBackend (the leader never re-reads bytes it just
     // wrote), exactly one copy under DiskBackend. Shards shorter than
     // the stripe are zero-padded implicitly by the span encoder, and
-    // the parity rows are built directly in pooled buffers that the
-    // store then takes by ownership transfer.
+    // the parity rows are built directly in pooled buffers whose
+    // handles the store then keeps.
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
         stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
@@ -715,18 +696,9 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     auto parity =
         codec.encode(data, stripe, storage::BlobPool::local());
     for (int p = 0; p < m; ++p) {
-        const int holder = group_lo + p;
-        if (!auxDirsCreated_)
-            store_.createDirectories(localDir(config_, holder));
-        const std::string path = parityFile(config_, holder, ckpt_id);
-        // Each attempt writes a handle copy (refcounted, no byte
-        // copy): an inner backend throwing AFTER taking ownership of a
-        // moved blob would otherwise retry with a moved-from husk and
-        // commit a garbage parity object.
-        ioRetry(
-            [&] { store_.write(path, storage::Blob(parity[p])); });
+        const std::string path = parityFile(config_, group_lo + p, ckpt_id);
+        ioRetry([&] { store_.write(path, parity[p]); });
     }
-    auxDirsCreated_ = true;
 }
 
 namespace
@@ -770,26 +742,21 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
             storage::transformHasCompress(config.transform)
                 ? storage::compressEncode(blob)
                 : blob;
-        retried([&] {
-            store.write(Fti::pfsFile(config, rank, ckpt_id),
-                        storage::Blob(out));
-        });
+        retried(
+            [&] { store.write(Fti::pfsFile(config, rank, ckpt_id), out); });
         return out.size();
     }
     const std::string dir = Fti::execDir(config) + "/pfs/diff/rank" +
                             std::to_string(rank);
-    store.createDirectories(dir);
     const std::string base = dir + "/base.fti";
     const storage::Blob base_blob =
-        retried([&] { return storage::fetch(store, base); });
+        retried([&] { return store.read(base); });
     if (!base_blob) {
         // The base image also serves as this checkpoint's PFS copy;
         // both paths share the staged buffer by refcount.
-        retried([&] { store.write(base, storage::Blob(blob)); });
-        retried([&] {
-            store.write(Fti::pfsFile(config, rank, ckpt_id),
-                        storage::Blob(blob));
-        });
+        retried([&] { store.write(base, blob); });
+        retried(
+            [&] { store.write(Fti::pfsFile(config, rank, ckpt_id), blob); });
         return blob.size();
     }
     // Delta vs base, built straight into the stored payload:
@@ -822,7 +789,7 @@ pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
         dir + "/delta" + std::to_string(ckpt_id) + ".fti";
     const storage::Blob delta_blob =
         storage::Blob::fromVector(std::move(payload));
-    retried([&] { store.write(delta_path, storage::Blob(delta_blob)); });
+    retried([&] { store.write(delta_path, delta_blob); });
     return changed;
 }
 
@@ -1250,32 +1217,35 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
     for (int i = 0; i < k; ++i)
         stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
 
+    // The codec decodes in place, so each surviving shard is copied
+    // out of its (immutable) stored blob into a stripe-sized buffer.
     std::vector<std::optional<std::vector<std::uint8_t>>> shards(
         static_cast<std::size_t>(k + m));
+    const auto take = [&](const storage::Blob &blob) {
+        std::vector<std::uint8_t> buf(stripe, 0);
+        std::copy_n(blob.data(), blob.size(), buf.begin());
+        storage::noteBlobCopy(blob.size());
+        return buf;
+    };
     for (int i = 0; i < k; ++i) {
         const int member = group_lo + i;
-        std::vector<std::uint8_t> buf;
         // A data shard that is unreadable, mis-sized or fails its CRC32C
         // is a lost shard: a corrupt member would poison the whole
         // stripe's reconstruction, while the parity rebuilds a missing
         // one.
-        if (!readRetry(ckptFile(config_, member, meta.ckptId), buf) ||
-            buf.size() != meta.bytesPerRank[member] ||
-            util::crc32c(buf.data(), buf.size()) !=
-                meta.checksumPerRank[member])
-            continue;
-        buf.resize(stripe, 0);
-        shards[i] = std::move(buf);
+        const storage::Blob blob =
+            fetchRetry(ckptFile(config_, member, meta.ckptId));
+        if (intact(blob, meta, member))
+            shards[i] = take(blob);
     }
     for (int p = 0; p < m; ++p) {
-        std::vector<std::uint8_t> buf;
         // Like a data shard, a parity shard unreadable past the retry
         // budget is simply a lost shard — the codec reconstructs
         // around it while enough members survive.
-        if (readRetry(parityFile(config_, group_lo + p, meta.ckptId),
-                      buf) &&
-            buf.size() == stripe)
-            shards[k + p] = std::move(buf);
+        const storage::Blob blob =
+            fetchRetry(parityFile(config_, group_lo + p, meta.ckptId));
+        if (blob && blob.size() == stripe)
+            shards[k + p] = take(blob);
     }
     const RsCodec codec(k, m);
     auto data = codec.reconstruct(shards);
@@ -1293,7 +1263,7 @@ Fti::readPfsBlob(const MetaInfo &meta, const char *&why)
     // Unlike the local tiers, a PFS read exhausted past the retry
     // budget throws StorageError, which ends the rung.
     const auto fetch = [this](const std::string &path) {
-        return ioRetry([&] { return storage::fetch(store_, path); });
+        return ioRetry([&] { return store_.read(path); });
     };
     if (storage::Blob whole = fetch(pfsFile(config_, rank, meta.ckptId))) {
         if (!storage::transformHasCompress(config_.transform))
@@ -1319,7 +1289,7 @@ Fti::readPfsBlob(const MetaInfo &meta, const char *&why)
         return storage::Blob();
     }
     // Differential path: base + the delta for this checkpoint. The
-    // base and delta are immutable fetched views; the restored image
+    // base and delta are immutable read handles; the restored image
     // is materialized once into a fresh buffer.
     const std::string dir =
         execDir(config_) + "/pfs/diff/rank" + std::to_string(rank);
@@ -1569,6 +1539,32 @@ Fti::scrub()
     writeSeconds_ += proc_.now() - t0;
 }
 
+namespace
+{
+
+/**
+ * Bit-rot one stored object in place: flip byte `at` (the middle byte
+ * by default) and rewrite the object atomically. A missing object, or
+ * one too short to hold byte `at`, is left alone.
+ */
+void
+flipByte(storage::Backend &store, const std::string &path,
+         std::size_t at = std::string::npos)
+{
+    const storage::Blob blob = store.read(path);
+    if (at == std::string::npos)
+        at = blob.size() / 2;
+    if (at >= blob.size())
+        return;
+    std::vector<std::uint8_t> bytes(blob.data(),
+                                    blob.data() + blob.size());
+    storage::noteBlobCopy(bytes.size());
+    bytes[at] ^= 0x5a;
+    store.writeAtomic(path, storage::Blob::fromVector(std::move(bytes)));
+}
+
+} // anonymous namespace
+
 void
 Fti::corruptAtRest(const FtiConfig &config, int rank)
 {
@@ -1589,7 +1585,7 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         // it must never abort the simulation driver.
         storage::Blob text;
         try {
-            text = storage::fetch(store, metaFile(config, id));
+            text = store.read(metaFile(config, id));
         } catch (const storage::StorageError &) {
         }
         if (!text)
@@ -1604,16 +1600,11 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         return;
 
     if (level <= 3) {
-        std::vector<std::uint8_t> bytes;
-        const std::string path = ckptFile(config, rank, newest);
         // Corruption injection is best-effort: a storage-fault window
         // open at injection time just means the flip found nothing to
         // rot.
         try {
-            if (store.read(path, bytes) && !bytes.empty()) {
-                bytes[bytes.size() / 2] ^= 0x5a;
-                store.writeAtomic(path, bytes.data(), bytes.size());
-            }
+            flipByte(store, ckptFile(config, rank, newest));
         } catch (const storage::StorageError &) {
         }
         return;
@@ -1628,33 +1619,18 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         storage::Backend &st = storage::resolve(job_config.backend);
         const std::string dir = execDir(job_config) + "/pfs/diff/rank" +
                                 std::to_string(rank);
-        std::vector<std::uint8_t> bytes;
         try {
             // Whole-file PFS copy (present when this checkpoint is the
-            // differential base).
-            const std::string whole = pfsFile(job_config, rank, newest);
-            if (st.read(whole, bytes) && !bytes.empty()) {
-                bytes[bytes.size() / 2] ^= 0x5a;
-                st.writeAtomic(whole, bytes.data(), bytes.size());
-            }
-            // Base image.
-            const std::string base = dir + "/base.fti";
-            if (st.read(base, bytes) && !bytes.empty()) {
-                bytes[bytes.size() / 2] ^= 0x5a;
-                st.writeAtomic(base, bytes.data(), bytes.size());
-            }
+            // differential base), then the base image.
+            flipByte(st, pfsFile(job_config, rank, newest));
+            flipByte(st, dir + "/base.fti");
             // Delta: flip a byte inside the first record's payload
             // (never the framing, which recovery parses before
             // verifying), so the corruption survives into the restored
             // image even when the delta overwrites the flipped base
             // block.
-            const std::string delta =
-                dir + "/delta" + std::to_string(newest) + ".fti";
-            if (st.read(delta, bytes) &&
-                bytes.size() > 3 * sizeof(std::uint64_t)) {
-                bytes[3 * sizeof(std::uint64_t)] ^= 0x5a;
-                st.writeAtomic(delta, bytes.data(), bytes.size());
-            }
+            flipByte(st, dir + "/delta" + std::to_string(newest) + ".fti",
+                     3 * sizeof(std::uint64_t));
         } catch (const storage::StorageError &) {
             // Best-effort (see the L1-3 path): an open fault window
             // foils the injection, never the drain worker.

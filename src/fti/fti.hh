@@ -5,7 +5,7 @@
  *
  * The API mirrors the real library's usage pattern (paper Figure 1):
  *
- *     Fti fti(proc, FtiConfig::fromFile(argv[1]), world); // FTI_Init
+ *     Fti fti(proc, config, world);                       // FTI_Init
  *     fti.protect(0, &iter, sizeof(iter));                // FTI_Protect
  *     fti.protect(1, x.data(), bytes(x));
  *     while (...) {
@@ -334,13 +334,9 @@ class Fti
     auto ioRetry(Op &&op) const -> decltype(op());
     /** The retry budget (the fault engine's when one is attached). */
     int ioRetryLimit() const;
-    /** storage::fetch with the retry policy; retry exhaustion reads
+    /** Backend::read with the retry policy; retry exhaustion reads
      *  as a lost object (a null blob). */
     storage::Blob fetchRetry(const std::string &path) const;
-    /** Backend::read with the retry policy; retry exhaustion reads as
-     *  a lost object (false). */
-    bool readRetry(const std::string &path,
-                   std::vector<std::uint8_t> &out) const;
 
     simmpi::Proc &proc_;
     FtiConfig config_;
@@ -369,7 +365,6 @@ class Fti
     double writeSeconds_ = 0.0;
     double readSeconds_ = 0.0;
     bool finalized_ = false;
-    bool auxDirsCreated_ = false;
     /** Previous committed checkpoint (for precise cleanup). */
     int prevCkptId_ = 0;
     int prevLevel_ = 0;

@@ -66,7 +66,7 @@ class RsCodec
     /**
      * Same fused pass, but the m parity rows are built directly in
      * pooled buffers and returned as sealed blobs, ready for a
-     * zero-copy ownership-transfer write into the storage backend.
+     * zero-copy write into the storage backend.
      * Bit-identical to the vector overloads for every kernel.
      */
     std::vector<storage::Blob>

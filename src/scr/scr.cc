@@ -112,7 +112,6 @@ Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     // out in-flight jobs so the decision depends only on what was
     // admitted (deterministic), never on the worker's wall schedule.
     drain().quiesce();
-    store_.createDirectories(jobDir(config_));
     lastCommitted_ = newestCommittedDataset();
     restartDataset_ = lastCommitted_;
 }
@@ -164,7 +163,7 @@ storage::Blob
 Scr::fetchSoft(const std::string &path) const
 {
     try {
-        return ioRetry([&] { return storage::fetch(store_, path); });
+        return ioRetry([&] { return store_.read(path); });
     } catch (const storage::StorageError &) {
         return storage::Blob(); // unreadable == lost: next tier's turn
     }
@@ -181,10 +180,10 @@ Scr::copySoft(const std::string &src, const std::string &dst)
 }
 
 bool
-Scr::writeSoft(const std::string &path, storage::Blob &&blob)
+Scr::writeSoft(const std::string &path, storage::Blob blob)
 {
     try {
-        ioRetry([&] { store_.write(path, storage::Blob(blob)); });
+        ioRetry([&] { store_.write(path, blob); });
         return true;
     } catch (const storage::StorageError &) {
         return false;
@@ -241,8 +240,6 @@ Scr::startCheckpoint()
                  "SCR_Start_checkpoint while a checkpoint is open");
     writingDataset_ = lastCommitted_ + 1;
     routedFiles_.clear();
-    store_.createDirectories(
-        datasetDir(config_, writingDataset_, rank()));
 }
 
 std::string
@@ -270,7 +267,6 @@ Scr::applyRedundancy()
         const std::string dst =
             datasetDir(config_, writingDataset_, holder) + "-partner" +
             std::to_string(r);
-        store_.createDirectories(dst);
         for (const std::string &name : routedFiles_) {
             const std::string src =
                 datasetDir(config_, writingDataset_, r) + "/" + name;
@@ -377,7 +373,6 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
     const std::string src_dir = Scr::datasetDir(config, dataset, rank);
     const std::string dst_dir =
         Scr::prefixDatasetDir(config, dataset, rank);
-    store.createDirectories(dst_dir);
     const bool compress =
         storage::transformHasCompress(config.transform);
     std::uint64_t shipped = 0;
@@ -389,7 +384,7 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
             // Ship the compress envelope; fetch undoes it. Sidecars
             // keep covering the raw bytes the application wrote.
             const storage::Blob raw =
-                retried([&] { return storage::fetch(store, src); });
+                retried([&] { return store.read(src); });
             if (raw) {
                 retried([&] {
                     store.write(dst, storage::compressEncode(raw));
@@ -410,9 +405,11 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
         shipped += bytes;
     }
     static const char text[] = "flushed\n";
+    const storage::Blob marker =
+        storage::BlobPool::local().copyOf(text, sizeof(text) - 1);
     retried([&] {
         store.writeAtomic(Scr::flushedMarkerFile(config, dataset, rank),
-                          text, sizeof(text) - 1);
+                          marker);
     });
     return shipped;
 }
@@ -569,9 +566,11 @@ Scr::completeCheckpoint(bool valid)
                 if (!file)
                     continue;
                 const std::string crc = std::to_string(file.crc32c());
+                const storage::Blob sidecar =
+                    storage::BlobPool::local().copyOf(crc.data(),
+                                                      crc.size());
                 ioRetry([&] {
-                    store_.writeAtomic(path + ".crc32c", crc.data(),
-                                       crc.size());
+                    store_.writeAtomic(path + ".crc32c", sidecar);
                 });
             }
         }
@@ -582,9 +581,11 @@ Scr::completeCheckpoint(bool valid)
             proc_.barrier();
         if (rank() == 0) {
             static const char text[] = "committed\n";
+            const storage::Blob marker =
+                storage::BlobPool::local().copyOf(text, sizeof(text) - 1);
             ioRetry([&] {
                 store_.writeAtomic(markerFile(config_, writingDataset_),
-                                   text, sizeof(text) - 1);
+                                   marker);
             });
         }
         int committed = 1;
@@ -701,8 +702,6 @@ Scr::tryRebuildFromPartner(const std::string &name)
                             name;
     if (!store_.exists(src))
         return false;
-    store_.createDirectories(datasetDir(config_, restartDataset_,
-                                        rank()));
     const std::string dst =
         datasetDir(config_, restartDataset_, rank()) + "/" + name;
     if (!copySoft(src, dst))
@@ -744,8 +743,6 @@ Scr::tryRebuildFromXor(const std::string &name)
     }
     // The recovered blob is padded to the stripe; the application reads
     // the bytes it wrote (sizes are application knowledge under SCR).
-    store_.createDirectories(datasetDir(config_, restartDataset_,
-                                        rank()));
     return writeSoft(datasetDir(config_, restartDataset_, rank()) +
                          "/" + name,
                      std::move(acc).seal());
@@ -762,8 +759,6 @@ Scr::tryFetchFromPrefix(const std::string &name)
         prefixDatasetDir(config_, restartDataset_, rank()) + "/" + name;
     if (!store_.exists(src))
         return false;
-    store_.createDirectories(datasetDir(config_, restartDataset_,
-                                        rank()));
     const std::string dst =
         datasetDir(config_, restartDataset_, rank()) + "/" + name;
     if (storage::transformHasCompress(config_.transform)) {
@@ -778,7 +773,7 @@ Scr::tryFetchFromPrefix(const std::string &name)
             return false;
         proc_.sleepFor(proc_.runtime().costModel().transformDecompress(
             raw.size()));
-        if (!writeSoft(dst, storage::Blob(raw)))
+        if (!writeSoft(dst, raw))
             return false;
     } else if (!copySoft(src, dst)) {
         return false;

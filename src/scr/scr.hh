@@ -101,9 +101,9 @@ struct ScrConfig
 
     /** Storage backend for SCR's own traffic (markers, redundancy
      *  copies, parity, flushes). Null selects the shared DiskBackend.
-     *  Applications write routed files themselves, so under a
-     *  MemBackend they must write through the same backend for the
-     *  redundancy encoder to see their data. */
+     *  Applications write routed files themselves, through this same
+     *  backend, so the redundancy encoder sees their data (a write
+     *  creates the dataset directory it lands in). */
     std::shared_ptr<storage::Backend> backend;
 
     /** Drain worker executing flush-to-prefix jobs. Shared by every
@@ -132,7 +132,9 @@ class Scr
     /**
      * SCR_Route_file: translate an application file name into the path
      * the application must actually use (inside the cache, unique per
-     * dataset and rank). Valid between start/complete pairs.
+     * dataset and rank). Valid between start/complete pairs. The
+     * application writes the file through config.backend, whose write
+     * creates the dataset directory.
      */
     std::string routeFile(const std::string &name);
 
@@ -228,13 +230,13 @@ class Scr
     template <typename Op>
     auto ioRetry(Op &&op) const -> decltype(op());
     int ioRetryLimit() const;
-    /** Retry-wrapped fetch; retry exhaustion reads as "lost" (null) so
+    /** Retry-wrapped read; retry exhaustion reads as "lost" (null) so
      *  the restart ladder escalates to the next redundancy tier. */
     storage::Blob fetchSoft(const std::string &path) const;
     /** Retry-wrapped copy; exhaustion reads as a failed copy. */
     bool copySoft(const std::string &src, const std::string &dst);
     /** Retry-wrapped write; exhaustion reads as "could not rebuild". */
-    bool writeSoft(const std::string &path, storage::Blob &&blob);
+    bool writeSoft(const std::string &path, storage::Blob blob);
 
     simmpi::Proc &proc_;
     ScrConfig config_;

@@ -48,6 +48,23 @@ normalizeTree(const std::string &dir)
 }
 
 /**
+ * DiskBackend's directory rule: after opening a destination failed
+ * with ENOENT, create its missing parent directories. @retval true
+ * when the parent now exists, so the caller retries the open once (a
+ * concurrent creator of the same parent counts as success).
+ */
+bool
+createParent(const std::string &path)
+{
+    const fs::path parent = fs::path(path).parent_path();
+    if (parent.empty())
+        return false;
+    std::error_code ec;
+    fs::create_directories(parent, ec);
+    return !ec;
+}
+
+/**
  * In-process object store, sharded into lock-striped buckets: a path
  * hashes to one of kBuckets (mutex, ordered map) pairs, so concurrent
  * grid workers hammering checkpoint traffic contend only when their
@@ -57,40 +74,18 @@ normalizeTree(const std::string &dir)
  * map with the same ordered range scan as before, since a bucket's
  * map is keyed by full path.
  *
- * Objects are refcounted Blobs: the ownership-transfer write stores
- * the caller's sealed buffer (zero memcpy), view() hands out handle
- * copies that outlive overwrite/remove, and copy() is a refcount bump
- * (blobs are immutable, so two paths can share one buffer safely).
+ * Objects are refcounted Blobs: a write stores the caller's sealed
+ * buffer (zero memcpy), read() hands out handle copies that outlive
+ * overwrite/remove, and copy() is a refcount bump (blobs are
+ * immutable, so two paths can share one buffer safely).
  */
 class MemBackend final : public Backend
 {
   public:
     Kind kind() const override { return Kind::Mem; }
 
-    bool
-    read(const std::string &path,
-         std::vector<std::uint8_t> &out) const override
-    {
-        util::PhaseScope phase(util::Phase::Storage);
-        // Take a handle under the lock, copy outside it: a multi-MB
-        // copy-out must not stall every other thread whose paths hash
-        // to this bucket (the refcount keeps the bytes alive).
-        Blob blob;
-        {
-            const Bucket &bucket = bucketFor(path);
-            std::lock_guard<std::mutex> lock(bucket.mutex);
-            const auto it = bucket.objects.find(path);
-            if (it == bucket.objects.end())
-                return false;
-            blob = it->second;
-        }
-        out.assign(blob.data(), blob.data() + blob.size());
-        noteBlobCopy(blob.size());
-        return true;
-    }
-
     Blob
-    view(const std::string &path) const override
+    read(const std::string &path) const override
     {
         const Bucket &bucket = bucketFor(path);
         std::lock_guard<std::mutex> lock(bucket.mutex);
@@ -99,21 +94,7 @@ class MemBackend final : public Backend
     }
 
     void
-    write(const std::string &path, const void *data,
-          std::size_t bytes) override
-    {
-        util::PhaseScope phase(util::Phase::Storage);
-        // Raw writes must copy once into a pooled buffer; callers on
-        // the hot path hand over a sealed Blob instead (no copy).
-        Blob blob = BlobPool::local().copyOf(data, bytes);
-        noteBlobStore(bytes);
-        Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        bucket.objects[path] = std::move(blob);
-    }
-
-    void
-    write(const std::string &path, Blob &&blob) override
+    write(const std::string &path, Blob blob) override
     {
         util::PhaseScope phase(util::Phase::Storage);
         noteBlobStore(blob.size());
@@ -123,16 +104,9 @@ class MemBackend final : public Backend
     }
 
     void
-    writeAtomic(const std::string &path, const void *data,
-                std::size_t bytes) override
+    writeAtomic(const std::string &path, Blob blob) override
     {
-        write(path, data, bytes); // bucket writes are already atomic
-    }
-
-    void
-    writeAtomic(const std::string &path, Blob &&blob) override
-    {
-        write(path, std::move(blob));
+        write(path, std::move(blob)); // bucket writes are already atomic
     }
 
     bool
@@ -211,12 +185,6 @@ class MemBackend final : public Backend
         bucket.objects.erase(dir);
     }
 
-    void
-    createDirectories(const std::string &) override
-    {
-        // Directories are implicit in object names.
-    }
-
     std::vector<std::string>
     listDir(const std::string &dir_in) const override
     {
@@ -261,57 +229,57 @@ class MemBackend final : public Backend
 /**
  * The original filesystem semantics: plain writes for data files (a
  * checkpoint's atomicity comes from its metadata commit), tmp+rename
- * for commit records.
+ * for commit records. Directories appear on first write (createParent),
+ * so a successful write costs no extra syscall.
  */
 class DiskBackend final : public Backend
 {
   public:
     Kind kind() const override { return Kind::Disk; }
 
-    bool
-    read(const std::string &path,
-         std::vector<std::uint8_t> &out) const override
+    Blob
+    read(const std::string &path) const override
     {
         util::PhaseScope phase(util::Phase::Storage);
         errno = 0;
         std::ifstream in(path, std::ios::binary | std::ios::ate);
         if (!in)
-            return false; // missing object: a result, not an error
+            return Blob(); // missing object: a result, not an error
         const std::streamoff bytes = in.tellg();
         if (bytes < 0) {
             throw StorageError("read", path, errno,
                                "cannot determine object size");
         }
         in.seekg(0);
-        out.resize(static_cast<std::size_t>(bytes));
+        std::vector<std::uint8_t> out(static_cast<std::size_t>(bytes));
         in.read(reinterpret_cast<char *>(out.data()), bytes);
         // A short or failing read on an object that exists is an I/O
         // error, not a missing object: surface it instead of letting a
         // truncated buffer masquerade as the checkpoint.
         if (in.bad() || in.gcount() != bytes)
             throw StorageError("read", path, errno, "short read");
-        return true;
-    }
-
-    Blob
-    view(const std::string &) const override
-    {
-        return Blob(); // no stable in-memory image of a file
+        // No in-memory image to share: this read is the one
+        // unavoidable copy.
+        noteBlobCopy(out.size());
+        return Blob::fromVector(std::move(out));
     }
 
     void
-    write(const std::string &path, const void *data,
-          std::size_t bytes) override
+    write(const std::string &path, Blob blob) override
     {
         util::PhaseScope phase(util::Phase::Storage);
         errno = 0;
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        if (!out && errno == ENOENT && createParent(path)) {
+            errno = 0;
+            out.open(path, std::ios::binary | std::ios::trunc);
+        }
         if (!out) {
             throw StorageError("write", path, errno,
                                "cannot open for writing");
         }
-        out.write(static_cast<const char *>(data),
-                  static_cast<std::streamsize>(bytes));
+        out.write(reinterpret_cast<const char *>(blob.data()),
+                  static_cast<std::streamsize>(blob.size()));
         if (!out)
             throw StorageError("write", path, errno, "short write");
         // flush + close through the stream so a full filesystem
@@ -323,11 +291,10 @@ class DiskBackend final : public Backend
     }
 
     void
-    writeAtomic(const std::string &path, const void *data,
-                std::size_t bytes) override
+    writeAtomic(const std::string &path, Blob blob) override
     {
         const std::string tmp = path + ".tmp";
-        write(tmp, data, bytes);
+        write(tmp, std::move(blob));
         std::error_code ec;
         fs::rename(tmp, path, ec);
         if (ec) {
@@ -359,9 +326,16 @@ class DiskBackend final : public Backend
     bool
     copy(const std::string &src, const std::string &dst) override
     {
-        std::error_code ec;
-        fs::copy_file(src, dst, fs::copy_options::overwrite_existing,
-                      ec);
+        const auto attempt = [&] {
+            std::error_code ec;
+            fs::copy_file(src, dst, fs::copy_options::overwrite_existing,
+                          ec);
+            return ec;
+        };
+        std::error_code ec = attempt();
+        if (ec == std::errc::no_such_file_or_directory &&
+            createParent(dst))
+            ec = attempt();
         return !ec;
     }
 
@@ -382,12 +356,6 @@ class DiskBackend final : public Backend
         fs::remove_all(dir, ec);
     }
 
-    void
-    createDirectories(const std::string &dir) override
-    {
-        fs::create_directories(dir);
-    }
-
     std::vector<std::string>
     listDir(const std::string &dir_in) const override
     {
@@ -403,21 +371,6 @@ class DiskBackend final : public Backend
 };
 
 } // anonymous namespace
-
-Blob
-fetch(const Backend &backend, const std::string &path)
-{
-    if (Blob blob = backend.view(path))
-        return blob;
-    std::vector<std::uint8_t> out;
-    if (!backend.read(path, out))
-        return Blob();
-    // The backend had no in-memory image: the read above is the one
-    // unavoidable copy, counted here (MemBackend counts inside read()
-    // but never reaches this fallback — its view always succeeds).
-    noteBlobCopy(out.size());
-    return Blob::fromVector(std::move(out));
-}
 
 std::shared_ptr<Backend>
 makeBackend(Kind kind)

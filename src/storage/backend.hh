@@ -23,22 +23,25 @@
  * are invisible to the other.
  *
  * Thread-safety: every method is safe to call concurrently on one
- * instance. view() returns a refcounted Blob handle that stays valid
+ * instance. read() returns a refcounted Blob handle that stays valid
  * for as long as the caller holds it — overwriting or removing the
- * path cannot invalidate a view already taken (the old lifetime
- * footgun is gone; the refcount keeps the bytes alive).
+ * path cannot invalidate a blob already read.
  *
- * Zero-copy data plane: the Blob overloads of write()/writeAtomic()
- * transfer ownership of the caller's sealed buffer — MemBackend stores
- * the handle itself, so a checkpoint write moves no bytes. The raw
- * (pointer, length) overloads remain for small records and for
- * callers without a blob in hand.
+ * Zero-copy data plane: one read and one write per durability, all in
+ * Blobs. MemBackend's read() hands out the stored handle and its
+ * writes store the caller's sealed buffer, so neither moves a byte;
+ * DiskBackend reads a file once into a fresh buffer. Callers holding
+ * raw bytes stage them with BlobPool::copyOf (the one counted copy).
+ *
+ * Directories are implicit in object names on both backends:
+ * DiskBackend creates a missing parent directory when a write or copy
+ * first fails to open its destination, then retries once.
  *
  * Error contract: an operation that cannot complete throws
  * StorageError carrying the operation, the path and (for DiskBackend)
  * the errno — it never commits a truncated object and never aborts the
- * process. "Object does not exist" is not an error: read()/size()/
- * copy() report it through their boolean results, exactly as before.
+ * process. "Object does not exist" is not an error: read() reports it
+ * as an invalid Blob, size()/copy() through their boolean results.
  * Checkpoint clients wrap backend calls in a bounded, virtual-time-
  * priced retry loop (see src/storage/faults.hh) so a transient tier
  * fault degrades gracefully instead of killing a run.
@@ -47,7 +50,6 @@
 #ifndef MATCH_STORAGE_BACKEND_HH
 #define MATCH_STORAGE_BACKEND_HH
 
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -108,33 +110,19 @@ class Backend
 
     virtual Kind kind() const = 0;
 
-    /** Read a whole object. @retval false when it does not exist. */
-    virtual bool read(const std::string &path,
-                      std::vector<std::uint8_t> &out) const = 0;
-
     /**
-     * Zero-copy read: a refcounted handle to the stored bytes when the
-     * backend can provide one (MemBackend), an invalid Blob otherwise.
-     * The handle stays valid for as long as the caller holds it, even
-     * across overwrite/remove of the path.
+     * Read a whole object: a refcounted handle that stays valid for as
+     * long as the caller holds it, even across overwrite/remove of the
+     * path. MemBackend returns the stored handle (zero copy);
+     * DiskBackend reads the file once into a fresh buffer. An invalid
+     * Blob when the object does not exist.
      */
-    virtual Blob view(const std::string &path) const = 0;
+    virtual Blob read(const std::string &path) const = 0;
 
-    /** Create or replace an object. Throws StorageError on I/O
-     *  failure (path + errno surfaced; never commits a truncation). */
-    virtual void write(const std::string &path, const void *data,
-                       std::size_t bytes) = 0;
-
-    /**
-     * Ownership-transfer write: backends with an in-memory object map
-     * (MemBackend) store the caller's sealed buffer with zero memcpy;
-     * the default forwards to the raw write.
-     */
-    virtual void
-    write(const std::string &path, Blob &&blob)
-    {
-        write(path, blob.data(), blob.size());
-    }
+    /** Create or replace an object with `blob`'s bytes (MemBackend
+     *  keeps the handle itself). Throws StorageError on I/O failure
+     *  (path + errno surfaced; never commits a truncation). */
+    virtual void write(const std::string &path, Blob blob) = 0;
 
     /**
      * Atomically create or replace an object: a reader never observes
@@ -142,15 +130,7 @@ class Backend
      * are atomic by construction). Throws StorageError on I/O failure,
      * leaving the previous object (if any) intact.
      */
-    virtual void writeAtomic(const std::string &path, const void *data,
-                             std::size_t bytes) = 0;
-
-    /** Ownership-transfer form of writeAtomic (see write(Blob&&)). */
-    virtual void
-    writeAtomic(const std::string &path, Blob &&blob)
-    {
-        writeAtomic(path, blob.data(), blob.size());
-    }
+    virtual void writeAtomic(const std::string &path, Blob blob) = 0;
 
     /** Whether an object exists at `path`. */
     virtual bool exists(const std::string &path) const = 0;
@@ -173,10 +153,6 @@ class Backend
      */
     virtual void removeTree(const std::string &dir) = 0;
 
-    /** Ensure `dir` exists (no-op for MemBackend: directories are
-     *  implicit in object names). */
-    virtual void createDirectories(const std::string &dir) = 0;
-
     /** Names of the immediate children of `dir` (files and
      *  subdirectories), in unspecified order. Empty when `dir` is
      *  missing or names a plain object. Trailing slashes are ignored;
@@ -190,16 +166,6 @@ std::shared_ptr<Backend> makeBackend(Kind kind);
 
 /** Process-wide shared DiskBackend (stateless, always available). */
 Backend &sharedDiskBackend();
-
-/**
- * Read a whole object with the fewest copies the backend allows: a
- * zero-copy view when one exists (MemBackend), otherwise exactly one
- * read into a freshly wrapped buffer (DiskBackend). Returns an invalid
- * Blob when the object does not exist. This is the one helper every
- * FTI/SCR read path shares — callers must not hand-roll the
- * view-then-read fallback (the old pattern copied twice on disk).
- */
-Blob fetch(const Backend &backend, const std::string &path);
 
 /** The backend a config carries, or the shared DiskBackend when the
  *  config predates the storage layer (null pointer). */

@@ -11,7 +11,7 @@
  *
  *  - Blob: an immutable, refcounted view of a byte buffer. Copying a
  *    Blob copies a handle, never bytes. A Blob stored in a MemBackend
- *    and handed back by view() stays valid for as long as any handle
+ *    and handed back by read() stays valid for as long as any handle
  *    lives — overwriting or removing the path cannot invalidate it.
  *  - MutableBlob: the single-owner staging form. A client acquires one
  *    from a pool, fills it, and seals it into a Blob; sealing is a
@@ -24,8 +24,8 @@
  *    workers recycle buffers without sharing a lock.
  *
  * Accounting: the pool layer counts buffer allocations, pool hits and
- * every payload byte the *storage data plane* memcpys (backend raw
- * writes, read copy-outs, fetch fallbacks) — application staging such
+ * every payload byte the *storage data plane* memcpys (raw bytes
+ * staged for a write, DiskBackend reads) — application staging such
  * as region serialization is not a data-plane copy. The counters make
  * the zero-copy claim measurable: on the MemBackend checkpoint hot
  * path, bytesCopied stays ~0 while bytesStored counts the payload.
@@ -164,8 +164,8 @@ struct BlobStats
     std::uint64_t bytesStored = 0; ///< payload bytes admitted to MemBackend
 };
 
-/** Count a data-plane memcpy not attributable to a pool (backend read
- *  copy-outs, fetch fallbacks). Feeds BlobPool::globalStats(). */
+/** Count a data-plane memcpy not attributable to a pool (DiskBackend
+ *  reads, recovery copies). Feeds BlobPool::globalStats(). */
 void noteBlobCopy(std::size_t bytes);
 
 /** Count payload bytes admitted to an in-memory object store, whether

@@ -459,8 +459,7 @@ FaultInjectingBackend::failingWindow(const std::string &path,
 
 void
 FaultInjectingBackend::failWrite(const std::string &path,
-                                 const void *data, std::size_t bytes,
-                                 bool atomicOp)
+                                 const Blob &blob, bool atomicOp)
 {
     const FaultWindow *window = failingWindow(path, /*writeOp=*/true);
     if (!window)
@@ -478,8 +477,9 @@ FaultInjectingBackend::failWrite(const std::string &path,
         // and SCR markers are detected by a bare exists() and must
         // never be observable half-written.
         c.tornWrites.fetch_add(1, std::memory_order_relaxed);
-        if (!atomicOp && data && bytes > 0)
-            inner_->write(path, data, bytes / 2);
+        if (!atomicOp && blob.size() > 0)
+            inner_->write(path, BlobPool::local().copyOf(
+                                    blob.data(), blob.size() / 2));
         throw StorageError("write", path, 0, "injected torn write");
       case FaultKind::Enospc:
         c.enospcHits.fetch_add(1, std::memory_order_relaxed);
@@ -491,57 +491,28 @@ FaultInjectingBackend::failWrite(const std::string &path,
     }
 }
 
-bool
-FaultInjectingBackend::read(const std::string &path,
-                            std::vector<std::uint8_t> &out) const
-{
-    if (failingWindow(path, /*writeOp=*/false)) {
-        counters().injectedReadFaults.fetch_add(
-            1, std::memory_order_relaxed);
-        throw StorageError("read", path, 0, "injected read fault");
-    }
-    return inner_->read(path, out);
-}
-
 Blob
-FaultInjectingBackend::view(const std::string &path) const
+FaultInjectingBackend::read(const std::string &path) const
 {
     if (failingWindow(path, /*writeOp=*/false)) {
         counters().injectedReadFaults.fetch_add(
             1, std::memory_order_relaxed);
         throw StorageError("read", path, 0, "injected read fault");
     }
-    return inner_->view(path);
+    return inner_->read(path);
 }
 
 void
-FaultInjectingBackend::write(const std::string &path, const void *data,
-                             std::size_t bytes)
+FaultInjectingBackend::write(const std::string &path, Blob blob)
 {
-    failWrite(path, data, bytes, /*atomicOp=*/false);
-    inner_->write(path, data, bytes);
-}
-
-void
-FaultInjectingBackend::write(const std::string &path, Blob &&blob)
-{
-    failWrite(path, blob.data(), blob.size(), /*atomicOp=*/false);
+    failWrite(path, blob, /*atomicOp=*/false);
     inner_->write(path, std::move(blob));
 }
 
 void
-FaultInjectingBackend::writeAtomic(const std::string &path,
-                                   const void *data, std::size_t bytes)
+FaultInjectingBackend::writeAtomic(const std::string &path, Blob blob)
 {
-    failWrite(path, data, bytes, /*atomicOp=*/true);
-    inner_->writeAtomic(path, data, bytes);
-}
-
-void
-FaultInjectingBackend::writeAtomic(const std::string &path,
-                                   Blob &&blob)
-{
-    failWrite(path, blob.data(), blob.size(), /*atomicOp=*/true);
+    failWrite(path, blob, /*atomicOp=*/true);
     inner_->writeAtomic(path, std::move(blob));
 }
 
@@ -570,7 +541,7 @@ FaultInjectingBackend::copy(const std::string &src,
             1, std::memory_order_relaxed);
         throw StorageError("read", src, 0, "injected read fault");
     }
-    failWrite(dst, nullptr, 0, /*atomicOp=*/false);
+    failWrite(dst, Blob(), /*atomicOp=*/false);
     return inner_->copy(src, dst);
 }
 
@@ -584,12 +555,6 @@ void
 FaultInjectingBackend::removeTree(const std::string &dir)
 {
     inner_->removeTree(dir);
-}
-
-void
-FaultInjectingBackend::createDirectories(const std::string &dir)
-{
-    inner_->createDirectories(dir);
 }
 
 std::vector<std::string>

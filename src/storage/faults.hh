@@ -305,8 +305,8 @@ void noteFailedFlush();
  * everything else is Local. addPfsPrefix() registers extra PFS roots
  * (SCR's prefix directory carries no pfs/ segment).
  *
- * Metadata operations (exists/size/listDir/remove/removeTree/
- * createDirectories) always pass through: the engine models data-path
+ * Metadata operations (exists/size/listDir/remove/removeTree) always
+ * pass through: the engine models data-path
  * faults, and a failing namespace op would add nothing but noise.
  */
 class FaultInjectingBackend final : public Backend
@@ -344,21 +344,14 @@ class FaultInjectingBackend final : public Backend
 
     // Backend interface -------------------------------------------------
     Kind kind() const override { return inner_->kind(); }
-    bool read(const std::string &path,
-              std::vector<std::uint8_t> &out) const override;
-    Blob view(const std::string &path) const override;
-    void write(const std::string &path, const void *data,
-               std::size_t bytes) override;
-    void write(const std::string &path, Blob &&blob) override;
-    void writeAtomic(const std::string &path, const void *data,
-                     std::size_t bytes) override;
-    void writeAtomic(const std::string &path, Blob &&blob) override;
+    Blob read(const std::string &path) const override;
+    void write(const std::string &path, Blob blob) override;
+    void writeAtomic(const std::string &path, Blob blob) override;
     bool exists(const std::string &path) const override;
     bool size(const std::string &path, std::size_t &bytes) const override;
     bool copy(const std::string &src, const std::string &dst) override;
     void remove(const std::string &path) override;
     void removeTree(const std::string &dir) override;
-    void createDirectories(const std::string &dir) override;
     std::vector<std::string>
     listDir(const std::string &dir) const override;
 
@@ -383,8 +376,8 @@ class FaultInjectingBackend final : public Backend
      *  (the tear lands in the discarded tmp object), preserving the
      *  "reader never observes a partial write" contract the meta/
      *  marker machinery relies on. */
-    void failWrite(const std::string &path, const void *data,
-                   std::size_t bytes, bool atomicOp);
+    void failWrite(const std::string &path, const Blob &blob,
+                   bool atomicOp);
 
     std::shared_ptr<Backend> inner_;
     StorageFaultPlan plan_;

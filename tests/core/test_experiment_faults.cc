@@ -13,6 +13,7 @@
 
 #include "src/core/experiment.hh"
 #include "src/storage/faults.hh"
+#include "tests/core/identical.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -41,20 +42,6 @@ faultyConfig(Design design, int windows)
     config.sandboxDir =
         (fs::temp_directory_path() / "match-fault-tests").string();
     return config;
-}
-
-void
-expectIdenticalResults(const ExperimentResult &a,
-                       const ExperimentResult &b)
-{
-    ASSERT_EQ(a.perRun.size(), b.perRun.size());
-    for (std::size_t i = 0; i < a.perRun.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.perRun[i].application, b.perRun[i].application);
-        EXPECT_DOUBLE_EQ(a.perRun[i].ckptWrite, b.perRun[i].ckptWrite);
-        EXPECT_DOUBLE_EQ(a.perRun[i].ckptRead, b.perRun[i].ckptRead);
-        EXPECT_DOUBLE_EQ(a.perRun[i].recovery, b.perRun[i].recovery);
-        EXPECT_EQ(a.perRun[i].recoveries, b.perRun[i].recoveries);
-    }
 }
 
 } // namespace

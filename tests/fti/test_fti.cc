@@ -571,28 +571,6 @@ TEST(Fti, WorksUnderUlfmDesign)
     Fti::purge(cfg);
 }
 
-TEST(Fti, ConfigRoundTripsThroughIni)
-{
-    FtiConfig cfg;
-    cfg.ckptDir = "/tmp/somewhere";
-    cfg.execId = "run42";
-    cfg.defaultLevel = 3;
-    cfg.groupSize = 8;
-    cfg.parityShards = 8;
-    cfg.diffBlockSize = 4096;
-    cfg.keepOnlyLatest = false;
-    cfg.virtualFactor = 2.5;
-    const FtiConfig back = FtiConfig::fromIni(cfg.toIni());
-    EXPECT_EQ(back.ckptDir, cfg.ckptDir);
-    EXPECT_EQ(back.execId, cfg.execId);
-    EXPECT_EQ(back.defaultLevel, cfg.defaultLevel);
-    EXPECT_EQ(back.groupSize, cfg.groupSize);
-    EXPECT_EQ(back.parityShards, cfg.parityShards);
-    EXPECT_EQ(back.diffBlockSize, cfg.diffBlockSize);
-    EXPECT_EQ(back.keepOnlyLatest, cfg.keepOnlyLatest);
-    EXPECT_DOUBLE_EQ(back.virtualFactor, cfg.virtualFactor);
-}
-
 TEST(Fti, ChecksumFnv1aKnownValues)
 {
     // FNV-1a 64 reference values.

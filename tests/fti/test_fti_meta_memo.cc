@@ -99,16 +99,17 @@ expectRecoversEpoch(const FtiConfig &config, int nprocs, int epoch)
 storage::Blob
 readMeta(const FtiConfig &config, int ckpt_id)
 {
-    return storage::fetch(storage::resolve(config.backend),
-                          Fti::metaFile(config, ckpt_id));
+    return storage::resolve(config.backend)
+        .read(Fti::metaFile(config, ckpt_id));
 }
 
 void
 writeMeta(const FtiConfig &config, int ckpt_id, const std::string &text)
 {
     storage::resolve(config.backend)
-        .writeAtomic(Fti::metaFile(config, ckpt_id), text.data(),
-                     text.size());
+        .writeAtomic(Fti::metaFile(config, ckpt_id),
+                     storage::BlobPool::local().copyOf(text.data(),
+                                                       text.size()));
 }
 
 std::string

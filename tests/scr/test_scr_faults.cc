@@ -67,13 +67,14 @@ options(int nprocs)
     return opts;
 }
 
+/** The application's own checkpoint write: through the backend, which
+ *  creates the routed dataset directory on first write. */
 void
 writeState(const std::string &path, const std::vector<double> &state)
 {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char *>(state.data()),
-              static_cast<std::streamsize>(state.size() *
-                                           sizeof(double)));
+    storage::sharedDiskBackend().write(
+        path, storage::BlobPool::local().copyOf(
+                  state.data(), state.size() * sizeof(double)));
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Storage backend contract tests: MemBackend and DiskBackend must agree
  * on every operation's observable behaviour (the FTI/SCR stacks switch
  * between them expecting identical semantics), and MemBackend must
- * additionally honour its zero-copy view() guarantee.
+ * additionally honour its zero-copy read() guarantee.
  */
 
 #include <gtest/gtest.h>
@@ -25,10 +25,19 @@ using match::storage::Kind;
 namespace
 {
 
-std::vector<std::uint8_t>
-bytes(const std::string &text)
+storage::Blob
+blobOf(const std::string &text)
 {
-    return {text.begin(), text.end()};
+    return storage::BlobPool::local().copyOf(text.data(), text.size());
+}
+
+/** An object's bytes as text; "<missing>" for an invalid blob. */
+std::string
+textOf(const storage::Blob &blob)
+{
+    if (!blob)
+        return "<missing>";
+    return {reinterpret_cast<const char *>(blob.data()), blob.size()};
 }
 
 } // namespace
@@ -44,7 +53,6 @@ class BackendContract : public ::testing::TestWithParam<Kind>
                  storage::kindName(GetParam()))
                     .string();
         backend_->removeTree(root_);
-        backend_->createDirectories(root_);
     }
 
     void
@@ -56,7 +64,13 @@ class BackendContract : public ::testing::TestWithParam<Kind>
     void
     put(const std::string &path, const std::string &text)
     {
-        backend_->write(path, text.data(), text.size());
+        backend_->write(path, blobOf(text));
+    }
+
+    std::string
+    get(const std::string &path) const
+    {
+        return textOf(backend_->read(path));
     }
 
     std::shared_ptr<Backend> backend_;
@@ -67,15 +81,12 @@ TEST_P(BackendContract, ReadBackWhatWasWritten)
 {
     const std::string path = root_ + "/blob.bin";
     put(path, "hello backend");
-    std::vector<std::uint8_t> out;
-    ASSERT_TRUE(backend_->read(path, out));
-    EXPECT_EQ(out, bytes("hello backend"));
+    EXPECT_EQ(get(path), "hello backend");
 }
 
-TEST_P(BackendContract, MissingObjectReadsFalse)
+TEST_P(BackendContract, MissingObjectReadsInvalid)
 {
-    std::vector<std::uint8_t> out;
-    EXPECT_FALSE(backend_->read(root_ + "/absent", out));
+    EXPECT_FALSE(backend_->read(root_ + "/absent"));
     EXPECT_FALSE(backend_->exists(root_ + "/absent"));
     std::size_t n = 0;
     EXPECT_FALSE(backend_->size(root_ + "/absent", n));
@@ -86,34 +97,28 @@ TEST_P(BackendContract, OverwriteReplacesContent)
     const std::string path = root_ + "/blob.bin";
     put(path, "first version, long");
     put(path, "second");
-    std::vector<std::uint8_t> out;
-    ASSERT_TRUE(backend_->read(path, out));
-    EXPECT_EQ(out, bytes("second"));
+    EXPECT_EQ(get(path), "second");
 }
 
-TEST_P(BackendContract, BlobWriteOverloadsReadBack)
+TEST_P(BackendContract, StagedBlobWritesReadBack)
 {
-    // Both backends must accept sealed blobs through the
-    // ownership-transfer overloads and serve the same bytes back.
+    // Both backends must accept pool-staged sealed blobs through
+    // either durability and serve the same bytes back.
     storage::MutableBlob a = storage::BlobPool::local().acquire(7);
     std::memcpy(a.data(), "payload", 7);
     backend_->write(root_ + "/blob", std::move(a).seal());
     storage::MutableBlob b = storage::BlobPool::local().acquire(6);
     std::memcpy(b.data(), "atomic", 6);
     backend_->writeAtomic(root_ + "/commit", std::move(b).seal());
-
-    std::vector<std::uint8_t> out;
-    ASSERT_TRUE(backend_->read(root_ + "/blob", out));
-    EXPECT_EQ(out, bytes("payload"));
-    ASSERT_TRUE(backend_->read(root_ + "/commit", out));
-    EXPECT_EQ(out, bytes("atomic"));
+    EXPECT_EQ(get(root_ + "/blob"), "payload");
+    EXPECT_EQ(get(root_ + "/commit"), "atomic");
 }
 
 TEST_P(BackendContract, AtomicWriteIsVisibleAndSized)
 {
     const std::string path = root_ + "/commit.meta";
     const std::string text = "committed";
-    backend_->writeAtomic(path, text.data(), text.size());
+    backend_->writeAtomic(path, blobOf(text));
     EXPECT_TRUE(backend_->exists(path));
     std::size_t n = 0;
     ASSERT_TRUE(backend_->size(path, n));
@@ -124,10 +129,30 @@ TEST_P(BackendContract, CopyDuplicatesAndReportsMissingSource)
 {
     put(root_ + "/src", "payload");
     EXPECT_TRUE(backend_->copy(root_ + "/src", root_ + "/dst"));
-    std::vector<std::uint8_t> out;
-    ASSERT_TRUE(backend_->read(root_ + "/dst", out));
-    EXPECT_EQ(out, bytes("payload"));
+    EXPECT_EQ(get(root_ + "/dst"), "payload");
     EXPECT_FALSE(backend_->copy(root_ + "/absent", root_ + "/dst2"));
+    EXPECT_FALSE(backend_->exists(root_ + "/dst2"));
+}
+
+TEST_P(BackendContract, WritesAndCopiesCreateMissingDirectories)
+{
+    // No caller creates directories: every way of making an object
+    // lands in a tree nobody created, and the tree lists it.
+    put(root_ + "/local/rank0/ckpt1.fti", "plain");
+    backend_->writeAtomic(root_ + "/meta/ckpt1.meta", blobOf("atomic"));
+    EXPECT_TRUE(backend_->copy(root_ + "/local/rank0/ckpt1.fti",
+                               root_ + "/local/rank1/partner/ckpt1.fti"));
+    EXPECT_EQ(get(root_ + "/local/rank0/ckpt1.fti"), "plain");
+    EXPECT_EQ(get(root_ + "/meta/ckpt1.meta"), "atomic");
+    EXPECT_EQ(get(root_ + "/local/rank1/partner/ckpt1.fti"), "plain");
+
+    auto top = backend_->listDir(root_);
+    std::sort(top.begin(), top.end());
+    EXPECT_EQ(top, (std::vector<std::string>{"local", "meta"}));
+    EXPECT_EQ(backend_->listDir(root_ + "/meta"),
+              (std::vector<std::string>{"ckpt1.meta"}));
+    EXPECT_EQ(backend_->listDir(root_ + "/local/rank1/partner"),
+              (std::vector<std::string>{"ckpt1.fti"}));
 }
 
 TEST_P(BackendContract, RemoveDropsOneObject)
@@ -142,8 +167,6 @@ TEST_P(BackendContract, RemoveDropsOneObject)
 
 TEST_P(BackendContract, ListDirReturnsImmediateChildren)
 {
-    backend_->createDirectories(root_ + "/meta");
-    backend_->createDirectories(root_ + "/local/rank0");
     put(root_ + "/meta/ckpt1.meta", "1");
     put(root_ + "/meta/ckpt2.meta", "2");
     put(root_ + "/local/rank0/ckpt1.fti", "x");
@@ -165,7 +188,6 @@ TEST_P(BackendContract, PrefixOpsIgnoreTrailingSlashes)
 {
     // "dir/" and "dir" name the same tree in both backends — the FTI
     // and SCR path helpers occasionally join with a trailing slash.
-    backend_->createDirectories(root_ + "/job/meta");
     put(root_ + "/job/meta/ckpt1.meta", "1");
     put(root_ + "/job/data.bin", "payload");
 
@@ -194,7 +216,6 @@ TEST_P(BackendContract, EmptyAndRootPrefixOpsAreNoOps)
 TEST_P(BackendContract, RemoveTreeOnObjectPathRemovesTheObject)
 {
     put(root_ + "/job1", "plain object, not a directory");
-    backend_->createDirectories(root_ + "/job10");
     put(root_ + "/job10/ckpt.fti", "sibling sharing the name prefix");
     backend_->removeTree(root_ + "/job1");
     EXPECT_FALSE(backend_->exists(root_ + "/job1"));
@@ -209,9 +230,6 @@ TEST_P(BackendContract, ListDirOnObjectPathIsEmpty)
 
 TEST_P(BackendContract, RemoveTreeIsRecursiveAndScoped)
 {
-    backend_->createDirectories(root_ + "/job1/rank0");
-    backend_->createDirectories(root_ + "/job1/meta");
-    backend_->createDirectories(root_ + "/job10/rank0");
     put(root_ + "/job1/rank0/ckpt.fti", "a");
     put(root_ + "/job1/meta/ckpt1.meta", "b");
     put(root_ + "/job10/rank0/ckpt.fti", "c"); // sibling, shares prefix
@@ -228,39 +246,34 @@ INSTANTIATE_TEST_SUITE_P(Kinds, BackendContract,
                                  storage::kindName(info.param));
                          });
 
-TEST(MemBackend, ViewIsZeroCopyAndRefcounted)
+TEST(MemBackend, ReadIsZeroCopyAndRefcounted)
 {
+    // A write stores the caller's sealed buffer itself, and every read
+    // hands out a handle to it: the bytes served live at the very
+    // address the client staged them at, and reads add references,
+    // not copies.
     const auto backend = storage::makeBackend(Kind::Mem);
-    const std::string text = "view me";
-    backend->write("/sandbox/blob", text.data(), text.size());
-    const storage::Blob view = backend->view("/sandbox/blob");
-    ASSERT_TRUE(view);
-    EXPECT_EQ(std::vector<std::uint8_t>(view.data(),
-                                        view.data() + view.size()),
-              bytes("view me"));
-    // A second view must hand out the same storage, not a copy.
-    EXPECT_EQ(view.data(), backend->view("/sandbox/blob").data());
-    EXPECT_FALSE(backend->view("/sandbox/absent"));
-}
-
-TEST(MemBackend, BlobWriteTransfersOwnershipWithoutCopy)
-{
-    // The ownership-transfer write must store the caller's sealed
-    // buffer itself: the bytes served by view() live at the very
-    // address the client staged them at.
-    const auto backend = storage::makeBackend(Kind::Mem);
-    storage::MutableBlob staged = storage::BlobPool::local().acquire(5);
-    std::memcpy(staged.data(), "hello", 5);
+    storage::MutableBlob staged = storage::BlobPool::local().acquire(7);
+    std::memcpy(staged.data(), "read me", 7);
     const std::uint8_t *raw = staged.data();
     backend->write("/sandbox/blob", std::move(staged).seal());
-    EXPECT_EQ(backend->view("/sandbox/blob").data(), raw);
+    const auto before = storage::BlobPool::globalStats().bytesCopied;
+    const storage::Blob first = backend->read("/sandbox/blob");
+    ASSERT_TRUE(first);
+    EXPECT_EQ(textOf(first), "read me");
+    EXPECT_EQ(first.data(), raw);
+    const storage::Blob second = backend->read("/sandbox/blob");
+    EXPECT_EQ(second.data(), raw);
+    EXPECT_EQ(first.refCount(), 3); // the store's handle plus two reads
+    EXPECT_EQ(storage::BlobPool::globalStats().bytesCopied, before);
+    EXPECT_FALSE(backend->read("/sandbox/absent"));
 }
 
 TEST(MemBackend, InstancesAreIsolated)
 {
     const auto a = storage::makeBackend(Kind::Mem);
     const auto b = storage::makeBackend(Kind::Mem);
-    a->write("/x", "a", 1);
+    a->write("/x", blobOf("a"));
     EXPECT_FALSE(b->exists("/x"));
 }
 
@@ -282,17 +295,15 @@ TEST(MemBackend, StripedLocksSurviveConcurrentHammering)
                         tree + "/ckpt" + std::to_string(i);
                     const std::string payload =
                         path + "#" + std::to_string(round);
-                    backend->writeAtomic(path, payload.data(),
-                                         payload.size());
+                    backend->writeAtomic(path, blobOf(payload));
                     backend->copy(path, path + ".mirror");
                 }
                 // Prefix scans race against every other worker's
                 // writes; they must only ever see whole objects from
                 // this worker's own tree.
                 for (const auto &name : backend->listDir(tree)) {
-                    std::vector<std::uint8_t> blob;
-                    ASSERT_TRUE(backend->read(tree + "/" + name, blob));
-                    const std::string text(blob.begin(), blob.end());
+                    const std::string text =
+                        textOf(backend->read(tree + "/" + name));
                     ASSERT_EQ(text.rfind(tree + "/ckpt", 0), 0u)
                         << text;
                 }
@@ -306,16 +317,25 @@ TEST(MemBackend, StripedLocksSurviveConcurrentHammering)
     for (int t = 0; t < kThreads; ++t) {
         const std::string tree = "/hammer/job" + std::to_string(t);
         EXPECT_EQ(backend->listDir(tree).size(), 2u * kObjects);
-        std::vector<std::uint8_t> blob;
-        ASSERT_TRUE(backend->read(tree + "/ckpt0.mirror", blob));
-        const std::string text(blob.begin(), blob.end());
-        EXPECT_EQ(text, tree + "/ckpt0#2");
+        EXPECT_EQ(textOf(backend->read(tree + "/ckpt0.mirror")),
+                  tree + "/ckpt0#2");
     }
 }
 
-TEST(DiskBackend, ViewDeclinesAndSharedInstanceIsDisk)
+TEST(DiskBackend, ReadsFreshBuffersAndSharedInstanceIsDisk)
 {
+    // A file has no in-memory image to share: each read is its own
+    // buffer (the one unavoidable copy).
     EXPECT_EQ(storage::sharedDiskBackend().kind(), Kind::Disk);
     const auto backend = storage::makeBackend(Kind::Disk);
-    EXPECT_FALSE(backend->view("/etc/hostname"));
+    const std::string path =
+        (fs::temp_directory_path() / "match-storage-tests/fresh.bin")
+            .string();
+    backend->write(path, blobOf("fresh"));
+    const storage::Blob a = backend->read(path);
+    const storage::Blob b = backend->read(path);
+    EXPECT_EQ(textOf(a), "fresh");
+    EXPECT_NE(a.data(), b.data());
+    EXPECT_EQ(a.refCount(), 1);
+    backend->remove(path);
 }

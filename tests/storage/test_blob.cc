@@ -1,8 +1,9 @@
 /**
  * @file
- * Blob/BlobPool semantics: refcounted immutability (a view survives
- * remove and overwrite of its path), pool recycling that never aliases
- * live blobs, exact-once copy accounting in fetch(), and a concurrency
+ * Blob/BlobPool semantics: refcounted immutability (a read handle
+ * survives remove and overwrite of its path), pool recycling that never
+ * aliases live blobs, exact-once copy accounting in Backend::read(),
+ * and a concurrency
  * stress of pool recycle racing drain traffic (the TSAN CI lane runs
  * this under -fsanitize=thread).
  */
@@ -61,7 +62,7 @@ TEST(Blob, HandlesShareOneBufferByRefcount)
 TEST(Blob, InvalidHandleIsDistinctFromZeroByteBlob)
 {
     // "No object" (default handle) and "zero-byte object" must stay
-    // distinguishable: fetch() reports absence with the former.
+    // distinguishable: Backend::read() reports absence with the former.
     BlobPool pool;
     EXPECT_FALSE(Blob());
     const Blob zero = sealText(pool, "");
@@ -121,68 +122,67 @@ TEST(BlobPool, CopyOfCountsTheMemcpy)
     EXPECT_EQ(pool.stats().bytesCopied, text.size());
 }
 
-TEST(MemBackendBlob, ViewSurvivesRemoveOfThePath)
+TEST(MemBackendBlob, ReadSurvivesRemoveOfThePath)
 {
     const auto backend = storage::makeBackend(Kind::Mem);
-    const std::string text = "kept alive by the view";
-    backend->write("/job/blob", text.data(), text.size());
-    const Blob view = backend->view("/job/blob");
+    const std::string text = "kept alive by the handle";
+    backend->write("/job/blob", sealText(BlobPool::local(), text));
+    const Blob view = backend->read("/job/blob");
     backend->remove("/job/blob");
     EXPECT_FALSE(backend->exists("/job/blob"));
     EXPECT_EQ(asText(view), text);
 }
 
-TEST(MemBackendBlob, ViewSurvivesOverwriteOfThePath)
+TEST(MemBackendBlob, ReadSurvivesOverwriteOfThePath)
 {
     const auto backend = storage::makeBackend(Kind::Mem);
-    backend->write("/job/blob", "old contents", 12);
-    const Blob old_view = backend->view("/job/blob");
-    backend->write("/job/blob", "new", 3);
+    backend->write("/job/blob", sealText(BlobPool::local(), "old contents"));
+    const Blob old_view = backend->read("/job/blob");
+    backend->write("/job/blob", sealText(BlobPool::local(), "new"));
     EXPECT_EQ(asText(old_view), "old contents");
-    EXPECT_EQ(asText(backend->view("/job/blob")), "new");
+    EXPECT_EQ(asText(backend->read("/job/blob")), "new");
 }
 
 TEST(MemBackendBlob, CopyIsARefcountBumpNotAByteCopy)
 {
     const auto backend = storage::makeBackend(Kind::Mem);
-    backend->write("/job/src", "immutable", 9);
+    backend->write("/job/src", sealText(BlobPool::local(), "immutable"));
     const auto before = BlobPool::globalStats().bytesCopied;
     ASSERT_TRUE(backend->copy("/job/src", "/job/dst"));
     EXPECT_EQ(BlobPool::globalStats().bytesCopied, before);
-    EXPECT_EQ(backend->view("/job/src").data(),
-              backend->view("/job/dst").data());
+    EXPECT_EQ(backend->read("/job/src").data(),
+              backend->read("/job/dst").data());
 }
 
-TEST(Fetch, PrefersTheViewOnMemBackend)
+TEST(ReadAccounting, CopiesNothingOnMemBackend)
 {
     const auto backend = storage::makeBackend(Kind::Mem);
-    backend->write("/job/blob", "zero copy", 9);
+    backend->write("/job/blob", sealText(BlobPool::local(), "zero copy"));
     const auto before = BlobPool::globalStats().bytesCopied;
-    const Blob a = storage::fetch(*backend, "/job/blob");
-    const Blob b = storage::fetch(*backend, "/job/blob");
+    const Blob a = backend->read("/job/blob");
+    const Blob b = backend->read("/job/blob");
     ASSERT_TRUE(a);
     EXPECT_EQ(a.data(), b.data()); // same stored buffer, no copies
     EXPECT_EQ(BlobPool::globalStats().bytesCopied, before);
-    EXPECT_FALSE(storage::fetch(*backend, "/job/absent"));
+    EXPECT_FALSE(backend->read("/job/absent"));
 }
 
-TEST(Fetch, CopiesExactlyOnceOnDiskBackend)
+TEST(ReadAccounting, CopiesExactlyOnceOnDiskBackend)
 {
     const auto backend = storage::makeBackend(Kind::Disk);
     const std::string root =
         (std::filesystem::temp_directory_path() / "match-blob-tests")
             .string();
     backend->removeTree(root);
-    backend->createDirectories(root);
     const std::string text = "one copy off the disk";
-    backend->write(root + "/blob", text.data(), text.size());
+    backend->write(root + "/blob", sealText(BlobPool::local(), text));
     const auto before = BlobPool::globalStats().bytesCopied;
-    const Blob blob = storage::fetch(*backend, root + "/blob");
+    const Blob blob = backend->read(root + "/blob");
     ASSERT_TRUE(blob);
     EXPECT_EQ(asText(blob), text);
     EXPECT_EQ(BlobPool::globalStats().bytesCopied,
               before + text.size());
-    EXPECT_FALSE(storage::fetch(*backend, root + "/absent"));
+    EXPECT_FALSE(backend->read(root + "/absent"));
     backend->removeTree(root);
 }
 
@@ -207,7 +207,7 @@ TEST(BlobStress, ConcurrentPoolRecycleAndDrainTraffic)
                 const std::string text =
                     path + "#" + std::to_string(round);
                 backend->write(path, sealText(pool, text));
-                const Blob view = backend->view(path);
+                const Blob view = backend->read(path);
                 drain.enqueue([view, text]() -> std::uint64_t {
                     // The drain holds a ref: the payload must stay
                     // intact whatever the writers recycle meanwhile.

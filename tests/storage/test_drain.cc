@@ -59,13 +59,20 @@ class Gate
     bool open_ = false;
 };
 
+storage::Blob
+blobOf(const std::string &payload)
+{
+    return storage::BlobPool::local().copyOf(payload.data(),
+                                             payload.size());
+}
+
 std::string
 text(Backend &backend, const std::string &path)
 {
-    std::vector<std::uint8_t> blob;
-    if (!backend.read(path, blob))
+    const storage::Blob blob = backend.read(path);
+    if (!blob)
         return "<missing>";
-    return std::string(blob.begin(), blob.end());
+    return {reinterpret_cast<const char *>(blob.data()), blob.size()};
 }
 
 } // namespace
@@ -82,7 +89,6 @@ class DrainContract
                  storage::kindName(std::get<0>(GetParam())))
                     .string();
         backend_->removeTree(root_);
-        backend_->createDirectories(root_ + "/pfs");
     }
 
     void
@@ -103,7 +109,7 @@ class DrainContract
     {
         Backend *backend = backend_.get();
         return [backend, path, payload]() -> std::uint64_t {
-            backend->write(path, payload.data(), payload.size());
+            backend->write(path, blobOf(payload));
             return payload.size();
         };
     }
@@ -151,7 +157,7 @@ TEST_P(DrainContract, JobsRunInEnqueueOrderAndSeePriorWrites)
                         &log]() -> std::uint64_t {
             EXPECT_EQ(text(*backend, path), expect_prev);
             const std::string payload = "v" + std::to_string(i);
-            backend->write(path, payload.data(), payload.size());
+            backend->write(path, blobOf(payload));
             std::lock_guard<std::mutex> lock(log_mutex);
             log.push_back(i);
             return payload.size();
@@ -193,7 +199,7 @@ TEST_P(DrainContract, RestartWhileDrainingSeesAllObjects)
     const std::string first = root_ + "/pfs/ckpt0";
     worker.enqueue([backend, first, gate]() -> std::uint64_t {
         gate->wait();
-        backend->write(first, "g", 1);
+        backend->write(first, blobOf("g"));
         return 1;
     });
     constexpr int kJobs = 8;
@@ -230,7 +236,7 @@ TEST_P(DrainContract, CrashLosesExactlyTheUndrainedObjects)
     worker.enqueue([backend, first, gate, started]() -> std::uint64_t {
         started->open(); // the worker is now mid-job
         gate->wait();
-        backend->write(first, "streamed", 8);
+        backend->write(first, blobOf("streamed"));
         return 8;
     });
     constexpr int kJobs = 6;
@@ -462,17 +468,16 @@ TEST(DrainStress, ConcurrentDrainAndCheckpointTrafficStaysConsistent)
                 const std::string payload =
                     "job" + std::to_string(t) + "#" + std::to_string(i);
                 // "L1": the rank writes its cache copy itself.
-                backend->writeAtomic(cache + name, payload.data(),
-                                     payload.size());
+                backend->writeAtomic(cache + name, blobOf(payload));
                 // "L4": the drain streams it to the PFS tree, then a
                 // queued prune drops the previous PFS object (FIFO
                 // keeps the write-then-remove order).
                 Backend *raw = backend.get();
                 last = drain.enqueue(
                     [raw, cache, pfs, name, payload]() -> std::uint64_t {
-                        std::vector<std::uint8_t> blob;
-                        EXPECT_TRUE(raw->read(cache + name, blob));
-                        raw->write(pfs + name, blob.data(), blob.size());
+                        const storage::Blob blob = raw->read(cache + name);
+                        EXPECT_TRUE(blob);
+                        raw->write(pfs + name, blob);
                         return blob.size();
                     });
                 if (i > 0) {
@@ -489,17 +494,13 @@ TEST(DrainStress, ConcurrentDrainAndCheckpointTrafficStaysConsistent)
                 if (i % 7 == 0)
                     drain.quiesce();
                 // Concurrent prefix traffic against everyone's trees.
-                for (const auto &n : backend->listDir(cache)) {
-                    std::vector<std::uint8_t> blob;
-                    ASSERT_TRUE(backend->read(cache + "/" + n, blob));
-                }
+                for (const auto &n : backend->listDir(cache))
+                    ASSERT_TRUE(backend->read(cache + "/" + n));
             }
             drain.wait(last);
             // Restart read: only the newest PFS object survives.
-            std::vector<std::uint8_t> blob;
-            ASSERT_TRUE(backend->read(
-                pfs + "/ckpt" + std::to_string(kCkpts - 1), blob));
-            EXPECT_EQ(std::string(blob.begin(), blob.end()),
+            EXPECT_EQ(text(*backend,
+                           pfs + "/ckpt" + std::to_string(kCkpts - 1)),
                       "job" + std::to_string(t) + "#" +
                           std::to_string(kCkpts - 1));
         });

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,29 +32,35 @@ namespace
 {
 
 std::shared_ptr<FaultInjectingBackend>
-faulty(std::vector<FaultWindow> windows, int retry_limit = 3)
+faulty(std::vector<FaultWindow> windows, int retry_limit = 3,
+       storage::Kind inner = storage::Kind::Mem)
 {
     StorageFaultPlan plan;
     plan.windows = std::move(windows);
     return std::make_shared<FaultInjectingBackend>(
-        storage::makeBackend(storage::Kind::Mem), std::move(plan),
-        retry_limit);
+        storage::makeBackend(inner), std::move(plan), retry_limit);
+}
+
+storage::Blob
+blobOf(const std::string &text)
+{
+    return storage::BlobPool::local().copyOf(text.data(), text.size());
 }
 
 void
 put(storage::Backend &backend, const std::string &path,
     const std::string &text)
 {
-    backend.write(path, text.data(), text.size());
+    backend.write(path, blobOf(text));
 }
 
 std::string
 get(const storage::Backend &backend, const std::string &path)
 {
-    std::vector<std::uint8_t> out;
-    if (!backend.read(path, out))
+    const storage::Blob blob = backend.read(path);
+    if (!blob)
         return {};
-    return {out.begin(), out.end()};
+    return {reinterpret_cast<const char *>(blob.data()), blob.size()};
 }
 
 } // namespace
@@ -290,10 +297,42 @@ TEST(FaultBackend, ReadWindowFailsReadsOnly)
         faulty({{1, 1, PathClass::Pfs, FaultKind::ReadFault, 2}});
     backend->setEpoch(1);
     EXPECT_NO_THROW(put(*backend, "/t/pfs/a", "x"));
-    std::vector<std::uint8_t> out;
-    EXPECT_THROW(backend->read("/t/pfs/a", out), StorageError);
-    EXPECT_THROW(backend->read("/t/pfs/a", out), StorageError);
-    EXPECT_TRUE(backend->read("/t/pfs/a", out)); // healed
+    EXPECT_THROW(backend->read("/t/pfs/a"), StorageError);
+    EXPECT_THROW(backend->read("/t/pfs/a"), StorageError);
+    EXPECT_TRUE(backend->read("/t/pfs/a")); // healed
+}
+
+TEST(FaultBackend, EachReadConsumesOneStrikeOverEitherInnerKind)
+{
+    // One read call is one decorator hook: a window of N strikes fails
+    // exactly the next N reads of a path, whichever backend sits
+    // underneath and whether or not the object exists — a read that
+    // finds nothing must not reach the hook a second time.
+    for (const storage::Kind kind : {storage::Kind::Mem,
+                                     storage::Kind::Disk}) {
+        const std::string root =
+            (std::filesystem::temp_directory_path() /
+             "match-fault-tests" / storage::kindName(kind))
+                .string();
+        auto backend = faulty(
+            {{1, 1, PathClass::Local, FaultKind::ReadFault, 2}}, 3, kind);
+        backend->removeTree(root);
+        backend->setEpoch(0); // no window open yet: seed an object
+        put(*backend, root + "/present", "x");
+        backend->setEpoch(1);
+        const std::uint64_t before =
+            storage::faultGlobalStats().injectedReadFaults;
+        for (const char *name : {"/present", "/absent"}) {
+            EXPECT_THROW(backend->read(root + name), StorageError);
+            EXPECT_THROW(backend->read(root + name), StorageError);
+        }
+        EXPECT_EQ(get(*backend, root + "/present"), "x"); // healed
+        EXPECT_FALSE(backend->read(root + "/absent"));
+        EXPECT_EQ(storage::faultGlobalStats().injectedReadFaults,
+                  before + 4)
+            << storage::kindName(kind);
+        backend->removeTree(root);
+    }
 }
 
 TEST(FaultBackend, TornWritePersistsAPrefix)
@@ -322,10 +361,9 @@ TEST(FaultBackend, StrikeBudgetsAreKeyedPerActor)
     backend->setEpoch(0);
     put(*backend, "/t/meta/shared", "x");
     backend->setEpoch(1);
-    std::vector<std::uint8_t> out;
     const auto read_as = [&](int actor) {
         storage::FaultEpochScope scope(backend.get(), 1, actor);
-        return backend->read("/t/meta/shared", out);
+        return static_cast<bool>(backend->read("/t/meta/shared"));
     };
     // Rank 0 consumes its two strikes, then heals — for itself only.
     EXPECT_THROW(read_as(0), StorageError);
@@ -336,7 +374,7 @@ TEST(FaultBackend, StrikeBudgetsAreKeyedPerActor)
     EXPECT_THROW(read_as(1), StorageError);
     EXPECT_TRUE(read_as(1));
     // The unbound bucket (no scope) is independent of both.
-    EXPECT_THROW(backend->read("/t/meta/shared", out), StorageError);
+    EXPECT_THROW(backend->read("/t/meta/shared"), StorageError);
 }
 
 TEST(FaultBackend, TornAtomicWritePersistsNothing)
@@ -349,20 +387,20 @@ TEST(FaultBackend, TornAtomicWritePersistsNothing)
     auto backend =
         faulty({{1, 1, PathClass::Local, FaultKind::TornWrite, 1}});
     backend->setEpoch(0);
-    backend->writeAtomic("/t/meta/a", "old", 3);
+    backend->writeAtomic("/t/meta/a", blobOf("old"));
     backend->setEpoch(1);
-    EXPECT_THROW(backend->writeAtomic("/t/meta/a", "0123456789", 10),
+    EXPECT_THROW(backend->writeAtomic("/t/meta/a", blobOf("0123456789")),
                  StorageError);
     // The tear landed in the discarded tmp object: the previous
     // content is untouched, no half-written object is observable.
     EXPECT_EQ(get(*backend, "/t/meta/a"), "old");
-    backend->writeAtomic("/t/meta/a", "0123456789", 10); // healed
+    backend->writeAtomic("/t/meta/a", blobOf("0123456789")); // healed
     EXPECT_EQ(get(*backend, "/t/meta/a"), "0123456789");
     // A fresh path sees no prefix either - absent, not truncated.
     auto torn =
         faulty({{1, 1, PathClass::Local, FaultKind::TornWrite, 1}});
     torn->setEpoch(1);
-    EXPECT_THROW(torn->writeAtomic("/t/meta/b", "0123456789", 10),
+    EXPECT_THROW(torn->writeAtomic("/t/meta/b", blobOf("0123456789")),
                  StorageError);
     EXPECT_FALSE(torn->exists("/t/meta/b"));
 }
@@ -400,7 +438,8 @@ TEST(FaultBackend, MetadataOperationsPassThrough)
     std::size_t bytes = 0;
     EXPECT_TRUE(backend->size("/t/local/a", bytes));
     EXPECT_EQ(bytes, 1u);
-    EXPECT_NO_THROW(backend->createDirectories("/t/local/dir"));
+    EXPECT_EQ(backend->listDir("/t/local"),
+              (std::vector<std::string>{"a"}));
     EXPECT_NO_THROW(backend->remove("/t/local/a"));
     EXPECT_NO_THROW(backend->removeTree("/t/local"));
 }
