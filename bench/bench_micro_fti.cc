@@ -4,11 +4,13 @@
  * (real serialization + file I/O) and recovery, plus the blob
  * data-plane counters that make the zero-copy claim measurable — on
  * the MemBackend hot path, `bytesCopied` must stay near zero while
- * `bytesStored` counts every checkpoint byte admitted to the store.
+ * `bytesStored` counts every checkpoint byte admitted to the store —
+ * and the drain-stage RLE codec's bytes/s.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 #include <vector>
 
@@ -147,6 +149,101 @@ BM_Crc32c(benchmark::State &state)
                             static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_Crc32c)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+
+/** Checkpoint images for the codec rows: 18 KiB, an HPCCG p64 rank's
+ *  protected state. */
+constexpr std::size_t kCodecDoubles = 2304;
+
+std::uint64_t
+lcgNext(std::uint64_t &state)
+{
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 11;
+}
+
+storage::Blob
+sealDoubles(const std::vector<double> &values)
+{
+    return storage::BlobPool::local().copyOf(
+        values.data(), values.size() * sizeof(double));
+}
+
+/** 0: HPCCG-like doubles (incompressible: the stored fallback);
+ *  1: an image 90% zero bytes (one double in ten set);
+ *  2: the delta envelope between two consecutive sparse images (every
+ *  third 256-byte block updated). */
+storage::Blob
+codecInput(int kind)
+{
+    std::uint64_t rng = 12345;
+    std::vector<double> image(kCodecDoubles, 0.0);
+    for (std::size_t k = 0; k < image.size(); ++k) {
+        const double noise = static_cast<double>(lcgNext(rng) % 1000000) *
+                             1e-9;
+        if (kind == 0)
+            image[k] = 1.0 + 0.25 * std::sin(0.01 * k) + noise;
+        else if (lcgNext(rng) % 10 == 0)
+            image[k] = 0.5 + noise;
+    }
+    if (kind != 2)
+        return sealDoubles(image);
+    std::vector<double> next = image;
+    constexpr std::size_t kBlockDoubles = 256 / sizeof(double);
+    for (std::size_t k = 0; k < next.size(); ++k)
+        if ((k / kBlockDoubles) % 3 == 0 && next[k] != 0.0)
+            next[k] *= 1.0001;
+    return storage::deltaEncode(sealDoubles(next), sealDoubles(image), 1,
+                                256);
+}
+
+const char *
+codecLabel(int kind)
+{
+    return kind == 0 ? "doubles" : kind == 1 ? "sparse90" : "delta";
+}
+
+/**
+ * The drain-stage RLE encoder (every L4/SCR flush under a compress
+ * transform) on the three checkpoint shapes above; bytes/s counts
+ * input bytes.
+ */
+void
+BM_CompressEncode(benchmark::State &state)
+{
+    const int kind = static_cast<int>(state.range(0));
+    const storage::Blob input = codecInput(kind);
+    std::size_t envelope_bytes = 0;
+    for (auto _ : state) {
+        const storage::Blob envelope = storage::compressEncode(input);
+        envelope_bytes = envelope.size();
+        benchmark::DoNotOptimize(envelope.data());
+    }
+    state.SetLabel(codecLabel(kind));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(input.size()));
+    state.counters["outPerIn"] =
+        static_cast<double>(envelope_bytes) /
+        static_cast<double>(input.size());
+}
+BENCHMARK(BM_CompressEncode)->DenseRange(0, 2);
+
+/** The matching decode (L4/SCR recovery reads); bytes/s counts decoded
+ *  bytes. */
+void
+BM_CompressDecode(benchmark::State &state)
+{
+    const int kind = static_cast<int>(state.range(0));
+    const storage::Blob input = codecInput(kind);
+    const storage::Blob envelope = storage::compressEncode(input);
+    for (auto _ : state) {
+        const storage::Blob decoded = storage::compressDecode(envelope);
+        benchmark::DoNotOptimize(decoded.data());
+    }
+    state.SetLabel(codecLabel(kind));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_CompressDecode)->DenseRange(0, 2);
 
 /**
  * Checkpoint hot path with SDC hardening on: identical loop to

@@ -32,6 +32,34 @@
 #define MATCH_TSAN_SWITCH_TO_FIBER(f) (void)(f)
 #endif
 
+// AddressSanitizer likewise needs to know which stack is live: an
+// exception unwound on a fiber stack calls __asan_handle_no_return,
+// which unpoisons "the current stack" and misreads a fiber's heap-
+// allocated stack as an overflow without these annotations. Each
+// switch is bracketed by start (naming the target stack) and finish
+// (on arrival, recording the stack just left); compiled in only under
+// -fsanitize=address (the CI ASan+UBSan lane).
+#if defined(__SANITIZE_ADDRESS__)
+#define MATCH_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MATCH_ASAN_FIBERS 1
+#endif
+#endif
+
+#ifdef MATCH_ASAN_FIBERS
+#include <sanitizer/common_interface_defs.h>
+#define MATCH_ASAN_START_SWITCH(save, bottom, size)                        \
+    __sanitizer_start_switch_fiber(save, bottom, size)
+#define MATCH_ASAN_FINISH_SWITCH(save, bottom_old, size_old)               \
+    __sanitizer_finish_switch_fiber(save, bottom_old, size_old)
+#else
+#define MATCH_ASAN_START_SWITCH(save, bottom, size)                        \
+    ((void)(save), (void)(bottom), (void)(size))
+#define MATCH_ASAN_FINISH_SWITCH(save, bottom_old, size_old)               \
+    ((void)(save), (void)(bottom_old), (void)(size_old))
+#endif
+
 namespace match::simmpi
 {
 
@@ -40,6 +68,11 @@ namespace
 
 /// The fiber being resumed/running right now (single-threaded scheduler).
 thread_local Fiber *currentFiber = nullptr;
+
+/// This thread's scheduler stack, as ASan reported it on the last switch
+/// into a fiber (unused without ASan).
+thread_local const void *schedulerStackBottom = nullptr;
+thread_local std::size_t schedulerStackSize = 0;
 
 } // anonymous namespace
 
@@ -172,6 +205,9 @@ Fiber::~Fiber()
 void
 Fiber::trampoline()
 {
+    // First arrival on this stack: remember the scheduler's.
+    MATCH_ASAN_FINISH_SWITCH(nullptr, &schedulerStackBottom,
+                             &schedulerStackSize);
     try {
         body_();
     } catch (const FiberUnwind &) {
@@ -184,6 +220,9 @@ Fiber::trampoline()
     }
     state_ = State::Finished;
     MATCH_TSAN_SWITCH_TO_FIBER(tsanParent_);
+    // A null save slot: this stack is never switched back to.
+    MATCH_ASAN_START_SWITCH(nullptr, schedulerStackBottom,
+                            schedulerStackSize);
     matchCtxSwap(&sp_, schedulerSp_);
     util::panic("resumed a finished fiber");
 }
@@ -201,7 +240,11 @@ Fiber::resume()
     }
     tsanParent_ = MATCH_TSAN_CURRENT_FIBER();
     MATCH_TSAN_SWITCH_TO_FIBER(tsanFiber_);
+    void *scheduler_fake_stack = nullptr;
+    MATCH_ASAN_START_SWITCH(&scheduler_fake_stack, stack_.data.get(),
+                            stack_.size);
     matchCtxSwap(&schedulerSp_, sp_);
+    MATCH_ASAN_FINISH_SWITCH(scheduler_fake_stack, nullptr, nullptr);
     currentFiber = nullptr;
 }
 
@@ -211,7 +254,12 @@ Fiber::yield()
     MATCH_ASSERT(currentFiber == this,
                  "yield() must be called from inside the fiber");
     MATCH_TSAN_SWITCH_TO_FIBER(tsanParent_);
+    void *fake_stack = nullptr; // parked on this fiber's own stack
+    MATCH_ASAN_START_SWITCH(&fake_stack, schedulerStackBottom,
+                            schedulerStackSize);
     matchCtxSwap(&sp_, schedulerSp_);
+    MATCH_ASAN_FINISH_SWITCH(fake_stack, &schedulerStackBottom,
+                             &schedulerStackSize);
 }
 
 } // namespace match::simmpi

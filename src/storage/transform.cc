@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "src/util/logging.hh"
@@ -99,6 +100,81 @@ malformed(const char *what)
 {
     MATCH_DEBUG("transform: %s", what);
     return Blob();
+}
+
+// The RLE scans below read 8 input bytes per unaligned load and locate
+// the first interesting byte with a count of trailing zero bits, which
+// names the lowest-addressed byte only on a little-endian host (the
+// fiber layer is x86-64 only already).
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the word-at-a-time RLE scan assumes little-endian loads");
+
+/** Longest RLE literal chunk and longest repeat run. */
+constexpr std::size_t kMaxChunk = 128;
+constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+
+/** Index of the lowest-addressed nonzero byte of a nonzero word. */
+std::size_t
+lowByteIndex(std::uint64_t w)
+{
+    return static_cast<std::size_t>(__builtin_ctzll(w)) >> 3;
+}
+
+/** End of the run of bytes equal to in[i] that starts at i, capped at
+ *  `limit`: XOR against the broadcast byte, 8 bytes per step. */
+std::size_t
+repeatEnd(const std::uint8_t *in, std::size_t i, std::size_t limit)
+{
+    const std::uint64_t pattern = in[i] * kLowBits;
+    std::size_t k = i + 1;
+    for (; k + 8 <= limit; k += 8) {
+        const std::uint64_t diff = getU64(in + k) ^ pattern;
+        if (diff != 0)
+            return k + lowByteIndex(diff);
+    }
+    while (k < limit && in[k] == in[i])
+        ++k;
+    return k;
+}
+
+/** First j in [i, limit) that starts a triple in[j] == in[j+1] ==
+ *  in[j+2] lying inside the n input bytes, else `limit`. A zero byte b
+ *  of (w0 ^ w1) | (w1 ^ w2), over loads at in+j, in+j+1 and in+j+2,
+ *  marks a triple at j+b; the lowest zero byte is found exactly by the
+ *  SWAR test (borrows only propagate upward from a zero byte). */
+std::size_t
+literalEnd(const std::uint8_t *in, std::size_t n, std::size_t i,
+           std::size_t limit)
+{
+    std::size_t j = i;
+    for (; j < limit && j + 10 <= n; j += 8) {
+        const std::uint64_t w1 = getU64(in + j + 1);
+        const std::uint64_t x =
+            (getU64(in + j) ^ w1) | (w1 ^ getU64(in + j + 2));
+        const std::uint64_t zero = (x - kLowBits) & ~x & kHighBits;
+        if (zero != 0)
+            return std::min(limit, j + lowByteIndex(zero));
+    }
+    for (; j < limit; ++j)
+        if (j + 2 < n && in[j] == in[j + 1] && in[j] == in[j + 2])
+            return j;
+    return limit;
+}
+
+/** Per-thread RLE staging area: grows to the largest request seen on
+ *  this thread, then is reused, so a warm encoder never allocates. */
+std::uint8_t *
+stagingBuffer(std::size_t bytes)
+{
+    thread_local std::unique_ptr<std::uint8_t[]> buffer;
+    thread_local std::size_t capacity = 0;
+    if (capacity < bytes) {
+        // Default-initialized: no memset of bytes about to be written.
+        buffer.reset(new std::uint8_t[bytes]);
+        capacity = bytes;
+    }
+    return buffer.get();
 }
 
 } // namespace
@@ -296,46 +372,41 @@ compressEncode(const Blob &raw)
 
     // PackBits-style RLE: control c in [0,127] prefixes c+1 literal
     // bytes; c in [129,255] repeats the next byte 257-c times (runs of
-    // 3..128); 128 is a decoder noop.
-    std::vector<std::uint8_t> rle;
-    rle.reserve(n / 2 + 16);
+    // 3..128); 128 is a decoder noop. Encoding stops once the output
+    // reaches n bytes, so the last chunk overshoots by at most 128.
+    std::uint8_t *rle = stagingBuffer(n + kMaxChunk);
+    std::size_t out = 0;
     std::size_t i = 0;
-    while (i < n && rle.size() < n) {
-        std::size_t run = 1;
-        while (i + run < n && run < 128 && in[i + run] == in[i])
-            ++run;
+    while (i < n && out < n) {
+        const std::size_t limit = std::min(n, i + kMaxChunk);
+        const std::size_t run = repeatEnd(in, i, limit) - i;
         if (run >= 3) {
-            rle.push_back(static_cast<std::uint8_t>(257 - run));
-            rle.push_back(in[i]);
+            rle[out++] = static_cast<std::uint8_t>(257 - run);
+            rle[out++] = in[i];
             i += run;
             continue;
         }
-        std::size_t j = i;
-        while (j < n && j - i < 128) {
-            if (j + 2 < n && in[j] == in[j + 1] && in[j] == in[j + 2])
-                break;
-            ++j;
-        }
-        rle.push_back(static_cast<std::uint8_t>(j - i - 1));
-        rle.insert(rle.end(), in + i, in + j);
+        const std::size_t j = literalEnd(in, n, i, limit);
+        rle[out++] = static_cast<std::uint8_t>(j - i - 1);
+        std::memcpy(rle + out, in + i, j - i);
+        out += j - i;
         i = j;
     }
 
     // Stored fallback: an incompressible input ships verbatim, so the
     // envelope never exceeds input + header.
-    const bool stored = i < n || rle.size() >= n;
-    const std::size_t payload = stored ? n : rle.size();
-    MutableBlob out =
+    const bool stored = i < n || out >= n;
+    const std::size_t payload = stored ? n : out;
+    MutableBlob envelope =
         BlobPool::local().acquire(kCompressHeaderBytes + payload);
-    std::uint8_t *p = out.data();
+    std::uint8_t *p = envelope.data();
     putU32(p, kCompressMagic);
     p[4] = stored ? kMethodStored : kMethodRle;
     p[5] = p[6] = p[7] = 0;
     putU64(p + 8, n);
     if (payload > 0)
-        std::memcpy(p + kCompressHeaderBytes, stored ? in : rle.data(),
-                    payload);
-    Blob env = std::move(out).seal();
+        std::memcpy(p + kCompressHeaderBytes, stored ? in : rle, payload);
+    Blob env = std::move(envelope).seal();
     noteEncode(TransformStage::Compress, n, env.size());
     return env;
 }

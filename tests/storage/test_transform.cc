@@ -5,17 +5,22 @@
  * inputs (stored fallback), delta encodes full and diff envelopes that
  * decode back byte-identically, corrupt envelopes are rejected softly
  * (a null Blob, never a fatal), and the per-instance/per-stage
- * counters move.
+ * counters move. The word-at-a-time RLE encoder is held byte for byte
+ * to the original byte-at-a-time loop, kept here as the reference,
+ * and a warm encode may allocate no more than the envelope's seal.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "src/storage/blob.hh"
 #include "src/storage/transform.hh"
+#include "tests/alloc_counter.hh"
 
 using namespace match;
 using match::storage::Blob;
@@ -263,4 +268,246 @@ TEST(TransformStats, InstanceAndGlobalCountersMove)
     EXPECT_EQ(compress_after.applies - compress_before.applies, 1u);
     EXPECT_EQ(compress_after.bytesOut - compress_before.bytesOut,
               cenv.size());
+}
+
+namespace
+{
+
+using Bytes = std::vector<std::uint8_t>;
+
+/**
+ * The original byte-at-a-time PackBits encoder, verbatim but for
+ * returning the whole envelope as a vector: [u32 "MCMP"][u8 method]
+ * [3 pad][u64 raw bytes][payload]. compressEncode must reproduce its
+ * bytes exactly, including the stored-vs-RLE decision and the rule
+ * that encoding stops once the output reaches n bytes.
+ */
+Bytes
+referenceEnvelope(const Bytes &raw)
+{
+    const std::uint8_t *in = raw.data();
+    const std::size_t n = raw.size();
+    Bytes rle;
+    std::size_t i = 0;
+    while (i < n && rle.size() < n) {
+        std::size_t run = 1;
+        while (i + run < n && run < 128 && in[i + run] == in[i])
+            ++run;
+        if (run >= 3) {
+            rle.push_back(static_cast<std::uint8_t>(257 - run));
+            rle.push_back(in[i]);
+            i += run;
+            continue;
+        }
+        std::size_t j = i;
+        while (j < n && j - i < 128) {
+            if (j + 2 < n && in[j] == in[j + 1] && in[j] == in[j + 2])
+                break;
+            ++j;
+        }
+        rle.push_back(static_cast<std::uint8_t>(j - i - 1));
+        rle.insert(rle.end(), in + i, in + j);
+        i = j;
+    }
+    const bool stored = i < n || rle.size() >= n;
+    Bytes env(16, 0);
+    const std::uint32_t magic = 0x504d434dU;
+    const std::uint64_t n64 = n;
+    std::memcpy(env.data(), &magic, sizeof(magic));
+    env[4] = stored ? 0 : 1;
+    std::memcpy(env.data() + 8, &n64, sizeof(n64));
+    const Bytes &payload = stored ? raw : rle;
+    env.insert(env.end(), payload.begin(), payload.end());
+    return env;
+}
+
+/** Encode `raw`, require the reference's exact bytes, and require the
+ *  envelope to decode back to `raw`. Returns false on the first
+ *  mismatch so a sweep stops after one report. */
+bool
+matchesReference(const Bytes &raw, const std::string &label)
+{
+    const Blob envelope = storage::compressEncode(sealBytes(Bytes(raw)));
+    const Bytes expected = referenceEnvelope(raw);
+    if (asBytes(envelope) != expected) {
+        ADD_FAILURE() << label << ": " << raw.size()
+                      << "-byte input, envelope of " << envelope.size()
+                      << " bytes vs reference " << expected.size();
+        return false;
+    }
+    const Blob decoded = storage::compressDecode(envelope);
+    if (!decoded || asBytes(decoded) != raw) {
+        ADD_FAILURE() << label << ": " << raw.size()
+                      << "-byte input does not round-trip";
+        return false;
+    }
+    return true;
+}
+
+enum class Mix
+{
+    RandomBytes, ///< incompressible: the stored fallback
+    TwoSymbols,  ///< frequent short runs and triples
+    SparseNonZero,
+    PlantedRuns, ///< random bytes with runs of 1..300 planted
+};
+
+Bytes
+mixInput(Mix mix, std::size_t n, std::mt19937_64 &rng)
+{
+    Bytes raw(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::uint64_t r = rng();
+        switch (mix) {
+          case Mix::RandomBytes:
+            raw[k] = static_cast<std::uint8_t>(r);
+            break;
+          case Mix::TwoSymbols:
+            raw[k] = (r & 1) ? 0x5a : 0x00;
+            break;
+          case Mix::SparseNonZero:
+            raw[k] = (r % 10 == 0) ? static_cast<std::uint8_t>(r >> 8) : 0;
+            break;
+          case Mix::PlantedRuns:
+            raw[k] = static_cast<std::uint8_t>(r);
+            break;
+        }
+    }
+    if (mix == Mix::PlantedRuns) {
+        for (std::size_t planted = 0; n > 0 && planted < n / 64 + 1;
+             ++planted) {
+            const std::size_t at = rng() % n;
+            const std::size_t len = std::min<std::size_t>(
+                1 + rng() % 300, n - at);
+            std::memset(raw.data() + at, static_cast<int>(rng() & 0xff),
+                        len);
+        }
+    }
+    return raw;
+}
+
+/** `len` bytes that never repeat a byte twice in a row (no run, no
+ *  triple), starting at `first`. */
+Bytes
+literalBytes(std::size_t len, std::uint8_t first)
+{
+    Bytes out(len);
+    for (std::size_t k = 0; k < len; ++k)
+        out[k] = static_cast<std::uint8_t>(first + 2 * k + 1);
+    return out;
+}
+
+} // namespace
+
+TEST(Compress, EncodeMatchesReferenceBytewise)
+{
+    // Seeded random inputs of every length 0..3000 in four mixes.
+    std::mt19937_64 rng(0x5eedc0deULL);
+    for (const Mix mix : {Mix::RandomBytes, Mix::TwoSymbols,
+                          Mix::SparseNonZero, Mix::PlantedRuns}) {
+        for (std::size_t n = 0; n <= 3000; ++n)
+            ASSERT_TRUE(matchesReference(
+                mixInput(mix, n, rng),
+                "mix " + std::to_string(static_cast<int>(mix))));
+    }
+
+    // All-equal inputs split into repeat runs of 128 plus a remainder
+    // (runs of 2, 3, 127, 128, 129, 130 bytes all occur); alternating
+    // inputs into literal chunks of 128 plus a remainder.
+    for (std::size_t n = 0; n <= 300; ++n) {
+        ASSERT_TRUE(matchesReference(Bytes(n, 0xc3), "all-equal"));
+        Bytes alternating(n);
+        for (std::size_t k = 0; k < n; ++k)
+            alternating[k] = (k & 1) ? 0xab : 0xcd;
+        ASSERT_TRUE(matchesReference(alternating, "alternating"));
+    }
+
+    // Slices at offsets 0..7 of one larger buffer: the same bytes meet
+    // the 8-byte scan steps at every phase. (A Blob owns a malloc-
+    // aligned buffer, and the loads at in+j+1 and in+j+2 are unaligned
+    // in every case.)
+    for (const Mix mix : {Mix::TwoSymbols, Mix::PlantedRuns,
+                          Mix::SparseNonZero}) {
+        const Bytes big = mixInput(mix, 4096, rng);
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            for (std::size_t n = 0; n <= 600; n += (n < 80 ? 1 : 37))
+                ASSERT_TRUE(matchesReference(
+                    Bytes(big.begin() + static_cast<long>(offset),
+                          big.begin() + static_cast<long>(offset + n)),
+                    "offset " + std::to_string(offset)));
+        }
+    }
+
+    // Around the stored threshold: literal A, a run of r bytes, literal
+    // B encodes to (1 + a) + 2 + (1 + b) bytes, i.e. n + 4 - r, so runs
+    // of 3, 4 and 5 put the RLE output at n + 1, n and n - 1.
+    for (std::size_t a : {0, 1, 2, 7, 8, 9, 126, 127, 128}) {
+        for (std::size_t b : {0, 1, 2, 8, 127, 128}) {
+            for (std::size_t r : {3, 4, 5}) {
+                Bytes raw = literalBytes(a, 0x10);
+                raw.insert(raw.end(), r, 0x00);
+                const Bytes tail = literalBytes(b, 0x20);
+                raw.insert(raw.end(), tail.begin(), tail.end());
+                ASSERT_TRUE(matchesReference(
+                    raw, "threshold a=" + std::to_string(a) +
+                             " b=" + std::to_string(b) +
+                             " r=" + std::to_string(r)));
+            }
+        }
+    }
+    // The n - 1 / n / n + 1 split really is the method switch.
+    Bytes at_threshold = literalBytes(100, 0x10);
+    at_threshold.insert(at_threshold.end(), 5, 0x00);
+    at_threshold.push_back(0x33);
+    EXPECT_EQ(referenceEnvelope(at_threshold)[4], 1); // RLE, n - 1
+    at_threshold.erase(at_threshold.begin() + 100);
+    EXPECT_EQ(referenceEnvelope(at_threshold)[4], 0); // stored, n
+
+    // Ten literal chunks, then a short run: the output reaches n while
+    // input remains, so encoding stops early and the input is stored.
+    Bytes early_stop = literalBytes(1280, 0x40);
+    early_stop.insert(early_stop.end(), 9, 0x00);
+    EXPECT_EQ(referenceEnvelope(early_stop)[4], 0);
+    EXPECT_TRUE(matchesReference(early_stop, "early stop"));
+}
+
+TEST(Compress, WarmEncodeAllocatesNoMoreThanTheEnvelopeSeal)
+{
+    // Three checkpoint-sized shapes: incompressible (stored), a sparse
+    // image (RLE), and a run-heavy image (RLE).
+    std::mt19937_64 rng(42);
+    const std::vector<Blob> inputs = {
+        sealBytes(mixInput(Mix::RandomBytes, 18432, rng)),
+        sealBytes(mixInput(Mix::SparseNonZero, 18432, rng)),
+        sealBytes(mixInput(Mix::PlantedRuns, 18432, rng)),
+    };
+    std::vector<std::size_t> envelope_sizes;
+    for (const Blob &input : inputs) // warm the pool and staging buffer
+        envelope_sizes.push_back(storage::compressEncode(input).size());
+    for (const std::size_t size : envelope_sizes) {
+        const Bytes staged(size, 1);
+        storage::BlobPool::local().copyOf(staged.data(), size);
+    }
+
+    constexpr int kRounds = 64;
+    const std::uint64_t before_encode = allocCount();
+    for (int round = 0; round < kRounds; ++round)
+        for (const Blob &input : inputs)
+            EXPECT_TRUE(storage::compressEncode(input));
+    const std::uint64_t encode_allocs = allocCount() - before_encode;
+
+    // The yardstick: staging a pooled copy of each envelope's size,
+    // whose only allocation is the sealed Blob's control block.
+    std::vector<Bytes> staged;
+    for (const std::size_t size : envelope_sizes)
+        staged.emplace_back(size, 1);
+    const std::uint64_t before_copy = allocCount();
+    for (int round = 0; round < kRounds; ++round)
+        for (const Bytes &bytes : staged)
+            EXPECT_TRUE(
+                storage::BlobPool::local().copyOf(bytes.data(), bytes.size()));
+    const std::uint64_t copy_allocs = allocCount() - before_copy;
+
+    EXPECT_LE(encode_allocs, copy_allocs)
+        << "a warm compressEncode allocates beyond its envelope";
 }
