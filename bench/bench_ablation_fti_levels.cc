@@ -40,7 +40,7 @@ main(int argc, char **argv)
     const char *paths[] = {
         "", "node-local ramfs", "local + partner copy",
         "local + Reed-Solomon group",
-        "parallel FS (differential, drained)"};
+        "parallel FS (whole object, drained)"};
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const ft::Breakdown &mean = results[i].mean;
         table.addRow({"L" + std::to_string(cells[i].ckptLevel),

@@ -38,9 +38,6 @@ struct FtiConfig
      *  nodes within a checkpoint encoding group". */
     int parityShards = 2;
 
-    /** Block size for L4 differential checkpointing. */
-    std::size_t diffBlockSize = 64 * 1024;
-
     /** Keep only the latest committed checkpoint (saves disk). */
     bool keepOnlyLatest = true;
 

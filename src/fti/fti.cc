@@ -705,92 +705,36 @@ namespace
 {
 
 /**
- * The L4 flush body, run by the drain worker: differential
- * checkpointing against the rank's base image. The first flush writes
- * the base; later ones write only the blocks that differ from it.
+ * The L4 flush body, run by the drain worker: write the staged blob as
+ * the rank's whole PFS object, compressed here in the drain stage when
+ * the transform has a compress stage (the delta stage already ran at
+ * serialize time). The checkpoint's metadata covers the staged,
+ * pre-compression bytes, so recovery decompresses before verifying.
  * Deliberately a free function over a refcounted blob and a config
  * copy — it runs on the drain thread, possibly after the enqueuing Fti
  * incarnation died, so it must touch no Fti state.
  *
- * @return bytes actually shipped to the PFS (differential writes less);
- *         a pure function of the flushes drained before this one, so
- *         the virtual drain accounting is schedule-independent.
+ * @return bytes actually shipped to the PFS; a pure function of the
+ *         staged blob, so the virtual drain accounting is
+ *         schedule-independent.
  */
 std::uint64_t
 pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
             const storage::Blob &blob, int retry_limit)
 {
-    storage::Backend &store = storage::resolve(config.backend);
-    // Per-object retry: transient fault windows strike each PFS path
-    // independently, so spending the budget per operation (not per
-    // job) is what lets a rideable window actually be ridden out when
-    // the job writes several objects. Wall-clock only — the enqueuing
-    // rank priced the transient strikes at checkpoint entry.
-    const auto retried = [retry_limit](auto &&op) {
-        return storage::withIoRetry(
-            retry_limit, std::forward<decltype(op)>(op), [](int) {});
-    };
-    if (config.transform != storage::TransformKind::None) {
-        // Transform-enabled flushes write the staged envelope (the
-        // delta stage already ran at serialize time) as the whole PFS
-        // object, compressed here in the drain stage when configured —
-        // the checkpoint's metadata covers the pre-compression
-        // envelope, so recovery decompresses before verifying. The
-        // legacy base+diff layout below stays the None behaviour,
-        // bit-identical to the pre-transform code.
-        const storage::Blob out =
-            storage::transformHasCompress(config.transform)
-                ? storage::compressEncode(blob)
-                : blob;
-        retried(
-            [&] { store.write(Fti::pfsFile(config, rank, ckpt_id), out); });
-        return out.size();
-    }
-    const std::string dir = Fti::execDir(config) + "/pfs/diff/rank" +
-                            std::to_string(rank);
-    const std::string base = dir + "/base.fti";
-    const storage::Blob base_blob =
-        retried([&] { return store.read(base); });
-    if (!base_blob) {
-        // The base image also serves as this checkpoint's PFS copy;
-        // both paths share the staged buffer by refcount.
-        retried([&] { store.write(base, blob); });
-        retried(
-            [&] { store.write(Fti::pfsFile(config, rank, ckpt_id), blob); });
-        return blob.size();
-    }
-    // Delta vs base, built straight into the stored payload:
-    // [u64 full size] then [u64 offset][u64 len][bytes] per changed
-    // block (the full size lets recovery handle growth/shrink).
-    const std::size_t bs = config.diffBlockSize;
-    std::vector<std::uint8_t> payload(sizeof(std::uint64_t));
-    const std::uint64_t full = blob.size();
-    std::memcpy(payload.data(), &full, sizeof(full));
-    std::uint64_t changed = 0;
-    for (std::size_t off = 0; off < blob.size(); off += bs) {
-        const std::size_t len = std::min(bs, blob.size() - off);
-        const bool same =
-            off + len <= base_blob.size() &&
-            std::memcmp(blob.data() + off, base_blob.data() + off,
-                        len) == 0;
-        if (same)
-            continue;
-        const std::uint64_t off64 = off, len64 = len;
-        const std::size_t pos = payload.size();
-        payload.resize(pos + sizeof(off64) + sizeof(len64) + len);
-        std::memcpy(payload.data() + pos, &off64, sizeof(off64));
-        std::memcpy(payload.data() + pos + sizeof(off64), &len64,
-                    sizeof(len64));
-        std::memcpy(payload.data() + pos + sizeof(off64) + sizeof(len64),
-                    blob.data() + off, len);
-        changed += len;
-    }
-    const std::string delta_path =
-        dir + "/delta" + std::to_string(ckpt_id) + ".fti";
-    const storage::Blob delta_blob =
-        storage::Blob::fromVector(std::move(payload));
-    retried([&] { store.write(delta_path, delta_blob); });
-    return changed;
+    const storage::Blob out = storage::transformHasCompress(config.transform)
+                                  ? storage::compressEncode(blob)
+                                  : blob;
+    // Wall-clock only — the enqueuing rank priced the transient
+    // strikes at checkpoint entry.
+    storage::withIoRetry(
+        retry_limit,
+        [&] {
+            storage::resolve(config.backend)
+                .write(Fti::pfsFile(config, rank, ckpt_id), out);
+        },
+        [](int) {});
+    return out.size();
 }
 
 } // anonymous namespace
@@ -1044,10 +988,10 @@ Fti::checkpoint(int ckpt_id, int level)
 
     // Data path: every level keeps a local copy except L4, which is
     // staged to the drain and streamed to the parallel file system in
-    // the background. Differential L4 checkpoints are priced (on the
-    // drain channel) by the bytes actually shipped. The wall-clock
-    // enqueue happens here, before the consistency protocol, so an
-    // async worker overlaps the diff + PFS writes with the collectives
+    // the background. L4 checkpoints are priced (on the drain channel)
+    // by the bytes actually shipped. The wall-clock enqueue happens
+    // here, before the consistency protocol, so an async worker
+    // overlaps the compress + PFS write with the collectives
     // and the following compute phase. Every consumer — local store,
     // partner store, drain job — shares the one sealed snapshot by
     // refcount; no path deep-copies the payload.
@@ -1164,43 +1108,6 @@ intact(const storage::Blob &blob, const MetaInfo &meta, int rank)
            blob.crc32c() == meta.checksumPerRank[rank];
 }
 
-/**
- * Reassemble a legacy L4 differential checkpoint (transform none) of
- * `image_bytes`: `payload` is [u64 image size] then [u64 offset]
- * [u64 len][bytes] per changed block, applied over `base`. These are
- * stored bytes parsed before anything can verify them, so malformed
- * framing gives a null blob, never an abort.
- */
-storage::Blob
-applyLegacyDiff(const storage::Blob &base, const storage::Blob &payload,
-                std::size_t image_bytes)
-{
-    std::uint64_t full;
-    if (payload.size() < sizeof(full))
-        return storage::Blob();
-    std::memcpy(&full, payload.data(), sizeof(full));
-    if (full != image_bytes)
-        return storage::Blob(); // could never verify; don't allocate it
-    std::vector<std::uint8_t> out(image_bytes, 0);
-    const std::size_t keep = std::min(image_bytes, base.size());
-    std::memcpy(out.data(), base.data(), keep);
-    storage::noteBlobCopy(keep);
-    for (std::size_t off = sizeof(full); off < payload.size();) {
-        std::uint64_t at, len;
-        if (payload.size() - off < sizeof(at) + sizeof(len))
-            return storage::Blob();
-        std::memcpy(&at, payload.data() + off, sizeof(at));
-        std::memcpy(&len, payload.data() + off + sizeof(at), sizeof(len));
-        off += sizeof(at) + sizeof(len);
-        if (len > payload.size() - off || at > out.size() ||
-            len > out.size() - at)
-            return storage::Blob();
-        std::memcpy(out.data() + at, payload.data() + off, len);
-        off += len;
-    }
-    return storage::Blob::fromVector(std::move(out));
-}
-
 } // anonymous namespace
 
 storage::Blob
@@ -1262,51 +1169,27 @@ Fti::readPfsBlob(const MetaInfo &meta, const char *&why)
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     // Unlike the local tiers, a PFS read exhausted past the retry
     // budget throws StorageError, which ends the rung.
-    const auto fetch = [this](const std::string &path) {
-        return ioRetry([&] { return store_.read(path); });
-    };
-    if (storage::Blob whole = fetch(pfsFile(config_, rank, meta.ckptId))) {
-        if (!storage::transformHasCompress(config_.transform))
-            return whole;
-        // The PFS object is the compressed envelope; the meta checksum
-        // covers the decompressed (staged) bytes, so decode first, then
-        // let the caller verify. Decompression is a real recovery-path
-        // cost, priced inline.
-        const std::uint64_t raw = storage::compressRawBytes(whole);
-        storage::Blob decoded = storage::compressDecode(whole);
-        if (decoded)
-            proc_.sleepFor(proc_.runtime().costModel().transformDecompress(
-                static_cast<std::size_t>(static_cast<double>(raw) *
-                                         config_.virtualFactor)));
-        else
-            why = "corrupt compress envelope";
-        return decoded;
-    }
-    if (config_.transform != storage::TransformKind::None) {
-        // Transform-enabled flushes always write the whole object;
-        // its absence means the checkpoint is lost, not differential.
+    storage::Blob whole = ioRetry(
+        [&] { return store_.read(pfsFile(config_, rank, meta.ckptId)); });
+    if (!whole) {
         why = "PFS object lost";
         return storage::Blob();
     }
-    // Differential path: base + the delta for this checkpoint. The
-    // base and delta are immutable read handles; the restored image
-    // is materialized once into a fresh buffer.
-    const std::string dir =
-        execDir(config_) + "/pfs/diff/rank" + std::to_string(rank);
-    const storage::Blob base = fetch(dir + "/base.fti");
-    if (!base) {
-        why = "PFS base image lost";
-        return storage::Blob();
-    }
-    const storage::Blob payload =
-        fetch(dir + "/delta" + std::to_string(meta.ckptId) + ".fti");
-    if (!payload)
-        return base; // checkpoint was the base itself
-    storage::Blob image =
-        applyLegacyDiff(base, payload, meta.bytesPerRank[rank]);
-    if (!image)
-        why = "truncated or malformed delta file";
-    return image;
+    if (!storage::transformHasCompress(config_.transform))
+        return whole;
+    // The PFS object is the compressed envelope; the meta checksum
+    // covers the decompressed (staged) bytes, so decode first, then
+    // let the caller verify. Decompression is a real recovery-path
+    // cost, priced inline.
+    const std::uint64_t raw = storage::compressRawBytes(whole);
+    storage::Blob decoded = storage::compressDecode(whole);
+    if (decoded)
+        proc_.sleepFor(proc_.runtime().costModel().transformDecompress(
+            static_cast<std::size_t>(static_cast<double>(raw) *
+                                     config_.virtualFactor)));
+    else
+        why = "corrupt compress envelope";
+    return decoded;
 }
 
 storage::Blob
@@ -1543,23 +1426,19 @@ namespace
 {
 
 /**
- * Bit-rot one stored object in place: flip byte `at` (the middle byte
- * by default) and rewrite the object atomically. A missing object, or
- * one too short to hold byte `at`, is left alone.
+ * Bit-rot one stored object in place: flip its middle byte and rewrite
+ * the object atomically. A missing or empty object is left alone.
  */
 void
-flipByte(storage::Backend &store, const std::string &path,
-         std::size_t at = std::string::npos)
+flipByte(storage::Backend &store, const std::string &path)
 {
     const storage::Blob blob = store.read(path);
-    if (at == std::string::npos)
-        at = blob.size() / 2;
-    if (at >= blob.size())
+    if (blob.size() == 0)
         return;
     std::vector<std::uint8_t> bytes(blob.data(),
                                     blob.data() + blob.size());
     storage::noteBlobCopy(bytes.size());
-    bytes[at] ^= 0x5a;
+    bytes[bytes.size() / 2] ^= 0x5a;
     store.writeAtomic(path, storage::Blob::fromVector(std::move(bytes)));
 }
 
@@ -1609,28 +1488,16 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         }
         return;
     }
-    // L4: the object may still be draining. Route the bit-flips through
-    // the same FIFO so they deterministically land after the flush that
+    // L4: the object may still be draining. Route the bit-flip through
+    // the same FIFO so it deterministically lands after the flush that
     // wrote the object, for any drain scheduling.
     FtiConfig job_config = config;
     job_config.drain.reset();
     const auto job = [job_config = std::move(job_config), rank,
                       newest]() -> std::uint64_t {
-        storage::Backend &st = storage::resolve(job_config.backend);
-        const std::string dir = execDir(job_config) + "/pfs/diff/rank" +
-                                std::to_string(rank);
         try {
-            // Whole-file PFS copy (present when this checkpoint is the
-            // differential base), then the base image.
-            flipByte(st, pfsFile(job_config, rank, newest));
-            flipByte(st, dir + "/base.fti");
-            // Delta: flip a byte inside the first record's payload
-            // (never the framing, which recovery parses before
-            // verifying), so the corruption survives into the restored
-            // image even when the delta overwrites the flipped base
-            // block.
-            flipByte(st, dir + "/delta" + std::to_string(newest) + ".fti",
-                     3 * sizeof(std::uint64_t));
+            flipByte(storage::resolve(job_config.backend),
+                     pfsFile(job_config, rank, newest));
         } catch (const storage::StorageError &) {
             // Best-effort (see the L1-3 path): an open fault window
             // foils the injection, never the drain worker.

@@ -19,8 +19,8 @@
  *  - L2: L1 plus a copy on a partner node.
  *  - L3: L1 plus Reed-Solomon parity across the encoding group; survives
  *        the loss of up to `parityShards` members per group.
- *  - L4: flush to the parallel file system, with differential
- *        checkpointing (only changed blocks are written after the base).
+ *  - L4: flush to the parallel file system, one whole object per rank
+ *        and checkpoint (compressed when the transform says so).
  *        The flush is *drained*: the rank stages the blob into the
  *        burst buffer (config.drain) and resumes compute; the PFS
  *        streaming overlaps on a per-rank virtual drain channel and is
@@ -240,9 +240,9 @@ class Fti
      * object of the newest committed checkpoint, at rest, without
      * touching the metadata — the modelled bit-flip in burst-buffer or
      * node-local storage. L1-L3 corrupt the local checkpoint file; L4
-     * routes the flip through the drain FIFO so it deterministically
-     * lands after the flush that wrote the object (base, delta payload
-     * and whole-file PFS copies are all hit). A no-op when nothing is
+     * corrupts the whole PFS object, routing the flip through the drain
+     * FIFO so it deterministically lands after the flush that wrote the
+     * object. A no-op when nothing is
      * committed. Static: callable from outside any rank context (the
      * failure-scenario corrupt hook runs on the simulation driver).
      */
@@ -304,8 +304,8 @@ class Fti
      *  shards failing their CRC32C count as lost. Null when too many
      *  shards are gone. */
     storage::Blob reconstructFromGroup(const MetaInfo &meta);
-    /** This rank's L4 object, decompressed or reassembled from the
-     *  legacy base+diff layout, not yet verified (see readStored). */
+    /** This rank's whole L4 object, decompressed when the transform
+     *  has a compress stage; not yet verified (see readStored). */
     storage::Blob readPfsBlob(const MetaInfo &meta, const char *&why);
     /**
      * Resolve a committed checkpoint to its serialized image: read the

@@ -435,6 +435,10 @@ compressDecode(const Blob &envelope)
     }
     if (method != kMethodRle)
         return malformed("unknown compress method");
+    // A repeat run turns 2 payload bytes into at most 128: a larger
+    // claim is a garbled header, rejected before it sizes the buffer.
+    if (raw64 / 64 > pn)
+        return malformed("RLE size claim exceeds the payload");
 
     MutableBlob out = BlobPool::local().acquire(raw);
     std::size_t w = 0;

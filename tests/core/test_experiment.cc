@@ -312,8 +312,8 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
         {Design::ReinitFti, 3, true, 0.29685643658495298,
          0.55974931053346588, 0.0034863429333332717,
          0.45224575317725513, 2, true, 2, true},
-        // The plain ladder restoring through the legacy L4 base+diff
-        // layout (transform none).
+        // The plain ladder restoring a whole-object L4 checkpoint,
+        // transform none.
         {Design::ReinitFti, 4, true, 0.29685643658495298,
          0.53911910558049159, 0.00091120000000000003,
          0.45224575317725507, 2, true, 2},

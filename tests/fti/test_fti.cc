@@ -2,18 +2,20 @@
  * @file
  * FTI library tests: protect/checkpoint/recover round trips on all four
  * levels, survival of storage loss per level's guarantee, restart
- * detection, differential checkpointing, and interaction with the
+ * detection, L4 pruning, and interaction with the
  * simulated runtime's failure designs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -58,6 +60,24 @@ fillPattern(std::vector<double> &v, int rank, int step)
 {
     for (std::size_t i = 0; i < v.size(); ++i)
         v[i] = rank * 1000.0 + step + 0.001 * static_cast<double>(i);
+}
+
+/** Every object stored under `dir`, recursively, as full paths. */
+std::vector<std::string>
+storedObjects(const storage::Backend &store, const std::string &dir)
+{
+    std::vector<std::string> out;
+    for (const std::string &name : store.listDir(dir)) {
+        const std::string path = dir + "/" + name;
+        std::size_t bytes = 0;
+        if (store.size(path, bytes)) // false for a directory on disk
+            out.push_back(path);
+        else
+            for (std::string &below : storedObjects(store, path))
+                out.push_back(std::move(below));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 } // namespace
@@ -154,6 +174,49 @@ TEST(Fti, KeepOnlyLatestPrunesOldFiles)
     Fti::purge(cfg);
 }
 
+class FtiL4Prune : public ::testing::TestWithParam<storage::Kind>
+{
+};
+
+TEST_P(FtiL4Prune, KeepOnlyLatestLeavesOnePfsObjectPerRank)
+{
+    // Every L4 flush writes one whole object per rank, and pruning
+    // removes it: after many stride-1 checkpoints only the newest
+    // remains, whatever the backend.
+    auto cfg = testConfig(std::string("l4prune-") +
+                              storage::kindName(GetParam()),
+                          4);
+    cfg.backend = storage::makeBackend(GetParam());
+    cfg.keepOnlyLatest = true;
+    cfg.transform = storage::TransformKind::None;
+    Fti::purge(cfg);
+    constexpr int kCkpts = 6;
+    Runtime rt;
+    rt.run(options(2), [&](Proc &proc) {
+        fti::Fti fti(proc, cfg);
+        std::vector<double> data(512, 0.0);
+        fti.protect(0, data.data(), data.size() * sizeof(double));
+        for (int id = 1; id <= kCkpts; ++id) {
+            fillPattern(data, proc.rank(), id);
+            fti.checkpoint(id);
+        }
+        fti.finalize();
+    });
+    const std::vector<std::string> expect = {Fti::pfsFile(cfg, 0, kCkpts),
+                                             Fti::pfsFile(cfg, 1, kCkpts)};
+    EXPECT_EQ(storedObjects(*cfg.backend, Fti::execDir(cfg) + "/pfs"),
+              expect);
+    Fti::purge(cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FtiL4Prune,
+                         ::testing::Values(storage::Kind::Mem,
+                                           storage::Kind::Disk),
+                         [](const auto &info) {
+                             return std::string(
+                                 storage::kindName(info.param));
+                         });
+
 TEST(Fti, L2SurvivesLossOfOneNodeLocalStorage)
 {
     const auto cfg = testConfig("l2loss", 2);
@@ -236,41 +299,6 @@ TEST(Fti, L3SurvivesHalfTheGroup)
         std::vector<double> expect(32 + proc.rank());
         fillPattern(expect, proc.rank(), 9);
         EXPECT_EQ(data, expect) << "rank " << proc.rank();
-    });
-    Fti::purge(cfg);
-}
-
-TEST(Fti, L4DifferentialWritesOnlyChangedBlocks)
-{
-    auto cfg = testConfig("l4diff", 4);
-    cfg.diffBlockSize = 256;
-    Fti::purge(cfg);
-    const std::size_t n = 1024; // 8 KiB => 32 blocks
-    Runtime rt;
-    rt.run(options(2), [&](Proc &proc) {
-        fti::Fti fti(proc, cfg);
-        std::vector<double> data(n, 1.0);
-        fti.protect(0, data.data(), data.size() * sizeof(double));
-        fti.checkpoint(1); // base
-        data[0] = 2.0;     // dirty exactly one block
-        fti.checkpoint(2); // delta
-    });
-    const std::string delta = cfg.ckptDir + "/" + cfg.execId +
-                              "/pfs/diff/rank0/delta2.fti";
-    ASSERT_TRUE(fs::exists(delta));
-    // Delta must be far smaller than the 8 KiB image: one block + header.
-    EXPECT_LT(fs::file_size(delta), 1024u);
-
-    Runtime rt2;
-    rt2.run(options(2), [&](Proc &proc) {
-        fti::Fti fti(proc, cfg);
-        std::vector<double> data(n, 0.0);
-        fti.protect(0, data.data(), data.size() * sizeof(double));
-        EXPECT_EQ(fti.status(), 2);
-        fti.recover();
-        EXPECT_DOUBLE_EQ(data[0], 2.0); // every rank dirtied block 0
-        EXPECT_DOUBLE_EQ(data[1], 1.0);
-        EXPECT_DOUBLE_EQ(data[n - 1], 1.0);
     });
     Fti::purge(cfg);
 }

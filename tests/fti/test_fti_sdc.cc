@@ -63,15 +63,14 @@ writeTwoCheckpoints(const FtiConfig &config, int nprocs)
     });
 }
 
-/** Cut rank 0's stored legacy L4 diff of checkpoint 2 (transform
- *  none) to 4 bytes: too short even for its image-size header. */
+/** Cut rank 0's whole L4 object of checkpoint 2 (transform none) to
+ *  4 bytes: a torn flush that its committed record no longer names. */
 void
-truncateLegacyDiff(const FtiConfig &config)
+truncateL4Object(const FtiConfig &config)
 {
-    const std::string delta =
-        Fti::execDir(config) + "/pfs/diff/rank0/delta2.fti";
-    ASSERT_TRUE(fs::exists(delta));
-    fs::resize_file(delta, 4);
+    const std::string object = Fti::pfsFile(config, 0, 2);
+    ASSERT_TRUE(fs::exists(object));
+    fs::resize_file(object, 4);
 }
 
 /** A fresh 4-rank job that recovers and returns rank 0's restored
@@ -225,30 +224,29 @@ TEST(FtiSdc, IntactScrubKeepsObjectAndRecoveryRestoresNewest)
     });
 }
 
-TEST(FtiSdc, TruncatedLegacyL4DiffFallsBackToOlderCheckpoint)
+TEST(FtiSdc, TruncatedL4ObjectFallsBackToOlderCheckpoint)
 {
-    // The base+diff framing is parsed before anything can verify it:
-    // malformed stored bytes must be a soft miss, and the vote then
-    // walks every rank down to checkpoint 1.
-    auto config = cfg("l4-diff-truncated", 4);
+    // A truncated PFS object fails its size check: a soft miss, and
+    // the vote then walks every rank down to checkpoint 1.
+    auto config = cfg("l4-truncated", 4);
     config.keepOnlyLatest = false;
     Fti::purge(config);
     writeTwoCheckpoints(config, 4);
-    truncateLegacyDiff(config);
+    truncateL4Object(config);
     EXPECT_EQ(recoverAndReadValue(config), 1.0);
     Fti::purge(config);
 }
 
-TEST(FtiSdcDeath, TruncatedLegacyL4DiffIsFatalWithoutSdcChecks)
+TEST(FtiSdcDeath, TruncatedL4ObjectIsFatalWithoutSdcChecks)
 {
     // Without sdcChecks a lost L4 object is fatal as for every level:
     // a clean exit naming the level, not an assertion abort.
-    auto config = cfg("l4-diff-truncated-plain", 4);
+    auto config = cfg("l4-truncated-plain", 4);
     config.keepOnlyLatest = false;
     config.sdcChecks = false;
     Fti::purge(config);
     writeTwoCheckpoints(config, 4);
-    truncateLegacyDiff(config);
+    truncateL4Object(config);
     EXPECT_EXIT(recoverAndReadValue(config), ::testing::ExitedWithCode(1),
                 "L4 recovery failed");
     Fti::purge(config);
