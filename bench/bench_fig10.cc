@@ -13,7 +13,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 10", "fig10", Sweep::InputSizes,
+    return figureMain({"Figure 10", Sweep::InputSizes,
                        /*inject=*/true, Report::Recovery},
                       argc, argv);
 }

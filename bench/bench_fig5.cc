@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 5", "fig5", Sweep::ScalingSizes,
+    return figureMain({"Figure 5", Sweep::ScalingSizes,
                        /*inject=*/false, Report::Breakdown},
                       argc, argv);
 }

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 6", "fig6", Sweep::ScalingSizes,
+    return figureMain({"Figure 6", Sweep::ScalingSizes,
                        /*inject=*/true, Report::Breakdown},
                       argc, argv);
 }

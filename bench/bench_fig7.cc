@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 7", "fig7", Sweep::ScalingSizes,
+    return figureMain({"Figure 7", Sweep::ScalingSizes,
                        /*inject=*/true, Report::Recovery},
                       argc, argv);
 }

@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 8", "fig8", Sweep::InputSizes,
+    return figureMain({"Figure 8", Sweep::InputSizes,
                        /*inject=*/false, Report::Breakdown},
                       argc, argv);
 }

@@ -11,7 +11,7 @@ int
 main(int argc, char **argv)
 {
     using namespace match::bench;
-    return figureMain({"Figure 9", "fig9", Sweep::InputSizes,
+    return figureMain({"Figure 9", Sweep::InputSizes,
                        /*inject=*/true, Report::Breakdown},
                       argc, argv);
 }

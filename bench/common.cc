@@ -292,10 +292,8 @@ const Flag kFlags[] = {
      [](Opt &o, const Flag &f, const char *v) {
          o.spec.ioRetryLimit = intFlag(f, v, 0);
      }},
-    {"--perf", nullptr, "time the grid under both backends and both "
-                        "drain modes, write BENCH_<name>.json",
-     [](Opt &o, const Flag &, const char *) { o.perf = true; }},
-    {"--perf-dir", "DIR", "where BENCH_<name>.json lands (default .)",
+    {"--perf-dir", "DIR", "where the failure ablation writes its "
+                          "BENCH_*.json record (default .)",
      [](Opt &o, const Flag &, const char *v) { o.perfDir = v; }},
     {"--help", nullptr, "print this help and exit (also -h)",
      [](Opt &, const Flag &, const char *) {
@@ -399,272 +397,6 @@ sanitize(std::string name)
     return name;
 }
 
-/** Sorted-copy percentile (nearest rank); q in [0, 1]. */
-double
-percentile(std::vector<double> samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1) + 0.5);
-    return samples[std::min(rank, samples.size() - 1)];
-}
-
-/** Minimal JSON string escape for error texts in failure records. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' ';
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-/** One backend's measurement in a perf record. */
-struct PerfSample
-{
-    storage::Kind kind;
-    core::GridTiming timing;
-};
-
-/** One drain mode's measurement (L4 grid) in a perf record. */
-struct DrainSample
-{
-    storage::DrainMode mode;
-    core::GridTiming timing;
-};
-
-/** One transform kind's measurement (the same L4 drained grid) in a
- *  perf record: wall timing plus the shipped-byte and encoder
- *  counters that prove (or disprove) the byte reduction. */
-struct TransformSample
-{
-    storage::TransformKind kind;
-    core::GridTiming timing;
-    /** PFS bytes actually shipped by drain jobs during the run. */
-    std::uint64_t shippedBytes = 0;
-    storage::TransformStats delta;
-    storage::TransformStats compress;
-};
-
-void
-writeJsonTiming(std::FILE *out, const char *key, const char *label,
-                const core::GridTiming &t, bool last,
-                const std::string &extra = std::string())
-{
-    const double cells = static_cast<double>(t.cellSeconds.size());
-    // Phase attribution: ckptSerialize/rsEncode/storage are exclusive
-    // scheduler-thread phases, so simCore (everything else the grid
-    // spent: the event loop, app kernels, collectives) is derived by
-    // subtraction. Drain runs on its own thread and overlaps the
-    // others, so it is reported alongside but never subtracted. With
-    // more than one worker the phase sums span threads and simCore is
-    // a lower bound.
-    const double serialize =
-        t.phases.secondsFor(util::Phase::CkptSerialize);
-    const double rs = t.phases.secondsFor(util::Phase::RsEncode);
-    const double io = t.phases.secondsFor(util::Phase::Storage);
-    const double drain = t.phases.secondsFor(util::Phase::Drain);
-    const double sim_core =
-        std::max(0.0, t.totalSeconds - serialize - rs - io);
-    std::fprintf(
-        out,
-        "    {\"%s\": \"%s\", \"totalSeconds\": %.6f, "
-        "\"cellP50Seconds\": %.6f, \"cellP99Seconds\": %.6f, "
-        "\"cellsPerSecond\": %.3f, "
-        "\"phases\": {\"simCoreSeconds\": %.6f, "
-        "\"ckptSerializeSeconds\": %.6f, \"rsEncodeSeconds\": %.6f, "
-        "\"storageSeconds\": %.6f, \"drainSeconds\": %.6f}%s}%s\n",
-        key, label, t.totalSeconds, percentile(t.cellSeconds, 0.50),
-        percentile(t.cellSeconds, 0.99),
-        t.totalSeconds > 0.0 ? cells / t.totalSeconds : 0.0, sim_core,
-        serialize, rs, io, drain, extra.c_str(), last ? "" : ",");
-}
-
-/**
- * Emit BENCH_<slug>.json: the per-bench perf record CI uploads as an
- * artifact, accumulating the repo's wall-clock trajectory PR by PR.
- * `digest` is the grid digest of the rendered (mem-backend) results.
- */
-void
-writePerfRecord(const BenchOptions &options, const FigureDef &def,
-                int jobs, std::size_t cells,
-                const std::vector<PerfSample> &samples,
-                const std::vector<DrainSample> &drain_samples,
-                const std::vector<TransformSample> &transform_samples,
-                const storage::BlobStats &mem_blob,
-                const std::vector<core::CellFailure> &failures,
-                std::uint64_t digest)
-{
-    std::filesystem::create_directories(options.perfDir);
-    const std::string path =
-        options.perfDir + "/BENCH_" + def.slug + ".json";
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        util::warn("cannot write %s", path.c_str());
-        return;
-    }
-    // GridRunner dedups identical cells: the per-cell stats cover the
-    // computed (unique) cells, reported separately from the enumerated
-    // grid size so the record stays internally consistent.
-    const std::size_t computed =
-        samples.empty() ? 0 : samples.front().timing.cellSeconds.size();
-    std::fprintf(out,
-                 "{\n"
-                 "  \"bench\": \"%s\",\n"
-                 "  \"figure\": \"%s\",\n"
-                 "  \"quick\": %s,\n"
-                 "  \"runsPerCell\": %d,\n"
-                 "  \"jobs\": %d,\n"
-                 "  \"hardwareConcurrency\": %d,\n"
-                 "  \"cells\": %zu,\n"
-                 "  \"computedCells\": %zu,\n"
-                 "  \"digest\": \"%016" PRIx64 "\",\n"
-                 "  \"backends\": [\n",
-                 def.slug, def.figure, options.quick ? "true" : "false",
-                 options.spec.runs, jobs, core::GridRunner::hardwareJobs(),
-                 cells, computed, digest);
-    for (std::size_t i = 0; i < samples.size(); ++i)
-        writeJsonTiming(out, "storage",
-                        storage::kindName(samples[i].kind),
-                        samples[i].timing, i + 1 == samples.size());
-    double disk_total = 0.0, mem_total = 0.0;
-    for (const PerfSample &sample : samples) {
-        (sample.kind == storage::Kind::Disk ? disk_total : mem_total) =
-            sample.timing.totalSeconds;
-    }
-    std::fprintf(out, "  ],\n  \"memSpeedupOverDisk\": %.3f,\n",
-                 mem_total > 0.0 ? disk_total / mem_total : 0.0);
-    // Blob data-plane counters over the mem-backend run: the zero-copy
-    // claim as numbers. bytesCopied counts payload memcpy'd between
-    // staging buffers and the object store; bytesStored counts payload
-    // admitted (copied or ownership-transferred), so copied/stored is
-    // the fraction of checkpoint traffic that still moves bytes.
-    std::fprintf(
-        out,
-        "  \"blob\": {\"allocs\": %llu, \"poolHits\": %llu, "
-        "\"bytesCopied\": %llu, \"bytesStored\": %llu, "
-        "\"copiedPerStored\": %.4f},\n",
-        static_cast<unsigned long long>(mem_blob.allocs),
-        static_cast<unsigned long long>(mem_blob.poolHits),
-        static_cast<unsigned long long>(mem_blob.bytesCopied),
-        static_cast<unsigned long long>(mem_blob.bytesStored),
-        mem_blob.bytesStored > 0
-            ? static_cast<double>(mem_blob.bytesCopied) /
-                  static_cast<double>(mem_blob.bytesStored)
-            : 0.0);
-    // The drain axis: the same grid forced to L4 checkpoints at a
-    // dense stride (so every cell carries PFS flush traffic), sync vs
-    // async execution.
-    double sync_total = 0.0, async_total = 0.0;
-    std::fprintf(out, "  \"drainCkptLevel\": 4,\n"
-                      "  \"drainCkptStride\": 2,\n"
-                      "  \"drain\": [\n");
-    // Async drain only overlaps when the drain worker gets a core the
-    // grid workers are not already saturating: with jobs + 1 threads on
-    // fewer cores the async row measures contention, not overlap, so it
-    // is flagged for perf_guard to skip rather than fail on.
-    const bool undersubscribed =
-        jobs + 1 > core::GridRunner::hardwareJobs();
-    for (std::size_t i = 0; i < drain_samples.size(); ++i) {
-        const bool async =
-            drain_samples[i].mode == storage::DrainMode::Async;
-        writeJsonTiming(out, "mode",
-                        storage::drainModeName(drain_samples[i].mode),
-                        drain_samples[i].timing,
-                        i + 1 == drain_samples.size(),
-                        async ? std::string(", \"undersubscribed\": ") +
-                                    (undersubscribed ? "true" : "false")
-                              : std::string());
-        (async ? async_total : sync_total) =
-            drain_samples[i].timing.totalSeconds;
-    }
-    std::fprintf(out, "  ],\n  \"asyncDrainSpeedupOverSync\": %.3f,\n",
-                 async_total > 0.0 ? sync_total / async_total : 0.0);
-    // Transform axis: the same L4 drained grid swept over the data-
-    // reduction chain. shippedBytes is the drain jobs' actual PFS
-    // traffic; the per-stage encoder counters (bytesOut < bytesIn)
-    // prove where the reduction came from. Orderable rows: the none
-    // row is the baseline the other rows' shippedBytes compare to.
-    std::uint64_t none_shipped = 0;
-    std::uint64_t delta_shipped = 0;
-    std::fprintf(out, "  \"transforms\": [\n");
-    for (std::size_t i = 0; i < transform_samples.size(); ++i) {
-        const TransformSample &sample = transform_samples[i];
-        if (sample.kind == storage::TransformKind::None)
-            none_shipped = sample.shippedBytes;
-        if (sample.kind == storage::TransformKind::Delta)
-            delta_shipped = sample.shippedBytes;
-        std::fprintf(
-            out,
-            "    {\"transform\": \"%s\", \"totalSeconds\": %.6f, "
-            "\"shippedBytes\": %llu, "
-            "\"delta\": {\"bytesIn\": %llu, \"bytesOut\": %llu, "
-            "\"applies\": %llu, \"reverses\": %llu}, "
-            "\"compress\": {\"bytesIn\": %llu, \"bytesOut\": %llu, "
-            "\"applies\": %llu, \"reverses\": %llu}}%s\n",
-            storage::transformKindName(sample.kind),
-            sample.timing.totalSeconds,
-            static_cast<unsigned long long>(sample.shippedBytes),
-            static_cast<unsigned long long>(sample.delta.bytesIn),
-            static_cast<unsigned long long>(sample.delta.bytesOut),
-            static_cast<unsigned long long>(sample.delta.applies),
-            static_cast<unsigned long long>(sample.delta.reverses),
-            static_cast<unsigned long long>(sample.compress.bytesIn),
-            static_cast<unsigned long long>(sample.compress.bytesOut),
-            static_cast<unsigned long long>(sample.compress.applies),
-            static_cast<unsigned long long>(sample.compress.reverses),
-            i + 1 == transform_samples.size() ? "" : ",");
-    }
-    std::fprintf(out,
-                 "  ],\n  \"deltaShippedBytesReduction\": %.4f,\n",
-                 none_shipped > 0
-                     ? 1.0 - static_cast<double>(delta_shipped) /
-                                 static_cast<double>(none_shipped)
-                     : 0.0);
-    // Structured degraded-grid record: quarantined cells (config,
-    // attempts, last error) instead of an aborted sweep. perf_guard
-    // downgrades its perf failures to warnings when this is nonzero —
-    // a degraded grid's throughput numbers are not a regression signal.
-    std::fprintf(out, "  \"quarantinedCells\": %zu,\n  \"failures\": [\n",
-                 failures.size());
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        const core::CellFailure &f = failures[i];
-        std::fprintf(out,
-                     "    {\"cell\": \"%s\", \"key\": \"%s\", "
-                     "\"attempts\": %d, \"timedOut\": %s, "
-                     "\"lastError\": \"%s\"}%s\n",
-                     jsonEscape(f.summary).c_str(),
-                     jsonEscape(f.key).c_str(), f.attempts,
-                     f.timedOut ? "true" : "false",
-                     jsonEscape(f.lastError).c_str(),
-                     i + 1 == failures.size() ? "" : ",");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("perf: wrote %s (mem %.2fs vs disk %.2fs, %.2fx; "
-                "L4 drain async %.2fs vs sync %.2fs, %.2fx; "
-                "delta ships %.1f%% fewer PFS bytes)\n",
-                path.c_str(), mem_total, disk_total,
-                mem_total > 0.0 ? disk_total / mem_total : 0.0,
-                async_total, sync_total,
-                async_total > 0.0 ? sync_total / async_total : 0.0,
-                100.0 * (none_shipped > 0
-                             ? 1.0 - static_cast<double>(delta_shipped) /
-                                         static_cast<double>(none_shipped)
-                             : 0.0));
-}
-
 } // anonymous namespace
 
 int
@@ -694,109 +426,9 @@ runFigure(const BenchOptions &options, const FigureDef &def)
     // across app boundaries. Rendering below follows enumeration order.
     const std::vector<ExperimentConfig> cells = spec.enumerate();
     const GridRunner runner = options.makeRunner();
-    std::vector<core::ExperimentResult> results;
-    // Timing of whichever grid produced the rendered results — its
-    // failures are the ones the tables below render as zero rows.
     core::GridTiming timing;
-    if (!options.perf) {
-        results = runner.run(cells, &timing);
-    } else {
-        // Perf mode measures real simulation + storage work under both
-        // backends: the result cache is bypassed (a replayed cell
-        // measures nothing) and the disk baseline runs first so its
-        // sandbox traffic cannot warm anything for the mem run.
-        GridSpec timed = spec;
-        timed.cacheDir.clear();
-        std::vector<PerfSample> samples;
-        storage::BlobStats mem_blob;
-        for (const storage::Kind kind :
-             {storage::Kind::Disk, storage::Kind::Mem}) {
-            timed.storage = kind;
-            PerfSample sample{kind, {}};
-            const storage::BlobStats before =
-                storage::BlobPool::globalStats();
-            auto timed_results = runner.run(timed.enumerate(),
-                                            &sample.timing);
-            const storage::BlobStats after =
-                storage::BlobPool::globalStats();
-            samples.push_back(std::move(sample));
-            // Results are backend-invariant; render from the mem run,
-            // whose data-plane counters also land in the perf record.
-            if (kind == storage::Kind::Mem) {
-                results = std::move(timed_results);
-                timing = samples.back().timing;
-                mem_blob.allocs = after.allocs - before.allocs;
-                mem_blob.poolHits = after.poolHits - before.poolHits;
-                mem_blob.bytesCopied =
-                    after.bytesCopied - before.bytesCopied;
-                mem_blob.bytesStored =
-                    after.bytesStored - before.bytesStored;
-            }
-        }
-        // Drain axis: force L4 at a dense stride so every cell carries
-        // substantial PFS flush traffic (the overlap win is bounded by
-        // the flush share), then time sync (inline replay) vs async
-        // (overlap). The sync baseline runs first, mirroring the
-        // disk-first rule. Note the win needs spare cores: a
-        // single-core host measures ~parity by construction.
-        GridSpec drained = timed;
-        drained.storage = storage::Kind::Mem;
-        drained.ckptLevels = {4};
-        drained.ckptStrides = {2};
-        std::vector<DrainSample> drain_samples;
-        for (const storage::DrainMode mode :
-             {storage::DrainMode::Sync, storage::DrainMode::Async}) {
-            drained.drain = mode;
-            DrainSample sample{mode, {}};
-            runner.run(drained.enumerate(), &sample.timing);
-            drain_samples.push_back(std::move(sample));
-        }
-        // Transform axis: the drained L4 grid again, swept over the
-        // data-reduction chain under the sync drain (inline replay, so
-        // the shipped-byte snapshot brackets exactly this sweep's
-        // jobs). Byte counters are snapshot-diffed around each run.
-        drained.drain = storage::DrainMode::Sync;
-        std::vector<TransformSample> transform_samples;
-        for (const storage::TransformKind kind :
-             {storage::TransformKind::None, storage::TransformKind::Delta,
-              storage::TransformKind::Compress,
-              storage::TransformKind::DeltaCompress}) {
-            drained.transforms = {kind};
-            TransformSample sample;
-            sample.kind = kind;
-            const std::uint64_t shipped0 =
-                storage::drainGlobalShippedBytes();
-            const storage::TransformStats delta0 =
-                storage::transformGlobalStats(
-                    storage::TransformStage::Delta);
-            const storage::TransformStats compress0 =
-                storage::transformGlobalStats(
-                    storage::TransformStage::Compress);
-            runner.run(drained.enumerate(), &sample.timing);
-            sample.shippedBytes =
-                storage::drainGlobalShippedBytes() - shipped0;
-            const storage::TransformStats delta1 =
-                storage::transformGlobalStats(
-                    storage::TransformStage::Delta);
-            const storage::TransformStats compress1 =
-                storage::transformGlobalStats(
-                    storage::TransformStage::Compress);
-            sample.delta = {delta1.bytesIn - delta0.bytesIn,
-                            delta1.bytesOut - delta0.bytesOut,
-                            delta1.applies - delta0.applies,
-                            delta1.reverses - delta0.reverses};
-            sample.compress = {
-                compress1.bytesIn - compress0.bytesIn,
-                compress1.bytesOut - compress0.bytesOut,
-                compress1.applies - compress0.applies,
-                compress1.reverses - compress0.reverses};
-            transform_samples.push_back(std::move(sample));
-        }
-        writePerfRecord(options, def, runner.jobs(), cells.size(),
-                        samples, drain_samples, transform_samples,
-                        mem_blob, timing.failures,
-                        core::gridDigest(results));
-    }
+    const std::vector<core::ExperimentResult> results =
+        runner.run(cells, &timing);
 
     std::size_t at = 0;
     for (const std::string &app : options.spec.apps) {

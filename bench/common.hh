@@ -44,11 +44,8 @@ struct BenchOptions
     /** --strict: exit nonzero when any cell was quarantined (default:
      *  finish the healthy cells and report). */
     bool strict = false;
-    /** --perf: measure grid wall-clock under both backends and under
-     *  both drain modes at L4 (cache bypassed) and write
-     *  BENCH_<name>.json into perfDir. */
-    bool perf = false;
-    /** --perf-dir DIR: where BENCH_<name>.json lands (default "."). */
+    /** --perf-dir DIR: where the failure ablation writes its
+     *  BENCH_ablation_failure_scenarios.json record (default "."). */
     std::string perfDir = ".";
 
     /** The experiment knobs. After parse(), `apps` names every app
@@ -78,7 +75,7 @@ int reportCellFailures(const core::GridTiming &timing);
 /**
  * Print `grid digest: <16 hex>`, core::gridDigest over every result
  * field at full precision (the tables round to 0.01 s and omit
- * ckptRead), and return the digest for the bench's perf record.
+ * ckptRead), and return it (the failure ablation records it).
  */
 std::uint64_t printGridDigest(
     const std::vector<core::ExperimentResult> &results);
@@ -105,7 +102,6 @@ enum class Report
 struct FigureDef
 {
     const char *figure; ///< label printed in the header ("Figure 5")
-    const char *slug;   ///< perf-record name ("fig5" -> BENCH_fig5.json)
     Sweep sweep;        ///< scaling-size or input-size sweep
     bool inject;        ///< whether a process failure is injected
     Report report;      ///< breakdown or recovery-only rows

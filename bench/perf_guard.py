@@ -1,21 +1,9 @@
 #!/usr/bin/env python3
-"""CI perf guard: fail on >30% regression vs the committed baseline.
+"""CI perf guard for the micro benches and the failure ablation.
 
 Compares freshly produced BENCH_*.json records against the snapshots
 under bench/baseline/:
 
- - BENCH_fig5.json (figure-bench perf record): cells/sec per storage
-   backend row and per drain-mode row (throughput, higher is better),
-   plus the per-phase wall-clock attribution of each backend row
-   (seconds, lower is better). Drain rows flagged "undersubscribed"
-   (drain worker + grid workers oversubscribe the runner's cores, so
-   the async row measures contention, not overlap) are excluded.
-   The checkpoint-transform sweep rows (shipped PFS bytes and the
-   per-stage bytesIn/bytesOut encoder counters per transform kind,
-   lower is better; deltaShippedBytesReduction, higher is better) are
-   enforced too: the committed baseline carries a "transforms"
-   section, and the counters are deterministic per configuration, so
-   any shipped-byte growth is a real encoder regression.
  - BENCH_ablation_failure_scenarios.json: storage-fault scenario
    counters (priced retries, demoted checkpoints, failed flushes) and
    mean virtual totals — all pure functions of the configuration, so
@@ -32,15 +20,17 @@ under bench/baseline/:
    every allocsPerEvent counter — the runtime hot path's allocation-free
    contract is pass/fail, not a ratio.
 
+The figure grids' wall clock is not guarded here: perfbench
+(BENCHMARK.json) times them on one host with interleaved runs.
+
 A throughput metric passes when current >= min_ratio * baseline
-(one-sided: being faster than the baseline is always fine); a seconds
-metric passes when current <= baseline / min_ratio or sits under an
-absolute noise floor (tiny phases jitter wildly in relative terms).
-Metrics present only in the baseline or only in the current record are
-reported but never fail the guard, so adding or renaming benches stays
-painless. Refresh the baseline (copy a CI artifact over bench/baseline/)
-whenever the runner hardware generation changes; a stale baseline from
-slower hardware only loosens the guard, never breaks it.
+(one-sided: being faster than the baseline is always fine); a counter
+metric passes when current <= baseline / min_ratio. Metrics present
+only in the baseline or only in the current record are reported but
+never fail the guard, so adding or renaming benches stays painless.
+Refresh the baseline (copy a CI artifact over bench/baseline/) whenever
+the runner hardware generation changes; a stale baseline from slower
+hardware only loosens the guard, never breaks it.
 
 Usage:
     perf_guard.py [--baseline DIR] [--current DIR] [--min-ratio R]
@@ -57,66 +47,6 @@ import sys
 def load(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-#: Phases smaller than this many seconds are exempt from the ratio
-#: check: a 5 ms phase doubling is scheduler noise, not a regression.
-PHASE_FLOOR_SECONDS = 0.05
-
-
-def figure_metrics(record):
-    """(name, value) throughput metrics of a figure-bench perf record."""
-    metrics = {}
-    for row in record.get("backends", []):
-        name = "cellsPerSecond[storage=%s]" % row.get("storage")
-        metrics[name] = row.get("cellsPerSecond", 0.0)
-    for row in record.get("drain", []):
-        if row.get("undersubscribed"):
-            continue
-        name = "cellsPerSecond[drain=%s]" % row.get("mode")
-        metrics[name] = row.get("cellsPerSecond", 0.0)
-    return metrics
-
-
-def figure_phase_metrics(record):
-    """(name, seconds) per-phase attribution of the backend rows."""
-    metrics = {}
-    for row in record.get("backends", []):
-        for phase, seconds in (row.get("phases") or {}).items():
-            metrics["%s[storage=%s]" % (phase, row.get("storage"))] = \
-                seconds
-    return metrics
-
-
-def transform_reduction_metrics(record):
-    """(name, ratio) reduction metrics of the transform sweep — higher
-    is better (1 - shipped/none: how many PFS bytes the delta chain
-    saved)."""
-    metrics = {}
-    reduction = record.get("deltaShippedBytesReduction")
-    if reduction is not None:
-        metrics["deltaShippedBytesReduction"] = reduction
-    return metrics
-
-
-def transform_byte_metrics(record):
-    """(name, bytes) byte counters of the transform sweep — lower is
-    better. Deterministic per configuration, so any growth is a real
-    encoder regression, not noise."""
-    metrics = {}
-    for row in record.get("transforms", []):
-        kind = row.get("transform")
-        shipped = row.get("shippedBytes")
-        if shipped is not None:
-            metrics["shippedBytes[transform=%s]" % kind] = shipped
-        for stage in ("delta", "compress"):
-            stats = row.get(stage) or {}
-            for counter in ("bytesIn", "bytesOut"):
-                value = stats.get(counter)
-                if value:
-                    metrics["%s.%s[transform=%s]"
-                            % (stage, counter, kind)] = value
-    return metrics
 
 
 def storage_fault_metrics(record):
@@ -229,8 +159,7 @@ def alloc_contract_failures(record):
     return failures
 
 
-def compare(label, baseline, current, min_ratio, lower_is_better=False,
-            floor=0.0):
+def compare(label, baseline, current, min_ratio, lower_is_better=False):
     failures = []
     for name in sorted(baseline):
         base = baseline[name]
@@ -241,7 +170,7 @@ def compare(label, baseline, current, min_ratio, lower_is_better=False,
         if base <= 0:
             continue
         if lower_is_better:
-            ok = cur <= base / min_ratio or cur <= floor
+            ok = cur <= base / min_ratio
             ratio = base / cur if cur > 0 else float("inf")
         else:
             ratio = cur / base
@@ -266,26 +195,18 @@ def main():
                             "MATCH_PERF_GUARD_RATIO", "0.7")))
     args = parser.parse_args()
 
-    # name -> list of (extractor, lower_is_better, floor) passes.
+    # name -> (extractor, lower_is_better).
     extractors = {
-        "BENCH_fig5.json": [
-            (figure_metrics, False, 0.0),
-            (figure_phase_metrics, True, PHASE_FLOOR_SECONDS),
-            (transform_reduction_metrics, False, 0.0),
-            (transform_byte_metrics, True, 0.0),
-        ],
-        "BENCH_ablation_failure_scenarios.json": [
-            (storage_fault_metrics, True, 0.0),
-        ],
-        "BENCH_micro_rs_auto.json": [(micro_metrics, False, 0.0)],
-        "BENCH_micro_rs_scalar.json": [(micro_metrics, False, 0.0)],
-        "BENCH_micro_runtime.json": [(runtime_metrics, False, 0.0)],
+        "BENCH_ablation_failure_scenarios.json":
+            (storage_fault_metrics, True),
+        "BENCH_micro_rs_auto.json": (micro_metrics, False),
+        "BENCH_micro_rs_scalar.json": (micro_metrics, False),
+        "BENCH_micro_runtime.json": (runtime_metrics, False),
     }
 
     failures = []
-    warnings = []
     compared = 0
-    for name, passes in extractors.items():
+    for name, (extract, lower) in extractors.items():
         base_path = os.path.join(args.baseline, name)
         cur_path = os.path.join(args.current, name)
         if not os.path.exists(base_path):
@@ -297,42 +218,19 @@ def main():
             continue
         print("%s (min ratio %.2f):" % (name, args.min_ratio))
         base_record, cur_record = load(base_path), load(cur_path)
-        record_failures = []
-        for extract, lower, floor in passes:
-            record_failures += compare(name, extract(base_record),
-                                       extract(cur_record),
-                                       args.min_ratio,
-                                       lower_is_better=lower,
-                                       floor=floor)
+        failures += compare(name, extract(base_record),
+                            extract(cur_record), args.min_ratio,
+                            lower_is_better=lower)
         if name == "BENCH_micro_runtime.json":
-            record_failures += alloc_contract_failures(cur_record)
+            failures += alloc_contract_failures(cur_record)
         if name == "BENCH_ablation_failure_scenarios.json":
-            record_failures += \
-                storage_fault_contract_failures(cur_record)
-        # A degraded grid (quarantined cells) produces throughput
-        # numbers that measure the failure handling, not the code under
-        # guard: warn — loudly — instead of failing, so one poisoned
-        # runner cell cannot mask or fake a perf regression verdict.
-        quarantined = cur_record.get("quarantinedCells", 0)
-        if quarantined:
-            print("  ~ %s: %d quarantined cell(s) — perf checks "
-                  "demoted to warnings" % (name, quarantined))
-            warnings.append("%s: grid degraded (%d quarantined "
-                            "cell(s)); its perf metrics were not "
-                            "enforced" % (name, quarantined))
-            warnings += record_failures
-        else:
-            failures += record_failures
+            failures += storage_fault_contract_failures(cur_record)
         compared += 1
 
     if compared == 0:
         print("perf guard: nothing to compare — commit baselines under "
               "%s" % args.baseline)
         return 1
-    if warnings:
-        print("\nperf guard warnings (not fatal):")
-        for warning in warnings:
-            print("  " + warning)
     if failures:
         print("\nperf guard FAILED:")
         for failure in failures:

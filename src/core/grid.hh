@@ -131,8 +131,8 @@ struct GridPolicy
 /**
  * Structured record of a cell the grid gave up on: the degraded-grid
  * contract is "finish every healthy cell, report the rest", never
- * "abort the sweep". Lands in GridTiming::failures and, via the
- * benches, in BENCH_<name>.json.
+ * "abort the sweep". Lands in GridTiming::failures, which the benches
+ * print with bench::reportCellFailures.
  */
 struct CellFailure
 {
@@ -151,9 +151,9 @@ struct CellFailure
 };
 
 /**
- * Wall-clock record of one grid execution, for perf tracking: the
- * figure benches' --perf mode aggregates it into BENCH_<name>.json so
- * the repo accumulates a performance trajectory per PR.
+ * Wall-clock record of one grid execution: the benches report its
+ * quarantined cells, and perfbench's grid check reads its totals,
+ * per-cell seconds and phases.
  */
 struct GridTiming
 {
@@ -164,8 +164,7 @@ struct GridTiming
     std::vector<double> cellSeconds;
     /** Per-phase wall-clock attribution accumulated across all worker
      *  (and drain) threads while the grid ran: checkpoint serialize,
-     *  RS/XOR encode, drain jobs, storage backend I/O. Sim-core time is
-     *  derived at emission as total minus the exclusive phases. */
+     *  RS/XOR encode, drain jobs, storage backend I/O. */
     util::PhaseTotals phases;
     /** Cells quarantined this run (empty on a healthy grid). Their
      *  result slots hold default (all-zero) ExperimentResults. */

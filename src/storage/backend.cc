@@ -308,8 +308,10 @@ class DiskBackend final : public Backend
     bool
     exists(const std::string &path) const override
     {
+        // An object is a regular file; a directory is only a prefix of
+        // object names, which MemBackend does not answer for either.
         std::error_code ec;
-        return fs::exists(path, ec);
+        return fs::is_regular_file(path, ec);
     }
 
     bool

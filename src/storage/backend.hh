@@ -132,7 +132,8 @@ class Backend
      */
     virtual void writeAtomic(const std::string &path, Blob blob) = 0;
 
-    /** Whether an object exists at `path`. */
+    /** Whether an object exists at `path` (a path that only prefixes
+     *  other objects' names is not one). */
     virtual bool exists(const std::string &path) const = 0;
 
     /** Object size. @retval false when it does not exist. */

@@ -2,12 +2,12 @@
  * @file
  * Scoped wall-clock phase attribution for the experiment pipeline.
  *
- * The perf guard used to watch one flat number per cell (cells/sec), so
- * a regression in one component — say the RS encoder slowing 3x while
- * the storage layer sped up — could hide inside an unchanged total.
- * PhaseScope splits the wall clock into named, mutually exclusive
- * phases so BENCH_<name>.json can publish a "phases" breakdown and
- * perf_guard.py can gate each component independently.
+ * One flat number per cell (cells/sec) lets a regression in one
+ * component — say the RS encoder slowing 3x while the storage layer
+ * sped up — hide inside an unchanged total. PhaseScope splits the wall
+ * clock into named, mutually exclusive phases, so perfbench's traced
+ * runs can report each layer (fti.serialize_s, fti.rs_encode_s,
+ * storage.io_s, storage.drain_s) on its own.
  *
  * Attribution is *exclusive* (innermost scope wins): while a Drain
  * scope's job performs a backend write under a nested Storage scope,
@@ -57,12 +57,6 @@ struct PhaseTotals
 {
     std::array<double, phaseCount> seconds{};
     std::array<std::uint64_t, phaseCount> entries{};
-
-    double
-    secondsFor(Phase phase) const
-    {
-        return seconds[static_cast<int>(phase)];
-    }
 
     /** Component-wise a - b, clamped at zero (for snapshot diffs). */
     static PhaseTotals diff(const PhaseTotals &after,

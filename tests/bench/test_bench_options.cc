@@ -74,7 +74,7 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
          "--storage-fault-windows", "2", "--storage-fault-pfs-bias",
          "0.5", "--storage-fault-mean-epochs", "3",
          "--storage-fault-strikes", "4", "--io-retry-limit", "6",
-         "--perf", "--perf-dir", "/tmp/perf", "--csv", "/tmp/csv"});
+         "--perf-dir", "/tmp/perf", "--csv", "/tmp/csv"});
     const core::GridSpec &spec = options.spec;
     EXPECT_EQ(spec.runs, 3);
     EXPECT_EQ(spec.seed, 7u);
@@ -106,7 +106,6 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
     EXPECT_FALSE(options.policy.resume);
     EXPECT_TRUE(options.strict);
     EXPECT_EQ(options.jobs, 2);
-    EXPECT_TRUE(options.perf);
     EXPECT_EQ(options.perfDir, "/tmp/perf");
     EXPECT_EQ(options.csvDir, "/tmp/csv");
 
@@ -202,11 +201,15 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
     }
 }
 
-TEST(BenchOptionsDeathTest, RemovedPlacementFlagIsUnknown)
+TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknown)
 {
-    // Worker placement was removed (wall-clock only, no measured gain),
-    // so its old flag is an unknown option like any other.
-    const std::string flag = std::string("--") + "pin";
-    EXPECT_EXIT(parseArgs({flag, "cores"}), ::testing::ExitedWithCode(1),
-                "fatal: unknown option: " + flag + " \\(see --help\\)");
+    // Removed flags are unknown options like any other: --pin (worker
+    // placement, no measured gain) and --perf (the figure benches' own
+    // timing sweep; perfbench times the grids instead).
+    for (const char *name : {"pin", "perf"}) {
+        const std::string flag = std::string("--") + name;
+        EXPECT_EXIT(parseArgs({flag}), ::testing::ExitedWithCode(1),
+                    "fatal: unknown option: " + flag + " \\(see --help\\)")
+            << flag;
+    }
 }

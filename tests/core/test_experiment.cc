@@ -8,11 +8,15 @@
 
 #include <cmath>
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <set>
 #include <string>
 
 #include "src/core/experiment.hh"
+#include "src/storage/drain.hh"
+#include "src/storage/transform.hh"
 #include "tests/core/identical.hh"
 
 namespace fs = std::filesystem;
@@ -342,6 +346,104 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
         EXPECT_DOUBLE_EQ(r.mean.recovery, g.rec) << label;
         EXPECT_EQ(r.mean.recoveries, g.recoveries) << label;
         EXPECT_EQ(r.mean.failureFired, g.fired) << label;
+    }
+}
+
+TEST(Experiment, L4TransformByteCountersArePinned)
+{
+    // Exact PFS and encoder byte counts of a failure-free L4 cell per
+    // app under each transform kind. Both are pure functions of the
+    // checkpoint bytes, so an encoder or flush-path change that ships
+    // a single byte more or less fails here; a deliberate change
+    // re-records the table. shipped is the drain jobs' PFS traffic;
+    // the stage columns are transformGlobalStats bytesIn/bytesOut.
+    using storage::TransformKind;
+    struct Pinned
+    {
+        const char *app;
+        TransformKind kind;
+        std::uint64_t shipped, deltaIn, deltaOut, compressIn,
+            compressOut;
+    };
+    const Pinned pins[] = {
+        {"AMG", TransformKind::None, 3713024, 0, 0, 0, 0},
+        {"AMG", TransformKind::Delta, 3745792, 3713024, 3745792, 0, 0},
+        {"AMG", TransformKind::Compress, 3727360, 0, 0, 3713024, 3727360},
+        {"AMG", TransformKind::DeltaCompress, 3760128, 3713024, 3745792,
+         3745792, 3760128},
+        {"CoMD", TransformKind::None, 9972480, 0, 0, 0, 0},
+        {"CoMD", TransformKind::Delta, 10087168, 9972480, 10087168, 0, 0},
+        {"CoMD", TransformKind::Compress, 9994076, 0, 0, 9972480,
+         9994076},
+        {"CoMD", TransformKind::DeltaCompress, 10063068, 9972480,
+         10087168, 10087168, 10063068},
+        {"HPCCG", TransformKind::None, 68236288, 0, 0, 0, 0},
+        {"HPCCG", TransformKind::Delta, 54448256, 68236288, 54448256, 0,
+         0},
+        {"HPCCG", TransformKind::Compress, 63855801, 0, 0, 68236288,
+         63855801},
+        {"HPCCG", TransformKind::DeltaCompress, 52657229, 68236288,
+         54448256, 54448256, 52657229},
+        {"LULESH", TransformKind::None, 26492416, 0, 0, 0, 0},
+        {"LULESH", TransformKind::Delta, 6697008, 26492416, 6697008, 0,
+         0},
+        {"LULESH", TransformKind::Compress, 2302397, 0, 0, 26492416,
+         2302397},
+        {"LULESH", TransformKind::DeltaCompress, 2023441, 26492416,
+         6697008, 6697008, 2023441},
+        {"miniFE", TransformKind::None, 39384576, 0, 0, 0, 0},
+        {"miniFE", TransformKind::Delta, 30866944, 39384576, 30866944, 0,
+         0},
+        {"miniFE", TransformKind::Compress, 35073201, 0, 0, 39384576,
+         35073201},
+        {"miniFE", TransformKind::DeltaCompress, 29734938, 39384576,
+         30866944, 30866944, 29734938},
+        {"miniVite", TransformKind::None, 548864, 0, 0, 0, 0},
+        {"miniVite", TransformKind::Delta, 392464, 548864, 392464, 0, 0},
+        {"miniVite", TransformKind::Compress, 465788, 0, 0, 548864,
+         465788},
+        {"miniVite", TransformKind::DeltaCompress, 319634, 548864,
+         392464, 392464, 319634},
+    };
+    ASSERT_EQ(std::size(pins), 4 * apps::registry().size());
+    for (const Pinned &pin : pins) {
+        ExperimentConfig config;
+        config.app = pin.app;
+        config.input = InputSize::Small;
+        config.nprocs = 64;
+        config.design = Design::ReinitFti;
+        config.runs = 2;
+        config.ckptLevel = 4;
+        config.ckptStride = 2;
+        config.storage = storage::Kind::Mem;
+        // Sync drain: every flush has run when runExperiment returns.
+        config.drain = storage::DrainMode::Sync;
+        config.transform = pin.kind;
+        config.sandboxDir =
+            (fs::temp_directory_path() / "match-core-tests").string();
+        const std::uint64_t shipped0 = storage::drainGlobalShippedBytes();
+        const storage::TransformStats delta0 =
+            storage::transformGlobalStats(storage::TransformStage::Delta);
+        const storage::TransformStats compress0 =
+            storage::transformGlobalStats(storage::TransformStage::Compress);
+        runExperiment(config);
+        const storage::TransformStats delta1 =
+            storage::transformGlobalStats(storage::TransformStage::Delta);
+        const storage::TransformStats compress1 =
+            storage::transformGlobalStats(storage::TransformStage::Compress);
+        const std::string label = std::string(pin.app) + " " +
+                                  storage::transformKindName(pin.kind);
+        EXPECT_EQ(storage::drainGlobalShippedBytes() - shipped0,
+                  pin.shipped)
+            << label;
+        EXPECT_EQ(delta1.bytesIn - delta0.bytesIn, pin.deltaIn) << label;
+        EXPECT_EQ(delta1.bytesOut - delta0.bytesOut, pin.deltaOut)
+            << label;
+        EXPECT_EQ(compress1.bytesIn - compress0.bytesIn, pin.compressIn)
+            << label;
+        EXPECT_EQ(compress1.bytesOut - compress0.bytesOut,
+                  pin.compressOut)
+            << label;
     }
 }
 

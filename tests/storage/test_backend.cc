@@ -92,6 +92,22 @@ TEST_P(BackendContract, MissingObjectReadsInvalid)
     EXPECT_FALSE(backend_->size(root_ + "/absent", n));
 }
 
+TEST_P(BackendContract, ExistsAndSizeSeeOnlyObjects)
+{
+    // A path that only prefixes stored objects (a directory on disk)
+    // is not an object: exists() and size() answer as for a missing one.
+    put(root_ + "/job/rank0/ckpt.fti", "payload");
+    EXPECT_TRUE(backend_->exists(root_ + "/job/rank0/ckpt.fti"));
+    std::size_t n = 0;
+    ASSERT_TRUE(backend_->size(root_ + "/job/rank0/ckpt.fti", n));
+    EXPECT_EQ(n, 7u);
+    for (const std::string &prefix :
+         {root_ + "/job", root_ + "/job/rank0", root_ + "/job/rank0/"}) {
+        EXPECT_FALSE(backend_->exists(prefix)) << prefix;
+        EXPECT_FALSE(backend_->size(prefix, n)) << prefix;
+    }
+}
+
 TEST_P(BackendContract, OverwriteReplacesContent)
 {
     const std::string path = root_ + "/blob.bin";
