@@ -134,20 +134,10 @@ Fti::purge(const FtiConfig &config)
 Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     : proc_(proc), config_(std::move(config)),
       comm_(comm == simmpi::commNull ? proc.world() : comm),
-      store_(storage::resolve(config_.backend)),
+      io_(proc, config_.backend, config_.drain, config_.virtualFactor,
+          config_.transform),
       deltaTx_(config_.deltaBlockSize)
 {
-    // A config without a drain gets a private sync worker: flushes run
-    // inline at enqueue, preserving the historical "PFS files exist
-    // when checkpoint() returns" behaviour standalone users expect.
-    if (!config_.drain)
-        config_.drain = std::make_shared<storage::DrainWorker>();
-    // A decorated backend attaches the storage-fault engine: the plan
-    // drives pre-flight degradation queries and the retry pricing. A
-    // plain backend leaves faults_ null and every fault hook compiled
-    // down to a pointer test.
-    faults_ =
-        dynamic_cast<storage::FaultInjectingBackend *>(&store_);
     bindPaths();
     recoveryCkptId_ = newestCommittedCkpt();
     if (recoveryCkptId_ > 0) {
@@ -351,7 +341,7 @@ Fti::commitMeta(const MetaInfo &meta)
     const std::string text = formatMeta(meta);
     const storage::Blob blob =
         storage::BlobPool::local().copyOf(text.data(), text.size());
-    ioRetry([&] { store_.writeAtomic(path, blob); });
+    io_.retry([&] { io_.store().writeAtomic(path, blob); });
 }
 
 std::shared_ptr<const MetaInfo>
@@ -477,7 +467,7 @@ Fti::loadMeta(int ckpt_id) const
     // fault window. Every call fetches, even when the parse is
     // memoized: meta reads are fault-injectable per actor, so a skipped
     // fetch would shift strike budgets and priced retries.
-    const storage::Blob text = fetchRetry(metaPath(ckpt_id));
+    const storage::Blob text = io_.readSoft(metaPath(ckpt_id));
     if (!text)
         return nullptr;
     std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
@@ -491,7 +481,7 @@ Fti::newestCommittedCkpt() const
 {
     int newest = 0;
     for (const std::string &name :
-         store_.listDir(execDir(config_) + "/meta")) {
+         io_.store().listDir(execDir(config_) + "/meta")) {
         if (name.rfind("ckpt", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 4);
@@ -512,7 +502,7 @@ Fti::committedCkptsNewestFirst() const
     // collective verification votes line up without communication.
     std::vector<int> ids;
     for (const std::string &name :
-         store_.listDir(execDir(config_) + "/meta")) {
+         io_.store().listDir(execDir(config_) + "/meta")) {
         if (name.rfind("ckpt", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 4);
@@ -532,11 +522,11 @@ Fti::removeCheckpointFiles(int id, int level)
     const int size = proc_.runtime().commSize(comm_);
     const int owner = (rank + size - 1) % size; // whose L2 copy I hold
     if (level <= 3)
-        store_.remove(ckptPath(id));
+        io_.store().remove(ckptPath(id));
     if (level == 2)
-        store_.remove(partnerFile(config_, rank, owner, id));
+        io_.store().remove(partnerFile(config_, rank, owner, id));
     if (level == 3)
-        store_.remove(parityFile(config_, rank, id));
+        io_.store().remove(parityFile(config_, rank, id));
     if (level == 4) {
         // The flush that wrote the object may still be draining; route
         // the removal through the same FIFO queue so it
@@ -544,15 +534,15 @@ Fti::removeCheckpointFiles(int id, int level)
         // drain scheduling.
         FtiConfig job_config = config_;
         job_config.drain.reset();
-        drain().enqueue([job_config = std::move(job_config), rank,
-                         id]() -> std::uint64_t {
+        io_.drain().enqueue([job_config = std::move(job_config), rank,
+                             id]() -> std::uint64_t {
             storage::resolve(job_config.backend)
                 .remove(pfsFile(job_config, rank, id));
             return 0;
         });
     }
     if (rank == 0)
-        store_.remove(metaPath(id));
+        io_.store().remove(metaPath(id));
 }
 
 void
@@ -580,62 +570,13 @@ Fti::ckptFactor() const
     return 1.0;
 }
 
-// ---------------------------------------------------------------------------
-// I/O retry policy
-// ---------------------------------------------------------------------------
-
-int
-Fti::ioRetryLimit() const
-{
-    return faults_ ? faults_->retryLimit()
-                   : storage::kDefaultIoRetryLimit;
-}
-
-template <typename Op>
-auto
-Fti::ioRetry(Op &&op) const -> decltype(op())
-{
-    return storage::withIoRetry(
-        ioRetryLimit(),
-        [&] {
-            // Bind this rank's own (epoch, actor) around the single
-            // backend call — never around the whole retry loop, whose
-            // backoff sleeps yield the fiber and would let another
-            // rank's binding leak in. The actor key gives this rank a
-            // private strike budget even on shared objects (meta
-            // files), so every rank exhausts every object identically
-            // and ladder decisions stay rank-uniform.
-            storage::FaultEpochScope scope(faults_, faultEpoch_,
-                                           proc_.globalIndex());
-            return op();
-        },
-        [this](int attempt) {
-            // Each backoff is real (simulated) time on this rank, and
-            // deterministic: the fault plan's strike counters make the
-            // attempt count a pure function of configuration.
-            proc_.sleepFor(
-                proc_.runtime().costModel().ioRetryBackoff(attempt));
-            storage::notePricedRetries(1);
-        });
-}
-
-storage::Blob
-Fti::fetchRetry(const std::string &path) const
-{
-    try {
-        return ioRetry([&] { return store_.read(path); });
-    } catch (const storage::StorageError &) {
-        return storage::Blob(); // unreadable past the budget: lost
-    }
-}
-
 void
 Fti::writeLocal(int ckpt_id, const storage::Blob &blob)
 {
     // The store takes a handle to the sealed snapshot — no payload
     // copy.
     const std::string path = ckptPath(ckpt_id);
-    ioRetry([&] { store_.write(path, blob); });
+    io_.retry([&] { io_.store().write(path, blob); });
 }
 
 void
@@ -648,7 +589,7 @@ Fti::writePartnerCopy(int ckpt_id, const storage::Blob &blob)
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     const int holder = (rank + 1) % size;
     const std::string path = partnerFile(config_, holder, rank, ckpt_id);
-    ioRetry([&] { store_.write(path, blob); });
+    io_.retry([&] { io_.store().write(path, blob); });
 }
 
 void
@@ -682,11 +623,12 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     std::vector<RsCodec::ShardView> data(k);
     std::vector<storage::Blob> members(k);
     for (int i = 0; i < k; ++i) {
-        // fetchRetry folds retry exhaustion into "missing", which is
+        // readSoft folds retry exhaustion into "missing", which is
         // fatal here either way; the checkpoint pre-flight demotes L3
         // when local reads are persistently exhausted, so only a real
         // loss can trip this.
-        members[i] = fetchRetry(ckptFile(config_, group_lo + i, ckpt_id));
+        members[i] =
+            io_.readSoft(ckptFile(config_, group_lo + i, ckpt_id));
         if (!members[i])
             util::fatal("L3 encode: missing data file for rank %d",
                         group_lo + i);
@@ -697,47 +639,9 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
         codec.encode(data, stripe, storage::BlobPool::local());
     for (int p = 0; p < m; ++p) {
         const std::string path = parityFile(config_, group_lo + p, ckpt_id);
-        ioRetry([&] { store_.write(path, parity[p]); });
+        io_.retry([&] { io_.store().write(path, parity[p]); });
     }
 }
-
-namespace
-{
-
-/**
- * The L4 flush body, run by the drain worker: write the staged blob as
- * the rank's whole PFS object, compressed here in the drain stage when
- * the transform has a compress stage (the delta stage already ran at
- * serialize time). The checkpoint's metadata covers the staged,
- * pre-compression bytes, so recovery decompresses before verifying.
- * Deliberately a free function over a refcounted blob and a config
- * copy — it runs on the drain thread, possibly after the enqueuing Fti
- * incarnation died, so it must touch no Fti state.
- *
- * @return bytes actually shipped to the PFS; a pure function of the
- *         staged blob, so the virtual drain accounting is
- *         schedule-independent.
- */
-std::uint64_t
-pfsFlushJob(const FtiConfig &config, int rank, int ckpt_id,
-            const storage::Blob &blob, int retry_limit)
-{
-    const storage::Blob out = storage::transformHasCompress(config.transform)
-                                  ? storage::compressEncode(blob)
-                                  : blob;
-    // Wall-clock only — the enqueuing rank priced the transient
-    // strikes at checkpoint entry.
-    storage::withIoRetry(
-        retry_limit,
-        [&] {
-            storage::resolve(config.backend)
-                .write(Fti::pfsFile(config, rank, ckpt_id), out);
-        },
-        [](int) {});
-    return out.size();
-}
-
-} // anonymous namespace
 
 void
 Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
@@ -753,87 +657,41 @@ Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
     const std::size_t wall_bytes = blob.size();
     const auto virt_bytes = static_cast<std::uint64_t>(
         static_cast<double>(wall_bytes) * config_.virtualFactor);
-    if (config_.drainCapacityBytes > 0) {
-        // Burst-buffer capacity pressure, in virtual time: when the
-        // staged-but-undrained flushes plus this one would exceed the
-        // buffer, the rank stalls until enough earlier flushes finish
-        // streaming — capacity turns the "free" async drain back into
-        // foreground checkpoint time (we run under CkptWrite here).
-        const double stall = drainChannel_.reserve(
-            drain(), proc_.now(), virt_bytes, config_.drainCapacityBytes,
-            [this](std::uint64_t shipped, std::uint64_t in_bytes,
-                   int procs, double factor) {
-                return priceDrainJob(shipped, in_bytes, procs, factor);
-            });
-        if (stall > 0.0)
-            proc_.sleepFor(stall);
-    }
-    const auto ticket = drain().enqueue(
+    // Burst-buffer capacity pressure, in virtual time: when the
+    // staged-but-undrained flushes plus this one would exceed the
+    // buffer, the rank stalls until enough earlier flushes finish
+    // streaming — capacity turns the "free" async drain back into
+    // foreground checkpoint time (we run under CkptWrite here).
+    io_.reserve(virt_bytes, config_.drainCapacityBytes);
+    // The flush body writes the staged blob as the rank's whole PFS
+    // object, compressed here in the drain stage when the transform
+    // has a compress stage (the delta stage ran at serialize time).
+    // The meta covers the staged, pre-compression bytes, so recovery
+    // decompresses before verifying. The shipped size is a pure
+    // function of the staged blob. A permanently failed flush leaves
+    // the object lost or torn for recovery's ladder to deal with.
+    const auto ticket = io_.enqueue(
+        ckpt_id, rank,
         [job_config = std::move(job_config), rank, ckpt_id,
-         blob = std::move(blob),
-         faults = faults_]() -> std::uint64_t {
-            // Bind the epoch the flush was enqueued at (and the
-            // flushing rank as the actor): injection then does not
-            // depend on when the drain runs the job (sync, async, N
-            // threads — all see the same windows and strike budgets).
-            storage::FaultEpochScope scope(faults, ckpt_id, rank);
-            const int limit = faults ? faults->retryLimit()
-                                     : storage::kDefaultIoRetryLimit;
-            for (int attempt = 0;; ++attempt) {
-                try {
-                    return pfsFlushJob(job_config, rank, ckpt_id, blob,
-                                       limit);
-                } catch (const storage::StorageError &) {
-                    // Drain-thread retries are wall-clock only: the
-                    // enqueuing rank already priced the plan's
-                    // transient strikes at checkpoint entry. A
-                    // permanently failed flush ships nothing — the
-                    // object stays lost/torn and recovery's ladder
-                    // (never a silent wrong restore) deals with it.
-                    if (attempt >= limit) {
-                        storage::noteFailedFlush();
-                        return 0;
-                    }
-                }
-            }
+         blob = std::move(blob)](int retry_limit) -> std::uint64_t {
+            const storage::Blob out =
+                storage::transformHasCompress(job_config.transform)
+                    ? storage::compressEncode(blob)
+                    : blob;
+            storage::withIoRetry(
+                retry_limit,
+                [&] {
+                    storage::resolve(job_config.backend)
+                        .write(pfsFile(job_config, rank, ckpt_id), out);
+                },
+                [](int) {});
+            return out.size();
         },
         wall_bytes);
     // The virtual enqueue instant is stamped later, once checkpoint()
     // has charged the staging cost.
-    drainChannel_.admit(ticket, proc_.runtime().commSize(comm_),
+    io_.channel().admit(ticket, proc_.runtime().commSize(comm_),
                         ckptFactor(), virt_bytes, virt_bytes);
-}
-
-double
-Fti::priceDrainJob(std::uint64_t shipped, std::uint64_t inVirtBytes,
-                   int procs, double factor) const
-{
-    // The flush job returns the wall bytes it actually shipped (the
-    // compressed envelope when the compress stage is on); the
-    // drain-stage compression CPU is charged on the channel too — it
-    // overlaps compute exactly like the streaming it precedes.
-    const simmpi::CostModel &model = proc_.runtime().costModel();
-    const double virt_shipped =
-        static_cast<double>(shipped) * config_.virtualFactor;
-    double cost = model.drainFlush(
-        static_cast<std::size_t>(virt_shipped), procs);
-    if (storage::transformHasCompress(config_.transform))
-        cost += model.transformCompress(
-            static_cast<std::size_t>(inVirtBytes));
-    return cost * factor;
-}
-
-void
-Fti::drainBarrier()
-{
-    const double wait = drainChannel_.resolve(
-        drain(), proc_.now(),
-        [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
-               double factor) {
-            return priceDrainJob(shipped, in_bytes, procs, factor);
-        });
-    if (wait > 0.0)
-        proc_.sleepFor(wait);
 }
 
 void
@@ -850,11 +708,10 @@ Fti::checkpoint(int ckpt_id, int level)
     // branch before any I/O or collective — degradation never
     // desynchronizes the communicator.
     double fault_penalty = 0.0;
-    faultEpoch_ = ckpt_id;
-    if (faults_) {
-        faults_->setEpoch(ckpt_id);
-        const storage::StorageFaultPlan &plan = faults_->plan();
-        const int limit = faults_->retryLimit();
+    io_.setEpoch(ckpt_id);
+    if (const storage::FaultInjectingBackend *faults = io_.faults()) {
+        const storage::StorageFaultPlan &plan = faults->plan();
+        const int limit = io_.retryLimit();
         const simmpi::CostModel &cm = proc_.runtime().costModel();
         const int rank =
             proc_.runtime().commRank(proc_.globalIndex(), comm_);
@@ -914,7 +771,7 @@ Fti::checkpoint(int ckpt_id, int level)
             // Transient PFS strikes are ridden out on the drain
             // thread, where wall-clock retries cannot price virtual
             // time: charge the re-staging backoff here. (Local-tier
-            // writes price their actual attempts inside ioRetry.)
+            // writes price their actual attempts inside io_.retry.)
             const int strikes = plan.transientWriteStrikes(
                 ckpt_id, storage::PathClass::Pfs, limit);
             if (strikes > 0) {
@@ -1062,7 +919,7 @@ Fti::checkpoint(int ckpt_id, int level)
             ckptFactor());
         // Stamp the flush's virtual enqueue instant: the drain channel
         // may start streaming once the blob is staged.
-        drainChannel_.stamp(proc_.now());
+        io_.channel().stamp(proc_.now());
     } else {
         proc_.sleepFor(
             proc_.runtime().costModel().checkpointWrite(
@@ -1141,7 +998,7 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
         // stripe's reconstruction, while the parity rebuilds a missing
         // one.
         const storage::Blob blob =
-            fetchRetry(ckptFile(config_, member, meta.ckptId));
+            io_.readSoft(ckptFile(config_, member, meta.ckptId));
         if (intact(blob, meta, member))
             shards[i] = take(blob);
     }
@@ -1150,7 +1007,7 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
         // budget is simply a lost shard — the codec reconstructs
         // around it while enough members survive.
         const storage::Blob blob =
-            fetchRetry(parityFile(config_, group_lo + p, meta.ckptId));
+            io_.readSoft(parityFile(config_, group_lo + p, meta.ckptId));
         if (blob && blob.size() == stripe)
             shards[k + p] = take(blob);
     }
@@ -1169,8 +1026,9 @@ Fti::readPfsBlob(const MetaInfo &meta, const char *&why)
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     // Unlike the local tiers, a PFS read exhausted past the retry
     // budget throws StorageError, which ends the rung.
-    storage::Blob whole = ioRetry(
-        [&] { return store_.read(pfsFile(config_, rank, meta.ckptId)); });
+    storage::Blob whole = io_.retry([&] {
+        return io_.store().read(pfsFile(config_, rank, meta.ckptId));
+    });
     if (!whole) {
         why = "PFS object lost";
         return storage::Blob();
@@ -1208,12 +1066,12 @@ Fti::readStored(const MetaInfo &meta, const char *&why)
     // treated exactly like a lost one, so the level's redundancy
     // absorbs it.
     if (storage::Blob blob =
-            fetchRetry(ckptPath(meta.ckptId));
+            io_.readSoft(ckptPath(meta.ckptId));
         intact(blob, meta, rank))
         return blob;
     if (meta.level == 2) {
         const int holder = (rank + 1) % meta.nprocs;
-        if (storage::Blob blob = fetchRetry(
+        if (storage::Blob blob = io_.readSoft(
                 partnerFile(config_, holder, rank, meta.ckptId));
             intact(blob, meta, rank))
             return blob;
@@ -1297,9 +1155,7 @@ Fti::recover()
         // Re-key this rank's fault epoch to the rung before its meta
         // read: the windows of the checkpoint being restored gate all
         // of the rung's I/O, the meta file included.
-        faultEpoch_ = id;
-        if (faults_)
-            faults_->setEpoch(id);
+        io_.setEpoch(id);
         const auto meta_ptr = loadMeta(id);
         if (!meta_ptr)
             continue; // same per-actor outcome on every rank
@@ -1308,7 +1164,7 @@ Fti::recover()
         // streaming: wait out the channel (virtually and in
         // wall-clock) first.
         if (meta.level == 4)
-            drainBarrier();
+            io_.barrier();
         storage::Blob image;
         const char *why = nullptr;
         bool tier_exhausted = false;
@@ -1398,14 +1254,12 @@ Fti::scrub()
         return; // L4 objects live behind the drain; nothing local
     CategoryScope scope(proc_, TimeCategory::CkptWrite);
     const double t0 = proc_.now();
-    faultEpoch_ = newest;
-    if (faults_)
-        faults_->setEpoch(newest);
+    io_.setEpoch(newest);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
     const std::string path = ckptPath(newest);
     // Retry exhaustion reads as "missing": the scrub just finds
     // nothing to verify and the next recovery handles the fallout.
-    const storage::Blob blob = fetchRetry(path);
+    const storage::Blob blob = io_.readSoft(path);
     const double virt_bytes =
         static_cast<double>(meta->bytesPerRank[rank]) *
         config_.virtualFactor;
@@ -1415,7 +1269,7 @@ Fti::scrub()
         // Deleting the rotten object turns a silent-corruption hazard
         // into an ordinary lost-object recovery: the next recover()
         // falls back to this level's redundancy deterministically.
-        store_.remove(path);
+        io_.store().remove(path);
         MATCH_DEBUG("FTI scrub: rank %d dropped corrupt ckpt %d", rank,
                     newest);
     }
@@ -1520,7 +1374,7 @@ Fti::finalize()
         // not hide.
         CategoryScope scope(proc_, TimeCategory::CkptWrite);
         const double t0 = proc_.now();
-        drainBarrier();
+        io_.barrier();
         writeSeconds_ += proc_.now() - t0;
     }
     finalized_ = true;

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ckpt/io.hh"
 #include "src/fti/config.hh"
 #include "src/simmpi/proc.hh"
 #include "src/storage/blob.hh"
@@ -188,7 +189,7 @@ class Fti
      *  "FTI must use the repaired world communicator"). */
     void setComm(simmpi::CommId comm);
 
-    /** This instance's effective configuration (drain/backend bound). */
+    /** This instance's configuration, as given to the constructor. */
     const FtiConfig &config() const { return config_; }
 
     /** Total bytes currently protected on this rank. */
@@ -269,21 +270,8 @@ class Fti
     /** Stage the blob (a refcount, not a copy) and admit its PFS flush
      *  job to the drain. */
     void enqueuePfsFlush(int ckpt_id, storage::Blob blob);
-    /**
-     * Quiesce point: wall-block until the drain ran every admitted job,
-     * resolve this rank's pending flushes into the virtual drain
-     * channel, and sleep until the channel's virtual completion.
-     */
-    void drainBarrier();
-    /** Virtual cost of one drained flush: streaming the shipped bytes
-     *  plus, when the compress stage is on, compressing the staged
-     *  input (both overlap compute on the drain channel). */
-    double priceDrainJob(std::uint64_t shipped,
-                         std::uint64_t inVirtBytes, int procs,
-                         double factor) const;
-    storage::DrainWorker &drain() { return *config_.drain; }
     void commitMeta(const MetaInfo &meta);
-    /** Fetch (with the retry policy) and parse checkpoint `ckpt_id`'s
+    /** Fetch (soft read) and parse checkpoint `ckpt_id`'s
      *  record; null when it is missing, unreadable, incomplete or
      *  names another id. */
     std::shared_ptr<const MetaInfo> loadMeta(int ckpt_id) const;
@@ -322,22 +310,6 @@ class Fti
     void removeCheckpointFiles(int id, int level);
     double ckptFactor() const;
 
-    /**
-     * IoRetryPolicy: run a storage operation with up to the configured
-     * retry budget on StorageError, pricing each backoff in virtual
-     * time on this rank. Deterministic: the decorator's strike counters
-     * make the attempt count a pure function of the plan, so the priced
-     * time is --jobs/backend/drain independent. The last failure
-     * rethrows.
-     */
-    template <typename Op>
-    auto ioRetry(Op &&op) const -> decltype(op());
-    /** The retry budget (the fault engine's when one is attached). */
-    int ioRetryLimit() const;
-    /** Backend::read with the retry policy; retry exhaustion reads
-     *  as a lost object (a null blob). */
-    storage::Blob fetchRetry(const std::string &path) const;
-
     simmpi::Proc &proc_;
     FtiConfig config_;
     simmpi::CommId comm_;
@@ -345,18 +317,10 @@ class Fti
      *  prefixes ckptPath and metaPath append the id to. */
     std::string ckptPrefix_;
     std::string metaPrefix_;
-    /** Sandbox storage (config's backend, or the shared DiskBackend). */
-    storage::Backend &store_;
-    /** The fault engine when store_ is a FaultInjectingBackend, else
-     *  null (the fast path: no plan queries, no retry pricing). */
-    storage::FaultInjectingBackend *faults_ = nullptr;
-    /** This rank's current fault epoch (the checkpoint id being
-     *  written, or the rung being restored). Per-instance, never the
-     *  decorator's shared fallback: ranks sitting on different
-     *  recovery rungs must not flap each other's effective epoch.
-     *  ioRetry binds it (with the rank's actor id) around every
-     *  injected operation. */
-    int faultEpoch_ = 0;
+    /** Sandbox storage, retry policy, fault epoch (the checkpoint id
+     *  being written, or the rung being restored) and the drain with
+     *  this rank's virtual channel of L4 flushes. */
+    ckpt::CkptIo io_;
     /** Write-exhaustion decisions taken (demotions, epoch skips). */
     std::vector<storage::DegradeEvent> degradeEvents_;
     std::map<int, ProtectedRegion> regions_;
@@ -368,9 +332,6 @@ class Fti
     /** Previous committed checkpoint (for precise cleanup). */
     int prevCkptId_ = 0;
     int prevLevel_ = 0;
-    /** Virtual-time accounting of this rank's L4 flushes (the factor
-     *  is the ULFM checkpoint slowdown at enqueue). */
-    storage::DrainChannel drainChannel_;
     /** Differential-checkpoint encoder (config.transform with delta):
      *  holds the previous epoch's serialized image as the reference. */
     storage::DeltaTransform deltaTx_;

@@ -97,21 +97,19 @@ Scr::purge(const ScrConfig &config)
 
 Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     : proc_(proc), config_(std::move(config)),
-      store_(storage::resolve(config_.backend))
+      // Flushes ship the cache's bytes as they are: virtual factor 1.
+      io_(proc, config_.backend, config_.drain, 1.0, config_.transform)
 {
-    if (!config_.drain)
-        config_.drain = std::make_shared<storage::DrainWorker>();
-    // A decorated backend attaches the storage-fault engine. SCR's
-    // prefix directory carries no "/pfs/" segment, so register it as a
-    // PFS root — flushes and fetches against it then see PFS-class
-    // windows, while the cache sees local-class ones.
-    faults_ = dynamic_cast<storage::FaultInjectingBackend *>(&store_);
-    if (faults_)
-        faults_->addPfsPrefix(config_.prefixDir);
+    // SCR's prefix directory carries no "/pfs/" segment, so register it
+    // as a PFS root with the fault engine — flushes and fetches against
+    // it then see PFS-class windows, while the cache sees local-class
+    // ones.
+    if (storage::FaultInjectingBackend *faults = io_.faults())
+        faults->addPfsPrefix(config_.prefixDir);
     // Restart detection reads flushed markers the drain writes: wait
     // out in-flight jobs so the decision depends only on what was
     // admitted (deterministic), never on the worker's wall schedule.
-    drain().quiesce();
+    io_.drain().quiesce();
     lastCommitted_ = newestCommittedDataset();
     restartDataset_ = lastCommitted_;
 }
@@ -129,78 +127,16 @@ Scr::size() const
 }
 
 int
-Scr::ioRetryLimit() const
-{
-    return faults_ ? faults_->retryLimit()
-                   : storage::kDefaultIoRetryLimit;
-}
-
-template <typename Op>
-auto
-Scr::ioRetry(Op &&op) const -> decltype(op())
-{
-    return storage::withIoRetry(
-        ioRetryLimit(),
-        [&] {
-            // Bind this rank's own (epoch, actor) around the single
-            // backend call — not the retry loop, whose backoff sleeps
-            // yield the fiber (see fti::Fti::ioRetry). The actor key
-            // gives this rank a private strike budget on shared
-            // objects (markers, parity), keeping ladder decisions
-            // rank-uniform.
-            storage::FaultEpochScope scope(faults_, faultEpoch_,
-                                           proc_.globalIndex());
-            return op();
-        },
-        [this](int attempt) {
-            proc_.sleepFor(
-                proc_.runtime().costModel().ioRetryBackoff(attempt));
-            storage::notePricedRetries(1);
-        });
-}
-
-storage::Blob
-Scr::fetchSoft(const std::string &path) const
-{
-    try {
-        return ioRetry([&] { return store_.read(path); });
-    } catch (const storage::StorageError &) {
-        return storage::Blob(); // unreadable == lost: next tier's turn
-    }
-}
-
-bool
-Scr::copySoft(const std::string &src, const std::string &dst)
-{
-    try {
-        return ioRetry([&] { return store_.copy(src, dst); });
-    } catch (const storage::StorageError &) {
-        return false;
-    }
-}
-
-bool
-Scr::writeSoft(const std::string &path, storage::Blob blob)
-{
-    try {
-        ioRetry([&] { store_.write(path, blob); });
-        return true;
-    } catch (const storage::StorageError &) {
-        return false;
-    }
-}
-
-int
 Scr::newestCommittedDataset(int below) const
 {
     int newest = 0;
-    for (const std::string &name : store_.listDir(jobDir(config_))) {
+    for (const std::string &name : io_.store().listDir(jobDir(config_))) {
         if (name.rfind("dataset", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 7);
         if (below > 0 && id >= below)
             continue;
-        if (id > newest && store_.exists(markerFile(config_, id)))
+        if (id > newest && io_.store().exists(markerFile(config_, id)))
             newest = id;
     }
     // A dataset whose cache was lost is still restartable from its
@@ -208,7 +144,7 @@ Scr::newestCommittedDataset(int below) const
     // (a crash mid-drain leaves the dataset unfetchable, falling back
     // to the newest fully flushed one).
     for (const std::string &name :
-         store_.listDir(config_.prefixDir + "/" + config_.jobId)) {
+         io_.store().listDir(config_.prefixDir + "/" + config_.jobId)) {
         if (name.rfind("dataset", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 7);
@@ -218,7 +154,8 @@ Scr::newestCommittedDataset(int below) const
             continue;
         bool complete = true;
         for (int r = 0; r < size() && complete; ++r)
-            complete = store_.exists(flushedMarkerFile(config_, id, r));
+            complete =
+                io_.store().exists(flushedMarkerFile(config_, id, r));
         if (complete)
             newest = id;
     }
@@ -270,14 +207,14 @@ Scr::applyRedundancy()
         for (const std::string &name : routedFiles_) {
             const std::string src =
                 datasetDir(config_, writingDataset_, r) + "/" + name;
-            if (!copySoft(src, dst + "/" + name))
+            if (!io_.copySoft(src, dst + "/" + name))
                 util::fatal("SCR PARTNER: missing routed file %s "
                             "(rank %d)", name.c_str(), r);
             // The partner copy carries the integrity record too, so a
             // rebuilt file stays verifiable.
             if (config_.sdcChecks)
-                copySoft(src + ".crc32c",
-                         dst + "/" + name + ".crc32c");
+                io_.copySoft(src + ".crc32c",
+                             dst + "/" + name + ".crc32c");
         }
         return;
       }
@@ -298,10 +235,10 @@ Scr::applyRedundancy()
             std::size_t total = 0;
             for (const std::string &name : routedFiles_) {
                 std::size_t bytes = 0;
-                if (!store_.size(datasetDir(config_, writingDataset_,
-                                            m) +
-                                     "/" + name,
-                                 bytes))
+                if (!io_.store().size(
+                        datasetDir(config_, writingDataset_, m) + "/" +
+                            name,
+                        bytes))
                     util::fatal("SCR XOR: missing member file (rank %d)",
                                 m);
                 total += bytes;
@@ -314,7 +251,7 @@ Scr::applyRedundancy()
         for (int m = lo; m < hi; ++m) {
             std::size_t off = 0;
             for (const std::string &name : routedFiles_) {
-                const storage::Blob file = fetchSoft(
+                const storage::Blob file = io_.readSoft(
                     datasetDir(config_, writingDataset_, m) + "/" +
                     name);
                 if (!file)
@@ -325,8 +262,8 @@ Scr::applyRedundancy()
                 off += file.size();
             }
         }
-        if (!writeSoft(parityFile(config_, writingDataset_, lo / gs),
-                       std::move(parity).seal())) {
+        if (!io_.writeSoft(parityFile(config_, writingDataset_, lo / gs),
+                           std::move(parity).seal())) {
             // Parity lost to a persistent fault window: the dataset
             // stays committed (cache copies are intact) but a later
             // member loss must fall through to the prefix copy.
@@ -428,57 +365,23 @@ Scr::enqueueFlush(int dataset, std::size_t bytes)
         for (const std::string &name : routedFiles_)
             files.push_back(name + ".crc32c");
     }
-    const auto ticket = drain().enqueue(
-        [job_config = std::move(job_config), dataset, r = rank(),
-         files = std::move(files),
-         faults = faults_]() -> std::uint64_t {
-            // Bind the enqueue-time epoch (and the flushing rank as
-            // the actor) so injection is identical for any drain
-            // scheduling (sync, async, N threads).
-            storage::FaultEpochScope scope(faults, dataset, r);
-            const int limit = faults ? faults->retryLimit()
-                                     : storage::kDefaultIoRetryLimit;
-            for (int attempt = 0;; ++attempt) {
-                try {
-                    return scrFlushJob(job_config, dataset, r, files,
-                                       limit);
-                } catch (const storage::StorageError &) {
-                    // A permanently failed flush writes no flushed
-                    // marker: the dataset never becomes fetchable and
-                    // restart falls back to the newest fully drained
-                    // one — exactly the lost-cache soft-failure path.
-                    if (attempt >= limit) {
-                        storage::noteFailedFlush();
-                        return 0;
-                    }
-                }
-            }
+    // A permanently failed flush writes no flushed marker: the dataset
+    // never becomes fetchable and restart falls back to the newest
+    // fully drained one — exactly the lost-cache soft-failure path.
+    const int r = rank();
+    const auto ticket = io_.enqueue(
+        dataset, r,
+        [job_config = std::move(job_config), dataset, r,
+         files = std::move(files)](int retry_limit) {
+            return scrFlushJob(job_config, dataset, r, files, retry_limit);
         });
     // No occupancy bytes: SCR has no burst-buffer capacity bound, so
     // the channel must not accumulate occupants it never evicts.
-    drainChannel_.admit(ticket, size(), 1.0, 0, bytes);
+    io_.channel().admit(ticket, size(), 1.0, 0, bytes);
     // Staging the dataset into the burst buffer serializes the rank;
     // the PFS streaming overlaps on the virtual drain channel.
     proc_.sleepFor(proc_.runtime().costModel().drainStage(bytes, size()));
-    drainChannel_.stamp(proc_.now());
-}
-
-void
-Scr::drainBarrier()
-{
-    const double wait = drainChannel_.resolve(
-        drain(), proc_.now(),
-        [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
-               double factor) {
-            double cost = proc_.runtime().costModel().drainFlush(
-                static_cast<std::size_t>(shipped), procs);
-            if (storage::transformHasCompress(config_.transform))
-                cost += proc_.runtime().costModel().transformCompress(
-                    static_cast<std::size_t>(in_bytes));
-            return cost * factor;
-        });
-    if (wait > 0.0)
-        proc_.sleepFor(wait);
+    io_.channel().stamp(proc_.now());
 }
 
 void
@@ -493,11 +396,10 @@ Scr::completeCheckpoint(bool valid)
     // tier abandons the dataset exactly like an application-invalid
     // one, and the run keeps computing.
     bool tier_ok = true;
-    faultEpoch_ = writingDataset_;
-    if (faults_) {
-        faults_->setEpoch(writingDataset_);
-        const storage::StorageFaultPlan &plan = faults_->plan();
-        const int limit = faults_->retryLimit();
+    io_.setEpoch(writingDataset_);
+    if (const storage::FaultInjectingBackend *faults = io_.faults()) {
+        const storage::StorageFaultPlan &plan = faults->plan();
+        const int limit = io_.retryLimit();
         const simmpi::CostModel &cm = proc_.runtime().costModel();
         double fault_penalty = 0.0;
         const bool needs_reads = config_.scheme != Redundancy::Single;
@@ -547,9 +449,9 @@ Scr::completeCheckpoint(bool valid)
     std::size_t bytes = 0;
     for (const std::string &name : routedFiles_) {
         std::size_t file_bytes = 0;
-        if (store_.size(datasetDir(config_, writingDataset_, rank()) +
-                            "/" + name,
-                        file_bytes))
+        if (io_.store().size(
+                datasetDir(config_, writingDataset_, rank()) + "/" + name,
+                file_bytes))
             bytes += file_bytes;
     }
 
@@ -562,15 +464,15 @@ Scr::completeCheckpoint(bool valid)
                 const std::string path =
                     datasetDir(config_, writingDataset_, rank()) + "/" +
                     name;
-                const storage::Blob file = fetchSoft(path);
+                const storage::Blob file = io_.readSoft(path);
                 if (!file)
                     continue;
                 const std::string crc = std::to_string(file.crc32c());
                 const storage::Blob sidecar =
                     storage::BlobPool::local().copyOf(crc.data(),
                                                       crc.size());
-                ioRetry([&] {
-                    store_.writeAtomic(path + ".crc32c", sidecar);
+                io_.retry([&] {
+                    io_.store().writeAtomic(path + ".crc32c", sidecar);
                 });
             }
         }
@@ -583,9 +485,9 @@ Scr::completeCheckpoint(bool valid)
             static const char text[] = "committed\n";
             const storage::Blob marker =
                 storage::BlobPool::local().copyOf(text, sizeof(text) - 1);
-            ioRetry([&] {
-                store_.writeAtomic(markerFile(config_, writingDataset_),
-                                   marker);
+            io_.retry([&] {
+                io_.store().writeAtomic(
+                    markerFile(config_, writingDataset_), marker);
             });
         }
         int committed = 1;
@@ -607,9 +509,9 @@ Scr::completeCheckpoint(bool valid)
     if (all_valid && config_.flushEvery > 0 &&
         lastCommitted_ % config_.flushEvery == 0) {
         bool flush_ok = true;
-        if (faults_) {
-            const storage::StorageFaultPlan &plan = faults_->plan();
-            const int limit = faults_->retryLimit();
+        if (const storage::FaultInjectingBackend *faults = io_.faults()) {
+            const storage::StorageFaultPlan &plan = faults->plan();
+            const int limit = io_.retryLimit();
             const simmpi::CostModel &cm = proc_.runtime().costModel();
             // Uncompressed flushes copy cache -> prefix, spending one
             // retry budget across both legs; ask the combined query so
@@ -671,9 +573,9 @@ Scr::completeCheckpoint(bool valid)
     if (all_valid && lastCommitted_ >= 2) {
         ScrConfig job_config = config_;
         job_config.drain.reset();
-        drain().enqueue([job_config = std::move(job_config),
-                         prev = lastCommitted_ - 1,
-                         r = rank()]() -> std::uint64_t {
+        io_.drain().enqueue([job_config = std::move(job_config),
+                             prev = lastCommitted_ - 1,
+                             r = rank()]() -> std::uint64_t {
             storage::Backend &store =
                 storage::resolve(job_config.backend);
             store.removeTree(Scr::datasetDir(job_config, prev, r));
@@ -700,14 +602,14 @@ Scr::tryRebuildFromPartner(const std::string &name)
     const std::string src = datasetDir(config_, restartDataset_, holder) +
                             "-partner" + std::to_string(rank()) + "/" +
                             name;
-    if (!store_.exists(src))
+    if (!io_.store().exists(src))
         return false;
     const std::string dst =
         datasetDir(config_, restartDataset_, rank()) + "/" + name;
-    if (!copySoft(src, dst))
+    if (!io_.copySoft(src, dst))
         return false;
     if (config_.sdcChecks)
-        copySoft(src + ".crc32c", dst + ".crc32c");
+        io_.copySoft(src + ".crc32c", dst + ".crc32c");
     return true;
 }
 
@@ -723,7 +625,7 @@ Scr::tryRebuildFromXor(const std::string &name)
     const int lo = (rank() / gs) * gs;
     const int hi = std::min(lo + gs, size());
     const storage::Blob parity =
-        fetchSoft(parityFile(config_, restartDataset_, lo / gs));
+        io_.readSoft(parityFile(config_, restartDataset_, lo / gs));
     if (!parity)
         return false; // parity lost (or unreadable past retries)
     storage::MutableBlob acc =
@@ -733,7 +635,7 @@ Scr::tryRebuildFromXor(const std::string &name)
     for (int m = lo; m < hi; ++m) {
         if (m == rank())
             continue;
-        const storage::Blob blob = fetchSoft(
+        const storage::Blob blob = io_.readSoft(
             datasetDir(config_, restartDataset_, m) + "/" + name);
         if (!blob)
             return false; // two losses in the group
@@ -743,9 +645,9 @@ Scr::tryRebuildFromXor(const std::string &name)
     }
     // The recovered blob is padded to the stripe; the application reads
     // the bytes it wrote (sizes are application knowledge under SCR).
-    return writeSoft(datasetDir(config_, restartDataset_, rank()) +
-                         "/" + name,
-                     std::move(acc).seal());
+    return io_.writeSoft(datasetDir(config_, restartDataset_, rank()) +
+                             "/" + name,
+                         std::move(acc).seal());
 }
 
 bool
@@ -754,10 +656,10 @@ Scr::tryFetchFromPrefix(const std::string &name)
     // SCR_Fetch: pull the flushed copy back into the cache. The flush
     // may still be draining — wait it out (virtually and in wall-clock)
     // before looking.
-    drainBarrier();
+    io_.barrier();
     const std::string src =
         prefixDatasetDir(config_, restartDataset_, rank()) + "/" + name;
-    if (!store_.exists(src))
+    if (!io_.store().exists(src))
         return false;
     const std::string dst =
         datasetDir(config_, restartDataset_, rank()) + "/" + name;
@@ -765,7 +667,7 @@ Scr::tryFetchFromPrefix(const std::string &name)
         // The prefix copy is a compress envelope: decode it back into
         // the cache. A malformed envelope fails the fetch softly, like
         // a lost prefix copy (the SDC ladder keeps walking).
-        const storage::Blob envelope = fetchSoft(src);
+        const storage::Blob envelope = io_.readSoft(src);
         if (!envelope)
             return false;
         const storage::Blob raw = storage::compressDecode(envelope);
@@ -773,13 +675,13 @@ Scr::tryFetchFromPrefix(const std::string &name)
             return false;
         proc_.sleepFor(proc_.runtime().costModel().transformDecompress(
             raw.size()));
-        if (!writeSoft(dst, raw))
+        if (!io_.writeSoft(dst, raw))
             return false;
-    } else if (!copySoft(src, dst)) {
+    } else if (!io_.copySoft(src, dst)) {
         return false;
     }
     if (config_.sdcChecks)
-        copySoft(src + ".crc32c", dst + ".crc32c");
+        io_.copySoft(src + ".crc32c", dst + ".crc32c");
     return true;
 }
 
@@ -789,8 +691,8 @@ Scr::ensureRestartFile(const std::string &name)
     // Cached and rebuilt copies read at the redundancy tier's speed; a
     // prefix fetch is a PFS read.
     const int cacheTier = config_.scheme == Redundancy::Xor ? 3 : 1;
-    if (store_.exists(datasetDir(config_, restartDataset_, rank()) + "/" +
-                      name))
+    if (io_.store().exists(datasetDir(config_, restartDataset_, rank()) +
+                           "/" + name))
         return cacheTier;
     bool rebuilt = false;
     switch (config_.scheme) {
@@ -811,12 +713,12 @@ Scr::ensureRestartFile(const std::string &name)
 bool
 Scr::verifyRestartFile(const std::string &path)
 {
-    const storage::Blob file = fetchSoft(path);
+    const storage::Blob file = io_.readSoft(path);
     if (!file)
         return false;
     proc_.sleepFor(
         proc_.runtime().costModel().scrubVerify(file.size()));
-    const storage::Blob sidecar = fetchSoft(path + ".crc32c");
+    const storage::Blob sidecar = io_.readSoft(path + ".crc32c");
     if (!sidecar) {
         // No surviving integrity record (e.g. an XOR-rebuilt file —
         // parity does not cover sidecars): accept unverified.
@@ -836,9 +738,7 @@ Scr::routeRestartFile(const std::string &name)
     for (;;) {
         // Windows are keyed on the dataset being restored; the SDC
         // ladder re-keys as it falls back to older datasets.
-        faultEpoch_ = restartDataset_;
-        if (faults_)
-            faults_->setEpoch(restartDataset_);
+        io_.setEpoch(restartDataset_);
         const std::string path =
             datasetDir(config_, restartDataset_, rank()) + "/" + name;
         int tier = ensureRestartFile(name);
@@ -860,16 +760,16 @@ Scr::routeRestartFile(const std::string &name)
         if (tier != 0 && config_.sdcChecks && !verifyRestartFile(path)) {
             // The cache copy is rot: drop it and give the redundancy
             // and prefix tiers one shot at producing a clean copy.
-            store_.remove(path);
+            io_.store().remove(path);
             tier = ensureRestartFile(name);
             if (tier != 0 && !verifyRestartFile(path))
                 tier = 0;
             if (tier == 0)
-                store_.remove(path);
+                io_.store().remove(path);
         }
         if (tier != 0) {
             std::size_t bytes = 0;
-            store_.size(path, bytes);
+            io_.store().size(path, bytes);
             proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
                 tier, bytes, size()));
             return path;
@@ -905,7 +805,7 @@ Scr::finalize()
         // releasing the allocation; the residual wait is flush time
         // the overlap could not hide.
         CategoryScope scope(proc_, TimeCategory::CkptWrite);
-        drainBarrier();
+        io_.barrier();
     }
     finalized_ = true;
 }

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ckpt/io.hh"
 #include "src/simmpi/proc.hh"
 #include "src/storage/backend.hh"
 #include "src/storage/drain.hh"
@@ -221,35 +222,16 @@ class Scr
      *  scrubVerify); a missing sidecar is accepted. */
     bool verifyRestartFile(const std::string &path);
     void enqueueFlush(int dataset, std::size_t bytes);
-    void drainBarrier();
-    storage::DrainWorker &drain() { return *config_.drain; }
     int rank() const;
     int size() const;
-    /** IoRetryPolicy (see fti::Fti::ioRetry): bounded retries on
-     *  StorageError with each backoff priced in virtual time. */
-    template <typename Op>
-    auto ioRetry(Op &&op) const -> decltype(op());
-    int ioRetryLimit() const;
-    /** Retry-wrapped read; retry exhaustion reads as "lost" (null) so
-     *  the restart ladder escalates to the next redundancy tier. */
-    storage::Blob fetchSoft(const std::string &path) const;
-    /** Retry-wrapped copy; exhaustion reads as a failed copy. */
-    bool copySoft(const std::string &src, const std::string &dst);
-    /** Retry-wrapped write; exhaustion reads as "could not rebuild". */
-    bool writeSoft(const std::string &path, storage::Blob blob);
 
     simmpi::Proc &proc_;
     ScrConfig config_;
-    /** Cache storage (config's backend, or the shared DiskBackend). */
-    storage::Backend &store_;
-    /** The fault engine when store_ is a FaultInjectingBackend, else
-     *  null. The prefix dir is registered as a PFS root with it. */
-    storage::FaultInjectingBackend *faults_ = nullptr;
-    /** This rank's current fault epoch (the dataset being written or
-     *  restored). Per-instance so ranks on different restart-ladder
-     *  rungs never flap each other's effective epoch; ioRetry binds it
-     *  (with the rank's actor id) around every injected operation. */
-    int faultEpoch_ = 0;
+    /** Cache storage, retry policy, fault epoch (the dataset being
+     *  written or restored) and the drain with this rank's virtual
+     *  channel of flush-to-prefix jobs. A fault engine behind the
+     *  backend has the prefix dir registered as a PFS root. */
+    ckpt::CkptIo io_;
     /** Tier-exhaustion decisions taken (abandoned datasets, skipped
      *  flushes). */
     std::vector<storage::DegradeEvent> degradeEvents_;
@@ -258,8 +240,6 @@ class Scr
     int lastCommitted_ = 0;
     std::vector<std::string> routedFiles_;
     bool finalized_ = false;
-    /** Virtual-time accounting of this rank's flush-to-prefix jobs. */
-    storage::DrainChannel drainChannel_;
 };
 
 } // namespace match::scr

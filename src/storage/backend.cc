@@ -1,10 +1,8 @@
 #include "src/storage/backend.hh"
 
-#include <array>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -65,14 +63,11 @@ createParent(const std::string &path)
 }
 
 /**
- * In-process object store, sharded into lock-striped buckets: a path
- * hashes to one of kBuckets (mutex, ordered map) pairs, so concurrent
- * grid workers hammering checkpoint traffic contend only when their
- * paths collide in a bucket — a single global mutex serialized every
- * worker above ~8 jobs. Per-object operations touch exactly one
- * bucket; prefix operations (removeTree, listDir) visit each bucket's
- * map with the same ordered range scan as before, since a bucket's
- * map is keyed by full path.
+ * In-process object store: one mutex over one ordered map keyed by full
+ * path. A store is private to one run (runExperiment builds a fresh
+ * backend per run), so at most the run's cell thread and its drain
+ * thread share it; prefix operations (removeTree, listDir) are one
+ * ordered range scan.
  *
  * Objects are refcounted Blobs: a write stores the caller's sealed
  * buffer (zero memcpy), read() hands out handle copies that outlive
@@ -87,10 +82,9 @@ class MemBackend final : public Backend
     Blob
     read(const std::string &path) const override
     {
-        const Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        const auto it = bucket.objects.find(path);
-        return it == bucket.objects.end() ? Blob() : it->second;
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = objects_.find(path);
+        return it == objects_.end() ? Blob() : it->second;
     }
 
     void
@@ -98,32 +92,29 @@ class MemBackend final : public Backend
     {
         util::PhaseScope phase(util::Phase::Storage);
         noteBlobStore(blob.size());
-        Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        bucket.objects[path] = std::move(blob);
+        std::lock_guard<std::mutex> lock(mutex_);
+        objects_[path] = std::move(blob);
     }
 
     void
     writeAtomic(const std::string &path, Blob blob) override
     {
-        write(path, std::move(blob)); // bucket writes are already atomic
+        write(path, std::move(blob)); // map writes are already atomic
     }
 
     bool
     exists(const std::string &path) const override
     {
-        const Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        return bucket.objects.count(path) != 0;
+        std::lock_guard<std::mutex> lock(mutex_);
+        return objects_.count(path) != 0;
     }
 
     bool
     size(const std::string &path, std::size_t &bytes) const override
     {
-        const Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        const auto it = bucket.objects.find(path);
-        if (it == bucket.objects.end())
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = objects_.find(path);
+        if (it == objects_.end())
             return false;
         bytes = it->second.size();
         return true;
@@ -132,32 +123,21 @@ class MemBackend final : public Backend
     bool
     copy(const std::string &src, const std::string &dst) override
     {
-        // Grab a handle under the source lock, insert under the
-        // destination lock: no two buckets are ever held at once (src
-        // and dst may share one), so bucket locks need no global
-        // ordering. Blobs are immutable, so "copy" is a refcount bump.
-        Blob blob;
-        {
-            const Bucket &bucket = bucketFor(src);
-            std::lock_guard<std::mutex> lock(bucket.mutex);
-            const auto it = bucket.objects.find(src);
-            if (it == bucket.objects.end())
-                return false;
-            blob = it->second;
-        }
-        noteBlobStore(blob.size());
-        Bucket &bucket = bucketFor(dst);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        bucket.objects[dst] = std::move(blob);
+        // Blobs are immutable, so "copy" is a refcount bump.
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = objects_.find(src);
+        if (it == objects_.end())
+            return false;
+        noteBlobStore(it->second.size());
+        objects_[dst] = it->second;
         return true;
     }
 
     void
     remove(const std::string &path) override
     {
-        Bucket &bucket = bucketFor(path);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        bucket.objects.erase(path);
+        std::lock_guard<std::mutex> lock(mutex_);
+        objects_.erase(path);
     }
 
     void
@@ -166,23 +146,13 @@ class MemBackend final : public Backend
         const std::string dir = normalizeTree(dir_in);
         if (dir.empty())
             return;
-        // Objects under a prefix are scattered across buckets by hash;
-        // sweep each bucket's ordered range. Buckets are locked one at
-        // a time: concurrent writers to other paths proceed, and the
-        // FTI/SCR stacks never race a removeTree against writes into
-        // the same tree (a sandbox has one owner).
         const std::string prefix = dir + "/";
-        for (Bucket &bucket : buckets_) {
-            std::lock_guard<std::mutex> lock(bucket.mutex);
-            auto it = bucket.objects.lower_bound(prefix);
-            while (it != bucket.objects.end() &&
-                   it->first.compare(0, prefix.size(), prefix) == 0)
-                it = bucket.objects.erase(it);
-        }
-        // A plain object at the exact path lives in one known bucket.
-        Bucket &bucket = bucketFor(dir);
-        std::lock_guard<std::mutex> lock(bucket.mutex);
-        bucket.objects.erase(dir);
+        std::lock_guard<std::mutex> lock(mutex_);
+        objects_.erase(dir);
+        auto it = objects_.lower_bound(prefix);
+        while (it != objects_.end() &&
+               it->first.compare(0, prefix.size(), prefix) == 0)
+            it = objects_.erase(it);
     }
 
     std::vector<std::string>
@@ -193,37 +163,20 @@ class MemBackend final : public Backend
             return {};
         const std::string prefix = dir + "/";
         std::set<std::string> names;
-        for (const Bucket &bucket : buckets_) {
-            std::lock_guard<std::mutex> lock(bucket.mutex);
-            for (auto it = bucket.objects.lower_bound(prefix);
-                 it != bucket.objects.end() &&
-                 it->first.compare(0, prefix.size(), prefix) == 0;
-                 ++it) {
-                const std::string rest =
-                    it->first.substr(prefix.size());
-                names.insert(rest.substr(0, rest.find('/')));
-            }
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto it = objects_.lower_bound(prefix);
+             it != objects_.end() &&
+             it->first.compare(0, prefix.size(), prefix) == 0;
+             ++it) {
+            const std::string rest = it->first.substr(prefix.size());
+            names.insert(rest.substr(0, rest.find('/')));
         }
         return {names.begin(), names.end()};
     }
 
   private:
-    struct Bucket
-    {
-        mutable std::mutex mutex;
-        std::map<std::string, Blob> objects;
-    };
-
-    /** Power of two so the hash mixes down to a cheap mask. */
-    static constexpr std::size_t kBuckets = 16;
-
-    Bucket &
-    bucketFor(const std::string &path) const
-    {
-        return buckets_[std::hash<std::string>{}(path) & (kBuckets - 1)];
-    }
-
-    mutable std::array<Bucket, kBuckets> buckets_;
+    mutable std::mutex mutex_;
+    std::map<std::string, Blob> objects_;
 };
 
 /**

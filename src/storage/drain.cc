@@ -63,7 +63,6 @@ DrainWorker::enqueue(Job job, std::size_t bytes)
         const Ticket ticket = nextTicket_++;
         results_.emplace(ticket, value);
         ++completed_;
-        shippedBytes_ += value;
         return ticket;
     }
     std::unique_lock<std::mutex> lock(mutex_);
@@ -153,13 +152,6 @@ DrainWorker::stagedBytes() const
     return stagedBytes_;
 }
 
-std::uint64_t
-DrainWorker::shippedBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shippedBytes_;
-}
-
 void
 DrainWorker::workerLoop()
 {
@@ -191,7 +183,6 @@ DrainWorker::workerLoop()
         stagedBytes_ -= queued.bytes;
         results_.emplace(queued.ticket, value);
         ++completed_;
-        shippedBytes_ += value;
         doneCv_.notify_all();
     }
 }

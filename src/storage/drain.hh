@@ -18,9 +18,10 @@
  * job's return value (used by the simulator's virtual-time drain
  * accounting) is a pure function of the backend state its predecessors
  * left — so simulated results are bit-identical for any drain
- * scheduling. Virtual-time bookkeeping itself lives in the clients
- * (fti::Fti, scr::Scr): they record the virtual enqueue instant and
- * lazily price the drain channel when a quiesce point needs it.
+ * scheduling. Virtual-time bookkeeping itself lives in the checkpoint
+ * client layer (ckpt::CkptIo, shared by FTI and SCR): it records the
+ * virtual enqueue instant and lazily prices the drain channel when a
+ * quiesce point needs it.
  *
  * Queue depth bounds the jobs admitted but not yet executed — i.e. the
  * burst-buffer memory holding staged blobs. A full queue blocks
@@ -100,10 +101,6 @@ class DrainWorker
     DrainWorker(const DrainWorker &) = delete;
     DrainWorker &operator=(const DrainWorker &) = delete;
 
-    DrainMode mode() const { return mode_; }
-    std::size_t queueDepth() const { return depth_; }
-    std::size_t capacityBytes() const { return capacity_; }
-
     /**
      * Admit a job. Sync mode runs it inline and returns its completed
      * ticket; Async mode queues it, blocking in wall-clock time while
@@ -143,11 +140,6 @@ class DrainWorker
      *  included) — the burst buffer's current fill. */
     std::size_t stagedBytes() const;
 
-    /** Sum of every completed job's return value — with the flush-job
-     *  convention of returning bytes actually shipped, the worker's
-     *  cumulative PFS traffic. */
-    std::uint64_t shippedBytes() const;
-
   private:
     struct QueuedJob
     {
@@ -172,7 +164,6 @@ class DrainWorker
     Ticket nextTicket_ = 1;
     std::uint64_t completed_ = 0;
     std::uint64_t discarded_ = 0;
-    std::uint64_t shippedBytes_ = 0;
     bool running_ = false; ///< a job is executing right now
     bool stopping_ = false;
     bool workerStarted_ = false;
@@ -182,8 +173,8 @@ class DrainWorker
 /**
  * Virtual-time accounting for one rank's drain traffic: the jobs
  * admitted but not yet priced, plus the channel's virtual completion
- * time so far. Shared by the clients (fti::Fti, scr::Scr) so the
- * determinism-critical pricing fold exists exactly once.
+ * time so far. Owned by the checkpoint client layer (ckpt::CkptIo),
+ * so the determinism-critical pricing fold exists exactly once.
  *
  * The channel is per-incarnation state: a restarted library instance
  * starts a fresh channel (deterministically), while the wall-clock

@@ -398,8 +398,8 @@ class FaultInjectingBackend final : public Backend
 /**
  * Thread-local (epoch, actor) binding for injected I/O. Checkpoint
  * clients install one around each backend operation with the calling
- * rank's own epoch and identity (Fti/Scr do this inside their retry
- * wrappers); drain-thread jobs install one for the job's duration with
+ * rank's own epoch and identity (ckpt::CkptIo::retry does this for
+ * FTI and SCR); drain-thread jobs install one for the job's duration with
  * the epoch the flush was enqueued at, so injection decisions are
  * identical whether the job runs inline (sync drain) or later on a
  * worker. `actor` keys the strike counters: pass the simulated

@@ -9,14 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <vector>
 
+#include "src/ft/design.hh"
 #include "src/scr/scr.hh"
 #include "src/simmpi/runtime.hh"
+#include "src/storage/drain.hh"
 #include "src/storage/faults.hh"
+#include "tests/core/identical.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -230,4 +234,137 @@ TEST(ScrFaults, ExhaustedCacheTierAbandonsDataset)
         EXPECT_FALSE(scr.haveRestart());
     });
     Scr::purge(config);
+}
+
+namespace
+{
+
+/** The per-run observables the virtual-time pin compares. */
+struct PinnedRun
+{
+    ft::Breakdown breakdown;
+    std::uint64_t shippedBytes = 0; ///< drainGlobalShippedBytes() diff
+    std::size_t degradeEvents = 0;  ///< summed over ranks, incarnations
+};
+
+/**
+ * One SCR job under REINIT with one injected failure, against a
+ * fault-injecting MemBackend: a transient local read window (priced
+ * sim-thread retries on XOR parity reads, partner copies, sidecar and
+ * restart verification reads), a transient PFS write window on the
+ * second dataset's flush (priced re-staging, wall-clock drain retries)
+ * and a persistent PFS write window on the fourth (skipped flush,
+ * degrade events). Compressed flushes and SDC sidecars are on, and
+ * finalize() prices the drain channel.
+ */
+PinnedRun
+runPinnedScrJob(Redundancy scheme, const std::string &job)
+{
+    storage::StorageFaultPlan plan;
+    plan.windows = {
+        {1, 5, PathClass::Local, FaultKind::ReadFault, 2},
+        {2, 2, PathClass::Pfs, FaultKind::WriteFault, 2},
+        {4, 4, PathClass::Pfs, FaultKind::WriteFault, 99},
+    };
+    // The application's own file I/O bypasses the decorator: the pin
+    // covers SCR's traffic, not a test app without a retry policy.
+    const std::shared_ptr<storage::Backend> mem =
+        storage::makeBackend(storage::Kind::Mem);
+    auto config = faultConfig(
+        job, std::make_shared<storage::FaultInjectingBackend>(
+                 mem, std::move(plan), 3));
+    config.scheme = scheme;
+    config.groupSize = 4;
+    config.checkpointInterval = 3;
+    config.flushEvery = 2;
+    config.transform = storage::TransformKind::Compress;
+    config.sdcChecks = true;
+
+    ft::DesignRunConfig drc;
+    drc.design = ft::Design::ReinitFti;
+    drc.nprocs = 8;
+    drc.injectFailure = true;
+    drc.failIteration = 13;
+    drc.failRank = 5;
+
+    PinnedRun out;
+    const std::uint64_t shipped_before = storage::drainGlobalShippedBytes();
+    out.breakdown = ft::runDesignRaw(drc, [&](Proc &proc) {
+        Scr scr(proc, config);
+        std::vector<double> state(2048, 0.0);
+        int iter = 0;
+        if (scr.haveRestart()) {
+            scr.startRestart();
+            const storage::Blob file =
+                mem->read(scr.routeRestartFile("state.bin"));
+            ASSERT_TRUE(file);
+            ASSERT_GE(file.size(), state.size() * sizeof(double));
+            std::memcpy(state.data(), file.data(),
+                        state.size() * sizeof(double));
+            scr.completeRestart(true);
+            iter = static_cast<int>(state[0]);
+        }
+        for (; iter < 20; ++iter) {
+            proc.iterationPoint(iter);
+            if (scr.needCheckpoint(iter)) {
+                scr.startCheckpoint();
+                // Mostly-repeating content, so the compress stage
+                // ships fewer bytes than it stages.
+                state[0] = iter;
+                for (std::size_t i = 1; i < state.size(); ++i)
+                    state[i] = static_cast<double>(
+                        (proc.rank() + 1) * (i % 64 == 0 ? iter : 1));
+                mem->write(scr.routeFile("state.bin"),
+                           storage::BlobPool::local().copyOf(
+                               state.data(),
+                               state.size() * sizeof(double)));
+                const std::size_t degrades = scr.degradeEvents().size();
+                scr.completeCheckpoint(true);
+                // Counted here: the failed incarnation never finalizes.
+                out.degradeEvents += scr.degradeEvents().size() - degrades;
+            }
+            proc.compute(1e6);
+            proc.allreduce(1.0);
+        }
+        scr.finalize();
+    });
+    out.shippedBytes = storage::drainGlobalShippedBytes() - shipped_before;
+    return out;
+}
+
+} // namespace
+
+TEST(ScrFaults, VirtualTimesArePinned)
+{
+    // Bit-exact fixture: no grid digest or perfbench cell runs SCR, so
+    // this row is what notices a change in SCR's priced I/O (retry
+    // backoff, transient-strike and latency pricing, drain channel,
+    // restart reads). Any drift here is a simulation-visible change.
+    struct Golden
+    {
+        Redundancy scheme;
+        double app, ckptW, ckptR, rec;
+        std::uint64_t shipped;
+        std::size_t degrades;
+    };
+    const Golden fixtures[] = {
+        {Redundancy::Partner, 0.0058238879000001246, 1.3405040936000001,
+         0.0010109226666666666, 0.46181481369999994, 160343, 8},
+        {Redundancy::Xor, 0.0058238879000021646, 1.9406321880000017,
+         0.061035498666666681, 0.46181481369999994, 160343, 8},
+    };
+    for (const Golden &g : fixtures) {
+        SCOPED_TRACE(redundancyName(g.scheme));
+        const PinnedRun run = runPinnedScrJob(
+            g.scheme, std::string("pin-") + redundancyName(g.scheme));
+        const ft::Breakdown &b = run.breakdown;
+        EXPECT_EQ(core::bitsOf(b.application), core::bitsOf(g.app));
+        EXPECT_EQ(core::bitsOf(b.ckptWrite), core::bitsOf(g.ckptW));
+        EXPECT_EQ(core::bitsOf(b.ckptRead), core::bitsOf(g.ckptR));
+        EXPECT_EQ(core::bitsOf(b.recovery), core::bitsOf(g.rec));
+        EXPECT_EQ(b.recoveries, 1);
+        EXPECT_TRUE(b.failureFired);
+        EXPECT_EQ(run.shippedBytes, g.shipped);
+        EXPECT_EQ(run.degradeEvents, g.degrades);
+    }
 }

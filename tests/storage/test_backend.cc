@@ -293,10 +293,10 @@ TEST(MemBackend, InstancesAreIsolated)
     EXPECT_FALSE(b->exists("/x"));
 }
 
-TEST(MemBackend, StripedLocksSurviveConcurrentHammering)
+TEST(MemBackend, ConcurrentHammeringStaysConsistent)
 {
-    // The lock-striped store must stay consistent when many grid
-    // workers pound it at once: per-worker trees see all their own
+    // The store must stay consistent when many threads pound it at
+    // once: per-worker trees see all their own
     // writes, cross-tree prefix operations (removeTree, listDir) never
     // observe torn state, and copies land whole.
     const auto backend = storage::makeBackend(Kind::Mem);
