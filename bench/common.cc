@@ -202,14 +202,6 @@ const Flag kFlags[] = {
      [](Opt &o, const Flag &f, const char *v) {
          o.policy.cellRetries = intFlag(f, v, 0);
      }},
-    {"--resume", nullptr, "journal cell status next to the result "
-                          "cache and resume a killed grid (default)",
-     [](Opt &o, const Flag &, const char *) { o.policy.resume = true; }},
-    {"--no-resume", nullptr, "discard the journal history (the result "
-                             "cache itself is untouched)",
-     [](Opt &o, const Flag &, const char *) {
-         o.policy.resume = false;
-     }},
     {"--strict", nullptr, "exit nonzero when any cell was quarantined",
      [](Opt &o, const Flag &, const char *) { o.strict = true; }},
     {"--failure-model", "single|independent|correlated|trace",

@@ -27,9 +27,9 @@ namespace match::bench
 /**
  * Command-line options shared by the benches. Every experiment knob
  * parses straight into `spec` (its base ExperimentConfig plus the
- * `apps` and `transforms` axes) and every watchdog/retry/resume flag
- * into `policy`; the fields declared here are the benches' own
- * settings. `bench --help` lists the flags.
+ * `apps` and `transforms` axes) and every watchdog/retry flag into
+ * `policy`; the fields declared here are the benches' own settings.
+ * `bench --help` lists the flags.
  */
 struct BenchOptions
 {
@@ -61,7 +61,7 @@ struct BenchOptions
 
     /** A runner carrying jobs and the grid policy — the one
      *  constructor every GridRunner bench should use, so the
-     *  watchdog/retry/resume flags reach every grid uniformly. */
+     *  watchdog/retry flags reach every grid uniformly. */
     core::GridRunner makeRunner() const;
 };
 

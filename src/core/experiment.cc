@@ -1,9 +1,11 @@
 #include "src/core/experiment.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
@@ -136,12 +138,24 @@ thread_local std::uint64_t t_computed = 0;
 
 std::function<void(const ExperimentConfig &)> g_cellHook;
 
+/** The closing line of a .cell file: `end` plus an FNV-1a of every
+ *  byte before it. */
+std::string
+cacheSentinel(const std::string &body)
+{
+    char line[22];
+    std::snprintf(line, sizeof(line), "end %016llx\n",
+                  static_cast<unsigned long long>(
+                      fti::fnv1a(body.data(), body.size())));
+    return line;
+}
+
 /**
  * Load a cached cell, treating anything short of a fully valid file as
- * a miss: parse failures, short files, and — the insidious case — a
- * file truncated mid-number, where the partial token still parses and
- * would silently replay a wrong result. storeCached guards against
- * that with a trailing "end" sentinel; a file that opened but failed
+ * a miss. The checksummed sentinel storeCached closes the file with
+ * rejects what a bare parse would replay as a wrong result: a file cut
+ * mid-number, a flipped digit that still parses, appended bytes, and
+ * files from before the checksum. A file that opened but failed
  * validation is rotten (torn by the filesystem or a foreign writer —
  * the tmp+rename commit never produces one) and is deleted so the
  * recompute below can commit a clean replacement.
@@ -149,11 +163,20 @@ std::function<void(const ExperimentConfig &)> g_cellHook;
 bool
 loadCached(const std::string &path, ExperimentResult &out)
 {
-    bool valid = false;
+    std::string bytes;
     {
-        std::ifstream in(path);
+        std::ifstream in(path, std::ios::binary);
         if (!in)
             return false; // plain miss: nothing to repair
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const std::size_t end = bytes.rfind("end ");
+    bool valid = end != std::string::npos &&
+                 bytes.compare(end, std::string::npos,
+                               cacheSentinel(bytes.substr(0, end))) == 0;
+    if (valid) {
+        std::istringstream in(bytes.substr(0, end));
         std::size_t runs = 0;
         ExperimentResult result;
         auto readBd = [&in](ft::Breakdown &bd) {
@@ -162,14 +185,12 @@ loadCached(const std::string &path, ExperimentResult &out)
                 bd.recovery >> bd.attempts >> bd.recoveries >>
                 bd.failureFired);
         };
-        std::string sentinel;
-        if ((in >> runs) && runs > 0 && runs <= 1000 &&
-            readBd(result.mean)) {
+        valid = (in >> runs) && runs > 0 && runs <= 1000 &&
+                readBd(result.mean);
+        if (valid) {
             result.perRun.resize(runs);
-            valid = true;
             for (auto &bd : result.perRun)
                 valid = valid && readBd(bd);
-            valid = valid && (in >> sentinel) && sentinel == "end";
         }
         if (valid)
             out = std::move(result);
@@ -189,6 +210,19 @@ loadCached(const std::string &path, ExperimentResult &out)
 void
 storeCached(const std::string &path, const ExperimentResult &result)
 {
+    std::ostringstream body;
+    body.precision(17);
+    body << result.perRun.size() << '\n';
+    auto writeBd = [&body](const ft::Breakdown &bd) {
+        body << bd.application << ' ' << bd.ckptWrite << ' '
+             << bd.ckptRead << ' ' << bd.recovery << ' ' << bd.attempts
+             << ' ' << bd.recoveries << ' ' << bd.failureFired << '\n';
+    };
+    writeBd(result.mean);
+    for (const auto &bd : result.perRun)
+        writeBd(bd);
+    const std::string text = body.str();
+
     // Pid + thread id: unique across the worker threads of every
     // process sharing the cache directory.
     std::ostringstream suffix;
@@ -196,23 +230,10 @@ storeCached(const std::string &path, const ExperimentResult &result)
     const std::string tmp = path + suffix.str();
     bool complete = false;
     {
-        std::ofstream out(tmp);
+        std::ofstream out(tmp, std::ios::binary);
         if (!out)
             return;
-        out.precision(17);
-        out << result.perRun.size() << '\n';
-        auto writeBd = [&out](const ft::Breakdown &bd) {
-            out << bd.application << ' ' << bd.ckptWrite << ' '
-                << bd.ckptRead << ' ' << bd.recovery << ' ' << bd.attempts
-                << ' ' << bd.recoveries << ' ' << bd.failureFired << '\n';
-        };
-        writeBd(result.mean);
-        for (const auto &bd : result.perRun)
-            writeBd(bd);
-        // Completeness sentinel: loadCached rejects (and deletes) any
-        // file that does not end with it, so truncation can never
-        // replay as a short-but-parseable result.
-        out << "end\n";
+        out << text << cacheSentinel(text);
         out.flush(); // surface close-time write errors before judging
         complete = static_cast<bool>(out);
     }

@@ -138,7 +138,8 @@ struct ExperimentConfig
 
     /** When non-empty, memoize results on disk keyed by the full
      *  configuration (figure benches share many grid cells). Results
-     *  are deterministic, so cache hits are exact replays. */
+     *  are deterministic, so cache hits are exact replays; the cache
+     *  is also the grid's resume journal (GridRunner::run). */
     std::string cacheDir;
 
     /** Cooperative cancellation token, set by the grid watchdog when a
@@ -170,7 +171,7 @@ ExperimentResult runExperiment(const ExperimentConfig &config);
 /**
  * Process-wide count of cells actually computed (result-cache misses)
  * by runExperiment. Cache hits do not count, which is what lets tests
- * assert a resumed grid recomputes zero `done` cells.
+ * assert a resumed grid recomputes zero finished cells.
  */
 std::uint64_t experimentComputeCount();
 

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/core/manifest.hh"
 #include "src/fti/fti.hh"
 #include "src/util/logging.hh"
 
@@ -55,9 +54,10 @@ percentileOf(std::vector<double> samples, double q)
 }
 
 /** Harness fault-injection hook: MATCH_GRID_CRASH_AFTER=N makes the
- *  process _exit after the Nth cell completes, modelling a mid-grid
- *  kill for the resume tests and the CI resume-smoke step. Parsed per
- *  run() call; <= 0 or unset disables it. */
+ *  process _exit after the Nth cell completes — after that cell's
+ *  .cell commit when the grid has a cache — modelling a mid-grid kill
+ *  for the resume tests and the CI resume-smoke step. Parsed per run()
+ *  call; <= 0 or unset disables it. */
 long
 crashAfterFromEnv()
 {
@@ -205,25 +205,6 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
         }
     }
 
-    // Journaled resume needs one manifest for the whole grid, so it is
-    // enabled only when every cell shares one non-empty cacheDir (true
-    // for every GridSpec-enumerated grid) — the journal then lives
-    // next to the .cell files its `done` records point at.
-    std::unique_ptr<GridManifest> manifest;
-    {
-        std::string cache_dir = cells.front().cacheDir;
-        for (const ExperimentConfig &cell : cells) {
-            if (cell.cacheDir != cache_dir) {
-                cache_dir.clear();
-                break;
-            }
-        }
-        if (!cache_dir.empty()) {
-            manifest = std::make_unique<GridManifest>(
-                cache_dir + "/grid.manifest", !policy_.resume);
-        }
-    }
-
     const long crash_after = crashAfterFromEnv();
     std::atomic<long> completions{0};
 
@@ -256,17 +237,6 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
     std::atomic<std::size_t> cells_computed{0};
     std::atomic<std::size_t> cells_from_cache{0};
 
-    // Crash-after fires once, after the Nth completion's manifest
-    // record has been flushed — modelling a kill that strikes between
-    // cells, the hardest point for resume to get right.
-    const auto noteCompletion = [&] {
-        if (crash_after > 0 &&
-            completions.fetch_add(1) + 1 == crash_after) {
-            std::fflush(nullptr);
-            std::_Exit(42);
-        }
-    };
-
     auto drain = [&](int w) {
         WorkerSlot &slot = slots[w];
         for (;;) {
@@ -277,40 +247,12 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
             const std::string &key = unique_keys[u];
             const auto cell_start = Clock::now();
 
-            const ManifestEntry prior =
-                manifest ? manifest->lookup(key) : ManifestEntry{};
-            if (prior.status == CellStatus::Done) {
-                // Resume fast path: the journal says the result cache
-                // holds this cell, so replay it without burning an
-                // attempt. A missing/rotten cache file silently falls
-                // back to recomputation inside runExperiment.
-                const std::uint64_t before =
-                    experimentComputeCountThisThread();
-                results[i] = runExperiment(cells[i]);
-                const bool replayed =
-                    experimentComputeCountThisThread() == before;
-                (replayed ? cells_from_cache : cells_computed)
-                    .fetch_add(1);
-                cell_seconds[u] = wallSince(cell_start);
-                if (!replayed) {
-                    std::lock_guard<std::mutex> lock(computed_mu);
-                    computed_seconds.push_back(cell_seconds[u]);
-                }
-                noteCompletion();
-                continue;
-            }
-
             // Guarded attempt loop: watchdog deadline, capped
             // exponential backoff, quarantine after the retry budget.
-            int attempts = prior.attempts; // cumulative across resumes
             std::string last_error;
             bool timed_out = false;
             bool done = false;
             for (int strike = 0;; ++strike) {
-                if (manifest) {
-                    manifest->record(key, CellStatus::Running,
-                                     attempts + 1);
-                }
                 slot.cancel.store(false, std::memory_order_relaxed);
                 const auto attempt_start = Clock::now();
                 slot.startNs.store(steadyNowNs(),
@@ -337,21 +279,26 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
                 }
                 slot.startNs.store(-1, std::memory_order_release);
                 slot.cancel.store(false, std::memory_order_relaxed);
-                ++attempts;
+                const int attempts = strike + 1;
 
                 if (done) {
                     const bool replayed =
                         experimentComputeCountThisThread() == before;
                     (replayed ? cells_from_cache : cells_computed)
                         .fetch_add(1);
-                    if (manifest)
-                        manifest->record(key, CellStatus::Done, attempts);
                     cell_seconds[u] = wallSince(cell_start);
                     if (!replayed) {
                         std::lock_guard<std::mutex> lock(computed_mu);
                         computed_seconds.push_back(cell_seconds[u]);
                     }
-                    noteCompletion();
+                    // Crash-after fires once, after the Nth
+                    // completion's result has been committed — a kill
+                    // between cells, the hardest point for resume.
+                    if (crash_after > 0 &&
+                        completions.fetch_add(1) + 1 == crash_after) {
+                        std::fflush(nullptr);
+                        std::_Exit(42);
+                    }
                     break;
                 }
                 if (strike >= policy_.cellRetries) {
@@ -359,10 +306,6 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
                     // healthy cell still completes; this one is
                     // reported, not fatal. Its result slot keeps the
                     // default (all-zero) ExperimentResult.
-                    if (manifest) {
-                        manifest->record(key, CellStatus::Quarantined,
-                                         attempts, last_error);
-                    }
                     MATCH_WARN(
                         "grid: quarantining cell %s after %d "
                         "attempt(s): %s",
@@ -379,10 +322,6 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
                     failures.push_back(std::move(failure));
                     cell_seconds[u] = wallSince(cell_start);
                     break;
-                }
-                if (manifest) {
-                    manifest->record(key, CellStatus::Failed, attempts,
-                                     last_error);
                 }
                 MATCH_WARN("grid: cell %s attempt %d failed (%s); "
                            "retrying",
@@ -457,7 +396,6 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
         timing->failures = std::move(failures);
         timing->cellsComputed = cells_computed.load();
         timing->cellsFromCache = cells_from_cache.load();
-        timing->manifestPath = manifest ? manifest->path() : "";
     }
     return results;
 }

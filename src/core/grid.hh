@@ -94,10 +94,11 @@ struct GridSpec : ExperimentConfig
 
 /**
  * Fault-tolerance policy of one grid execution. Everything here is
- * wall-clock machinery — watchdog deadlines, retry budgets, journaled
- * resume — and none of it may perturb simulated results: a cell either
- * produces its deterministic result or no result at all (quarantine),
- * and nothing in this struct enters configKey().
+ * wall-clock machinery — watchdog deadlines and retry budgets — and
+ * none of it may perturb simulated results: a cell either produces its
+ * deterministic result or no result at all (quarantine), and nothing
+ * in this struct enters configKey(). Resume needs no policy: the
+ * result cache is the journal (see GridRunner::run).
  */
 struct GridPolicy
 {
@@ -117,15 +118,6 @@ struct GridPolicy
      *  (attempts = cellRetries + 1). Retries are spaced by capped
      *  exponential backoff: 50 ms * 2^strike, at most 2 s. */
     int cellRetries = 2;
-
-    /** Journal per-cell status into <cacheDir>/grid.manifest and
-     *  resume a previously killed grid: done cells replay from the
-     *  result cache, in-flight/failed cells recompute, quarantined
-     *  cells get a fresh retry budget. false discards the journal
-     *  history (the --no-resume path) while still journaling this
-     *  run. Requires the cells to share a non-empty cacheDir;
-     *  otherwise the grid runs unjournaled. */
-    bool resume = true;
 };
 
 /**
@@ -139,11 +131,12 @@ struct CellFailure
     /** Index into the run() input vector (first occurrence when the
      *  cell was enumerated more than once). */
     std::size_t cell = 0;
-    /** The cell's configKey — the manifest/cache key. */
+    /** The cell's configKey — its result-cache key. */
     std::string key;
     /** Human-readable cell label ("HPCCG small p64 REINIT-FTI ..."). */
     std::string summary;
-    /** Total attempts, including prior sessions' (from the manifest). */
+    /** Attempts made by this run() call (cellRetries + 1); attempts
+     *  of earlier, killed sessions are not counted. */
     int attempts = 0;
     /** True when the final strike was a watchdog timeout. */
     bool timedOut = false;
@@ -171,11 +164,9 @@ struct GridTiming
     std::vector<CellFailure> failures;
     /** Unique cells whose result was computed this run (cache miss). */
     std::size_t cellsComputed = 0;
-    /** Unique cells replayed from the result cache (resume hits and
-     *  ordinary memoization hits). */
+    /** Unique cells replayed from the result cache: the finished
+     *  cells of a resumed grid and ordinary memoization hits alike. */
     std::size_t cellsFromCache = 0;
-    /** The journal this run appended to; empty when unjournaled. */
-    std::string manifestPath;
 };
 
 /**
@@ -218,10 +209,11 @@ class GridRunner
      * is retried with capped exponential backoff and quarantined after
      * exhausting its budget — its result slot stays default-initialized
      * and a CellFailure lands in timing->failures; the pool keeps
-     * draining every healthy cell either way. When the cells share a
-     * cacheDir, per-cell status is journaled to <cacheDir>/grid.manifest
-     * so a killed grid resumes: done cells replay from the result cache
-     * (bit-identical, zero recomputation), in-flight cells recompute.
+     * draining every healthy cell either way. With a cacheDir the
+     * result cache is the resume journal: each finished cell commits
+     * its .cell file atomically, so rerunning a killed grid replays
+     * every committed cell (bit-identical, zero recomputation) and
+     * computes the rest, quarantined cells with a fresh retry budget.
      */
     std::vector<ExperimentResult>
     run(const std::vector<ExperimentConfig> &cells,

@@ -56,7 +56,6 @@ TEST(BenchOptions, DefaultsMatchTheExperimentDefaults)
     EXPECT_FALSE(options.quick);
     EXPECT_EQ(options.jobs, 0);
     EXPECT_EQ(options.perfDir, ".");
-    EXPECT_TRUE(options.policy.resume);
     EXPECT_EQ(options.policy.cellRetries, core::GridPolicy{}.cellRetries);
 }
 
@@ -67,7 +66,7 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
          "--sandbox", "/tmp/sbx", "--jobs", "2", "--storage", "disk",
          "--drain", "sync", "--drain-depth", "0", "--drain-capacity",
          "1024", "--cell-timeout", "2.5",
-         "--cell-retries", "4", "--no-resume", "--strict",
+         "--cell-retries", "4", "--strict",
          "--failure-model", "correlated", "--mean-failures", "2",
          "--cascade-prob", "0.5", "--corrupt-fraction", "0.25",
          "--sdc-checks", "--scrub-stride", "5", "--transform", "delta",
@@ -103,7 +102,6 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
     EXPECT_EQ(options.policy.cellTimeoutSeconds, 2.5);
     EXPECT_FALSE(options.policy.autoTimeout);
     EXPECT_EQ(options.policy.cellRetries, 4);
-    EXPECT_FALSE(options.policy.resume);
     EXPECT_TRUE(options.strict);
     EXPECT_EQ(options.jobs, 2);
     EXPECT_EQ(options.perfDir, "/tmp/perf");
@@ -204,9 +202,10 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
 TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknown)
 {
     // Removed flags are unknown options like any other: --pin (worker
-    // placement, no measured gain) and --perf (the figure benches' own
-    // timing sweep; perfbench times the grids instead).
-    for (const char *name : {"pin", "perf"}) {
+    // placement, no measured gain), --perf (the figure benches' own
+    // timing sweep; perfbench times the grids instead) and
+    // --resume/--no-resume (the result cache is the resume journal).
+    for (const char *name : {"pin", "perf", "resume", "no-resume"}) {
         const std::string flag = std::string("--") + name;
         EXPECT_EXIT(parseArgs({flag}), ::testing::ExitedWithCode(1),
                     "fatal: unknown option: " + flag + " \\(see --help\\)")

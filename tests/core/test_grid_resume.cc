@@ -1,9 +1,10 @@
 /**
  * @file
- * Crash-safe grid execution tests: the journaled manifest, corrupt
- * result-cache recovery, poison-cell quarantine, the per-cell
- * watchdog, and — the load-bearing property — a grid killed mid-flight
- * resumes byte-identical with zero recomputation of `done` cells.
+ * Crash-safe grid execution tests: the result cache as the resume
+ * journal (corrupt, rotten and missing .cell files), poison-cell
+ * quarantine, the per-cell watchdog, and — the load-bearing property —
+ * a grid killed mid-flight resumes byte-identical with zero
+ * recomputation of finished cells.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +16,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/core/grid.hh"
-#include "src/core/manifest.hh"
+#include "src/util/rng.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -33,7 +35,7 @@ namespace
 
 /** Fast four-cell grid with a result cache, rooted in a fresh temp
  *  directory per tag (wiped at construction so ctest re-runs never see
- *  a previous run's cache or journal). */
+ *  a previous run's cache). */
 GridSpec
 resumeSpec(const std::string &tag)
 {
@@ -83,6 +85,31 @@ struct HookGuard
     ~HookGuard() { setCellHookForTesting(nullptr); }
 };
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+}
+
+/** Committed results in a cache directory (tmp files excluded). */
+std::size_t
+countCellFiles(const std::string &dir)
+{
+    std::size_t count = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        count += entry.path().extension() == ".cell" ? 1 : 0;
+    return count;
+}
+
 /** Quarantine-friendly policy: one retry. */
 GridPolicy
 fastRetryPolicy(int retries = 1)
@@ -93,83 +120,6 @@ fastRetryPolicy(int retries = 1)
 }
 
 } // namespace
-
-TEST(GridManifest, RoundTripsAndLastRecordWins)
-{
-    const GridSpec spec = resumeSpec("manifest-roundtrip");
-    const std::string path = spec.cacheDir + "/grid.manifest";
-    {
-        GridManifest manifest(path);
-        ASSERT_TRUE(manifest.valid());
-        manifest.record("cell-a", CellStatus::Running, 1);
-        manifest.record("cell-a", CellStatus::Done, 1);
-        manifest.record("cell-b", CellStatus::Failed, 2,
-                        "simulated\nmultiline error");
-    }
-    GridManifest reopened(path);
-    ASSERT_TRUE(reopened.valid());
-    EXPECT_EQ(reopened.size(), 2u);
-    const ManifestEntry a = reopened.lookup("cell-a");
-    EXPECT_EQ(a.status, CellStatus::Done);
-    EXPECT_EQ(a.attempts, 1);
-    const ManifestEntry b = reopened.lookup("cell-b");
-    EXPECT_EQ(b.status, CellStatus::Failed);
-    EXPECT_EQ(b.attempts, 2);
-    // Newlines were flattened so the journal stays line-oriented.
-    EXPECT_EQ(b.error, "simulated multiline error");
-    EXPECT_EQ(reopened.countWithStatus(CellStatus::Done), 1u);
-    EXPECT_EQ(reopened.countWithStatus(CellStatus::Failed), 1u);
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridManifest, UnknownKeyIsPending)
-{
-    const GridSpec spec = resumeSpec("manifest-pending");
-    GridManifest manifest(spec.cacheDir + "/grid.manifest");
-    EXPECT_EQ(manifest.lookup("never-seen").status, CellStatus::Pending);
-    EXPECT_EQ(manifest.lookup("never-seen").attempts, 0);
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridManifest, TornTrailingLineIsDroppedNotMisread)
-{
-    const GridSpec spec = resumeSpec("manifest-torn");
-    const std::string path = spec.cacheDir + "/grid.manifest";
-    {
-        GridManifest manifest(path);
-        manifest.record("cell-a", CellStatus::Done, 1);
-    }
-    // Model a crash mid-append: a record missing its attempts field and
-    // trailing newline. It must be dropped (recompute), never parsed
-    // into a bogus status for cell-b.
-    {
-        std::ofstream out(path, std::ios::app);
-        out << "done cell-b";
-    }
-    GridManifest reopened(path);
-    EXPECT_EQ(reopened.size(), 1u);
-    EXPECT_EQ(reopened.lookup("cell-a").status, CellStatus::Done);
-    EXPECT_EQ(reopened.lookup("cell-b").status, CellStatus::Pending);
-    // Compaction committed a well-formed journal: reopening again still
-    // sees exactly the surviving record.
-    GridManifest again(path);
-    EXPECT_EQ(again.size(), 1u);
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridManifest, FreshOpenDiscardsHistory)
-{
-    const GridSpec spec = resumeSpec("manifest-fresh");
-    const std::string path = spec.cacheDir + "/grid.manifest";
-    {
-        GridManifest manifest(path);
-        manifest.record("cell-a", CellStatus::Quarantined, 3, "poison");
-    }
-    GridManifest fresh(path, /*fresh=*/true);
-    EXPECT_EQ(fresh.size(), 0u);
-    EXPECT_EQ(fresh.lookup("cell-a").status, CellStatus::Pending);
-    fs::remove_all(spec.sandboxDir);
-}
 
 TEST(ResultCache, TruncatedCellFileIsDeletedAndRecomputed)
 {
@@ -220,6 +170,86 @@ TEST(ResultCache, GarbageCellFileIsDeletedAndRecomputed)
     fs::remove_all(spec.sandboxDir);
 }
 
+TEST(ResultCache, SentinelWithoutChecksumIsAMiss)
+{
+    // A .cell file from before the checksummed sentinel reads as a
+    // miss and recomputes: the safe direction for a format change.
+    GridSpec spec = resumeSpec("cache-legacy");
+    const ExperimentConfig cell = spec.enumerate().front();
+    const std::string path =
+        spec.cacheDir + "/" + configKey(cell) + ".cell";
+    const ExperimentResult first = runExperiment(cell);
+    const std::string stored = readFile(path);
+    const std::size_t end = stored.rfind("end ");
+    ASSERT_NE(end, std::string::npos);
+    writeFile(path, stored.substr(0, end) + "end\n");
+
+    const std::uint64_t c0 = experimentComputeCount();
+    expectIdentical(first, runExperiment(cell));
+    EXPECT_EQ(experimentComputeCount(), c0 + 1);
+    EXPECT_EQ(readFile(path), stored);
+    fs::remove_all(spec.sandboxDir);
+}
+
+TEST(ResultCache, MutatedCellFileMissesOrReplaysExactly)
+{
+    // Seeded mutation suite over a stored .cell file: digit swaps (the
+    // rot a bare parse replays as a different valid number), byte
+    // flips, truncations and extensions. Every mutant must either miss
+    // — recompute bit-identically and recommit the original bytes — or
+    // replay exactly the stored result; never a different result.
+    GridSpec spec = resumeSpec("cache-mutation");
+    spec.injectFailure = false; // cheap recomputes
+    const ExperimentConfig cell = spec.enumerate().front();
+    const std::string path =
+        spec.cacheDir + "/" + configKey(cell) + ".cell";
+    const ExperimentResult first = runExperiment(cell);
+    const std::string stored = readFile(path);
+    ASSERT_FALSE(stored.empty());
+
+    util::Rng rng(0x63656c6c00000000ULL);
+    int misses = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::string mutant = stored;
+        switch (rng.below(4)) {
+        case 0: { // a digit becomes a different digit
+            std::size_t at = rng.below(mutant.size());
+            while (mutant[at] < '0' || mutant[at] > '9')
+                at = (at + 1) % mutant.size();
+            mutant[at] = static_cast<char>(
+                '0' + (mutant[at] - '0' + 1 + rng.below(9)) % 10);
+            break;
+        }
+        case 1:
+            mutant[rng.below(mutant.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+            break;
+        case 2:
+            mutant.resize(rng.below(mutant.size()));
+            break;
+        default:
+            for (std::uint64_t n = 1 + rng.below(16); n > 0; --n)
+                mutant.push_back(static_cast<char>(rng.next()));
+            break;
+        }
+        writeFile(path, mutant);
+
+        const std::uint64_t c0 = experimentComputeCount();
+        const ExperimentResult loaded = runExperiment(cell);
+        expectIdentical(first, loaded);
+        if (experimentComputeCount() != c0) {
+            ++misses;
+            EXPECT_EQ(readFile(path), stored) << "trial " << trial;
+        }
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "trial " << trial << " mutant:\n" << mutant;
+            break;
+        }
+    }
+    EXPECT_GT(misses, 0);
+    fs::remove_all(spec.sandboxDir);
+}
+
 TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
 {
     GridSpec spec = resumeSpec("quarantine");
@@ -252,11 +282,15 @@ TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
     EXPECT_EQ(results[1].mean.total(), 0.0);
     EXPECT_TRUE(results[1].perRun.empty());
 
-    // The journal agrees, so a later resume re-attempts only this cell.
-    GridManifest manifest(timing.manifestPath);
-    EXPECT_EQ(manifest.lookup(poison_key).status,
-              CellStatus::Quarantined);
-    EXPECT_EQ(manifest.countWithStatus(CellStatus::Done), 3u);
+    // A rerun replays the three committed cells and recomputes exactly
+    // the quarantined one, which no longer throws.
+    const std::uint64_t before = experimentComputeCount();
+    GridTiming rerun;
+    GridRunner(4, fastRetryPolicy()).run(cells, &rerun);
+    EXPECT_EQ(experimentComputeCount() - before, 1u);
+    EXPECT_EQ(rerun.cellsComputed, 1u);
+    EXPECT_EQ(rerun.cellsFromCache, 3u);
+    EXPECT_TRUE(rerun.failures.empty());
 
     // Healthy cells match a clean reference run bit for bit.
     const auto reference =
@@ -289,9 +323,8 @@ TEST(GridRunner, TransientFailureRetriesThenSucceeds)
     }
 
     EXPECT_TRUE(timing.failures.empty());
-    GridManifest manifest(timing.manifestPath);
-    EXPECT_EQ(manifest.lookup(flaky_key).status, CellStatus::Done);
-    EXPECT_EQ(manifest.lookup(flaky_key).attempts, 2);
+    EXPECT_TRUE(thrown.load());
+    EXPECT_EQ(timing.cellsComputed, cells.size());
 
     // The retried cell's result is the deterministic one.
     GridSpec ref = spec;
@@ -337,10 +370,7 @@ TEST(GridRunner, WatchdogCancelsHungCellAndQuarantinesIt)
     EXPECT_NE(failure.lastError.find("watchdog timeout"),
               std::string::npos);
     EXPECT_EQ(results[0].mean.total(), 0.0);
-
-    GridManifest manifest(timing.manifestPath);
-    EXPECT_EQ(manifest.lookup(hung_key).status, CellStatus::Quarantined);
-    EXPECT_EQ(manifest.countWithStatus(CellStatus::Done), 3u);
+    EXPECT_EQ(timing.cellsComputed, cells.size() - 1);
     fs::remove_all(spec.sandboxDir);
 }
 
@@ -353,8 +383,6 @@ TEST(GridRunner, TimingClassifiesComputedVersusReplayedCells)
     GridRunner(2).run(cells, &first_timing);
     EXPECT_EQ(first_timing.cellsComputed, cells.size());
     EXPECT_EQ(first_timing.cellsFromCache, 0u);
-    EXPECT_EQ(first_timing.manifestPath,
-              spec.cacheDir + "/grid.manifest");
 
     GridTiming second_timing;
     GridRunner(2).run(cells, &second_timing);
@@ -371,25 +399,21 @@ TEST(GridRunner, CrashedGridResumesByteIdenticalWithZeroRecompute)
     ASSERT_EQ(cells.size(), 4u);
 
     // Child process: the harness hook _exits(42) right after the third
-    // cell's `done` record reaches the kernel — a mid-grid kill.
+    // cell's .cell file is committed — a mid-grid kill.
     ::setenv("MATCH_GRID_CRASH_AFTER", "3", 1);
     EXPECT_EXIT(
         { GridRunner(4).run(cells); },
         testing::ExitedWithCode(42), "");
     ::unsetenv("MATCH_GRID_CRASH_AFTER");
 
-    // The journal survived the kill with at least the three flushed
-    // completions (workers racing the _exit may have landed more).
-    std::size_t done = 0;
-    {
-        GridManifest manifest(spec.cacheDir + "/grid.manifest");
-        done = manifest.countWithStatus(CellStatus::Done);
-    }
+    // The cache survived the kill with at least the three committed
+    // cells (workers racing the _exit may have landed more).
+    const std::size_t done = countCellFiles(spec.cacheDir);
     ASSERT_GE(done, 3u);
     ASSERT_LE(done, cells.size());
 
-    // Resume: done cells replay from the cache — zero recomputation —
-    // and only the in-flight remainder is computed.
+    // Resume: committed cells replay from the cache — zero
+    // recomputation — and only the in-flight remainder is computed.
     const std::uint64_t before = experimentComputeCount();
     GridTiming timing;
     const auto resumed = GridRunner(4).run(cells, &timing);
@@ -410,22 +434,32 @@ TEST(GridRunner, CrashedGridResumesByteIdenticalWithZeroRecompute)
     fs::remove_all(ref.sandboxDir);
 }
 
-TEST(GridRunner, NoResumePolicyDiscardsJournalButKeepsCache)
+TEST(GridRunner, MissingCellFileWithThrowingRecomputeIsQuarantined)
 {
-    GridSpec spec = resumeSpec("no-resume");
+    // A finished cell whose .cell file vanished before the rerun
+    // recomputes inside the guarded attempt loop: a throwing recompute
+    // is retried and quarantined like any poison cell and never
+    // escapes run() (with --jobs > 1 it would terminate the process).
+    GridSpec spec = resumeSpec("missing-cell-file");
     const auto cells = spec.enumerate();
-    GridRunner(2).run(cells);
+    GridRunner(1).run(cells);
+    const std::string lost_key = configKey(cells[1]);
+    ASSERT_TRUE(fs::remove(spec.cacheDir + "/" + lost_key + ".cell"));
 
-    // --no-resume: history is discarded, so nothing replays via the
-    // manifest fast path — but the .cell files still satisfy the
-    // ordinary cache probe, so nothing recomputes either.
-    GridPolicy policy;
-    policy.resume = false;
-    const std::uint64_t before = experimentComputeCount();
     GridTiming timing;
-    GridRunner(2, policy).run(cells, &timing);
-    EXPECT_EQ(experimentComputeCount(), before);
-    EXPECT_EQ(timing.cellsFromCache, cells.size());
+    {
+        HookGuard guard([&](const ExperimentConfig &config) {
+            if (configKey(config) == lost_key)
+                throw std::runtime_error("poison recompute");
+        });
+        EXPECT_NO_THROW(
+            GridRunner(1, fastRetryPolicy()).run(cells, &timing));
+    }
+    ASSERT_EQ(timing.failures.size(), 1u);
+    EXPECT_EQ(timing.failures.front().key, lost_key);
+    EXPECT_EQ(timing.failures.front().attempts, 2);
+    EXPECT_EQ(timing.failures.front().lastError, "poison recompute");
+    EXPECT_EQ(timing.cellsFromCache, cells.size() - 1);
     fs::remove_all(spec.sandboxDir);
 }
 
