@@ -165,24 +165,9 @@ main(int argc, char **argv)
     ExperimentConfig generated = scenarioCell(
         options, scenarios[2], scales.front(), ft::Design::ReinitFti);
     generated.runs = 1;
-    apps::AppParams params;
-    params.input = generated.input;
-    params.nprocs = generated.nprocs;
-    params.ckptStride = generated.ckptStride;
-    const int iters =
-        apps::findApp(generated.app).loopIterations(params);
     util::Rng rng(core::cellSeed(generated, 0));
-    ft::FailureModelConfig fm;
-    fm.kind = generated.failureModel;
-    fm.meanFailures = generated.meanFailures;
-    fm.cascadeProb = generated.cascadeProb;
-    fm.corruptFraction = generated.corruptFraction;
-    fm.ranksPerNode =
-        static_cast<int>(generated.costParams.ranksPerNode);
-    fm.nodesPerRack =
-        static_cast<int>(generated.costParams.nodesPerRack);
     const std::vector<ft::FailureEvent> schedule =
-        ft::generateSchedule(fm, generated.nprocs, iters, rng);
+        core::failureScheduleFor(generated, rng);
 
     std::filesystem::create_directories(options.spec.sandboxDir);
     const std::string trace_path =

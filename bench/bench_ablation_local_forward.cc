@@ -42,13 +42,11 @@ constexpr double taskFlops = 4.0e8; // ~0.1 s of work per task
 double
 runLocalForward(int procs, int tasks, int fail_task, Rank fail_rank)
 {
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = fail_task;
-    plan->rank = fail_rank;
     JobOptions opts;
     opts.nprocs = procs;
     opts.policy = ErrorPolicy::Return;
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{fail_task, fail_rank}}});
 
     double total = 0.0;
     Runtime runtime;
@@ -139,13 +137,11 @@ double
 runGlobalRestart(const std::string &sandbox_dir, int procs, int tasks,
                  int fail_task, Rank fail_rank)
 {
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = fail_task;
-    plan->rank = fail_rank;
     JobOptions opts;
     opts.nprocs = procs;
     opts.policy = ErrorPolicy::Reinit;
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{fail_task, fail_rank}}});
 
     fti::FtiConfig fcfg;
     fcfg.ckptDir = sandbox_dir;

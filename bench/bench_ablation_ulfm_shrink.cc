@@ -68,13 +68,11 @@ main(int argc, char **argv)
 
     for (int procs : {16, 64, 256}) {
         for (bool shrinking : {false, true}) {
-            auto plan = std::make_shared<InjectionPlan>();
-            plan->iteration = iters / 2;
-            plan->rank = procs / 3;
             JobOptions opts;
             opts.nprocs = procs;
             opts.policy = ErrorPolicy::Return;
-            opts.injection = plan;
+            opts.schedule = std::make_shared<InjectionSchedule>(
+                InjectionSchedule{{{iters / 2, procs / 3}}});
 
             int final_size = 0;
             Runtime runtime;

@@ -85,17 +85,17 @@ main()
     fcfg.execId = "heat1d";
     fti::Fti::purge(fcfg);
 
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 23;
-    plan->rank = 5;
+    constexpr int fail_step = 23;
+    constexpr Rank fail_rank = 5;
 
     JobOptions opts;
     opts.nprocs = 8;
     opts.policy = ErrorPolicy::Return; // ULFM
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{fail_step, fail_rank}}});
 
     std::printf("1-D heat diffusion under ULFM-FTI, killing rank %d at "
-                "step %d:\n", plan->rank, plan->iteration);
+                "step %d:\n", fail_rank, fail_step);
 
     Runtime runtime;
     const JobResult result = runtime.run(opts, [&](Proc &proc) {

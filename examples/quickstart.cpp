@@ -31,9 +31,7 @@ main()
     config.nprocs = 8;
     config.ftiConfig.ckptDir = "/tmp/match-quickstart";
     config.ftiConfig.execId = "quickstart";
-    config.injectFailure = true;
-    config.failIteration = 17;
-    config.failRank = 3;
+    config.failureEvents = {{17, 3}}; // {iteration, rank}
 
     // 2. The application: a BSP loop in the paper's Figure-1 pattern.
     //    CheckpointLoop recovers at the loop top and checkpoints every

@@ -244,6 +244,17 @@ storeCached(const std::string &path, const ExperimentResult &result)
         std::filesystem::remove(tmp, ec);
 }
 
+/** The app parameters every run of `config` executes with. */
+apps::AppParams
+appParamsFor(const ExperimentConfig &config)
+{
+    apps::AppParams params;
+    params.input = config.input;
+    params.nprocs = config.nprocs;
+    params.ckptStride = config.ckptStride;
+    return params;
+}
+
 /** Cooperative cancellation point: cheap (one relaxed load), polled
  *  at run boundaries — a cancelled cell stops at the next one. */
 void
@@ -266,15 +277,36 @@ storageFaultPlanFor(const ExperimentConfig &config, int run)
     fc.meanEpochs = config.storageFaultMeanEpochs;
     fc.strikes = config.storageFaultStrikes;
     fc.trace = config.storageFaultTrace;
-    apps::AppParams params;
-    params.input = config.input;
-    params.nprocs = config.nprocs;
-    params.ckptStride = config.ckptStride;
     const int epochs = std::max(
-        1, apps::findApp(config.app).loopIterations(params) /
+        1, apps::findApp(config.app).loopIterations(appParamsFor(config)) /
                std::max(1, config.ckptStride));
     util::Rng rng(cellSeed(config, run), kStorageFaultStream);
     return storage::generatePlan(fc, epochs, rng);
+}
+
+std::vector<ft::FailureEvent>
+failureScheduleFor(const ExperimentConfig &config, util::Rng &rng)
+{
+    if (!config.injectFailure)
+        return {};
+    const int iters =
+        apps::findApp(config.app).loopIterations(appParamsFor(config));
+    MATCH_ASSERT(iters >= 2, "cannot inject into a 1-iteration loop");
+    ft::FailureModelConfig fm;
+    fm.kind = config.failureModel;
+    fm.meanFailures = config.meanFailures;
+    fm.cascadeProb = config.cascadeProb;
+    fm.corruptFraction = config.corruptFraction;
+    fm.ranksPerNode = static_cast<int>(config.costParams.ranksPerNode);
+    fm.nodesPerRack = static_cast<int>(config.costParams.nodesPerRack);
+    fm.trace = config.traceEvents;
+    std::vector<ft::FailureEvent> events =
+        ft::generateSchedule(fm, config.nprocs, iters, rng);
+    // A model that draws no events still crashes rank 0 at iteration
+    // 0: the pinned results carry this phantom crash (ROADMAP item 1).
+    if (events.empty())
+        events.push_back({0, 0, ft::FailureKind::Crash});
+    return events;
 }
 
 std::uint64_t
@@ -339,11 +371,7 @@ runExperiment(const ExperimentConfig &config)
         if (!config.injectFailure && !storage_faults && have_base) {
             bd = base; // identical without noise; skip the re-simulation
         } else {
-            apps::AppParams params;
-            params.input = config.input;
-            params.nprocs = config.nprocs;
-            params.ckptStride = config.ckptStride;
-
+            const apps::AppParams params = appParamsFor(config);
             ft::DesignRunConfig drc;
             drc.design = config.design;
             drc.nprocs = config.nprocs;
@@ -380,34 +408,7 @@ runExperiment(const ExperimentConfig &config)
             drc.ftiConfig.transform = config.transform;
             drc.ftiConfig.deltaRebase = config.deltaRebase;
             drc.purgeCheckpoints = true;
-            if (config.injectFailure) {
-                const int iters = spec.loopIterations(params);
-                MATCH_ASSERT(iters >= 2,
-                             "cannot inject into a 1-iteration loop");
-                drc.injectFailure = true;
-                if (config.failureModel ==
-                    ft::FailureModelKind::Single) {
-                    // The paper's single-shot plan, draw-for-draw: one
-                    // uniform iteration, one uniform rank.
-                    drc.failIteration =
-                        1 + static_cast<int>(rng.below(iters - 1));
-                    drc.failRank =
-                        static_cast<int>(rng.below(config.nprocs));
-                } else {
-                    ft::FailureModelConfig fm;
-                    fm.kind = config.failureModel;
-                    fm.meanFailures = config.meanFailures;
-                    fm.cascadeProb = config.cascadeProb;
-                    fm.corruptFraction = config.corruptFraction;
-                    fm.ranksPerNode = static_cast<int>(
-                        config.costParams.ranksPerNode);
-                    fm.nodesPerRack = static_cast<int>(
-                        config.costParams.nodesPerRack);
-                    fm.trace = config.traceEvents;
-                    drc.failureEvents = ft::generateSchedule(
-                        fm, config.nprocs, iters, rng);
-                }
-            }
+            drc.failureEvents = failureScheduleFor(config, rng);
 
             bd = ft::runDesign(drc, [&](simmpi::Proc &proc,
                                         const fti::FtiConfig &fcfg) {

@@ -23,6 +23,7 @@
 #include "src/storage/drain.hh"
 #include "src/storage/faults.hh"
 #include "src/storage/transform.hh"
+#include "src/util/rng.hh"
 
 namespace match::core
 {
@@ -234,6 +235,17 @@ std::string configKey(const ExperimentConfig &config);
  */
 storage::StorageFaultPlan storageFaultPlanFor(
     const ExperimentConfig &config, int run);
+
+/**
+ * The failure schedule runExperiment fires in one run of `config`: the
+ * only place a cell's failure-model fields become a schedule. Draws
+ * from `rng`, the run's cellSeed() generator, before the noise draws;
+ * with injectFailure off it returns {} and draws nothing. Exposed so
+ * benches and tests can serialize exactly the events a run saw and
+ * replay them (FailureModelKind::Trace) bit-identically.
+ */
+std::vector<ft::FailureEvent> failureScheduleFor(
+    const ExperimentConfig &config, util::Rng &rng);
 
 /**
  * Scaling sizes of an app restricted by Table I (LULESH runs on cube

@@ -38,7 +38,7 @@ toBreakdown(const LaunchReport &report)
         report.breakdown[static_cast<int>(TimeCategory::Recovery)];
     bd.attempts = report.attempts;
     bd.recoveries = report.finalResult.recoveries;
-    bd.failureFired = report.failureFired;
+    bd.failureFired = !report.failedRanks.empty();
     return bd;
 }
 
@@ -49,17 +49,8 @@ makeOptions(const DesignRunConfig &config, ErrorPolicy policy)
     opts.nprocs = config.nprocs;
     opts.policy = policy;
     opts.costParams = config.costParams;
-    if (config.injectFailure) {
-        if (!config.failureEvents.empty()) {
-            opts.schedule = toInjectionSchedule(config.failureEvents);
-            opts.corruptHook = config.corruptHook;
-        } else {
-            auto plan = std::make_shared<InjectionPlan>();
-            plan->iteration = config.failIteration;
-            plan->rank = config.failRank;
-            opts.injection = std::move(plan);
-        }
-    }
+    opts.schedule = toInjectionSchedule(config.failureEvents);
+    opts.corruptHook = config.corruptHook;
     return opts;
 }
 
@@ -98,10 +89,10 @@ runDesign(const DesignRunConfig &config, const FtAppMain &app)
 Breakdown
 runDesignRaw(const DesignRunConfig &config, const RawAppMain &app)
 {
-    MATCH_ASSERT(!config.injectFailure ||
-                     (config.failRank >= 0 &&
-                      config.failRank < config.nprocs),
-                 "failure rank out of range");
+    for (const FailureEvent &event : config.failureEvents) {
+        MATCH_ASSERT(event.rank >= 0 && event.rank < config.nprocs,
+                     "failure rank out of range");
+    }
     switch (config.design) {
       case Design::RestartFti: {
         // MPI_ERRORS_ARE_FATAL: the failure collapses the job; mpirun

@@ -11,7 +11,7 @@
  *
  * Application code is design-agnostic: it receives a Proc and an
  * FtiConfig and runs the paper's Figure-1 loop. The driver owns the
- * restart scope, the error handler, and the fault-injection plan.
+ * restart scope, the error handler, and the failure schedule.
  */
 
 #ifndef MATCH_FT_DESIGN_HH
@@ -52,7 +52,7 @@ using FtAppMain =
  *  (e.g. SCR) closed over; the driver only supplies MPI recovery. */
 using RawAppMain = std::function<void(simmpi::Proc &)>;
 
-/** One design execution: workload + failure plan + cost parameters. */
+/** One design execution: workload + failure schedule + cost parameters. */
 struct DesignRunConfig
 {
     Design design = Design::ReinitFti;
@@ -61,14 +61,10 @@ struct DesignRunConfig
     fti::FtiConfig ftiConfig{};
     /** Purge the FTI sandbox before launching (fresh experiment). */
     bool purgeCheckpoints = true;
-    /** Inject one SIGTERM process failure (paper Fig. 4). */
-    bool injectFailure = false;
-    int failIteration = 0;
-    int failRank = 0;
-    /** Multi-event failure schedule (crashes and corruptions) from the
-     *  failure-scenario engine. When non-empty it supersedes the
-     *  single-shot failIteration/failRank plan; injectFailure must
-     *  still be set for any injection to arm. */
+    /** Failure schedule (crashes and corruptions), fired at the app's
+     *  iteration points; empty runs failure-free. The paper's single
+     *  SIGTERM (Fig. 4) is one event, e.g. `{{13, 3}}`. Every rank must
+     *  lie in [0, nprocs). */
     std::vector<FailureEvent> failureEvents;
     /** Applied when a Corrupt event fires for a rank. Empty selects the
      *  default: fti::Fti::corruptAtRest on ftiConfig (runDesign only —

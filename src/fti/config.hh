@@ -77,11 +77,6 @@ struct FtiConfig
      *  every checkpoint is full (delta effectively off). */
     int deltaRebase = 8;
 
-    /** Dirty-block granularity of the delta scan. Adjacent dirty
-     *  blocks coalesce into one record, so small blocks cost framing
-     *  only where the image is sparsely dirty. */
-    std::size_t deltaBlockSize = 256;
-
     /** Virtual burst-buffer capacity in (virtual) bytes shared by this
      *  rank's staged-but-undrained L4 flushes; 0 = unbounded (the
      *  historical behaviour). When staging a flush would exceed it,

@@ -135,8 +135,7 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     : proc_(proc), config_(std::move(config)),
       comm_(comm == simmpi::commNull ? proc.world() : comm),
       io_(proc, config_.backend, config_.drain, config_.virtualFactor,
-          config_.transform),
-      deltaTx_(config_.deltaBlockSize)
+          config_.transform)
 {
     bindPaths();
     recoveryCkptId_ = newestCommittedCkpt();
@@ -1126,7 +1125,7 @@ Fti::loadImage(const MetaInfo &meta, const char *&why, int depth)
         if (!base)
             return base;
     }
-    storage::Blob image = deltaTx_.decode(stored, base);
+    storage::Blob image = storage::deltaDecode(stored, base);
     if (!image)
         why = "corrupt delta envelope";
     return image;

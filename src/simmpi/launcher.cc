@@ -15,13 +15,9 @@ accumulate(LaunchReport &report, const JobResult &result)
     for (int c = 0; c < 4; ++c)
         report.breakdown[c] += result.breakdown[c];
     report.totalTime += result.makespan;
-    if (result.failureFired) {
-        report.failureFired = true;
-        report.failedRank = result.failedRank;
-        report.failedRanks.insert(report.failedRanks.end(),
-                                  result.failedRanks.begin(),
-                                  result.failedRanks.end());
-    }
+    report.failedRanks.insert(report.failedRanks.end(),
+                              result.failedRanks.begin(),
+                              result.failedRanks.end());
     report.finalResult = result;
 }
 

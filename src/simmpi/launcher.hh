@@ -27,12 +27,8 @@ struct LaunchReport
     SimTime totalTime = 0.0;
     /** Result of the final (successful) attempt. */
     JobResult finalResult;
-    bool failureFired = false;
-    /** The most recent crashed rank (failedRanks.back() when any). */
-    Rank failedRank = -1;
-    /** Every rank that crashed, across all attempts, in fire order —
-     *  multi-failure schedules fire several per launch, and a
-     *  last-one-wins scalar would lose all but the final one. */
+    /** Every rank that crashed, across all attempts, in fire order
+     *  (empty when no crash fired). */
     std::vector<Rank> failedRanks;
 
     double total() const
@@ -44,9 +40,10 @@ struct LaunchReport
 /**
  * Launch a job and, when it aborts due to a process failure under
  * MPI_ERRORS_ARE_FATAL, redeploy it from scratch (the RESTART design).
- * The injection plan's `fired` flag persists across attempts, so the
- * planned failure strikes only once. Checkpoint files on disk persist
- * across attempts, which is how FTI restores progress.
+ * Every attempt shares `options.schedule`, whose per-event `fired`
+ * flags persist, so each scheduled event strikes only once across the
+ * launch. Checkpoint files persist across attempts, which is how FTI
+ * restores progress.
  *
  * @param options job options (policy must be Fatal for restart semantics)
  * @param main the per-rank main function

@@ -98,7 +98,6 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
     MATCH_ASSERT(options.nprocs >= 1, "job needs at least one process");
     costModel_ = CostModel(options.costParams);
     policy_ = options.policy;
-    injection_ = options.injection;
     schedule_ = options.schedule;
     corruptHook_ = options.corruptHook;
     fiberBody_ = std::move(body);
@@ -127,8 +126,6 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
     reinitRestartTime_ = 0.0;
     failureCount_ = 0;
     recoveries_ = 0;
-    failureFired_ = false;
-    failedRank_ = -1;
     failTime_ = 0.0;
     failedRanks_.clear();
 
@@ -233,8 +230,6 @@ Runtime::buildResult(JobResult &result) const
 {
     result.aborted = jobAborting_;
     result.recoveries = recoveries_;
-    result.failureFired = failureFired_;
-    result.failedRank = failedRank_;
     result.failTime = failTime_;
     result.failedRanks = failedRanks_;
     result.perRank.resize(ranks_.size());
@@ -331,11 +326,6 @@ void
 Runtime::iterationPoint(int g, int iteration)
 {
     checkSignals(g);
-    if (injection_ && !injection_->fired &&
-        injection_->iteration == iteration && injection_->rank == g) {
-        injection_->fired = true;
-        killRank(g, iteration);
-    }
     if (!schedule_)
         return;
     for (InjectionEvent &event : schedule_->events) {
@@ -367,8 +357,6 @@ Runtime::killRank(int g, int iteration)
     rs.failed = true;
     rs.failTime = rs.clock;
     ++failureCount_;
-    failureFired_ = true;
-    failedRank_ = g;
     failTime_ = rs.clock;
     failedRanks_.push_back(g);
     MATCH_DEBUG("KILL rank %d at iteration %d (t=%.3f)", g, iteration,

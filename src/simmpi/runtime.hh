@@ -52,14 +52,6 @@ using RankMain = std::function<void(Proc &)>;
 /** Per-rank resilient entry point for the Reinit policy. */
 using ReinitMain = std::function<void(Proc &, ReinitState)>;
 
-/** A single planned fail-stop process failure (the SIGTERM injection). */
-struct InjectionPlan
-{
-    int iteration = 0;   ///< main-loop iteration at which to fire
-    Rank rank = 0;       ///< world rank to kill
-    bool fired = false;  ///< set once the SIGTERM has been raised
-};
-
 /** One planned event of a multi-failure schedule. */
 struct InjectionEvent
 {
@@ -71,9 +63,10 @@ struct InjectionEvent
 
 /**
  * A deterministic failure schedule: any number of crash/corruption
- * events keyed by (iteration, rank). Like InjectionPlan, the schedule
- * is shared with the driver so per-event `fired` flags survive job
- * restarts — each event strikes exactly once across all attempts.
+ * events keyed by (iteration, rank) — the only way a failure reaches a
+ * rank (the paper's single SIGTERM is a one-event schedule). The
+ * schedule is shared with the driver so per-event `fired` flags survive
+ * job restarts — each event strikes exactly once across all attempts.
  */
 struct InjectionSchedule
 {
@@ -86,10 +79,7 @@ struct JobOptions
     int nprocs = 4;
     ErrorPolicy policy = ErrorPolicy::Fatal;
     CostParams costParams{};
-    /** Shared with the driver so a fired injection survives job restarts. */
-    std::shared_ptr<InjectionPlan> injection;
-    /** Multi-failure schedule, evaluated after `injection` (both may be
-     *  set; most callers use one or the other). */
+    /** Failure schedule; null injects nothing. */
     std::shared_ptr<InjectionSchedule> schedule;
     /** Invoked on the firing rank's fiber when a corruption event
      *  strikes: flips bits at rest in that rank's checkpoint store.
@@ -112,9 +102,7 @@ struct JobResult
     std::vector<std::array<double, 4>> perRank;
     /** Number of online recoveries performed (ULFM or Reinit). */
     int recoveries = 0;
-    /** Set when the planned failure fired during this job. */
-    bool failureFired = false;
-    Rank failedRank = -1;
+    /** Virtual time of the most recent crash in this job. */
     SimTime failTime = 0.0;
     /** Every rank that crashed during this job, in fire order (a rank
      *  repeats if it is respawned and crashes again). */
@@ -587,7 +575,6 @@ class Runtime
     // --- data ---------------------------------------------------------------
     CostModel costModel_;
     ErrorPolicy policy_ = ErrorPolicy::Fatal;
-    std::shared_ptr<InjectionPlan> injection_;
     std::shared_ptr<InjectionSchedule> schedule_;
     std::function<void(Rank)> corruptHook_;
     /** Payload pool declared before ranks_/collOps_: members destroy
@@ -626,8 +613,6 @@ class Runtime
     SimTime reinitRestartTime_ = 0.0;
     int failureCount_ = 0;
     int recoveries_ = 0;
-    bool failureFired_ = false;
-    Rank failedRank_ = -1;
     SimTime failTime_ = 0.0;
     std::vector<Rank> failedRanks_;
 };

@@ -34,8 +34,7 @@
  *
  * Accounting: every encode/decode updates process-global per-stage
  * bytesIn/bytesOut counters (transformGlobalStats) that benches
- * snapshot-and-diff to prove the byte reduction, in addition to the
- * per-instance BlobTransform::stats() counters.
+ * snapshot-and-diff to prove the byte reduction.
  */
 
 #ifndef MATCH_STORAGE_TRANSFORM_HH
@@ -143,51 +142,6 @@ Blob compressDecode(const Blob &envelope);
 std::uint64_t compressRawBytes(const Blob &envelope);
 
 /**
- * One stage of the checkpoint data-reduction chain: sealed Blob in,
- * sealed envelope out, with per-instance bytesIn/bytesOut counters.
- * Clients hold the concrete types; the base class exists so the chain
- * can be iterated/reported uniformly.
- */
-class BlobTransform
-{
-  public:
-    virtual ~BlobTransform() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Encode `input` into a self-describing envelope. */
-    virtual Blob apply(const Blob &input) = 0;
-
-    /** Decode an envelope produced by apply(). Null Blob on
-     *  malformed input. */
-    virtual Blob reverse(const Blob &envelope) = 0;
-
-    TransformStats stats() const { return stats_; }
-
-  protected:
-    /** Count an encode and pass the envelope through. */
-    Blob
-    noteApply(std::size_t bytesIn, Blob envelope)
-    {
-        ++stats_.applies;
-        stats_.bytesIn += bytesIn;
-        stats_.bytesOut += envelope.size();
-        return envelope;
-    }
-
-    /** Count a decode and pass the image through. */
-    Blob
-    noteReverse(Blob image)
-    {
-        ++stats_.reverses;
-        return image;
-    }
-
-  private:
-    TransformStats stats_;
-};
-
-/**
  * Differential-checkpoint stage. Holds the reference image (the
  * previous epoch's full serialized image) and the checkpoint id that
  * stored it; apply() emits a delta against the reference — or a full
@@ -196,14 +150,15 @@ class BlobTransform
  * apply() full (the rebase cadence lives in the owner, which also
  * tracks which stored checkpoints the live chain still needs).
  */
-class DeltaTransform final : public BlobTransform
+class DeltaTransform
 {
   public:
+    /** `blockSize` is the dirty-scan granularity: adjacent dirty
+     *  blocks coalesce into one record, so small blocks cost framing
+     *  only where the image is sparsely dirty. */
     explicit DeltaTransform(std::size_t blockSize = 256)
         : blockSize_(blockSize)
     {}
-
-    const char *name() const override { return "delta"; }
 
     bool hasReference() const { return static_cast<bool>(ref_); }
     int referenceCkptId() const { return refCkptId_; }
@@ -223,49 +178,17 @@ class DeltaTransform final : public BlobTransform
         refCkptId_ = 0;
     }
 
+    /** Encode `input` against the reference (full when none). */
     Blob
-    apply(const Blob &input) override
+    apply(const Blob &input)
     {
-        return noteApply(input.size(),
-                         deltaEncode(input, ref_, refCkptId_, blockSize_));
-    }
-
-    /** Decode a FULL envelope; delta forms need decode() with a base. */
-    Blob
-    reverse(const Blob &envelope) override
-    {
-        return decode(envelope, Blob());
-    }
-
-    Blob
-    decode(const Blob &envelope, const Blob &base)
-    {
-        return noteReverse(deltaDecode(envelope, base));
+        return deltaEncode(input, ref_, refCkptId_, blockSize_);
     }
 
   private:
     std::size_t blockSize_;
     Blob ref_;
     int refCkptId_ = 0;
-};
-
-/** Drain-stage compression (stateless wrapper over the RLE codec). */
-class CompressTransform final : public BlobTransform
-{
-  public:
-    const char *name() const override { return "compress"; }
-
-    Blob
-    apply(const Blob &input) override
-    {
-        return noteApply(input.size(), compressEncode(input));
-    }
-
-    Blob
-    reverse(const Blob &envelope) override
-    {
-        return noteReverse(compressDecode(envelope));
-    }
 };
 
 } // namespace match::storage

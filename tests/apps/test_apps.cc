@@ -45,9 +45,8 @@ appRunConfig(const std::string &app, Design design, bool inject,
     cfg.ftiConfig.execId = app + "-" + ft::designName(design) +
                            (inject ? "-f" : "-nf") +
                            std::to_string(procs);
-    cfg.injectFailure = inject;
-    cfg.failIteration = fail_iter;
-    cfg.failRank = procs / 2;
+    if (inject)
+        cfg.failureEvents = {{fail_iter, procs / 2}};
     return cfg;
 }
 

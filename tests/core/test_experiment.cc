@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
@@ -487,49 +488,81 @@ TEST(Experiment, MultiFailureModelsAreDeterministicAndDistinct)
     }
 }
 
-TEST(Experiment, TraceReplayReproducesCorrelatedRunBitForBit)
+struct ReplayCase
 {
-    // Generate the correlated schedule exactly as runExperiment does
-    // for run 0, round-trip it through the trace format, and replay:
-    // every breakdown category must match to the last bit.
+    const char *name;
+    ft::FailureModelKind model;
+    double meanFailures;
+    double corruptFraction;
+};
+
+class TraceReplay : public ::testing::TestWithParam<ReplayCase>
+{
+};
+
+TEST_P(TraceReplay, ReproducesGeneratedRunBitForBit)
+{
+    // Draw the schedule runExperiment fires in run 0, round-trip it
+    // through the trace format, and replay: every breakdown category
+    // must match to the last bit.
     auto generated = smallConfig(Design::ReinitFti, true);
     generated.runs = 1;
     generated.noiseSigma = 0.0; // trace consumes no RNG draws
-    generated.failureModel = ft::FailureModelKind::Correlated;
-    generated.meanFailures = 2.0;
+    generated.sdcChecks = true;
+    generated.failureModel = GetParam().model;
+    generated.meanFailures = GetParam().meanFailures;
     generated.cascadeProb = 0.5;
+    generated.corruptFraction = GetParam().corruptFraction;
 
-    apps::AppParams params;
-    params.input = generated.input;
-    params.nprocs = generated.nprocs;
-    params.ckptStride = generated.ckptStride;
-    const int iters =
-        apps::findApp(generated.app).loopIterations(params);
     util::Rng rng(cellSeed(generated, 0));
-    ft::FailureModelConfig fm;
-    fm.kind = generated.failureModel;
-    fm.meanFailures = generated.meanFailures;
-    fm.cascadeProb = generated.cascadeProb;
-    fm.ranksPerNode =
-        static_cast<int>(generated.costParams.ranksPerNode);
-    fm.nodesPerRack =
-        static_cast<int>(generated.costParams.nodesPerRack);
-    const auto schedule =
-        ft::generateSchedule(fm, generated.nprocs, iters, rng);
+    const auto schedule = failureScheduleFor(generated, rng);
     ASSERT_FALSE(schedule.empty());
+    if (GetParam().corruptFraction > 0.0) {
+        EXPECT_TRUE(std::any_of(schedule.begin(), schedule.end(),
+                                [](const ft::FailureEvent &event) {
+                                    return event.kind ==
+                                           ft::FailureKind::Corrupt;
+                                }))
+            << "the case must replay a corrupt event: "
+            << ft::serializeTrace(schedule);
+    }
 
     auto replay = generated;
     replay.failureModel = ft::FailureModelKind::Trace;
     replay.traceEvents = ft::parseTrace(ft::serializeTrace(schedule));
     ASSERT_EQ(replay.traceEvents, schedule);
+    util::Rng replay_rng(cellSeed(replay, 0));
+    ASSERT_EQ(failureScheduleFor(replay, replay_rng), schedule);
 
     const auto gen = runExperiment(generated).mean;
     const auto rep = runExperiment(replay).mean;
+    EXPECT_TRUE(gen.failureFired);
     EXPECT_EQ(gen.application, rep.application);
     EXPECT_EQ(gen.ckptWrite, rep.ckptWrite);
     EXPECT_EQ(gen.ckptRead, rep.ckptRead);
     EXPECT_EQ(gen.recovery, rep.recovery);
     EXPECT_EQ(gen.recoveries, rep.recoveries);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, TraceReplay,
+    ::testing::Values(
+        ReplayCase{"Single", ft::FailureModelKind::Single, 1.0, 0.0},
+        ReplayCase{"IndependentCorrupt",
+                   ft::FailureModelKind::IndependentExp, 6.0, 0.5},
+        ReplayCase{"Correlated", ft::FailureModelKind::Correlated, 2.0,
+                   0.0}),
+    [](const ::testing::TestParamInfo<ReplayCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(Experiment, FailureScheduleDrawsNothingWithoutInjection)
+{
+    auto config = smallConfig(Design::ReinitFti, false);
+    util::Rng rng(cellSeed(config, 0));
+    util::Rng untouched(cellSeed(config, 0));
+    EXPECT_TRUE(failureScheduleFor(config, rng).empty());
+    EXPECT_EQ(rng.next(), untouched.next());
 }
 
 TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)

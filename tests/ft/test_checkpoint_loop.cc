@@ -110,9 +110,8 @@ TEST_P(InjectionSiteSweep, AnyInjectionSiteYieldsTheCleanAnswer)
                               std::to_string(static_cast<int>(design)) +
                               (inject ? "f" : "c"),
                           design);
-        cfg.injectFailure = inject;
-        cfg.failIteration = site;
-        cfg.failRank = site % cfg.nprocs;
+        if (inject)
+            cfg.failureEvents = {{site, site % cfg.nprocs}};
         runDesign(cfg, [&](Proc &proc, const fti::FtiConfig &fcfg) {
             probeApp(proc, fcfg, total, 10, &probe);
         });

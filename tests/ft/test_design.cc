@@ -50,9 +50,8 @@ baseConfig(Design design, bool inject)
     cfg.ftiConfig.execId = std::string("design-") +
                            std::to_string(static_cast<int>(design)) +
                            (inject ? "-f" : "-nf");
-    cfg.injectFailure = inject;
-    cfg.failIteration = 13;
-    cfg.failRank = 3;
+    if (inject)
+        cfg.failureEvents = {{13, 3}};
     return cfg;
 }
 
@@ -166,4 +165,18 @@ TEST(DesignRestart, MultipleAttemptsAccounted)
             syntheticApp(proc, f, 20, nullptr);
         });
     EXPECT_EQ(bd.attempts, 2);
+}
+
+TEST(DesignRunConfigDeath, EventRankOutOfRangeIsRejected)
+{
+    // A rank no process holds would never fire: the run would pass as
+    // an injected one while running failure-free.
+    for (const int rank : {8, -1}) {
+        DesignRunConfig cfg;
+        cfg.design = Design::ReinitFti;
+        cfg.nprocs = 8;
+        cfg.failureEvents = {{3, 0}, {5, rank}};
+        EXPECT_DEATH(runDesignRaw(cfg, [](Proc &) {}),
+                     "failure rank out of range");
+    }
 }

@@ -480,11 +480,9 @@ TEST(Fti, WorksUnderReinitDesign)
     // the loop completes with the correct final value.
     const auto cfg = testConfig("reinit-e2e");
     Fti::purge(cfg);
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 7;
-    plan->rank = 2;
     JobOptions opts = options(4, ErrorPolicy::Reinit);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{7, 2}}});
 
     std::vector<double> finals(4, 0.0);
     Runtime rt;
@@ -521,11 +519,9 @@ TEST(Fti, WorksUnderRestartDesign)
 {
     const auto cfg = testConfig("restart-e2e");
     Fti::purge(cfg);
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 8;
-    plan->rank = 1;
     JobOptions opts = options(4, ErrorPolicy::Fatal);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{8, 1}}});
 
     std::vector<double> finals(4, 0.0);
     const LaunchReport report = launchWithRestart(opts, [&](Proc &proc) {
@@ -555,11 +551,9 @@ TEST(Fti, WorksUnderUlfmDesign)
 {
     const auto cfg = testConfig("ulfm-e2e");
     Fti::purge(cfg);
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 6;
-    plan->rank = 3;
     JobOptions opts = options(4, ErrorPolicy::Return);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{6, 3}}});
 
     std::vector<double> finals(4, 0.0);
     Runtime rt;

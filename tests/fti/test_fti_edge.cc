@@ -175,11 +175,9 @@ TEST(FtiEdge, SetCommRebindsAfterUlfmRepair)
     // instance (the drivers re-construct instead; both must work).
     const auto config = cfg("rebind");
     Fti::purge(config);
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 1;
-    plan->rank = 2;
     auto opts = options(4, ErrorPolicy::Return);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{1, 2}}});
     Runtime rt;
     int completions = 0;
     rt.run(opts, [&](Proc &proc) {

@@ -249,11 +249,9 @@ TEST_P(FtiMetaMemo, ReinitRecoveryParsesEachRecordOnce)
     const auto config = cfg("reinit", GetParam());
     Fti::purge(config);
     constexpr int kProcs = 64;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 7;
-    plan->rank = 5;
     JobOptions opts = options(kProcs, ErrorPolicy::Reinit);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{7, 5}}});
 
     const auto before = fti::metaMemoStats();
     std::vector<double> finals(kProcs, 0.0);

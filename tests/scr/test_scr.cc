@@ -473,9 +473,8 @@ TEST(Scr, EndToEndUnderReinitDesign)
         ft::DesignRunConfig drc;
         drc.design = ft::Design::ReinitFti;
         drc.nprocs = 8;
-        drc.injectFailure = inject;
-        drc.failIteration = 13;
-        drc.failRank = 5;
+        if (inject)
+            drc.failureEvents = {{13, 5}};
         std::vector<double> finals(8, 0.0);
         ft::runDesignRaw(drc, [&](Proc &proc) {
             Scr scr(proc, cfg);

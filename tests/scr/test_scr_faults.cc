@@ -283,9 +283,7 @@ runPinnedScrJob(Redundancy scheme, const std::string &job)
     ft::DesignRunConfig drc;
     drc.design = ft::Design::ReinitFti;
     drc.nprocs = 8;
-    drc.injectFailure = true;
-    drc.failIteration = 13;
-    drc.failRank = 5;
+    drc.failureEvents = {{13, 5}};
 
     PinnedRun out;
     const std::uint64_t shipped_before = storage::drainGlobalShippedBytes();

@@ -19,23 +19,22 @@ using namespace match::simmpi;
 namespace
 {
 
-std::shared_ptr<InjectionPlan>
+/** A one-crash schedule: kill `rank` at `iteration`. */
+std::shared_ptr<InjectionSchedule>
 plan(int iteration, Rank rank)
 {
-    auto p = std::make_shared<InjectionPlan>();
-    p->iteration = iteration;
-    p->rank = rank;
-    return p;
+    return std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{iteration, rank}}});
 }
 
 JobOptions
 options(int nprocs, ErrorPolicy policy,
-        std::shared_ptr<InjectionPlan> injection = nullptr)
+        std::shared_ptr<InjectionSchedule> schedule = nullptr)
 {
     JobOptions opts;
     opts.nprocs = nprocs;
     opts.policy = policy;
-    opts.injection = std::move(injection);
+    opts.schedule = std::move(schedule);
     return opts;
 }
 
@@ -67,10 +66,9 @@ TEST(FatalPolicy, InjectedFailureAbortsJob)
         rt.run(options(4, ErrorPolicy::Fatal, p),
                [&](Proc &proc) { bspLoop(proc, 10, &completed); });
     EXPECT_TRUE(result.aborted);
-    EXPECT_TRUE(result.failureFired);
-    EXPECT_EQ(result.failedRank, 1);
+    EXPECT_EQ(result.failedRanks, std::vector<Rank>{1});
     EXPECT_EQ(completed, 0);
-    EXPECT_TRUE(p->fired);
+    EXPECT_TRUE(p->events[0].fired);
 }
 
 TEST(FatalPolicy, NoInjectionRunsToCompletion)
@@ -81,7 +79,7 @@ TEST(FatalPolicy, NoInjectionRunsToCompletion)
         options(4, ErrorPolicy::Fatal),
         [&](Proc &proc) { bspLoop(proc, 10, &completed); });
     EXPECT_FALSE(result.aborted);
-    EXPECT_FALSE(result.failureFired);
+    EXPECT_TRUE(result.failedRanks.empty());
     EXPECT_EQ(completed, 4);
 }
 
@@ -93,7 +91,7 @@ TEST(FatalPolicy, LauncherRedeploysAfterAbort)
         options(4, ErrorPolicy::Fatal, p),
         [&](Proc &proc) { bspLoop(proc, 10, &completions); });
     EXPECT_EQ(report.attempts, 2);
-    EXPECT_TRUE(report.failureFired);
+    EXPECT_FALSE(report.failedRanks.empty());
     // Second attempt runs all 4 ranks to completion.
     EXPECT_EQ(completions, 4);
     // Redeployment time is charged to recovery.
@@ -108,7 +106,7 @@ TEST(FatalPolicy, LaunchOnceWithoutFailure)
         options(2, ErrorPolicy::Fatal),
         [](Proc &proc) { bspLoop(proc, 3); });
     EXPECT_EQ(report.attempts, 1);
-    EXPECT_FALSE(report.failureFired);
+    EXPECT_TRUE(report.failedRanks.empty());
     EXPECT_GT(report.totalTime, 0.0);
 }
 
@@ -134,7 +132,7 @@ TEST(ReinitPolicy, GlobalRestartReentersResilientMain)
         });
     EXPECT_FALSE(result.aborted);
     EXPECT_EQ(result.recoveries, 1);
-    EXPECT_TRUE(result.failureFired);
+    EXPECT_FALSE(result.failedRanks.empty());
     EXPECT_EQ(finished, 4);
     for (int g = 0; g < 4; ++g) {
         // Every slot's first entry is New (the killed rank entered New
@@ -230,7 +228,7 @@ TEST(ReinitPolicy, RolledBackSenderDoesNotFillAParkedReceiversOldBuffer)
         });
     EXPECT_FALSE(result.aborted);
     EXPECT_EQ(result.recoveries, 1);
-    EXPECT_TRUE(p->fired);
+    EXPECT_TRUE(p->events[0].fired);
     EXPECT_EQ(finished, 3);
     EXPECT_EQ(received, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
@@ -456,7 +454,7 @@ TEST(Injection, FiresExactlyOnceAcrossRestarts)
                               proc.allreduce(1.0);
                           }
                       });
-    fires_observed = p->fired ? 1 : 0;
+    fires_observed = p->events[0].fired ? 1 : 0;
     EXPECT_EQ(fires_observed, 1);
 }
 

@@ -16,13 +16,12 @@ using namespace match::simmpi;
 namespace
 {
 
-std::shared_ptr<InjectionPlan>
-plan(int iteration, Rank rank)
+std::shared_ptr<InjectionSchedule>
+schedule(std::initializer_list<InjectionEvent> events)
 {
-    auto p = std::make_shared<InjectionPlan>();
-    p->iteration = iteration;
-    p->rank = rank;
-    return p;
+    auto s = std::make_shared<InjectionSchedule>();
+    s->events = events;
+    return s;
 }
 
 void
@@ -42,7 +41,7 @@ TEST(Launcher, TotalTimeSumsAttemptsAndRedeploy)
     JobOptions opts;
     opts.nprocs = 4;
     opts.policy = ErrorPolicy::Fatal;
-    opts.injection = plan(3, 2);
+    opts.schedule = schedule({{3, 2}});
     const LaunchReport report =
         launchWithRestart(opts, [](Proc &proc) { loop(proc, 8); });
     ASSERT_EQ(report.attempts, 2);
@@ -66,14 +65,14 @@ TEST(Launcher, BreakdownAggregatesAcrossAttempts)
     JobOptions opts;
     opts.nprocs = 4;
     opts.policy = ErrorPolicy::Fatal;
-    opts.injection = plan(5, 1);
+    opts.schedule = schedule({{5, 1}});
     const LaunchReport report =
         launchWithRestart(opts, [](Proc &proc) { loop(proc, 10); });
     // Application time contains the lost work of attempt 1 plus the
     // full re-execution, so it exceeds a clean run's application time.
     Runtime rt;
     JobOptions clean = opts;
-    clean.injection = nullptr;
+    clean.schedule = nullptr;
     const JobResult clean_result =
         rt.run(clean, [](Proc &proc) { loop(proc, 10); });
     EXPECT_GT(report.breakdown[static_cast<int>(
@@ -89,7 +88,7 @@ TEST(Launcher, LaunchOnceDoesNotRedeploy)
     const LaunchReport report =
         launchOnce(opts, [](Proc &proc) { loop(proc, 3); });
     EXPECT_EQ(report.attempts, 1);
-    EXPECT_FALSE(report.failureFired);
+    EXPECT_TRUE(report.failedRanks.empty());
     EXPECT_DOUBLE_EQ(report.totalTime, report.finalResult.makespan);
 }
 
@@ -98,13 +97,12 @@ TEST(Launcher, LaunchReinitReportsRecoveries)
     JobOptions opts;
     opts.nprocs = 4;
     opts.policy = ErrorPolicy::Reinit;
-    opts.injection = plan(4, 3);
+    opts.schedule = schedule({{4, 3}});
     const LaunchReport report = launchReinit(
         opts, [](Proc &proc, ReinitState) { loop(proc, 8); });
     EXPECT_EQ(report.attempts, 1); // online recovery, no redeploy
     EXPECT_EQ(report.finalResult.recoveries, 1);
-    EXPECT_TRUE(report.failureFired);
-    EXPECT_EQ(report.failedRank, 3);
+    EXPECT_EQ(report.failedRanks, std::vector<Rank>{3});
 }
 
 TEST(LauncherDeath, RestartRequiresFatalPolicy)
@@ -115,19 +113,6 @@ TEST(LauncherDeath, RestartRequiresFatalPolicy)
     EXPECT_DEATH(launchWithRestart(opts, [](Proc &) {}),
                  "MPI_ERRORS_ARE_FATAL");
 }
-
-namespace
-{
-
-std::shared_ptr<InjectionSchedule>
-schedule(std::initializer_list<InjectionEvent> events)
-{
-    auto s = std::make_shared<InjectionSchedule>();
-    s->events = events;
-    return s;
-}
-
-} // namespace
 
 TEST(Launcher, RestartRecordsEveryFiredFailure)
 {
@@ -141,11 +126,9 @@ TEST(Launcher, RestartRecordsEveryFiredFailure)
     const LaunchReport report =
         launchWithRestart(opts, [](Proc &proc) { loop(proc, 8); });
     EXPECT_EQ(report.attempts, 3);
-    EXPECT_TRUE(report.failureFired);
     ASSERT_EQ(report.failedRanks.size(), 2u);
     EXPECT_EQ(report.failedRanks[0], 1);
     EXPECT_EQ(report.failedRanks[1], 3);
-    EXPECT_EQ(report.failedRank, 3);
 }
 
 TEST(Launcher, ReinitRecordsEveryFiredFailure)
@@ -163,5 +146,4 @@ TEST(Launcher, ReinitRecordsEveryFiredFailure)
     EXPECT_EQ(report.failedRanks[0], 0);
     EXPECT_EQ(report.failedRanks[1], 2);
     EXPECT_EQ(report.failedRanks[2], 2);
-    EXPECT_EQ(report.failedRank, 2);
 }

@@ -104,12 +104,10 @@ TEST(MpiCompat, PaperFigure1CompilesAndRuns)
     }();
     fti::Fti::purge(fcfg);
 
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 27;
-    plan->rank = 1;
     JobOptions opts = options(4);
     opts.policy = ErrorPolicy::Reinit;
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{27, 1}}});
 
     std::vector<double> finals(4, 0.0);
     Runtime rt;

@@ -104,11 +104,9 @@ TEST(RuntimeDeterminism, IdenticalRunsProduceIdenticalClocks)
 TEST(RuntimeFailures, SendToDeadRankRaisesError)
 {
     Runtime rt;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 0;
-    plan->rank = 1;
     auto opts = options(2, ErrorPolicy::Return);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{0, 1}}});
     int handler_hits = 0;
     rt.run(opts, [&](Proc &proc) {
         proc.setErrorHandler([&](Err err) {
@@ -132,11 +130,9 @@ TEST(RuntimeFailures, SendToDeadRankRaisesError)
 TEST(RuntimeFailures, AnySourceRecvRaisesWhenAnyPeerDead)
 {
     Runtime rt;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 0;
-    plan->rank = 2;
     auto opts = options(3, ErrorPolicy::Return);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{0, 2}}});
     bool raised = false;
     rt.run(opts, [&](Proc &proc) {
         proc.setErrorHandler([&](Err) {
@@ -156,11 +152,9 @@ TEST(RuntimeFailures, AnySourceRecvRaisesWhenAnyPeerDead)
 TEST(RuntimeFailures, RevokedCommFailsSubsequentOps)
 {
     Runtime rt;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 0;
-    plan->rank = 3;
     auto opts = options(4, ErrorPolicy::Return);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{0, 3}}});
     std::vector<Err> seen;
     rt.run(opts, [&](Proc &proc) {
         proc.setErrorHandler([&](Err err) {
@@ -190,11 +184,9 @@ TEST(RuntimeFailures, RevokedCommFailsSubsequentOps)
 TEST(RuntimeFailures, FailTimePropagatedToResult)
 {
     Runtime rt;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 5;
-    plan->rank = 0;
     auto opts = options(2, ErrorPolicy::Fatal);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{5, 0}}});
     const JobResult result = rt.run(opts, [&](Proc &proc) {
         for (int i = 0; i < 10; ++i) {
             proc.iterationPoint(i);
@@ -202,8 +194,7 @@ TEST(RuntimeFailures, FailTimePropagatedToResult)
             proc.barrier();
         }
     });
-    EXPECT_TRUE(result.failureFired);
-    EXPECT_EQ(result.failedRank, 0);
+    EXPECT_EQ(result.failedRanks, std::vector<Rank>{0});
     // Killed at the top of iteration 5: ~0.5 s of virtual time.
     EXPECT_NEAR(result.failTime, 0.5, 0.05);
 }
@@ -211,11 +202,9 @@ TEST(RuntimeFailures, FailTimePropagatedToResult)
 TEST(RuntimeFailures, ReinitRecoveryCountsSingleFailure)
 {
     Runtime rt;
-    auto plan = std::make_shared<InjectionPlan>();
-    plan->iteration = 2;
-    plan->rank = 1;
     auto opts = options(4, ErrorPolicy::Reinit);
-    opts.injection = plan;
+    opts.schedule = std::make_shared<InjectionSchedule>(
+        InjectionSchedule{{{2, 1}}});
     const JobResult result =
         rt.runReinit(opts, [&](Proc &proc, ReinitState) {
             for (int i = 0; i < 5; ++i) {

@@ -4,10 +4,10 @@
  * names round-trip, compress survives compressible and incompressible
  * inputs (stored fallback), delta encodes full and diff envelopes that
  * decode back byte-identically, corrupt envelopes are rejected softly
- * (a null Blob, never a fatal), and the per-instance/per-stage
- * counters move. The word-at-a-time RLE encoder is held byte for byte
- * to the original byte-at-a-time loop, kept here as the reference,
- * and a warm encode may allocate no more than the envelope's seal.
+ * (a null Blob, never a fatal), and the per-stage counters move. The
+ * word-at-a-time RLE encoder is held byte for byte to the original
+ * byte-at-a-time loop, kept here as the reference, and a warm encode
+ * may allocate no more than the envelope's seal.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 
 using namespace match;
 using match::storage::Blob;
-using match::storage::CompressTransform;
 using match::storage::DeltaTransform;
 using match::storage::TransformKind;
 using match::storage::TransformStage;
@@ -145,7 +144,7 @@ TEST(Delta, FirstApplyIsFullAndRoundTrips)
     ASSERT_TRUE(info.valid);
     EXPECT_TRUE(info.isFull);
     EXPECT_EQ(info.imageBytes, raw.size());
-    const Blob decoded = tx.reverse(envelope);
+    const Blob decoded = storage::deltaDecode(envelope, Blob());
     EXPECT_EQ(asBytes(decoded), raw);
 }
 
@@ -173,7 +172,7 @@ TEST(Delta, SparseDirtyBlocksYieldSmallDeltaThatReassembles)
     EXPECT_LT(envelope.size(), image.size() / 4)
         << "a 3-byte change must not ship the whole image";
 
-    const Blob decoded = tx.decode(envelope, base);
+    const Blob decoded = storage::deltaDecode(envelope, base);
     EXPECT_EQ(asBytes(decoded), next_raw);
 }
 
@@ -187,7 +186,7 @@ TEST(Delta, IdenticalEpochYieldsNearEmptyDelta)
         tx.apply(sealBytes(std::vector<std::uint8_t>(raw)));
     ASSERT_TRUE(storage::deltaInspect(envelope).valid);
     EXPECT_LT(envelope.size(), 64u) << "no dirty blocks -> header only";
-    EXPECT_EQ(asBytes(tx.decode(envelope, base)), raw);
+    EXPECT_EQ(asBytes(storage::deltaDecode(envelope, base)), raw);
 }
 
 TEST(Delta, SizeMismatchForcesFullEnvelope)
@@ -201,7 +200,7 @@ TEST(Delta, SizeMismatchForcesFullEnvelope)
     ASSERT_TRUE(info.valid);
     EXPECT_TRUE(info.isFull)
         << "a delta between different-shape epochs is meaningless";
-    EXPECT_EQ(asBytes(tx.reverse(envelope)), raw);
+    EXPECT_EQ(asBytes(storage::deltaDecode(envelope, Blob())), raw);
 }
 
 TEST(Delta, DecodeRejectsCorruptionSoftly)
@@ -218,45 +217,37 @@ TEST(Delta, DecodeRejectsCorruptionSoftly)
 
     // Corrupt magic -> structurally invalid.
     EXPECT_FALSE(storage::deltaInspect(corrupt(envelope, 1)).valid);
-    EXPECT_FALSE(tx.decode(corrupt(envelope, 1), base));
+    EXPECT_FALSE(storage::deltaDecode(corrupt(envelope, 1), base));
     // Corrupt a record offset (first record field lives right after
     // the 24-byte diff header) so it points outside the image.
-    EXPECT_FALSE(tx.decode(corrupt(envelope, 30, 0xff), base));
+    EXPECT_FALSE(
+        storage::deltaDecode(corrupt(envelope, 30, 0xff), base));
     // A delta decoded against the wrong-size base is rejected.
-    EXPECT_FALSE(tx.decode(
+    EXPECT_FALSE(storage::deltaDecode(
         envelope, sealBytes(std::vector<std::uint8_t>(8, 0))));
     // Truncation is rejected.
     std::vector<std::uint8_t> truncated = asBytes(envelope);
     truncated.resize(20);
-    EXPECT_FALSE(tx.decode(sealBytes(std::move(truncated)), base));
+    EXPECT_FALSE(
+        storage::deltaDecode(sealBytes(std::move(truncated)), base));
     // The pristine envelope still decodes.
-    EXPECT_TRUE(tx.decode(envelope, base));
+    EXPECT_TRUE(storage::deltaDecode(envelope, base));
 }
 
-TEST(TransformStats, InstanceAndGlobalCountersMove)
+TEST(TransformStats, GlobalCountersMove)
 {
     const TransformStats delta_before =
         storage::transformGlobalStats(TransformStage::Delta);
     const TransformStats compress_before =
         storage::transformGlobalStats(TransformStage::Compress);
 
-    DeltaTransform dtx(64);
-    CompressTransform ctx;
     const std::vector<std::uint8_t> raw(2048, 5);
     const Blob image = sealBytes(std::vector<std::uint8_t>(raw));
-    const Blob denv = dtx.apply(image);
-    dtx.reverse(denv);
-    const Blob cenv = ctx.apply(image);
-    ctx.reverse(cenv);
-
-    EXPECT_EQ(dtx.stats().applies, 1u);
-    EXPECT_EQ(dtx.stats().reverses, 1u);
-    EXPECT_EQ(dtx.stats().bytesIn, raw.size());
-    EXPECT_EQ(dtx.stats().bytesOut, denv.size());
-    EXPECT_EQ(ctx.stats().applies, 1u);
-    EXPECT_EQ(ctx.stats().bytesIn, raw.size());
-    EXPECT_EQ(ctx.stats().bytesOut, cenv.size());
-    EXPECT_LT(ctx.stats().bytesOut, ctx.stats().bytesIn);
+    const Blob denv = DeltaTransform(64).apply(image);
+    storage::deltaDecode(denv, Blob());
+    const Blob cenv = storage::compressEncode(image);
+    storage::compressDecode(cenv);
+    EXPECT_LT(cenv.size(), raw.size());
 
     const TransformStats delta_after =
         storage::transformGlobalStats(TransformStage::Delta);
@@ -265,7 +256,11 @@ TEST(TransformStats, InstanceAndGlobalCountersMove)
     EXPECT_EQ(delta_after.applies - delta_before.applies, 1u);
     EXPECT_EQ(delta_after.reverses - delta_before.reverses, 1u);
     EXPECT_EQ(delta_after.bytesIn - delta_before.bytesIn, raw.size());
+    EXPECT_EQ(delta_after.bytesOut - delta_before.bytesOut, denv.size());
     EXPECT_EQ(compress_after.applies - compress_before.applies, 1u);
+    EXPECT_EQ(compress_after.reverses - compress_before.reverses, 1u);
+    EXPECT_EQ(compress_after.bytesIn - compress_before.bytesIn,
+              raw.size());
     EXPECT_EQ(compress_after.bytesOut - compress_before.bytesOut,
               cenv.size());
 }
