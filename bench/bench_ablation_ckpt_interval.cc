@@ -29,7 +29,8 @@ main(int argc, char **argv)
     spec.ckptStrides = {2, 5, 10, 20, 40, 80};
     const auto cells = spec.enumerate();
     core::GridTiming timing;
-    const auto results = options.makeRunner().run(cells, &timing);
+    const auto results =
+        core::GridRunner(options.jobs).run(cells, &timing);
 
     util::Table table({"Stride(iters)", "WriteCkpt(s)", "Application(s)",
                        "Recovery(s)", "Total(s)"});

@@ -98,7 +98,7 @@ int
 main(int argc, char **argv)
 {
     const auto options = BenchOptions::parse(argc, argv);
-    const core::GridRunner runner = options.makeRunner();
+    const core::GridRunner runner(options.jobs);
 
     std::printf("=== Ablation: failure-scenario engine "
                 "(HPCCG, small) ===\n");

@@ -33,7 +33,8 @@ main(int argc, char **argv)
     spec.ckptLevels = {1, 2, 3, 4};
     const auto cells = spec.enumerate();
     core::GridTiming timing;
-    const auto results = options.makeRunner().run(cells, &timing);
+    const auto results =
+        core::GridRunner(options.jobs).run(cells, &timing);
 
     util::Table table({"Level", "Storage path", "WriteCkpt(s)",
                        "Application(s)", "Total(s)"});

@@ -33,7 +33,8 @@ main(int argc, char **argv)
     spec.injectFailure = true;
     const auto cells = spec.enumerate();
     core::GridTiming timing;
-    const auto results = options.makeRunner().run(cells, &timing);
+    const auto results =
+        core::GridRunner(options.jobs).run(cells, &timing);
 
     struct Measured
     {

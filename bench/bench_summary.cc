@@ -90,7 +90,8 @@ main(int argc, char **argv)
         grid.push_back(makeConfig(options, cell, Design::RestartFti, false));
     }
     core::GridTiming timing;
-    const auto results = options.makeRunner().run(grid, &timing);
+    const auto results =
+        core::GridRunner(options.jobs).run(grid, &timing);
 
     std::vector<double> ulfm_vs_reinit, restart_vs_reinit,
         restart_vs_ulfm, ckpt_fraction, read_seconds;

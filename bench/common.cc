@@ -188,20 +188,6 @@ const Flag kFlags[] = {
          o.spec.drainCapacityBytes =
              static_cast<std::size_t>(u64Flag(f, v));
      }},
-    {"--cell-timeout", "SECS|auto", "wall-clock watchdog per cell "
-                                    "attempt (auto: 5x the grid's "
-                                    "completed-cell p99; 0 disables)",
-     [](Opt &o, const Flag &f, const char *v) {
-         o.policy.autoTimeout = std::strcmp(v, "auto") == 0;
-         o.policy.cellTimeoutSeconds =
-             o.policy.autoTimeout ? 0.0 : numberFlag(f, v, 0.0);
-     }},
-    {"--cell-retries", "N", "attempts after the first before a "
-                            "throwing/hung cell is quarantined "
-                            "(default 2)",
-     [](Opt &o, const Flag &f, const char *v) {
-         o.policy.cellRetries = intFlag(f, v, 0);
-     }},
     {"--strict", nullptr, "exit nonzero when any cell was quarantined",
      [](Opt &o, const Flag &, const char *) { o.strict = true; }},
     {"--failure-model", "single|independent|correlated|trace",
@@ -344,12 +330,6 @@ BenchOptions::parse(int argc, char **argv)
     return options;
 }
 
-core::GridRunner
-BenchOptions::makeRunner() const
-{
-    return core::GridRunner(jobs, policy);
-}
-
 int
 reportCellFailures(const core::GridTiming &timing)
 {
@@ -359,11 +339,8 @@ reportCellFailures(const core::GridTiming &timing)
                 "cells completed):\n",
                 timing.failures.size());
     for (const core::CellFailure &failure : timing.failures) {
-        std::printf("  - %s [key %s]: %d attempt(s), %s: %s\n",
-                    failure.summary.c_str(), failure.key.c_str(),
-                    failure.attempts,
-                    failure.timedOut ? "watchdog timeout" : "exception",
-                    failure.lastError.c_str());
+        std::printf("  - %s [key %s]: %s\n", failure.summary.c_str(),
+                    failure.key.c_str(), failure.lastError.c_str());
     }
     return static_cast<int>(timing.failures.size());
 }
@@ -417,7 +394,7 @@ runFigure(const BenchOptions &options, const FigureDef &def)
     // Parallel phase: all apps' cells at once, so the pool stays busy
     // across app boundaries. Rendering below follows enumeration order.
     const std::vector<ExperimentConfig> cells = spec.enumerate();
-    const GridRunner runner = options.makeRunner();
+    const GridRunner runner(options.jobs);
     core::GridTiming timing;
     const std::vector<core::ExperimentResult> results =
         runner.run(cells, &timing);

@@ -27,8 +27,8 @@ namespace match::bench
 /**
  * Command-line options shared by the benches. Every experiment knob
  * parses straight into `spec` (its base ExperimentConfig plus the
- * `apps` and `transforms` axes) and every watchdog/retry flag into
- * `policy`; the fields declared here are the benches' own settings.
+ * `apps` and `transforms` axes); the fields declared here are the
+ * benches' own settings.
  * `bench --help` lists the flags.
  */
 struct BenchOptions
@@ -54,15 +54,8 @@ struct BenchOptions
      *  <sandboxDir>/cell-cache. Benches set their axes on a copy, or
      *  slice it into hand-built cells. */
     core::GridSpec spec;
-    /** Grid fault-tolerance policy (wall-clock only; bench/RESUME.md). */
-    core::GridPolicy policy;
 
     static BenchOptions parse(int argc, char **argv);
-
-    /** A runner carrying jobs and the grid policy — the one
-     *  constructor every GridRunner bench should use, so the
-     *  watchdog/retry flags reach every grid uniformly. */
-    core::GridRunner makeRunner() const;
 };
 
 /**

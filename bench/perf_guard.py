@@ -1,18 +1,15 @@
 #!/usr/bin/env python3
 """CI perf guard for the micro benches and the failure ablation.
 
-Compares freshly produced BENCH_*.json records against the snapshots
-under bench/baseline/:
+Checks freshly produced BENCH_*.json records, most of them against
+the snapshots under bench/baseline/:
 
- - BENCH_ablation_failure_scenarios.json: storage-fault scenario
-   counters (priced retries, demoted checkpoints, failed flushes) and
-   mean virtual totals — all pure functions of the configuration, so
-   any drift vs baseline is a real robustness regression, not runner
-   noise. Warn-only until a baseline carrying a "storageFaults"
-   section is committed. Two hard contracts need no baseline: the
-   drawn fault plan must replay bit-identically through the trace
-   format, and the faults-off scenario must report zero fault-engine
-   activity.
+ - BENCH_ablation_failure_scenarios.json: two hard contracts checked
+   on the current record alone, with no snapshot: the drawn fault plan
+   must replay bit-identically through the trace format, and the
+   faults-off scenario must report zero fault-engine activity. (The
+   exact storage-fault counters are pinned by the ctest
+   ExperimentFaults.AblationStorageFaultCountersArePinned.)
  - BENCH_micro_rs_*.json (google-benchmark format): bytes_per_second of
    every BM_RsEncode row (the encode MB/s trajectory).
  - BENCH_micro_runtime.json (google-benchmark format): items_per_second
@@ -23,19 +20,17 @@ under bench/baseline/:
 The figure grids' wall clock is not guarded here: perfbench
 (BENCHMARK.json) times them on one host with interleaved runs.
 
-A throughput metric passes when current >= min_ratio * baseline
-(one-sided: being faster than the baseline is always fine); a counter
-metric passes when current <= baseline / min_ratio. Metrics present
-only in the baseline or only in the current record are reported but
-never fail the guard, so adding or renaming benches stays painless.
+A throughput metric passes when current >= MIN_RATIO * baseline
+(one-sided: being faster than the baseline is always fine). Metrics
+present only in the baseline or only in the current record are
+reported but never fail the guard, so adding or renaming benches stays
+painless.
 Refresh the baseline (copy a CI artifact over bench/baseline/) whenever
 the runner hardware generation changes; a stale baseline from slower
 hardware only loosens the guard, never breaks it.
 
 Usage:
-    perf_guard.py [--baseline DIR] [--current DIR] [--min-ratio R]
-
-The ratio can also come from MATCH_PERF_GUARD_RATIO (flag wins).
+    perf_guard.py [--baseline DIR] [--current DIR]
 """
 
 import argparse
@@ -43,34 +38,16 @@ import json
 import os
 import sys
 
+# Fail a throughput metric below 70% of its baseline.
+MIN_RATIO = 0.7
+
+# The failure ablation's record: contract-checked, never ratio-compared.
+FAILURE_ABLATION = "BENCH_ablation_failure_scenarios.json"
+
 
 def load(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def storage_fault_metrics(record):
-    """(name, count) storage-fault engine counters of the failure
-    ablation — lower is better. Every counter is a pure function of
-    the configuration (virtual-result determinism), so any growth is a
-    real robustness regression: more retries burned, more checkpoints
-    demoted, more flushes lost under the identical fault schedule."""
-    metrics = {}
-    for row in record.get("storageFaults", []):
-        scenario = row.get("scenario")
-        if scenario == "faults-off":
-            # All-zero by the bit-identity contract; covered by the
-            # contract check below, not a ratio.
-            continue
-        metrics["meanTotalSum[faults=%s]" % scenario] = \
-            row.get("meanTotalSum", 0.0)
-        for counter in ("pricedRetries", "latencySpikes",
-                        "degradedCkpts", "skippedEpochs",
-                        "failedFlushes"):
-            value = row.get(counter)
-            if value:
-                metrics["%s[faults=%s]" % (counter, scenario)] = value
-    return metrics
 
 
 def storage_fault_contract_failures(record):
@@ -90,8 +67,8 @@ def storage_fault_contract_failures(record):
         else:
             print("  ! %-55s FALSE" % flag)
             failures.append(
-                "BENCH_ablation_failure_scenarios.json: %s is false "
-                "(fault schedule not replayable)" % flag)
+                "%s: %s is false (fault schedule not replayable)"
+                % (FAILURE_ABLATION, flag))
     for row in record.get("storageFaults", []):
         if row.get("scenario") != "faults-off":
             continue
@@ -104,9 +81,8 @@ def storage_fault_contract_failures(record):
             print("  ! faults-off scenario has nonzero counters: %s"
                   % ", ".join(sorted(dirty)))
             failures.append(
-                "BENCH_ablation_failure_scenarios.json: faults-off "
-                "scenario touched the fault engine (%s)"
-                % ", ".join(sorted(dirty)))
+                "%s: faults-off scenario touched the fault engine (%s)"
+                % (FAILURE_ABLATION, ", ".join(sorted(dirty))))
     return failures
 
 
@@ -159,7 +135,7 @@ def alloc_contract_failures(record):
     return failures
 
 
-def compare(label, baseline, current, min_ratio, lower_is_better=False):
+def compare(label, baseline, current):
     failures = []
     for name in sorted(baseline):
         base = baseline[name]
@@ -169,18 +145,13 @@ def compare(label, baseline, current, min_ratio, lower_is_better=False):
             continue
         if base <= 0:
             continue
-        if lower_is_better:
-            ok = cur <= base / min_ratio
-            ratio = base / cur if cur > 0 else float("inf")
-        else:
-            ratio = cur / base
-            ok = ratio >= min_ratio
-        status = "ok" if ok else "REGRESSION"
+        ratio = cur / base
+        ok = ratio >= MIN_RATIO
         print("  %s %-55s %.3fx (%.3g -> %.3g)"
               % ("+" if ok else "!", name, ratio, base, cur))
-        if status != "ok":
+        if not ok:
             failures.append("%s: %s at %.2fx < %.2fx"
-                            % (label, name, ratio, min_ratio))
+                            % (label, name, ratio, MIN_RATIO))
     for name in sorted(set(current) - set(baseline)):
         print("  ~ %-55s new metric (no baseline)" % name)
     return failures
@@ -190,23 +161,17 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", default="bench/baseline")
     parser.add_argument("--current", default=".")
-    parser.add_argument("--min-ratio", type=float,
-                        default=float(os.environ.get(
-                            "MATCH_PERF_GUARD_RATIO", "0.7")))
     args = parser.parse_args()
 
-    # name -> (extractor, lower_is_better).
     extractors = {
-        "BENCH_ablation_failure_scenarios.json":
-            (storage_fault_metrics, True),
-        "BENCH_micro_rs_auto.json": (micro_metrics, False),
-        "BENCH_micro_rs_scalar.json": (micro_metrics, False),
-        "BENCH_micro_runtime.json": (runtime_metrics, False),
+        "BENCH_micro_rs_auto.json": micro_metrics,
+        "BENCH_micro_rs_scalar.json": micro_metrics,
+        "BENCH_micro_runtime.json": runtime_metrics,
     }
 
     failures = []
     compared = 0
-    for name, (extract, lower) in extractors.items():
+    for name, extract in extractors.items():
         base_path = os.path.join(args.baseline, name)
         cur_path = os.path.join(args.current, name)
         if not os.path.exists(base_path):
@@ -216,16 +181,22 @@ def main():
             failures.append("%s: baseline exists but no current record "
                             "was produced" % name)
             continue
-        print("%s (min ratio %.2f):" % (name, args.min_ratio))
-        base_record, cur_record = load(base_path), load(cur_path)
-        failures += compare(name, extract(base_record),
-                            extract(cur_record), args.min_ratio,
-                            lower_is_better=lower)
+        print("%s (min ratio %.2f):" % (name, MIN_RATIO))
+        cur_record = load(cur_path)
+        failures += compare(name, extract(load(base_path)),
+                            extract(cur_record))
         if name == "BENCH_micro_runtime.json":
             failures += alloc_contract_failures(cur_record)
-        if name == "BENCH_ablation_failure_scenarios.json":
-            failures += storage_fault_contract_failures(cur_record)
         compared += 1
+
+    cur_path = os.path.join(args.current, FAILURE_ABLATION)
+    if os.path.exists(cur_path):
+        print("%s (contracts):" % FAILURE_ABLATION)
+        failures += storage_fault_contract_failures(load(cur_path))
+        compared += 1
+    else:
+        failures.append("%s: no current record was produced"
+                        % FAILURE_ABLATION)
 
     if compared == 0:
         print("perf guard: nothing to compare — commit baselines under "

@@ -1,6 +1,7 @@
 #include "src/core/experiment.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -68,7 +69,7 @@ constexpr std::uint64_t kStorageFaultStream = 0x5fa17ULL;
 // in tests/core/test_experiment.cc, and the size here updated. The
 // size is pinned for the LP64 libstdc++ ABI the CI builds with.
 #if defined(__GLIBCXX__) && defined(__LP64__)
-static_assert(sizeof(ExperimentConfig) == 592,
+static_assert(sizeof(ExperimentConfig) == 584,
               "ExperimentConfig changed: decide whether the new field "
               "enters configKey()");
 #endif
@@ -255,17 +256,6 @@ appParamsFor(const ExperimentConfig &config)
     return params;
 }
 
-/** Cooperative cancellation point: cheap (one relaxed load), polled
- *  at run boundaries — a cancelled cell stops at the next one. */
-void
-throwIfCancelled(const ExperimentConfig &config)
-{
-    if (config.cancel &&
-        config.cancel->load(std::memory_order_relaxed)) {
-        throw CellCancelled();
-    }
-}
-
 } // anonymous namespace
 
 storage::StorageFaultPlan
@@ -350,7 +340,6 @@ runExperiment(const ExperimentConfig &config)
             return cached;
     }
 
-    throwIfCancelled(config);
     g_computed.fetch_add(1, std::memory_order_relaxed);
     ++t_computed;
 
@@ -364,7 +353,6 @@ runExperiment(const ExperimentConfig &config)
     const bool storage_faults = config.storageFaultWindows != 0;
 
     for (int run = 0; run < config.runs; ++run) {
-        throwIfCancelled(config);
         util::Rng rng(cellSeed(config, run));
 
         ft::Breakdown bd;

@@ -10,10 +10,8 @@
 #define MATCH_CORE_EXPERIMENT_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,13 +140,6 @@ struct ExperimentConfig
      *  are deterministic, so cache hits are exact replays; the cache
      *  is also the grid's resume journal (GridRunner::run). */
     std::string cacheDir;
-
-    /** Cooperative cancellation token, set by the grid watchdog when a
-     *  cell overruns its wall-clock deadline. runExperiment() polls it
-     *  at run boundaries and throws CellCancelled. Wall-clock-only
-     *  plumbing: never hashed into configKey(), never visible to the
-     *  simulation (a cancelled attempt produces no result at all). */
-    const std::atomic<bool> *cancel = nullptr;
 };
 
 /** Averaged outcome of one grid cell. */
@@ -156,14 +147,6 @@ struct ExperimentResult
 {
     ft::Breakdown mean;
     std::vector<ft::Breakdown> perRun;
-};
-
-/** Thrown by runExperiment() when the config's cancel token fires:
- *  the cell's watchdog deadline passed. The attempt left no partial
- *  state behind (the result cache commits whole files or nothing). */
-struct CellCancelled : std::runtime_error
-{
-    CellCancelled() : std::runtime_error("cell cancelled by watchdog") {}
 };
 
 /** Run one grid cell (deterministic in the config). */
@@ -184,10 +167,10 @@ std::uint64_t experimentComputeCountThisThread();
 /**
  * Test-only hook invoked at the top of every runExperiment call with
  * the cell's config (before the cache is consulted). Tests install
- * throwing or spinning hooks to model poison and hung cells; a hung
- * hook should poll config.cancel so the watchdog can reclaim it. Set
- * before any grid runs — installation is not synchronized with
- * concurrently running workers. Pass nullptr to clear.
+ * throwing hooks to model poison cells and count its calls to see how
+ * often a cell was attempted. Set before any grid runs — installation
+ * is not synchronized with concurrently running workers. Pass nullptr
+ * to clear.
  */
 void setCellHookForTesting(
     std::function<void(const ExperimentConfig &)> hook);
@@ -221,8 +204,8 @@ inline constexpr std::uint32_t kResultFormatVersion = 2;
 
 /** Exact result-cache key: hashes kResultFormatVersion and every field
  *  that influences the result, and nothing else — the wall-clock-only
- *  fields storage, drain, drainDepth, sandboxDir, cacheDir and cancel
- *  are excluded. */
+ *  fields storage, drain, drainDepth, sandboxDir and cacheDir are
+ *  excluded. */
 std::string configKey(const ExperimentConfig &config);
 
 /**

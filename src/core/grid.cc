@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -21,15 +20,6 @@ namespace match::core
 namespace
 {
 
-/** Auto watchdog: arm once this many cells were computed, at this
- *  multiple of their p99 wall time (floored at 1 s). */
-constexpr std::size_t kAutoTimeoutMinSamples = 8;
-constexpr double kAutoTimeoutFactor = 5.0;
-
-/** Retry backoff: base * 2^strike, capped. */
-constexpr double kBackoffBaseSeconds = 0.05;
-constexpr double kBackoffCapSeconds = 2.0;
-
 /** Human-readable cell label for failure records and logs. */
 std::string
 cellSummary(const ExperimentConfig &config)
@@ -39,18 +29,6 @@ cellSummary(const ExperimentConfig &config)
       << config.nprocs << ' ' << ft::designName(config.design)
       << " stride" << config.ckptStride << " L" << config.ckptLevel;
     return s.str();
-}
-
-/** Sorted-copy nearest-rank percentile; q in [0, 1]. */
-double
-percentileOf(std::vector<double> samples, double q)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    const auto rank = static_cast<std::size_t>(
-        q * static_cast<double>(samples.size() - 1) + 0.5);
-    return samples[std::min(rank, samples.size() - 1)];
 }
 
 /** Harness fault-injection hook: MATCH_GRID_CRASH_AFTER=N makes the
@@ -63,23 +41,6 @@ crashAfterFromEnv()
 {
     const char *env = std::getenv("MATCH_GRID_CRASH_AFTER");
     return env ? std::atol(env) : -1;
-}
-
-/** Per-worker watchdog view of the in-flight attempt. */
-struct WorkerSlot
-{
-    /** Cooperative cancel token handed to the attempt's config. */
-    std::atomic<bool> cancel{false};
-    /** steady_clock nanoseconds when the attempt started; -1 idle. */
-    std::atomic<long long> startNs{-1};
-};
-
-long long
-steadyNowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
 }
 
 } // anonymous namespace
@@ -158,8 +119,7 @@ gridDigest(const std::vector<ExperimentResult> &results)
     return h;
 }
 
-GridRunner::GridRunner(int jobs, GridPolicy policy)
-    : jobs_(jobs > 0 ? jobs : hardwareJobs()), policy_(std::move(policy))
+GridRunner::GridRunner(int jobs) : jobs_(jobs > 0 ? jobs : hardwareJobs())
 {}
 
 int
@@ -210,175 +170,75 @@ GridRunner::run(const std::vector<ExperimentConfig> &cells,
 
     const int workers = std::min<int>(
         jobs_, static_cast<int>(unique.size()));
-    const int slot_count = std::max(workers, 1);
-    const std::unique_ptr<WorkerSlot[]> slots(new WorkerSlot[slot_count]);
     std::vector<double> cell_seconds(unique.size(), 0.0);
     std::atomic<std::size_t> next{0};
-
-    // Completed computed-cell wall times feed the auto watchdog
-    // deadline (cache replays are excluded: a p99 of millisecond
-    // replays must not arm a deadline real computation cannot meet).
-    std::mutex computed_mu;
-    std::vector<double> computed_seconds;
-    const auto attemptTimeout = [&]() -> double {
-        if (policy_.cellTimeoutSeconds > 0.0)
-            return policy_.cellTimeoutSeconds;
-        if (!policy_.autoTimeout)
-            return 0.0;
-        std::lock_guard<std::mutex> lock(computed_mu);
-        if (computed_seconds.size() < kAutoTimeoutMinSamples)
-            return 0.0;
-        return std::max(1.0, kAutoTimeoutFactor *
-                                 percentileOf(computed_seconds, 0.99));
-    };
 
     std::mutex failures_mu;
     std::vector<CellFailure> failures;
     std::atomic<std::size_t> cells_computed{0};
     std::atomic<std::size_t> cells_from_cache{0};
 
-    auto drain = [&](int w) {
-        WorkerSlot &slot = slots[w];
+    auto drain = [&] {
         for (;;) {
             const std::size_t u = next.fetch_add(1);
             if (u >= unique.size())
                 return;
             const std::size_t i = unique[u];
-            const std::string &key = unique_keys[u];
             const auto cell_start = Clock::now();
+            const std::uint64_t before = experimentComputeCountThisThread();
+            bool threw = true;
+            std::string error;
+            try {
+                results[i] = runExperiment(cells[i]);
+                threw = false;
+            } catch (const std::exception &e) {
+                error = e.what();
+            } catch (...) {
+                error = "unknown exception";
+            }
+            cell_seconds[u] = wallSince(cell_start);
 
-            // Guarded attempt loop: watchdog deadline, capped
-            // exponential backoff, quarantine after the retry budget.
-            std::string last_error;
-            bool timed_out = false;
-            bool done = false;
-            for (int strike = 0;; ++strike) {
-                slot.cancel.store(false, std::memory_order_relaxed);
-                const auto attempt_start = Clock::now();
-                slot.startNs.store(steadyNowNs(),
-                                   std::memory_order_release);
-                ExperimentConfig attempt = cells[i];
-                attempt.cancel = &slot.cancel;
-                timed_out = false;
-                const std::uint64_t before =
-                    experimentComputeCountThisThread();
-                try {
-                    results[i] = runExperiment(attempt);
-                    done = true;
-                } catch (const CellCancelled &) {
-                    timed_out = true;
-                    std::ostringstream err;
-                    err.precision(3);
-                    err << "watchdog timeout after "
-                        << wallSince(attempt_start) << "s";
-                    last_error = err.str();
-                } catch (const std::exception &e) {
-                    last_error = e.what();
-                } catch (...) {
-                    last_error = "unknown exception";
-                }
-                slot.startNs.store(-1, std::memory_order_release);
-                slot.cancel.store(false, std::memory_order_relaxed);
-                const int attempts = strike + 1;
-
-                if (done) {
-                    const bool replayed =
-                        experimentComputeCountThisThread() == before;
-                    (replayed ? cells_from_cache : cells_computed)
-                        .fetch_add(1);
-                    cell_seconds[u] = wallSince(cell_start);
-                    if (!replayed) {
-                        std::lock_guard<std::mutex> lock(computed_mu);
-                        computed_seconds.push_back(cell_seconds[u]);
-                    }
-                    // Crash-after fires once, after the Nth
-                    // completion's result has been committed — a kill
-                    // between cells, the hardest point for resume.
-                    if (crash_after > 0 &&
-                        completions.fetch_add(1) + 1 == crash_after) {
-                        std::fflush(nullptr);
-                        std::_Exit(42);
-                    }
-                    break;
-                }
-                if (strike >= policy_.cellRetries) {
-                    // Quarantine: the grid degrades gracefully — every
-                    // healthy cell still completes; this one is
-                    // reported, not fatal. Its result slot keeps the
-                    // default (all-zero) ExperimentResult.
-                    MATCH_WARN(
-                        "grid: quarantining cell %s after %d "
-                        "attempt(s): %s",
-                        cellSummary(cells[i]).c_str(), attempts,
-                        last_error.c_str());
-                    CellFailure failure;
-                    failure.cell = i;
-                    failure.key = key;
-                    failure.summary = cellSummary(cells[i]);
-                    failure.attempts = attempts;
-                    failure.timedOut = timed_out;
-                    failure.lastError = last_error;
-                    std::lock_guard<std::mutex> lock(failures_mu);
-                    failures.push_back(std::move(failure));
-                    cell_seconds[u] = wallSince(cell_start);
-                    break;
-                }
-                MATCH_WARN("grid: cell %s attempt %d failed (%s); "
-                           "retrying",
-                           cellSummary(cells[i]).c_str(), attempts,
-                           last_error.c_str());
-                double backoff = kBackoffBaseSeconds;
-                for (int b = 0; b < strike; ++b)
-                    backoff *= 2.0;
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    std::min(backoff, kBackoffCapSeconds)));
+            if (threw) {
+                // Quarantine: the grid degrades gracefully — every
+                // healthy cell still completes; this one is reported,
+                // not fatal. Its result slot keeps the default
+                // (all-zero) ExperimentResult.
+                CellFailure failure;
+                failure.cell = i;
+                failure.key = unique_keys[u];
+                failure.summary = cellSummary(cells[i]);
+                failure.lastError = std::move(error);
+                MATCH_WARN("grid: quarantining cell %s: %s",
+                           failure.summary.c_str(),
+                           failure.lastError.c_str());
+                std::lock_guard<std::mutex> lock(failures_mu);
+                failures.push_back(std::move(failure));
+                continue;
+            }
+            const bool replayed =
+                experimentComputeCountThisThread() == before;
+            (replayed ? cells_from_cache : cells_computed).fetch_add(1);
+            // Crash-after fires once, after the Nth completion's result
+            // has been committed — a kill between cells, the hardest
+            // point for resume.
+            if (crash_after > 0 &&
+                completions.fetch_add(1) + 1 == crash_after) {
+                std::fflush(nullptr);
+                std::_Exit(42);
             }
         }
     };
 
-    // The watchdog scans in-flight attempts and raises their cancel
-    // tokens past the deadline. It never touches results — cancellation
-    // is cooperative (runExperiment polls at run boundaries), so a
-    // cancelled attempt unwinds cleanly with no partial state.
-    std::atomic<bool> watchdog_stop{false};
-    std::thread watchdog;
-    if (policy_.cellTimeoutSeconds > 0.0 || policy_.autoTimeout) {
-        watchdog = std::thread([&] {
-            while (!watchdog_stop.load(std::memory_order_relaxed)) {
-                const double limit = attemptTimeout();
-                if (limit > 0.0) {
-                    const long long now = steadyNowNs();
-                    const auto budget =
-                        static_cast<long long>(limit * 1e9);
-                    for (int w = 0; w < slot_count; ++w) {
-                        const long long start = slots[w].startNs.load(
-                            std::memory_order_acquire);
-                        if (start >= 0 && now - start > budget) {
-                            slots[w].cancel.store(
-                                true, std::memory_order_relaxed);
-                        }
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            }
-        });
-    }
-
     if (workers <= 1) {
         // The calling thread runs the grid itself.
-        drain(0);
+        drain();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
         for (int w = 0; w < workers; ++w)
-            pool.emplace_back(drain, w);
+            pool.emplace_back(drain);
         for (auto &t : pool)
             t.join();
-    }
-    if (watchdog.joinable()) {
-        watchdog_stop.store(true, std::memory_order_relaxed);
-        watchdog.join();
     }
 
     for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -93,34 +93,6 @@ struct GridSpec : ExperimentConfig
 };
 
 /**
- * Fault-tolerance policy of one grid execution. Everything here is
- * wall-clock machinery — watchdog deadlines and retry budgets — and
- * none of it may perturb simulated results: a cell either produces its
- * deterministic result or no result at all (quarantine), and nothing
- * in this struct enters configKey(). Resume needs no policy: the
- * result cache is the journal (see GridRunner::run).
- */
-struct GridPolicy
-{
-    /** Wall-clock deadline per cell attempt, seconds; 0 disables the
-     *  fixed deadline (autoTimeout may still arm one). When a cell
-     *  overruns, the watchdog raises its cooperative cancel token and
-     *  the attempt counts as a strike. */
-    double cellTimeoutSeconds = 0.0;
-
-    /** Derive the deadline from this grid's own completed cells: once
-     *  8 cells finished, an attempt running longer than max(1s, 5 x
-     *  p99 of completed-cell wall time) is cancelled. A fixed
-     *  cellTimeoutSeconds wins when both are set. */
-    bool autoTimeout = false;
-
-    /** Retries after the first attempt before a cell is quarantined
-     *  (attempts = cellRetries + 1). Retries are spaced by capped
-     *  exponential backoff: 50 ms * 2^strike, at most 2 s. */
-    int cellRetries = 2;
-};
-
-/**
  * Structured record of a cell the grid gave up on: the degraded-grid
  * contract is "finish every healthy cell, report the rest", never
  * "abort the sweep". Lands in GridTiming::failures, which the benches
@@ -133,13 +105,9 @@ struct CellFailure
     std::size_t cell = 0;
     /** The cell's configKey — its result-cache key. */
     std::string key;
-    /** Human-readable cell label ("HPCCG small p64 REINIT-FTI ..."). */
+    /** Human-readable cell label ("HPCCG Small p64 REINIT-FTI ..."). */
     std::string summary;
-    /** Attempts made by this run() call (cellRetries + 1); attempts
-     *  of earlier, killed sessions are not counted. */
-    int attempts = 0;
-    /** True when the final strike was a watchdog timeout. */
-    bool timedOut = false;
+    /** What the cell threw. */
     std::string lastError;
 };
 
@@ -188,15 +156,11 @@ std::uint64_t gridDigest(const std::vector<ExperimentResult> &results);
 class GridRunner
 {
   public:
-    /** @param jobs worker threads; <= 0 selects hardwareJobs().
-     *  @param policy fault-tolerance policy (wall-clock only). */
-    explicit GridRunner(int jobs = 0, GridPolicy policy = GridPolicy{});
+    /** @param jobs worker threads; <= 0 selects hardwareJobs(). */
+    explicit GridRunner(int jobs = 0);
 
     /** Worker threads this runner will use. */
     int jobs() const { return jobs_; }
-
-    /** Fault-tolerance policy. */
-    const GridPolicy &policy() const { return policy_; }
 
     /** std::thread::hardware_concurrency with a floor of 1. */
     static int hardwareJobs();
@@ -205,15 +169,15 @@ class GridRunner
      * Run every cell; result i corresponds to cells[i]. When `timing`
      * is non-null it receives the grid's wall-clock record.
      *
-     * Fault tolerance (see GridPolicy): a throwing or timed-out cell
-     * is retried with capped exponential backoff and quarantined after
-     * exhausting its budget — its result slot stays default-initialized
-     * and a CellFailure lands in timing->failures; the pool keeps
-     * draining every healthy cell either way. With a cacheDir the
-     * result cache is the resume journal: each finished cell commits
-     * its .cell file atomically, so rerunning a killed grid replays
-     * every committed cell (bit-identical, zero recomputation) and
-     * computes the rest, quarantined cells with a fresh retry budget.
+     * Each unique cell is attempted exactly once: cells are
+     * deterministic, so one that throws would throw again. A throwing
+     * cell is quarantined — its result slot stays default-initialized
+     * and a CellFailure lands in timing->failures — and the pool keeps
+     * draining every healthy cell. With a cacheDir the result cache is
+     * the resume journal: each finished cell commits its .cell file
+     * atomically, so rerunning a killed grid replays every committed
+     * cell (bit-identical, zero recomputation) and computes the rest,
+     * quarantined cells included.
      */
     std::vector<ExperimentResult>
     run(const std::vector<ExperimentConfig> &cells,
@@ -228,7 +192,6 @@ class GridRunner
 
   private:
     int jobs_ = 1;
-    GridPolicy policy_{};
 };
 
 } // namespace match::core

@@ -219,12 +219,12 @@ parseTrace(const std::string &text)
         const std::size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.resize(hash);
+        if (line.find_first_not_of(" \t\r\v\f") == std::string::npos)
+            continue; // blank or comment-only line
         std::istringstream fields(line);
         FailureEvent event;
         std::string kind;
-        if (!(fields >> event.iteration))
-            continue; // blank or comment-only line
-        if (!(fields >> event.rank >> kind)) {
+        if (!(fields >> event.iteration >> event.rank >> kind)) {
             util::fatal("failure trace line %d: want "
                         "'iteration rank kind', got '%s'",
                         lineno, line.c_str());

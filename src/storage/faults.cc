@@ -246,13 +246,13 @@ parseFaultTrace(const std::string &text)
         const std::size_t hash = line.find('#');
         if (hash != std::string::npos)
             line.resize(hash);
+        if (line.find_first_not_of(" \t\r\v\f") == std::string::npos)
+            continue; // blank or comment-only line
         std::istringstream fields(line);
         FaultWindow window;
         std::string cls, kind;
-        if (!(fields >> window.firstEpoch))
-            continue; // blank or comment-only line
-        if (!(fields >> window.lastEpoch >> cls >> kind >>
-              window.strikes)) {
+        if (!(fields >> window.firstEpoch >> window.lastEpoch >> cls >>
+              kind >> window.strikes)) {
             util::fatal("storage-fault trace line %d: want "
                         "'firstEpoch lastEpoch class kind strikes', "
                         "got '%s'",

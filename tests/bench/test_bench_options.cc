@@ -1,7 +1,7 @@
 /**
  * @file
- * BenchOptions::parse: every flag lands in the intended GridSpec /
- * GridPolicy / bench field, and malformed, non-finite or out-of-range
+ * BenchOptions::parse: every flag lands in the intended GridSpec or
+ * bench field, and malformed, non-finite or out-of-range
  * values are rejected with a diagnostic instead of running a
  * different, valid-looking configuration.
  */
@@ -56,17 +56,15 @@ TEST(BenchOptions, DefaultsMatchTheExperimentDefaults)
     EXPECT_FALSE(options.quick);
     EXPECT_EQ(options.jobs, 0);
     EXPECT_EQ(options.perfDir, ".");
-    EXPECT_EQ(options.policy.cellRetries, core::GridPolicy{}.cellRetries);
 }
 
-TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
+TEST(BenchOptions, FlagsLandInSpecAndBenchFields)
 {
     const BenchOptions options = parseArgs(
         {"--runs", "3", "--seed", "7", "--apps", "HPCCG,miniVite",
          "--sandbox", "/tmp/sbx", "--jobs", "2", "--storage", "disk",
          "--drain", "sync", "--drain-depth", "0", "--drain-capacity",
-         "1024", "--cell-timeout", "2.5",
-         "--cell-retries", "4", "--strict",
+         "1024", "--strict",
          "--failure-model", "correlated", "--mean-failures", "2",
          "--cascade-prob", "0.5", "--corrupt-fraction", "0.25",
          "--sdc-checks", "--scrub-stride", "5", "--transform", "delta",
@@ -99,9 +97,6 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
     EXPECT_EQ(spec.storageFaultMeanEpochs, 3);
     EXPECT_EQ(spec.storageFaultStrikes, 4);
     EXPECT_EQ(spec.ioRetryLimit, 6);
-    EXPECT_EQ(options.policy.cellTimeoutSeconds, 2.5);
-    EXPECT_FALSE(options.policy.autoTimeout);
-    EXPECT_EQ(options.policy.cellRetries, 4);
     EXPECT_TRUE(options.strict);
     EXPECT_EQ(options.jobs, 2);
     EXPECT_EQ(options.perfDir, "/tmp/perf");
@@ -117,15 +112,11 @@ TEST(BenchOptions, FlagsLandInSpecPolicyAndBenchFields)
     }
 }
 
-TEST(BenchOptions, QuickAndAutoTimeout)
+TEST(BenchOptions, Quick)
 {
-    const BenchOptions options =
-        parseArgs({"--cell-timeout", "3", "--quick", "--cell-timeout",
-                   "auto"});
+    const BenchOptions options = parseArgs({"--quick"});
     EXPECT_TRUE(options.quick);
     EXPECT_EQ(options.spec.runs, 2);
-    EXPECT_TRUE(options.policy.autoTimeout);
-    EXPECT_EQ(options.policy.cellTimeoutSeconds, 0.0);
 }
 
 TEST(BenchOptions, TracesSelectTheirEngines)
@@ -175,8 +166,6 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
         {"--corrupt-fraction", "7"},
         {"--storage-fault-pfs-bias", "2"},
         {"--storage-fault-pfs-bias", "-0.1"},
-        {"--cell-timeout", "nan"},
-        {"--cell-timeout", "-3"},
         {"--jobs", "abc"},
         {"--jobs", "99999999999"},
         {"--runs", "0"},
@@ -203,9 +192,12 @@ TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknown)
 {
     // Removed flags are unknown options like any other: --pin (worker
     // placement, no measured gain), --perf (the figure benches' own
-    // timing sweep; perfbench times the grids instead) and
-    // --resume/--no-resume (the result cache is the resume journal).
-    for (const char *name : {"pin", "perf", "resume", "no-resume"}) {
+    // timing sweep; perfbench times the grids instead),
+    // --resume/--no-resume (the result cache is the resume journal) and
+    // --cell-timeout/--cell-retries (a cell runs once: a deterministic
+    // cell that throws throws again).
+    for (const char *name : {"pin", "perf", "resume", "no-resume",
+                             "cell-timeout", "cell-retries"}) {
         const std::string flag = std::string("--") + name;
         EXPECT_EXIT(parseArgs({flag}), ::testing::ExitedWithCode(1),
                     "fatal: unknown option: " + flag + " \\(see --help\\)")

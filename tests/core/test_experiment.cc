@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -637,7 +636,6 @@ TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
          [](ExperimentConfig &c) { c.costParams.computeFlops *= 2.0; }},
         {"noiseSigma", [](ExperimentConfig &c) { c.noiseSigma = 0.02; }},
     };
-    static const std::atomic<bool> cancel_token{false};
     const Field wall_clock[] = {
         {"storage",
          [](ExperimentConfig &c) { c.storage = storage::Kind::Disk; }},
@@ -647,7 +645,6 @@ TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
         {"sandboxDir",
          [](ExperimentConfig &c) { c.sandboxDir = "/elsewhere"; }},
         {"cacheDir", [](ExperimentConfig &c) { c.cacheDir = "/cache"; }},
-        {"cancel", [](ExperimentConfig &c) { c.cancel = &cancel_token; }},
     };
 
     const ExperimentConfig base = smallConfig(Design::ReinitFti, true);

@@ -3,13 +3,17 @@
  * Storage-fault engine, end to end through the experiment runner: plan
  * purity, --jobs/backend/drain-mode independence of faulty results,
  * trace replay bit-identity, graceful degradation under a persistent
- * PFS outage, and the retry policy riding out a storage fault that
- * lands in the same epoch as an injected process failure.
+ * PFS outage, the retry policy riding out a storage fault that lands
+ * in the same epoch as an injected process failure, and the exact
+ * fault counters of the failure ablation's storage-fault sweep.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <filesystem>
+#include <iterator>
 
 #include "src/core/experiment.hh"
 #include "src/storage/faults.hh"
@@ -187,4 +191,73 @@ TEST(ExperimentFaults, StorageFaultAndProcessFailureInSameEpoch)
     EXPECT_GT(a.mean.recovery, 0.0);
     EXPECT_GT(after.pricedRetries, before.pricedRetries);
     EXPECT_GT(after.injectedWriteFaults, before.injectedWriteFaults);
+}
+
+TEST(ExperimentFaults, AblationStorageFaultCountersArePinned)
+{
+    // Exact storage::FaultStats diffs of the failure ablation's
+    // storage-fault sweep (its cell settings: HPCCG small p64, L4,
+    // stride 5, one injected failure, noise off, no cache, --quick's 2
+    // runs), one cell at a time. Every counter is a pure function of
+    // the configuration, so a retry, demotion or flush-path change
+    // that moves one by a single count fails here; a deliberate change
+    // re-records the table.
+    struct Scenario
+    {
+        const char *name;
+        int windows;
+        double pfsBias;
+        int strikes;
+    };
+    const Scenario scenarios[] = {{"faults-off", 0, 0.75, 2},
+                                  {"transient", 2, 0.75, 2},
+                                  {"pfs-outage", 3, 1.0, 99}};
+    // Per scenario, per design in ft::allDesigns order: read, write,
+    // torn, enospc, priced retries, latency spikes, degraded
+    // checkpoints, skipped epochs, failed flushes.
+    using Counters = std::array<std::uint64_t, 9>;
+    const Counters pins[3][3] = {
+        {Counters{}, Counters{}, Counters{}},
+        {{0, 0, 0, 0, 896, 0, 256, 128, 0},
+         {0, 512, 0, 0, 896, 0, 128, 0, 0},
+         {0, 0, 384, 0, 384, 128, 0, 0, 0}},
+        {{0, 0, 0, 0, 1536, 192, 512, 0, 0},
+         {0, 0, 0, 0, 1152, 192, 384, 0, 0},
+         {0, 0, 0, 0, 960, 192, 320, 0, 0}},
+    };
+    const auto counters = [](const storage::FaultStats &s) {
+        return Counters{s.injectedReadFaults, s.injectedWriteFaults,
+                        s.tornWrites,         s.enospcHits,
+                        s.pricedRetries,      s.latencySpikes,
+                        s.degradedCkpts,      s.skippedEpochs,
+                        s.failedFlushes};
+    };
+    for (std::size_t s = 0; s < std::size(scenarios); ++s) {
+        for (std::size_t d = 0; d < ft::allDesigns.size(); ++d) {
+            ExperimentConfig config;
+            config.app = "HPCCG";
+            config.nprocs = 64;
+            config.design = ft::allDesigns[d];
+            config.injectFailure = true;
+            config.runs = 2;
+            config.noiseSigma = 0.0;
+            config.ckptLevel = 4;
+            config.ckptStride = 5;
+            config.storageFaultWindows = scenarios[s].windows;
+            config.storageFaultPfsBias = scenarios[s].pfsBias;
+            config.storageFaultStrikes = scenarios[s].strikes;
+            config.sandboxDir =
+                (fs::temp_directory_path() / "match-fault-tests").string();
+
+            const Counters before = counters(storage::faultGlobalStats());
+            runExperiment(config);
+            const Counters after = counters(storage::faultGlobalStats());
+            Counters diff{};
+            for (std::size_t k = 0; k < diff.size(); ++k)
+                diff[k] = after[k] - before[k];
+            EXPECT_EQ(diff, pins[s][d])
+                << scenarios[s].name << ' '
+                << ft::designName(config.design);
+        }
+    }
 }

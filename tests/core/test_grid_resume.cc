@@ -2,15 +2,14 @@
  * @file
  * Crash-safe grid execution tests: the result cache as the resume
  * journal (corrupt, rotten and missing .cell files), poison-cell
- * quarantine, the per-cell watchdog, and — the load-bearing property —
- * a grid killed mid-flight resumes byte-identical with zero
+ * quarantine after exactly one attempt, and — the load-bearing
+ * property — a grid killed mid-flight resumes byte-identical with zero
  * recomputation of finished cells.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -19,7 +18,6 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/grid.hh"
@@ -55,8 +53,8 @@ resumeSpec(const std::string &tag)
 void
 expectIdentical(const ft::Breakdown &a, const ft::Breakdown &b)
 {
-    // Bit-identical, not approximately equal: resume and retry must
-    // not perturb results at all.
+    // Bit-identical, not approximately equal: resume must not perturb
+    // results at all.
     EXPECT_EQ(a.application, b.application);
     EXPECT_EQ(a.ckptWrite, b.ckptWrite);
     EXPECT_EQ(a.ckptRead, b.ckptRead);
@@ -108,15 +106,6 @@ countCellFiles(const std::string &dir)
     for (const auto &entry : fs::directory_iterator(dir))
         count += entry.path().extension() == ".cell" ? 1 : 0;
     return count;
-}
-
-/** Quarantine-friendly policy: one retry. */
-GridPolicy
-fastRetryPolicy(int retries = 1)
-{
-    GridPolicy policy;
-    policy.cellRetries = retries;
-    return policy;
 }
 
 } // namespace
@@ -260,24 +249,28 @@ TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
 
     GridTiming timing;
     std::vector<ExperimentResult> results;
+    std::atomic<int> poison_calls{0};
     {
         HookGuard guard([&](const ExperimentConfig &config) {
-            if (configKey(config) == poison_key)
+            if (configKey(config) == poison_key) {
+                ++poison_calls;
                 throw std::runtime_error("poison cell");
+            }
         });
-        results = GridRunner(4, fastRetryPolicy())
-                      .run(cells, &timing);
+        results = GridRunner(4).run(cells, &timing);
     }
 
-    // The pool drained every healthy cell despite the poison one.
+    // The pool drained every healthy cell despite the poison one, and
+    // attempted the deterministic poison cell exactly once.
     ASSERT_EQ(results.size(), cells.size());
+    EXPECT_EQ(poison_calls.load(), 1);
     ASSERT_EQ(timing.failures.size(), 1u);
     const CellFailure &failure = timing.failures.front();
     EXPECT_EQ(failure.key, poison_key);
     EXPECT_EQ(failure.cell, 1u);
-    EXPECT_EQ(failure.attempts, 2); // first try + one retry
-    EXPECT_FALSE(failure.timedOut);
+    EXPECT_EQ(failure.summary, "miniVite Small p4 ULFM-FTI stride10 L1");
     EXPECT_EQ(failure.lastError, "poison cell");
+    EXPECT_EQ(timing.cellsComputed, cells.size() - 1);
     // The quarantined slot keeps its default (all-zero) result.
     EXPECT_EQ(results[1].mean.total(), 0.0);
     EXPECT_TRUE(results[1].perRun.empty());
@@ -286,7 +279,7 @@ TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
     // the quarantined one, which no longer throws.
     const std::uint64_t before = experimentComputeCount();
     GridTiming rerun;
-    GridRunner(4, fastRetryPolicy()).run(cells, &rerun);
+    GridRunner(4).run(cells, &rerun);
     EXPECT_EQ(experimentComputeCount() - before, 1u);
     EXPECT_EQ(rerun.cellsComputed, 1u);
     EXPECT_EQ(rerun.cellsFromCache, 3u);
@@ -299,78 +292,6 @@ TEST(GridRunner, ThrowingCellIsQuarantinedOthersComplete)
     expectIdentical(results[0], reference[0]);
     expectIdentical(results[2], reference[1]);
     expectIdentical(results[3], reference[2]);
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridRunner, TransientFailureRetriesThenSucceeds)
-{
-    GridSpec spec = resumeSpec("transient");
-    const auto cells = spec.enumerate();
-    const std::string flaky_key = configKey(cells[2]);
-
-    std::atomic<bool> thrown{false};
-    GridTiming timing;
-    std::vector<ExperimentResult> results;
-    {
-        HookGuard guard([&](const ExperimentConfig &config) {
-            if (configKey(config) == flaky_key &&
-                !thrown.exchange(true)) {
-                throw std::runtime_error("transient fault");
-            }
-        });
-        results = GridRunner(2, fastRetryPolicy(2))
-                      .run(cells, &timing);
-    }
-
-    EXPECT_TRUE(timing.failures.empty());
-    EXPECT_TRUE(thrown.load());
-    EXPECT_EQ(timing.cellsComputed, cells.size());
-
-    // The retried cell's result is the deterministic one.
-    GridSpec ref = spec;
-    ref.cacheDir.clear();
-    const auto reference = GridRunner(1).run(ref.enumerate());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        expectIdentical(results[i], reference[i]);
-    fs::remove_all(spec.sandboxDir);
-}
-
-TEST(GridRunner, WatchdogCancelsHungCellAndQuarantinesIt)
-{
-    GridSpec spec = resumeSpec("watchdog");
-    const auto cells = spec.enumerate();
-    const std::string hung_key = configKey(cells[0]);
-
-    GridPolicy policy = fastRetryPolicy();
-    policy.cellTimeoutSeconds = 0.2;
-
-    GridTiming timing;
-    std::vector<ExperimentResult> results;
-    {
-        // The hung cell spins until the watchdog raises its cancel
-        // token — runExperiment's own poll then throws CellCancelled.
-        HookGuard guard([&](const ExperimentConfig &config) {
-            if (configKey(config) != hung_key)
-                return;
-            while (!(config.cancel &&
-                     config.cancel->load(std::memory_order_relaxed))) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-        });
-        results = GridRunner(2, policy)
-                      .run(cells, &timing);
-    }
-
-    ASSERT_EQ(timing.failures.size(), 1u);
-    const CellFailure &failure = timing.failures.front();
-    EXPECT_EQ(failure.key, hung_key);
-    EXPECT_TRUE(failure.timedOut);
-    EXPECT_EQ(failure.attempts, 2);
-    EXPECT_NE(failure.lastError.find("watchdog timeout"),
-              std::string::npos);
-    EXPECT_EQ(results[0].mean.total(), 0.0);
-    EXPECT_EQ(timing.cellsComputed, cells.size() - 1);
     fs::remove_all(spec.sandboxDir);
 }
 
@@ -437,9 +358,9 @@ TEST(GridRunner, CrashedGridResumesByteIdenticalWithZeroRecompute)
 TEST(GridRunner, MissingCellFileWithThrowingRecomputeIsQuarantined)
 {
     // A finished cell whose .cell file vanished before the rerun
-    // recomputes inside the guarded attempt loop: a throwing recompute
-    // is retried and quarantined like any poison cell and never
-    // escapes run() (with --jobs > 1 it would terminate the process).
+    // recomputes: a throwing recompute is quarantined after one
+    // attempt like any poison cell and never escapes run() (with
+    // --jobs > 1 it would terminate the process).
     GridSpec spec = resumeSpec("missing-cell-file");
     const auto cells = spec.enumerate();
     GridRunner(1).run(cells);
@@ -447,31 +368,20 @@ TEST(GridRunner, MissingCellFileWithThrowingRecomputeIsQuarantined)
     ASSERT_TRUE(fs::remove(spec.cacheDir + "/" + lost_key + ".cell"));
 
     GridTiming timing;
+    int lost_calls = 0;
     {
         HookGuard guard([&](const ExperimentConfig &config) {
-            if (configKey(config) == lost_key)
+            if (configKey(config) == lost_key) {
+                ++lost_calls;
                 throw std::runtime_error("poison recompute");
+            }
         });
-        EXPECT_NO_THROW(
-            GridRunner(1, fastRetryPolicy()).run(cells, &timing));
+        EXPECT_NO_THROW(GridRunner(1).run(cells, &timing));
     }
+    EXPECT_EQ(lost_calls, 1);
     ASSERT_EQ(timing.failures.size(), 1u);
     EXPECT_EQ(timing.failures.front().key, lost_key);
-    EXPECT_EQ(timing.failures.front().attempts, 2);
     EXPECT_EQ(timing.failures.front().lastError, "poison recompute");
     EXPECT_EQ(timing.cellsFromCache, cells.size() - 1);
     fs::remove_all(spec.sandboxDir);
-}
-
-TEST(ConfigKey, CancelTokenIsWallClockOnly)
-{
-    // The watchdog's cancel token must never perturb the cache key:
-    // a cancelled-and-retried cell replays/recomputes the exact cell.
-    ExperimentConfig plain;
-    ExperimentConfig cancellable = plain;
-    std::atomic<bool> token{false};
-    cancellable.cancel = &token;
-    EXPECT_EQ(configKey(plain), configKey(cancellable));
-    token.store(true);
-    EXPECT_EQ(configKey(plain), configKey(cancellable));
 }

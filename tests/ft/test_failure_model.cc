@@ -12,6 +12,7 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/ft/failure_model.hh"
@@ -250,6 +251,20 @@ TEST(FailureModelDeath, TraceParserRejectsMalformedLines)
                 ::testing::ExitedWithCode(1), "trailing 'extra'");
     EXPECT_EXIT(parseTrace("3 -1 crash\n"),
                 ::testing::ExitedWithCode(1), "negative");
+}
+
+TEST(FailureModelDeath, TraceParserRejectsLinesThatAreNotEvents)
+{
+    // A line with any token left after the '#' strip is an event or a
+    // fatal error, never a silently skipped blank line.
+    for (const char *garbage : {"crash 3 5", "99999999999 1 crash", "x",
+                                "-- 2 crash", "3 99999999999 crash"}) {
+        EXPECT_EXIT(parseTrace(std::string("3 1 crash\n") + garbage +
+                               "  # comment\n"),
+                    ::testing::ExitedWithCode(1),
+                    "failure trace line 2: want 'iteration rank kind'")
+            << garbage;
+    }
 }
 
 TEST(FailureModelDeath, TraceRankOutOfRangeIsFatalAtGeneration)

@@ -245,6 +245,23 @@ TEST(FaultTrace, ParserSkipsCommentsAndBlankLines)
     EXPECT_EQ(windows[1].kind, FaultKind::Enospc);
 }
 
+TEST(FaultTraceDeathTest, ParserRejectsLinesThatAreNotWindows)
+{
+    // A line with any token left after the '#' strip is a window or a
+    // fatal error, never a silently skipped blank line.
+    for (const char *garbage :
+         {"pfs 1 2 write 2", "99999999999 3 local read 1", "x",
+          "-- 2 pfs write 2", "1 99999999999 local read 1"}) {
+        EXPECT_EXIT(storage::parseFaultTrace(
+                        std::string("1 2 pfs write 2\n") + garbage +
+                        "  # comment\n"),
+                    ::testing::ExitedWithCode(1),
+                    "storage-fault trace line 2: want 'firstEpoch "
+                    "lastEpoch class kind strikes'")
+            << garbage;
+    }
+}
+
 TEST(FaultBackend, ClassifiesPathsByPfsSegmentAndPrefix)
 {
     auto backend = faulty({});
