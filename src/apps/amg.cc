@@ -209,6 +209,8 @@ amgMain(Proc &proc, const fti::FtiConfig &fti_config,
     std::vector<double> ghost_lo(halo_buf.size()),
         ghost_hi(halo_buf.size());
 
+    // Price-only runs skip the V-cycle and residual norm (AppParams).
+    const bool kernels = params.runKernels();
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.cycles, [&](int) {
         // Fine-level halo exchange with z-neighbors.
@@ -217,17 +219,19 @@ amgMain(Proc &proc, const fti::FtiConfig &fti_config,
                        halo_buf.size() * sizeof(double), halo_virt);
 
         // V-cycle: pre-smooth, restrict, ..., coarse solve, prolong back.
-        for (std::size_t l = 0; l + 1 < levels.size(); ++l) {
-            smooth(levels[l], 2);
-            residual(levels[l]);
-            restrictTo(levels[l], levels[l + 1]);
-            std::fill(levels[l + 1].u.begin(), levels[l + 1].u.end(),
-                      0.0);
-        }
-        smooth(levels.back(), 8); // coarse solve
-        for (std::size_t l = levels.size() - 1; l-- > 0;) {
-            prolongAdd(levels[l], levels[l + 1]);
-            smooth(levels[l], 2);
+        if (kernels) {
+            for (std::size_t l = 0; l + 1 < levels.size(); ++l) {
+                smooth(levels[l], 2);
+                residual(levels[l]);
+                restrictTo(levels[l], levels[l + 1]);
+                std::fill(levels[l + 1].u.begin(),
+                          levels[l + 1].u.end(), 0.0);
+            }
+            smooth(levels.back(), 8); // coarse solve
+            for (std::size_t l = levels.size() - 1; l-- > 0;) {
+                prolongAdd(levels[l], levels[l + 1]);
+                smooth(levels[l], 2);
+            }
         }
 
         // Fine-level work at Table-I scale plus the serialized
@@ -236,10 +240,12 @@ amgMain(Proc &proc, const fti::FtiConfig &fti_config,
         proc.sleepFor(coarseSecondsPerProc * size);
 
         // Residual norm: one allreduce per cycle.
-        residual(fine);
         double local = 0.0;
-        for (double v : fine.tmp)
-            local += v * v;
+        if (kernels) {
+            residual(fine);
+            for (double v : fine.tmp)
+                local += v * v;
+        }
         norm = std::sqrt(proc.allreduce(local));
     });
 

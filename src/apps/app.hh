@@ -43,6 +43,16 @@ struct AppParams
     /** Optional per-global-rank final-result sink (tests compare runs
      *  with and without failures through it). Sized nprocs by caller. */
     std::vector<double> *finals = nullptr;
+    /** Run the numeric kernels. False runs the app price-only: the
+     *  same halo exchanges, allreduces, compute pricing, protected
+     *  regions and checkpoints, without the loops that change the
+     *  protected values. Sound only when checkpoint bytes cannot reach
+     *  a result (core::checkpointBytesMatter). A non-null `finals`
+     *  always runs the kernels. */
+    bool kernels = true;
+
+    /** Whether this run executes the numeric kernels. */
+    bool runKernels() const { return kernels || finals != nullptr; }
 };
 
 /** Descriptor of one proxy application. */

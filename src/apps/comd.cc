@@ -191,6 +191,8 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
 
     const double dt = 1e-3;
     detail::LjNeighbourList neighbours;
+    // Price-only runs skip the forces and Verlet update (AppParams).
+    const bool kernels = params.runKernels();
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.steps, [&](int) {
         // Exchange boundary atom positions with the z neighbors.
@@ -205,23 +207,27 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
 
         // Lennard-Jones forces with a cutoff (a neighbour list on the
         // small real set; the Table-I-scale force loop is priced below).
-        const double pot = neighbours.forces(px.data(), py.data(),
-                                             pz.data(), fx.data(),
-                                             fy.data(), fz.data(), n);
+        const double pot =
+            kernels ? neighbours.forces(px.data(), py.data(), pz.data(),
+                                        fx.data(), fy.data(), fz.data(),
+                                        n)
+                    : 0.0;
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 
         // Velocity-Verlet update (forces treated as constant over dt).
         double kin = 0.0;
-        for (int i = 0; i < n; ++i) {
-            vx[i] += dt * fx[i];
-            vy[i] += dt * fy[i];
-            vz[i] += dt * fz[i];
-            px[i] += dt * vx[i];
-            py[i] += dt * vy[i];
-            pz[i] += dt * vz[i];
-            kin += 0.5 * (vx[i] * vx[i] + vy[i] * vy[i] +
-                          vz[i] * vz[i]);
+        if (kernels) {
+            for (int i = 0; i < n; ++i) {
+                vx[i] += dt * fx[i];
+                vy[i] += dt * fy[i];
+                vz[i] += dt * fz[i];
+                px[i] += dt * vx[i];
+                py[i] += dt * vy[i];
+                pz[i] += dt * vz[i];
+                kin += 0.5 * (vx[i] * vx[i] + vy[i] * vy[i] +
+                              vz[i] * vz[i]);
+            }
         }
         // Global energy: one allreduce per step (CoMD prints it).
         energy = proc.allreduce(pot + kin);

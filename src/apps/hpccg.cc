@@ -177,6 +177,8 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
         baseSecondsPerIter[static_cast<int>(params.input)] *
         proc.runtime().costModel().params().computeFlops;
 
+    // Price-only runs skip the SpMV and vector updates (AppParams).
+    const bool kernels = params.runKernels();
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.maxIterations, [&](int) {
         // Halo exchange of the search direction's boundary planes.
@@ -187,7 +189,7 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
                        static_cast<std::size_t>(real_bytes_halo),
                        static_cast<std::size_t>(virt_bytes_halo));
 
-        const double local_pap = spmvDot(cg);
+        const double local_pap = kernels ? spmvDot(cg) : 0.0;
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 
@@ -196,13 +198,16 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
         // budget (keeps re-executed iterations NaN-free).
         const double alpha = pap != 0.0 ? cg.rtrans / pap : 0.0;
         const double local_rr =
-            updateXr(cg.interior(cg.x), cg.r.data(), cg.interior(cg.p),
-                     cg.ap.data(), cg.rows(), alpha);
+            kernels ? updateXr(cg.interior(cg.x), cg.r.data(),
+                               cg.interior(cg.p), cg.ap.data(), cg.rows(),
+                               alpha)
+                    : 0.0;
         const double old_rtrans = cg.rtrans;
         cg.rtrans = proc.allreduce(local_rr);
         const double beta =
             old_rtrans != 0.0 ? cg.rtrans / old_rtrans : 0.0;
-        updateP(cg.interior(cg.p), cg.r.data(), cg.rows(), beta);
+        if (kernels)
+            updateP(cg.interior(cg.p), cg.r.data(), cg.rows(), beta);
     });
 
     fti.finalize();

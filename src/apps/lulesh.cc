@@ -101,6 +101,8 @@ luleshMain(Proc &proc, const fti::FtiConfig &fti_config,
     const std::size_t face = static_cast<std::size_t>(ne) * ne;
     std::vector<double> ghost_lo(face, 0.0), ghost_hi(face, 0.0);
 
+    // Price-only runs skip the element loop and dt scan (AppParams).
+    const bool kernels = params.runKernels();
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, simIterations, [&](int) {
         // Exchange boundary pressure faces with z neighbors.
@@ -110,19 +112,21 @@ luleshMain(Proc &proc, const fti::FtiConfig &fti_config,
 
         // Lagrange leapfrog (volume work + EOS), simplified: pressure
         // from an ideal-gas EOS, energy advected by local divergence.
-        for (std::size_t i = 0; i < elems; ++i) {
-            const double c = 1e-4;
-            double div = -6.0 * p[i];
-            if (i > 0) div += p[i - 1];
-            if (i + 1 < elems) div += p[i + 1];
-            if (i >= face) div += p[i - face];
-            if (i + face < elems) div += p[i + face];
-            div += (i < face ? ghost_lo[i] : 0.0);
-            div += (i + face >= elems ? ghost_hi[i % face] : 0.0);
-            vdov[i] = c * div;
-            e[i] = std::max(0.0, e[i] + dt * vdov[i]);
-            p[i] = (2.0 / 3.0) * e[i]; // gamma-law EOS, rho ~ 1
-            q[i] = std::max(0.0, -vdov[i]) * 1e-2;
+        if (kernels) {
+            for (std::size_t i = 0; i < elems; ++i) {
+                const double c = 1e-4;
+                double div = -6.0 * p[i];
+                if (i > 0) div += p[i - 1];
+                if (i + 1 < elems) div += p[i + 1];
+                if (i >= face) div += p[i - face];
+                if (i + face < elems) div += p[i + face];
+                div += (i < face ? ghost_lo[i] : 0.0);
+                div += (i + face >= elems ? ghost_hi[i % face] : 0.0);
+                vdov[i] = c * div;
+                e[i] = std::max(0.0, e[i] + dt * vdov[i]);
+                p[i] = (2.0 / 3.0) * e[i]; // gamma-law EOS, rho ~ 1
+                q[i] = std::max(0.0, -vdov[i]) * 1e-2;
+            }
         }
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size * steps_per_sim_iter);
@@ -130,9 +134,11 @@ luleshMain(Proc &proc, const fti::FtiConfig &fti_config,
         // Courant/hydro constraint: the global minimum-dt reduction that
         // every LULESH timestep performs.
         double local_dt = 1e-2;
-        for (std::size_t i = 0; i < elems; ++i) {
-            const double speed = std::sqrt(p[i] + q[i]) + 1e-9;
-            local_dt = std::min(local_dt, 0.1 / speed);
+        if (kernels) {
+            for (std::size_t i = 0; i < elems; ++i) {
+                const double speed = std::sqrt(p[i] + q[i]) + 1e-9;
+                local_dt = std::min(local_dt, 0.1 / speed);
+            }
         }
         dt = proc.allreduce(local_dt, ReduceOp::Min);
         time += dt * steps_per_sim_iter;

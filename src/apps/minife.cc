@@ -102,6 +102,8 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
     const std::size_t halo_virt =
         static_cast<std::size_t>(cfg.nx) * cfg.ny * sizeof(double);
 
+    // Price-only runs skip the SpMV and vector updates (AppParams).
+    const bool kernels = params.runKernels();
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.maxIterations, [&](int) {
         // Boundary-row exchange with the z neighbors.
@@ -109,30 +111,32 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
         halo_hi = p.back();
         exchangeHalo1d(proc, &halo_lo, &halo_hi, &ghost_lo, &ghost_hi,
                        sizeof(double), halo_virt);
-        // ap = A p with neighbor coupling at the slab ends, which the
-        // first and last rows take through the ghosts; p.Ap is summed
-        // in row order on the way.
-        const int last = real_rows - 1;
-        double sum = diag * p[0];
-        if (rank > 0)
-            sum -= ghost_lo;
-        if (last > 0)
-            sum -= p[1];
-        else if (rank < size - 1)
-            sum -= ghost_hi;
-        ap[0] = sum;
         double local_pap = 0.0; // +0.0 first: a -0.0 term must not lead
-        local_pap += p[0] * sum;
-        for (int i = 1; i < last; ++i) {
-            ap[i] = diag * p[i] - p[i - 1] - p[i + 1];
-            local_pap += p[i] * ap[i];
-        }
-        if (last > 0) {
-            sum = diag * p[last] - p[last - 1];
-            if (rank < size - 1)
+        if (kernels) {
+            // ap = A p with neighbor coupling at the slab ends, which
+            // the first and last rows take through the ghosts; p.Ap is
+            // summed in row order on the way.
+            const int last = real_rows - 1;
+            double sum = diag * p[0];
+            if (rank > 0)
+                sum -= ghost_lo;
+            if (last > 0)
+                sum -= p[1];
+            else if (rank < size - 1)
                 sum -= ghost_hi;
-            ap[last] = sum;
-            local_pap += p[last] * sum;
+            ap[0] = sum;
+            local_pap += p[0] * sum;
+            for (int i = 1; i < last; ++i) {
+                ap[i] = diag * p[i] - p[i - 1] - p[i + 1];
+                local_pap += p[i] * ap[i];
+            }
+            if (last > 0) {
+                sum = diag * p[last] - p[last - 1];
+                if (rank < size - 1)
+                    sum -= ghost_hi;
+                ap[last] = sum;
+                local_pap += p[last] * sum;
+            }
         }
         proc.compute(model_flops_base);
         proc.sleepFor(jitterSecondsPerProc * size);
@@ -140,17 +144,21 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
         const double pap = proc.allreduce(local_pap);
         const double alpha = pap != 0.0 ? rtrans / pap : 0.0;
         double local_rr = 0.0;
-        for (int i = 0; i < real_rows; ++i) {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-            local_rr += r[i] * r[i];
+        if (kernels) {
+            for (int i = 0; i < real_rows; ++i) {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+                local_rr += r[i] * r[i];
+            }
         }
         const double old_rtrans = rtrans;
         rtrans = proc.allreduce(local_rr);
         const double beta =
             old_rtrans != 0.0 ? rtrans / old_rtrans : 0.0;
-        for (int i = 0; i < real_rows; ++i)
-            p[i] = r[i] + beta * p[i];
+        if (kernels) {
+            for (int i = 0; i < real_rows; ++i)
+                p[i] = r[i] + beta * p[i];
+        }
     });
 
     fti.finalize();

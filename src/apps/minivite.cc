@@ -111,43 +111,48 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
 
     std::vector<std::int32_t> next(n), nbr_comm(degree);
 
+    // Price-only runs skip the Louvain pass, its copy back and the
+    // modularity count (AppParams).
+    const bool kernels = params.runKernels();
     // The paper's checkpoint stride of 10 applies to miniVite's short
     // phase loop too (one checkpoint mid-run).
     ft::CheckpointLoop loop(proc, fti, params.ckptStride);
     loop.run(&iter, cfg.maxPhases, [&](int) {
-        // Local Louvain pass: move each vertex to the most frequent
-        // community among its neighbours (greedy modularity proxy).
-        for (int v = 0; v < n; ++v) {
-            // Gather the neighbours' communities once, then count them
-            // with a small linear scan (degree is tiny). Each community
-            // is counted at its first occurrence only: a repeat has the
-            // same count and cannot change the choice below.
-            const int deg = first[v + 1] - first[v];
-            for (int k = 0; k < deg; ++k)
-                nbr_comm[k] = community[adj[first[v] + k]];
-            int best = community[v];
-            int best_count = 0;
-            for (int k = 0; k < deg; ++k) {
-                const std::int32_t c = nbr_comm[k];
-                bool repeat = false;
-                for (int m = 0; m < k; ++m)
-                    repeat |= (nbr_comm[m] == c);
-                if (repeat)
-                    continue;
-                int count = 1;
-                for (int m = k + 1; m < deg; ++m)
-                    count += (nbr_comm[m] == c);
-                if (count > best_count ||
-                    (count == best_count && c < best)) {
-                    best_count = count;
-                    best = c;
+        if (kernels) {
+            // Local Louvain pass: move each vertex to the most frequent
+            // community among its neighbours (greedy modularity proxy).
+            for (int v = 0; v < n; ++v) {
+                // Gather the neighbours' communities once, then count them
+                // with a small linear scan (degree is tiny). Each community
+                // is counted at its first occurrence only: a repeat has the
+                // same count and cannot change the choice below.
+                const int deg = first[v + 1] - first[v];
+                for (int k = 0; k < deg; ++k)
+                    nbr_comm[k] = community[adj[first[v] + k]];
+                int best = community[v];
+                int best_count = 0;
+                for (int k = 0; k < deg; ++k) {
+                    const std::int32_t c = nbr_comm[k];
+                    bool repeat = false;
+                    for (int m = 0; m < k; ++m)
+                        repeat |= (nbr_comm[m] == c);
+                    if (repeat)
+                        continue;
+                    int count = 1;
+                    for (int m = k + 1; m < deg; ++m)
+                        count += (nbr_comm[m] == c);
+                    if (count > best_count ||
+                        (count == best_count && c < best)) {
+                        best_count = count;
+                        best = c;
+                    }
                 }
+                next[v] = best;
             }
-            next[v] = best;
+            // Copy, never swap: FTI's protected region 1 points at
+            // community's buffer, which a swap would hand to `next` to free.
+            std::copy(next.begin(), next.end(), community.begin());
         }
-        // Copy, never swap: FTI's protected region 1 points at
-        // community's buffer, which a swap would hand to `next` to free.
-        std::copy(next.begin(), next.end(), community.begin());
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 
@@ -156,10 +161,12 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
 
         // Global modularity proxy: fraction of edges inside communities.
         long local_in = 0, local_all = 0;
-        for (int v = 0; v < n; ++v) {
-            for (int k = first[v]; k < first[v + 1]; ++k) {
-                ++local_all;
-                local_in += (community[adj[k]] == community[v]);
+        if (kernels) {
+            for (int v = 0; v < n; ++v) {
+                for (int k = first[v]; k < first[v + 1]; ++k) {
+                    ++local_all;
+                    local_in += (community[adj[k]] == community[v]);
+                }
             }
         }
         const double in = static_cast<double>(

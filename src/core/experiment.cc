@@ -253,6 +253,7 @@ appParamsFor(const ExperimentConfig &config)
     params.input = config.input;
     params.nprocs = config.nprocs;
     params.ckptStride = config.ckptStride;
+    params.kernels = checkpointBytesMatter(config);
     return params;
 }
 
@@ -297,6 +298,16 @@ failureScheduleFor(const ExperimentConfig &config, util::Rng &rng)
     if (events.empty())
         events.push_back({0, 0, ft::FailureKind::Crash});
     return events;
+}
+
+bool
+checkpointBytesMatter(const ExperimentConfig &config)
+{
+    return config.transform != storage::TransformKind::None ||
+           config.sdcChecks || config.storageFaultWindows != 0 ||
+           (config.injectFailure &&
+            (config.corruptFraction > 0.0 ||
+             config.failureModel == ft::FailureModelKind::Trace));
 }
 
 std::uint64_t

@@ -231,6 +231,18 @@ std::vector<ft::FailureEvent> failureScheduleFor(
     const ExperimentConfig &config, util::Rng &rng);
 
 /**
+ * Can the checkpoint *bytes* of `config` reach a result? Every app
+ * prices compute from a per-input constant, runs a fixed iteration
+ * count and sends data-independent message sizes, so its numeric
+ * kernels reach virtual time only through the bytes it checkpoints.
+ * Those matter only under a transform, CRC votes (sdcChecks), storage
+ * faults, or injected corrupt events (a corrupt fraction or a trace).
+ * False makes runExperiment run the apps price-only
+ * (AppParams::kernels). Every input is a configKey() axis.
+ */
+bool checkpointBytesMatter(const ExperimentConfig &config);
+
+/**
  * Scaling sizes of an app restricted by Table I (LULESH runs on cube
  * process counts only).
  */

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "src/apps/amg.hh"
@@ -23,6 +24,10 @@
 #include "src/apps/minife.hh"
 #include "src/apps/minivite.hh"
 #include "src/ft/design.hh"
+#include "src/ft/failure_model.hh"
+#include "src/storage/backend.hh"
+#include "src/storage/blob.hh"
+#include "src/storage/drain.hh"
 #include "src/util/rng.hh"
 
 namespace fs = std::filesystem;
@@ -51,12 +56,14 @@ appRunConfig(const std::string &app, Design design, bool inject,
 }
 
 std::vector<double>
-runApp(const std::string &app, Design design, bool inject, int procs = 8)
+runApp(const std::string &app, Design design, bool inject, int procs = 8,
+       bool kernels = true)
 {
     const AppSpec &spec = findApp(app);
     AppParams params;
     params.input = InputSize::Small;
     params.nprocs = procs;
+    params.kernels = kernels;
     std::vector<double> finals(procs, 0.0);
     params.finals = &finals;
     // Fail roughly mid-loop (after at least one checkpoint at stride 10).
@@ -248,12 +255,16 @@ TEST(AppNumerics, MiniviteModularityImproves)
     }
 }
 
-TEST(AppNumerics, FinalsPinnedBitForBit)
+namespace
 {
-    // The kernels are rewritten for speed only under one rule: every
-    // floating-point operation runs in the same order, so each app's
-    // answer at p8 is pinned to the bit. A change here is a result
-    // change: it needs a kResultFormatVersion bump and new pins.
+
+/** The kernels are rewritten for speed only under one rule: every
+ *  floating-point operation runs in the same order, so each app's
+ *  answer at p8 is pinned to the bit. A change here is a result
+ *  change: it needs a kResultFormatVersion bump and new pins. */
+void
+expectFinalsPinned(bool kernels)
+{
     const std::pair<const char *, std::uint64_t> pins[] = {
         {"AMG", 0x833bb15b785ef483ULL},
         {"CoMD", 0x4dad21999ed483c3ULL},
@@ -265,8 +276,23 @@ TEST(AppNumerics, FinalsPinnedBitForBit)
     for (const auto &[app, pin] : pins)
         for (Design design :
              {Design::RestartFti, Design::ReinitFti, Design::UlfmFti})
-            EXPECT_EQ(finalsHash(runApp(app, design, false)), pin)
+            EXPECT_EQ(finalsHash(runApp(app, design, false, 8, kernels)),
+                      pin)
                 << app << " under " << ft::designName(design);
+}
+
+} // namespace
+
+TEST(AppNumerics, FinalsPinnedBitForBit)
+{
+    expectFinalsPinned(true);
+}
+
+TEST(AppNumerics, FinalsPinnedBitForBitWhenPriceOnlyIsRequested)
+{
+    // A finals sink always runs the real kernels: an answer is never
+    // read from a price-only run.
+    expectFinalsPinned(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -522,3 +548,208 @@ INSTANTIATE_TEST_SUITE_P(
                                               std::get<1>(info.param)))
                                   .find('-'));
     });
+
+// ---------------------------------------------------------------------------
+// Price-only runs: without the kernels, only checkpoint bytes change
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * A MemBackend that counts the FTI metadata records written to it. A
+ * record prints each rank's CRC32C in decimal, so its length follows
+ * the checkpoint contents; every other stored byte count follows only
+ * the protected sizes.
+ */
+class MetaCountingBackend final : public storage::Backend
+{
+  public:
+    std::uint64_t metaWrites = 0;
+    std::uint64_t metaBytes = 0;
+
+    storage::Kind kind() const override { return inner_->kind(); }
+    storage::Blob
+    read(const std::string &path) const override
+    {
+        return inner_->read(path);
+    }
+    void
+    write(const std::string &path, storage::Blob blob) override
+    {
+        count(path, blob);
+        inner_->write(path, std::move(blob));
+    }
+    void
+    writeAtomic(const std::string &path, storage::Blob blob) override
+    {
+        count(path, blob);
+        inner_->writeAtomic(path, std::move(blob));
+    }
+    bool
+    exists(const std::string &path) const override
+    {
+        return inner_->exists(path);
+    }
+    bool
+    size(const std::string &path, std::size_t &bytes) const override
+    {
+        return inner_->size(path, bytes);
+    }
+    bool
+    copy(const std::string &src, const std::string &dst) override
+    {
+        count(dst, inner_->read(src));
+        return inner_->copy(src, dst);
+    }
+    void remove(const std::string &path) override { inner_->remove(path); }
+    void
+    removeTree(const std::string &dir) override
+    {
+        inner_->removeTree(dir);
+    }
+    std::vector<std::string>
+    listDir(const std::string &dir) const override
+    {
+        return inner_->listDir(dir);
+    }
+
+  private:
+    void
+    count(const std::string &path, const storage::Blob &blob)
+    {
+        const std::string suffix = ".meta";
+        if (path.size() >= suffix.size() &&
+            path.compare(path.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+            ++metaWrites;
+            metaBytes += blob.size();
+        }
+    }
+
+    std::shared_ptr<storage::Backend> inner_ =
+        storage::makeBackend(storage::Kind::Mem);
+};
+
+/** What a run leaves outside its checkpoint contents: the breakdown,
+ *  the data bytes it stored (metadata records apart) and shipped, and
+ *  how many metadata records it wrote. */
+struct PricedRun
+{
+    ft::Breakdown breakdown;
+    std::uint64_t dataBytesStored = 0;
+    std::uint64_t metaWrites = 0;
+    std::uint64_t shippedBytes = 0;
+};
+
+/** One L4 run on a fresh MemBackend, so both the local writes and the
+ *  drained PFS flushes are counted. */
+PricedRun
+runPriced(const std::string &app, Design design,
+          const std::vector<ft::FailureEvent> &events, bool kernels,
+          int procs)
+{
+    const AppSpec &spec = findApp(app);
+    AppParams params;
+    params.input = InputSize::Small;
+    params.nprocs = procs;
+    params.kernels = kernels;
+    ft::DesignRunConfig cfg = appRunConfig(app, design, false, 0, procs);
+    cfg.failureEvents = events;
+    cfg.ftiConfig.defaultLevel = 4;
+    const auto backend = std::make_shared<MetaCountingBackend>();
+    cfg.ftiConfig.backend = backend;
+    const std::uint64_t stored0 =
+        storage::BlobPool::globalStats().bytesStored;
+    const std::uint64_t shipped0 = storage::drainGlobalShippedBytes();
+    PricedRun run;
+    run.breakdown = ft::runDesign(cfg, [&](simmpi::Proc &proc,
+                                           const fti::FtiConfig &fcfg) {
+        spec.main(proc, fcfg, params);
+    });
+    run.dataBytesStored = storage::BlobPool::globalStats().bytesStored -
+                          stored0 - backend->metaBytes;
+    run.metaWrites = backend->metaWrites;
+    run.shippedBytes = storage::drainGlobalShippedBytes() - shipped0;
+    return run;
+}
+
+/** The three failure scenarios of the matrix: none, the paper's one
+ *  crash mid-loop, and an `independent` schedule of mean 2. */
+std::vector<std::pair<const char *, std::vector<ft::FailureEvent>>>
+priceScenarios(const std::string &app, int procs)
+{
+    AppParams params;
+    params.nprocs = procs;
+    const int iters = findApp(app).loopIterations(params);
+    ft::FailureModelConfig fm;
+    fm.kind = ft::FailureModelKind::IndependentExp;
+    fm.meanFailures = 2.0;
+    util::Rng rng(2027);
+    std::vector<ft::FailureEvent> independent =
+        ft::generateSchedule(fm, procs, iters, rng);
+    EXPECT_FALSE(independent.empty());
+    return {{"failure-free", {}},
+            {"one crash", {{std::max(2, iters * 3 / 5), procs / 2}}},
+            {"independent", std::move(independent)}};
+}
+
+void
+expectPriceOnlyMatchesKernels(const std::string &app, Design design,
+                              int procs)
+{
+    for (const auto &[scenario, events] : priceScenarios(app, procs)) {
+        const PricedRun full = runPriced(app, design, events, true, procs);
+        const PricedRun priced =
+            runPriced(app, design, events, false, procs);
+        const ft::Breakdown &a = full.breakdown;
+        const ft::Breakdown &b = priced.breakdown;
+        const std::string where = app + " under " +
+                                  ft::designName(design) + ", " +
+                                  scenario + ", p" + std::to_string(procs);
+        EXPECT_TRUE(sameBits(a.application, b.application)) << where;
+        EXPECT_TRUE(sameBits(a.ckptWrite, b.ckptWrite)) << where;
+        EXPECT_TRUE(sameBits(a.ckptRead, b.ckptRead)) << where;
+        EXPECT_TRUE(sameBits(a.recovery, b.recovery)) << where;
+        EXPECT_EQ(a.attempts, b.attempts) << where;
+        EXPECT_EQ(a.recoveries, b.recoveries) << where;
+        EXPECT_EQ(a.failureFired, b.failureFired) << where;
+        EXPECT_EQ(full.dataBytesStored, priced.dataBytesStored) << where;
+        EXPECT_EQ(full.metaWrites, priced.metaWrites) << where;
+        EXPECT_GT(full.metaWrites, 0u) << where;
+        EXPECT_EQ(full.shippedBytes, priced.shippedBytes) << where;
+        EXPECT_GT(full.shippedBytes, 0u) << where;
+        EXPECT_EQ(a.failureFired, !events.empty()) << where;
+    }
+}
+
+} // namespace
+
+class PriceOnlyMatrix
+    : public ::testing::TestWithParam<std::tuple<std::string, Design>>
+{
+};
+
+TEST_P(PriceOnlyMatrix, SkippingKernelsLeavesTheBreakdownBitIdentical)
+{
+    const auto [app, design] = GetParam();
+    expectPriceOnlyMatchesKernels(app, design, 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAppsAllDesigns, PriceOnlyMatrix,
+    ::testing::Combine(::testing::Values("AMG", "CoMD", "HPCCG", "LULESH",
+                                         "miniFE", "miniVite"),
+                       ::testing::Values(Design::RestartFti,
+                                         Design::ReinitFti,
+                                         Design::UlfmFti)),
+    [](const auto &info) {
+        const std::string design = ft::designName(std::get<1>(info.param));
+        return std::get<0>(info.param) + "_" +
+               design.substr(0, design.find('-'));
+    });
+
+TEST(PriceOnly, P64HpccgMatchesKernels)
+{
+    expectPriceOnlyMatchesKernels("HPCCG", Design::ReinitFti, 64);
+}

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/experiment.hh"
 #include "src/storage/drain.hh"
@@ -564,18 +565,24 @@ TEST(Experiment, FailureScheduleDrawsNothingWithoutInjection)
     EXPECT_EQ(rng.next(), untouched.next());
 }
 
-TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
+namespace
 {
-    // One row per ExperimentConfig field (the static_assert next to
-    // configKey() fails the build when a field is added without a
-    // decision here). Element-level rows (two traces differing in one
-    // member) check that list contents are hashed, not just sizes.
-    struct Field
-    {
-        const char *name;
-        void (*mutate)(ExperimentConfig &config);
-    };
-    const Field keyed[] = {
+
+/** One ExperimentConfig field and a change to it. */
+struct Field
+{
+    const char *name;
+    void (*mutate)(ExperimentConfig &config);
+};
+
+/** One row per result field of ExperimentConfig (the static_assert
+ *  next to configKey() fails the build when a field is added without a
+ *  decision here). Element-level rows (two traces differing in one
+ *  member) check that list contents are hashed, not just sizes. */
+const std::vector<Field> &
+keyedFields()
+{
+    static const std::vector<Field> keyed = {
         {"app", [](ExperimentConfig &c) { c.app = "HPCCG"; }},
         {"input", [](ExperimentConfig &c) { c.input = InputSize::Medium; }},
         {"nprocs", [](ExperimentConfig &c) { c.nprocs = 16; }},
@@ -636,6 +643,13 @@ TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
          [](ExperimentConfig &c) { c.costParams.computeFlops *= 2.0; }},
         {"noiseSigma", [](ExperimentConfig &c) { c.noiseSigma = 0.02; }},
     };
+    return keyed;
+}
+
+} // namespace
+
+TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
+{
     const Field wall_clock[] = {
         {"storage",
          [](ExperimentConfig &c) { c.storage = storage::Kind::Disk; }},
@@ -649,7 +663,7 @@ TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
 
     const ExperimentConfig base = smallConfig(Design::ReinitFti, true);
     std::set<std::string> keys{configKey(base)};
-    for (const Field &field : keyed) {
+    for (const Field &field : keyedFields()) {
         ExperimentConfig changed = base;
         field.mutate(changed);
         EXPECT_TRUE(keys.insert(configKey(changed)).second)
@@ -660,6 +674,68 @@ TEST(Experiment, ConfigKeyCoversEveryResultFieldAndNoWallClockField)
         field.mutate(changed);
         EXPECT_EQ(configKey(changed), configKey(base))
             << field.name << " is wall-clock only but moves the key";
+    }
+}
+
+TEST(Experiment, CheckpointBytesMatterOnlyOnBytesReachingAxes)
+{
+    // The ff-scaling shape (L1, no transform, no checks, no faults)
+    // prices checkpoints by their size alone: its apps run price-only.
+    ExperimentConfig base;
+    base.injectFailure = false;
+    EXPECT_FALSE(checkpointBytesMatter(base));
+    // Injected crashes with neither corrupt events nor a trace only
+    // restore state: still price-only.
+    ExperimentConfig crash = base;
+    crash.injectFailure = true;
+    crash.failureModel = ft::FailureModelKind::IndependentExp;
+    EXPECT_FALSE(checkpointBytesMatter(crash));
+    // Corrupt events need injection to fire.
+    ExperimentConfig idle_corrupt = base;
+    idle_corrupt.corruptFraction = 0.5;
+    EXPECT_FALSE(checkpointBytesMatter(idle_corrupt));
+
+    // Each axis on its own turns the kernels back on, and each is a
+    // configKey() field of the coverage test above.
+    const Field reaching[] = {
+        {"transform",
+         [](ExperimentConfig &c) {
+             c.transform = storage::TransformKind::Delta;
+         }},
+        {"transform",
+         [](ExperimentConfig &c) {
+             c.transform = storage::TransformKind::Compress;
+         }},
+        {"transform",
+         [](ExperimentConfig &c) {
+             c.transform = storage::TransformKind::DeltaCompress;
+         }},
+        {"sdcChecks", [](ExperimentConfig &c) { c.sdcChecks = true; }},
+        {"storageFaultWindows",
+         [](ExperimentConfig &c) { c.storageFaultWindows = 2; }},
+        {"corruptFraction",
+         [](ExperimentConfig &c) {
+             c.injectFailure = true;
+             c.failureModel = ft::FailureModelKind::IndependentExp;
+             c.corruptFraction = 0.25;
+         }},
+        {"failureModel",
+         [](ExperimentConfig &c) {
+             c.injectFailure = true;
+             c.failureModel = ft::FailureModelKind::Trace;
+             c.traceEvents = {{3, 1, ft::FailureKind::Crash}};
+         }},
+    };
+    for (const Field &axis : reaching) {
+        ExperimentConfig changed = base;
+        axis.mutate(changed);
+        EXPECT_TRUE(checkpointBytesMatter(changed)) << axis.name;
+        EXPECT_NE(configKey(changed), configKey(base)) << axis.name;
+        EXPECT_TRUE(std::any_of(keyedFields().begin(), keyedFields().end(),
+                                [&](const Field &f) {
+                                    return std::string(f.name) == axis.name;
+                                }))
+            << axis.name << " is not a configKey() coverage row";
     }
 }
 
