@@ -23,7 +23,7 @@ namespace
 {
 /** Heap allocations observed process-wide; the messaging and collective
  *  rows report an allocsPerEvent counter over their steady-state window
- *  (expected 0 — the perf guard fails the build otherwise). */
+ *  (see SteadyTotals). */
 std::atomic<std::uint64_t> g_allocs{0};
 
 std::uint64_t
@@ -142,25 +142,94 @@ BM_FiberSwitch(benchmark::State &state)
 }
 BENCHMARK(BM_FiberSwitch);
 
+/**
+ * One job's steady-state window: opened by the first rank to finish
+ * warming up, closed by the first rank to leave its loop. A finishing
+ * fiber returns to the scheduler by design, so the window must end
+ * before any fiber does; warm-up fills the pools (fiber stacks,
+ * payloads, message rings, the ready queue).
+ */
+class SteadyWindow
+{
+  public:
+    explicit SteadyWindow(const Runtime &runtime) : runtime_(runtime) {}
+
+    void
+    open()
+    {
+        if (opened_)
+            return;
+        opened_ = true;
+        allocs_ = allocCount();
+        trips_ = runtime_.schedulerTrips();
+    }
+
+    void
+    close()
+    {
+        if (closed_)
+            return;
+        closed_ = true;
+        allocs_ = allocCount() - allocs_;
+        trips_ = runtime_.schedulerTrips() - trips_;
+    }
+
+    std::uint64_t allocs() const { return allocs_; }
+    std::uint64_t trips() const { return trips_; }
+
+  private:
+    const Runtime &runtime_;
+    bool opened_ = false;
+    bool closed_ = false;
+    std::uint64_t allocs_ = 0;
+    std::uint64_t trips_ = 0;
+};
+
+/** Steady-state counters summed over a row's jobs. allocsPerEvent and
+ *  schedulerTripsPerEvent are expected to be 0 (heap allocations;
+ *  returns to the scheduler, which direct handoff avoids) — the perf
+ *  guard fails the build otherwise. */
+struct SteadyTotals
+{
+    std::uint64_t allocs = 0;
+    std::uint64_t trips = 0;
+    std::uint64_t events = 0;
+
+    void
+    add(const SteadyWindow &window, std::uint64_t window_events)
+    {
+        allocs += window.allocs();
+        trips += window.trips();
+        events += window_events;
+    }
+
+    void
+    report(benchmark::State &state) const
+    {
+        const double n = events ? static_cast<double>(events) : 1.0;
+        state.counters["allocsPerEvent"] =
+            benchmark::Counter(static_cast<double>(allocs) / n);
+        state.counters["schedulerTripsPerEvent"] =
+            benchmark::Counter(static_cast<double>(trips) / n);
+    }
+};
+
 void
 BM_PingPong(benchmark::State &state)
 {
     const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-    // Steady-state allocation audit: the first iterations of each job
-    // warm the pools (fiber stacks, payloads, message rings); the rest
-    // must not touch the heap at all.
     constexpr int kIters = 100, kWarmup = 10;
-    std::uint64_t steady_allocs = 0, steady_msgs = 0;
+    SteadyTotals totals;
     for (auto _ : state) {
         Runtime runtime;
+        SteadyWindow window(runtime);
         JobOptions opts;
         opts.nprocs = 2;
         runtime.run(opts, [&](Proc &proc) {
             std::vector<std::uint8_t> buf(bytes, 1);
-            std::uint64_t before = 0;
             for (int i = 0; i < kIters; ++i) {
-                if (i == kWarmup && proc.rank() == 0)
-                    before = allocCount();
+                if (i == kWarmup)
+                    window.open();
                 if (proc.rank() == 0) {
                     proc.send(1, 0, buf.data(), buf.size());
                     proc.recv(1, 1, buf.data(), buf.size());
@@ -169,57 +238,65 @@ BM_PingPong(benchmark::State &state)
                     proc.send(0, 1, buf.data(), buf.size());
                 }
             }
-            // By rank 0's last recv both ranks have sent everything:
-            // the delta covers the whole steady window of both fibers.
-            if (proc.rank() == 0) {
-                steady_allocs += allocCount() - before;
-                steady_msgs += 2 * (kIters - kWarmup);
-            }
+            // Rank 1 leaves first, after its last send: both ranks
+            // have moved every steady-state message by then.
+            window.close();
         });
+        totals.add(window, 2 * (kIters - kWarmup));
     }
     state.SetItemsProcessed(state.iterations() * 2 * kIters);
-    state.counters["allocsPerEvent"] = benchmark::Counter(
-        steady_msgs ? static_cast<double>(steady_allocs) /
-                          static_cast<double>(steady_msgs)
-                    : 0.0);
+    totals.report(state);
 }
 BENCHMARK(BM_PingPong)->Arg(8)->Arg(1 << 10)->Arg(64 << 10);
 
+/** Allreduce loop over state.range(0) ranks. Skewed ranks sleep a
+ *  rank- and iteration-dependent time before each allreduce, so they
+ *  arrive (and are woken) out of rank order: the ready queue's heap
+ *  side instead of its sorted run. */
 void
-BM_Allreduce(benchmark::State &state)
+allreduceLoop(benchmark::State &state, bool skewed)
 {
     const int procs = static_cast<int>(state.range(0));
     constexpr int kIters = 20, kWarmup = 4;
-    std::uint64_t steady_allocs = 0, steady_colls = 0;
+    SteadyTotals totals;
     for (auto _ : state) {
         Runtime runtime;
+        SteadyWindow window(runtime);
         JobOptions opts;
         opts.nprocs = procs;
         runtime.run(opts, [&](Proc &proc) {
             double acc = proc.rank();
-            std::uint64_t before = 0;
             for (int i = 0; i < kIters; ++i) {
-                // Rank 0 enters the allreduce first and leaves it last
-                // in the cooperative schedule, so its window brackets
-                // every rank's steady-state collectives.
-                if (i == kWarmup && proc.rank() == 0)
-                    before = allocCount();
+                if (i == kWarmup)
+                    window.open();
+                if (skewed)
+                    proc.sleepFor(1e-6 * ((proc.rank() * 7 + i) % 13));
                 acc = proc.allreduce(acc) / procs;
             }
             benchmark::DoNotOptimize(acc);
-            if (proc.rank() == 0) {
-                steady_allocs += allocCount() - before;
-                steady_colls += kIters - kWarmup;
-            }
+            // The first rank out left the last allreduce: every rank
+            // has joined every steady-state collective.
+            window.close();
         });
+        totals.add(window, kIters - kWarmup);
     }
     state.SetItemsProcessed(state.iterations() * kIters * procs);
-    state.counters["allocsPerEvent"] = benchmark::Counter(
-        steady_colls ? static_cast<double>(steady_allocs) /
-                           static_cast<double>(steady_colls)
-                     : 0.0);
+    totals.report(state);
+}
+
+void
+BM_Allreduce(benchmark::State &state)
+{
+    allreduceLoop(state, false);
 }
 BENCHMARK(BM_Allreduce)->Arg(8)->Arg(64)->Arg(512);
+
+void
+BM_AllreduceSkewed(benchmark::State &state)
+{
+    allreduceLoop(state, true);
+}
+BENCHMARK(BM_AllreduceSkewed)->Arg(512);
 
 void
 BM_JobSpinUp(benchmark::State &state)

@@ -14,8 +14,9 @@ the snapshots under bench/baseline/:
    every BM_RsEncode row (the encode MB/s trajectory).
  - BENCH_micro_runtime.json (google-benchmark format): items_per_second
    of the fiber/messaging/collective rows, plus a hard zero check on
-   every allocsPerEvent counter — the runtime hot path's allocation-free
-   contract is pass/fail, not a ratio.
+   every allocsPerEvent and schedulerTripsPerEvent counter — the runtime
+   hot path's allocation-free, scheduler-free contracts are pass/fail,
+   not ratios.
 
 The figure grids' wall clock is not guarded here: perfbench
 (BENCHMARK.json) times them on one host with interleaved runs.
@@ -113,25 +114,33 @@ def runtime_metrics(record):
     return metrics
 
 
-def alloc_contract_failures(record):
-    """The hot path's allocation-free contract: every allocsPerEvent
+# Runtime micro-bench counters that must be exactly zero: steady-state
+# heap allocations per event (the hot path is allocation-free), and
+# returns to the scheduler per event (a blocking rank hands off straight
+# to the next runnable one).
+ZERO_COUNTERS = ("allocsPerEvent", "schedulerTripsPerEvent")
+
+
+def zero_contract_failures(record):
+    """The runtime hot path's pass/fail contracts: every ZERO_COUNTERS
     counter in the runtime micro-bench must be exactly zero."""
     failures = []
-    for bench in record.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        allocs = bench.get("allocsPerEvent")
-        if allocs is None:
-            continue
-        name = bench.get("name", "")
-        if allocs > 0:
-            print("  ! allocsPerEvent[%-42s %g (must be 0)"
-                  % (name + "]", allocs))
-            failures.append("BENCH_micro_runtime.json: %s allocates "
-                            "%g times per event (contract: 0)"
-                            % (name, allocs))
-        else:
-            print("  + allocsPerEvent[%-42s 0" % (name + "]"))
+    for counter in ZERO_COUNTERS:
+        for bench in record.get("benchmarks", []):
+            if bench.get("run_type") == "aggregate":
+                continue
+            value = bench.get(counter)
+            if value is None:
+                continue
+            name = bench.get("name", "")
+            label = "%s[%s]" % (counter, name)
+            if value > 0:
+                print("  ! %-55s %g (must be 0)" % (label, value))
+                failures.append("BENCH_micro_runtime.json: %s is %g per "
+                                "event (contract: 0)"
+                                % (label, value))
+            else:
+                print("  + %-55s 0" % label)
     return failures
 
 
@@ -186,7 +195,7 @@ def main():
         failures += compare(name, extract(load(base_path)),
                             extract(cur_record))
         if name == "BENCH_micro_runtime.json":
-            failures += alloc_contract_failures(cur_record)
+            failures += zero_contract_failures(cur_record)
         compared += 1
 
     cur_path = os.path.join(args.current, FAILURE_ABLATION)

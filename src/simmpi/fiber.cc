@@ -37,7 +37,7 @@
 // which unpoisons "the current stack" and misreads a fiber's heap-
 // allocated stack as an overflow without these annotations. Each
 // switch is bracketed by start (naming the target stack) and finish
-// (on arrival, recording the stack just left); compiled in only under
+// (on arrival, reporting the stack just left); compiled in only under
 // -fsanitize=address (the CI ASan+UBSan lane).
 #if defined(__SANITIZE_ADDRESS__)
 #define MATCH_ASAN_FIBERS 1
@@ -70,9 +70,35 @@ namespace
 thread_local Fiber *currentFiber = nullptr;
 
 /// This thread's scheduler stack, as ASan reported it on the last switch
-/// into a fiber (unused without ASan).
+/// from the scheduler into a fiber (unused without ASan).
 thread_local const void *schedulerStackBottom = nullptr;
 thread_local std::size_t schedulerStackSize = 0;
+
+#ifdef MATCH_ASAN_FIBERS
+/// Whether the switch in flight left the scheduler's stack (resume) or
+/// a fiber's (switchTo): only the former may be recorded as the
+/// scheduler stack.
+thread_local bool switchFromScheduler = false;
+#endif
+
+/// Finish the ASan switch on arrival at a fiber stack, recording the
+/// stack just left when it was the scheduler's. No stack local has its
+/// address taken here: a frame that never returns (the trampoline's)
+/// would leave ASan redzones poisoned on a stack the pool recycles.
+inline void
+arriveOnFiber(void *fake_stack)
+{
+#ifdef MATCH_ASAN_FIBERS
+    if (switchFromScheduler) {
+        MATCH_ASAN_FINISH_SWITCH(fake_stack, &schedulerStackBottom,
+                                 &schedulerStackSize);
+    } else {
+        MATCH_ASAN_FINISH_SWITCH(fake_stack, nullptr, nullptr);
+    }
+#else
+    (void)fake_stack;
+#endif
+}
 
 } // anonymous namespace
 
@@ -205,9 +231,8 @@ Fiber::~Fiber()
 void
 Fiber::trampoline()
 {
-    // First arrival on this stack: remember the scheduler's.
-    MATCH_ASAN_FINISH_SWITCH(nullptr, &schedulerStackBottom,
-                             &schedulerStackSize);
+    // First arrival on this stack, from the scheduler or a fiber.
+    arriveOnFiber(nullptr);
     try {
         body_();
     } catch (const FiberUnwind &) {
@@ -243,9 +268,39 @@ Fiber::resume()
     void *scheduler_fake_stack = nullptr;
     MATCH_ASAN_START_SWITCH(&scheduler_fake_stack, stack_.data.get(),
                             stack_.size);
+#ifdef MATCH_ASAN_FIBERS
+    switchFromScheduler = true;
+#endif
     matchCtxSwap(&schedulerSp_, sp_);
+    // Back from whichever fiber ended the chain of switchTo() calls.
     MATCH_ASAN_FINISH_SWITCH(scheduler_fake_stack, nullptr, nullptr);
     currentFiber = nullptr;
+}
+
+void
+Fiber::switchTo(Fiber &next)
+{
+    MATCH_ASSERT(currentFiber == this,
+                 "switchTo() must be called from inside the fiber");
+    MATCH_ASSERT(next.state_ == State::Runnable, "fiber not runnable");
+    // Hand on the way back to the scheduler: whichever fiber ends this
+    // chain returns to the stack (and TSAN context) that called resume().
+    next.schedulerSp_ = schedulerSp_;
+    next.tsanParent_ = tsanParent_;
+    currentFiber = &next;
+    if (!next.started_) {
+        next.started_ = true;
+        next.initStack();
+    }
+    MATCH_TSAN_SWITCH_TO_FIBER(next.tsanFiber_);
+    void *fake_stack = nullptr; // parked on this fiber's own stack
+    MATCH_ASAN_START_SWITCH(&fake_stack, next.stack_.data.get(),
+                            next.stack_.size);
+#ifdef MATCH_ASAN_FIBERS
+    switchFromScheduler = false;
+#endif
+    matchCtxSwap(&sp_, next.sp_);
+    arriveOnFiber(fake_stack);
 }
 
 void
@@ -258,8 +313,7 @@ Fiber::yield()
     MATCH_ASAN_START_SWITCH(&fake_stack, schedulerStackBottom,
                             schedulerStackSize);
     matchCtxSwap(&sp_, schedulerSp_);
-    MATCH_ASAN_FINISH_SWITCH(fake_stack, &schedulerStackBottom,
-                             &schedulerStackSize);
+    arriveOnFiber(fake_stack);
 }
 
 } // namespace match::simmpi

@@ -2,10 +2,13 @@
  * @file
  * Cooperative user-level fibers on a hand-rolled x86-64 stack switch.
  *
- * Each simulated MPI rank runs on its own fiber. The single-threaded
- * scheduler resumes exactly one fiber at a time; fibers return control by
- * yielding. Exceptions never propagate across a context switch: the entry
- * trampoline catches everything and records the outcome.
+ * Each simulated MPI rank runs on its own fiber, and exactly one fiber
+ * runs at a time. The single-threaded scheduler resumes a fiber; a
+ * fiber that blocks hands control straight to the next one with
+ * switchTo(), and control returns to the scheduler only when a fiber
+ * yields or finishes. Exceptions never propagate across a context
+ * switch: the entry trampoline catches everything and records the
+ * outcome.
  *
  * The switch exchanges only the callee-saved integer registers and the
  * stack pointer (no signal mask, unlike ucontext), because a 512-rank
@@ -42,9 +45,10 @@ struct FiberStack
  * pool is intentionally dumb — a LIFO of retired stacks, reused when
  * large enough — because every stack in a Runtime is the same size.
  *
- * Not thread-safe: a pool belongs to one Runtime, and all fiber
- * creation/destruction for a Runtime happens on its scheduler thread.
- * The pool must outlive every Fiber constructed against it.
+ * Not thread-safe: the runtime keeps one pool per thread (thread_local),
+ * shared by every Runtime on that thread, and a Runtime creates and
+ * destroys all its fibers on the thread it runs on. The pool must
+ * outlive every Fiber constructed against it.
  */
 class FiberStackPool
 {
@@ -97,10 +101,21 @@ class Fiber
     Fiber &operator=(const Fiber &) = delete;
 
     /**
-     * Switch from the scheduler into this fiber until it yields or
-     * finishes. Must only be called from scheduler context.
+     * Switch from the scheduler into this fiber. Returns when this
+     * fiber, or the last fiber of a chain of switchTo() calls begun
+     * here, yields or finishes. Must only be called from scheduler
+     * context.
      */
     void resume();
+
+    /**
+     * Switch from this fiber straight into `next` (Runnable, started or
+     * not), without passing through the scheduler. The way back to the
+     * scheduler is handed on, so when `next` or a fiber it switches to
+     * in turn yields or finishes, the scheduler's resume() returns.
+     * Must only be called from inside this fiber's own body.
+     */
+    void switchTo(Fiber &next);
 
     /**
      * Switch from this fiber back to the scheduler. Must only be called
@@ -130,13 +145,16 @@ class Fiber
     FiberStack stack_;
     FiberStackPool *pool_ = nullptr; ///< recycle target, may be null
     void *sp_ = nullptr;          ///< fiber stack pointer when parked
-    void *schedulerSp_ = nullptr; ///< scheduler stack pointer while running
+    /** Scheduler stack pointer while running: saved by resume(),
+     *  handed on by switchTo(). */
+    void *schedulerSp_ = nullptr;
     State state_ = State::Runnable;
     bool started_ = false;
     void *userData_ = nullptr;    ///< fiber-local storage
     /** ThreadSanitizer fiber contexts (null without TSAN): the raw
      *  stack switch must be announced to TSAN or its shadow-stack and
-     *  happens-before machinery misfire on every yield. */
+     *  happens-before machinery misfire on every switch. The parent is
+     *  the scheduler's context, handed on like schedulerSp_. */
     void *tsanFiber_ = nullptr;
     void *tsanParent_ = nullptr;
 };

@@ -46,6 +46,20 @@ Runtime::MessageRing::popAt(std::size_t i)
 }
 
 // ---------------------------------------------------------------------------
+// ReadyQueue
+// ---------------------------------------------------------------------------
+
+void
+ReadyQueue::growRun()
+{
+    std::vector<Entry> bigger(run_.empty() ? 8 : run_.size() * 2);
+    for (std::size_t i = 0; i < runCount_; ++i)
+        bigger[i] = runAt(i);
+    run_ = std::move(bigger);
+    runHead_ = 0;
+}
+
+// ---------------------------------------------------------------------------
 // Job setup and the scheduler
 // ---------------------------------------------------------------------------
 
@@ -105,6 +119,7 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
     ranks_.clear();
     ranks_.resize(options.nprocs);
     ready_.clear();
+    running_ = -1;
     liveRanks_ = options.nprocs;
     for (int g = 0; g < options.nprocs; ++g) {
         RankState &rs = ranks_[g];
@@ -139,23 +154,19 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
 void
 Runtime::pushReady(int g)
 {
-    ready_.emplace_back(ranks_[g].clock, g);
-    std::push_heap(ready_.begin(), ready_.end(), std::greater<>());
+    ready_.push(ranks_[g].clock, g);
 }
 
 int
 Runtime::popReady()
 {
-    const int g = ready_.front().second;
-    if (ready_.size() == 1) {
-        // Single-runnable fast path: during compute phases most events
-        // leave exactly one rank runnable, so skip the sift-down.
-        ready_.clear();
-        return g;
+    while (!ready_.empty()) {
+        const int g = ready_.pop();
+        if (ranks_[g].fiber->state() == Fiber::State::Runnable)
+            return g;
+        // Stale entry (defensive; should not occur): skip it.
     }
-    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>());
-    ready_.pop_back();
-    return g;
+    return -1;
 }
 
 namespace
@@ -192,7 +203,8 @@ void
 Runtime::scheduleLoop()
 {
     while (liveRanks_ > 0) {
-        if (ready_.empty()) {
+        const int next = popReady();
+        if (next < 0) {
             for (const auto &rs : ranks_) {
                 util::warn("rank %d: state=%d blocked=%d failed=%d t=%.6f",
                            rs.globalIndex,
@@ -202,11 +214,14 @@ Runtime::scheduleLoop()
             }
             util::panic("simmpi scheduler deadlock: no runnable rank");
         }
-        const int g = popReady();
+        running_ = next;
+        ranks_[next].fiber->resume();
+        ++schedulerTrips_;
+        // Control came back from the fiber that ended the chain of
+        // direct handoffs begun at `next`: it finished, or it blocked
+        // with no other rank runnable.
+        const int g = running_;
         RankState &rs = ranks_[g];
-        if (rs.fiber->state() != Fiber::State::Runnable)
-            continue; // stale entry (defensive; should not occur)
-        rs.fiber->resume();
         if (rs.fiber->state() == Fiber::State::Runnable)
             pushReady(g); // defensive: a voluntary yield re-queues
         if (rs.fiber->finished()) {
@@ -256,7 +271,16 @@ Runtime::block(int g, BlockReason reason)
     RankState &rs = ranks_[g];
     rs.blockReason = reason;
     rs.fiber->setState(Fiber::State::Blocked);
-    rs.fiber->yield();
+    // Direct handoff: switch straight into the rank the scheduler would
+    // resume next, one context switch instead of two. With none
+    // runnable, return to the scheduler, which reports the deadlock.
+    const int next = popReady();
+    if (next >= 0) {
+        running_ = next;
+        rs.fiber->switchTo(*ranks_[next].fiber);
+    } else {
+        rs.fiber->yield();
+    }
     rs.blockReason = BlockReason::None;
 }
 

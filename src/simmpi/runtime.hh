@@ -21,6 +21,7 @@
 #ifndef MATCH_SIMMPI_RUNTIME_HH
 #define MATCH_SIMMPI_RUNTIME_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -116,13 +117,88 @@ struct JobResult
 };
 
 /**
+ * The DES ready queue: runnable ranks popped in ascending (clock, rank)
+ * order. A sorted FIFO run takes every push whose key exceeds the run's
+ * tail; any other push goes to a fallback binary heap. pop() returns the
+ * smaller of the run's head and the heap's top. Keys are a strict total
+ * order (rank breaks clock ties), so the pop order is exactly that of
+ * one binary heap holding every key. A collective's wake burst (members
+ * woken in rank order, mostly at equal clocks) becomes ring appends and
+ * O(1) pops instead of a push_heap/pop_heap per member.
+ *
+ * Both containers keep their capacity across clear(), so the steady
+ * state never allocates.
+ */
+class ReadyQueue
+{
+  public:
+    bool empty() const { return runCount_ == 0 && heap_.empty(); }
+
+    void
+    push(SimTime clock, int g)
+    {
+        const Entry key{clock, g};
+        if (runCount_ == 0 || runAt(runCount_ - 1) < key) {
+            if (runCount_ == run_.size())
+                growRun();
+            runAt(runCount_) = key;
+            ++runCount_;
+        } else {
+            heap_.push_back(key);
+            std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        }
+    }
+
+    /** Remove and return the rank with the smallest key; the queue must
+     *  not be empty. */
+    int
+    pop()
+    {
+        if (runCount_ != 0 && (heap_.empty() || runAt(0) < heap_.front())) {
+            const int g = runAt(0).second;
+            runHead_ = (runHead_ + 1) & (run_.size() - 1);
+            --runCount_;
+            return g;
+        }
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+        const int g = heap_.back().second;
+        heap_.pop_back();
+        return g;
+    }
+
+    void
+    clear()
+    {
+        runHead_ = 0;
+        runCount_ = 0;
+        heap_.clear();
+    }
+
+  private:
+    using Entry = std::pair<SimTime, int>;
+
+    Entry &
+    runAt(std::size_t i)
+    {
+        return run_[(runHead_ + i) & (run_.size() - 1)];
+    }
+
+    void growRun();
+
+    std::vector<Entry> run_; ///< power-of-two ring, sorted ascending
+    std::size_t runHead_ = 0;
+    std::size_t runCount_ = 0;
+    std::vector<Entry> heap_; ///< min-heap under std::greater
+};
+
+/**
  * The simulated MPI runtime. One Runtime instance simulates one job
  * (possibly with online ULFM/Reinit recoveries inside it); the launcher
  * creates fresh instances for Restart-style re-deployments.
  *
  * Hot-path memory discipline: every per-event structure (message
  * payloads, mailboxes, collective ops, nonblocking requests, the ready
- * heap, fiber stacks) is pooled or capacity-preserving, so the steady
+ * queue, fiber stacks) is pooled or capacity-preserving, so the steady
  * state of the event loop performs zero heap allocations per simulated
  * message or collective (asserted by tests/simmpi/test_runtime_alloc.cc
  * and published by bench_micro_runtime). Pooling is a wall-clock
@@ -228,6 +304,12 @@ class Runtime
 
     /** Number of failures observed so far in this job. */
     int failureCount() const { return failureCount_; }
+
+    /** Times control returned to the scheduler over this Runtime's
+     *  life: once per finished fiber, plus any block with no other
+     *  rank runnable. Blocking ranks hand off directly, so a steady
+     *  event loop adds none. Wall-clock instrumentation only. */
+    std::uint64_t schedulerTrips() const { return schedulerTrips_; }
 
   private:
     struct Message
@@ -500,7 +582,8 @@ class Runtime
     void buildResult(JobResult &result) const;
     /** Enqueue a runnable fiber with its current clock as priority. */
     void pushReady(int g);
-    /** Dequeue the runnable fiber with the smallest (clock, rank). */
+    /** Dequeue the runnable fiber with the smallest (clock, rank), or
+     *  -1 when none is runnable. */
     int popReady();
     /** Create a fresh fiber incarnation for rank g (stack recycled). */
     std::unique_ptr<Fiber> spawnFiber(int g);
@@ -596,17 +679,18 @@ class Runtime
     std::vector<int> freeCollSlots_;
     RepairOp repairOp_;
     std::function<void(int)> fiberBody_;
-    /** Min-heap of (clock-at-enqueue, rank): the DES ready queue. A
-     *  runnable fiber's clock cannot change before it is resumed, so
-     *  enqueue-time priorities are exact; rank index breaks ties. Kept
-     *  as a raw vector heap (same push_heap/pop_heap discipline as
-     *  std::priority_queue, so event order is unchanged) so it can be
-     *  cleared without deallocating and short-circuited when a single
-     *  rank is runnable — the common case in compute phases. */
-    std::vector<std::pair<SimTime, int>> ready_;
+    /** Runnable ranks keyed by (clock-at-enqueue, rank). A runnable
+     *  fiber's clock cannot change before it is resumed, so enqueue-time
+     *  priorities are exact; rank index breaks ties. */
+    ReadyQueue ready_;
+    /** The rank whose fiber runs now, or last ran. Control comes back
+     *  to the scheduler from the end of a chain of direct handoffs,
+     *  not necessarily from the rank it resumed. */
+    int running_ = -1;
     /** Fibers not yet Finished: replaces the O(P) per-event scan the
      *  scheduler used to make to decide whether the job is done. */
     int liveRanks_ = 0;
+    std::uint64_t schedulerTrips_ = 0;
 
     bool jobAborting_ = false;
     SimTime abortTime_ = 0.0;

@@ -277,3 +277,28 @@ TEST(RuntimeComm, LargeRankCountSmoke)
     });
     EXPECT_GT(result.makespan, 0.0);
 }
+
+TEST(RuntimeScheduler, ReturnsToSchedulerOncePerFinishedFiber)
+{
+    // A blocking rank hands off straight to the next runnable one, so
+    // the scheduler is re-entered only when a fiber finishes: once per
+    // rank per job, however many messages and collectives ran and in
+    // whatever order the ranks arrived.
+    constexpr int kProcs = 16;
+    Runtime rt;
+    auto body = [&](Proc &proc) {
+        const int me = proc.rank();
+        for (int i = 0; i < 20; ++i) {
+            proc.sleepFor(1e-6 * ((me * 5 + i) % 7));
+            double token = me;
+            proc.send((me + 1) % kProcs, 0, &token, sizeof(token));
+            proc.recv((me + kProcs - 1) % kProcs, 0, &token, sizeof(token));
+            EXPECT_DOUBLE_EQ(proc.allreduce(token),
+                             kProcs * (kProcs - 1) / 2.0);
+        }
+    };
+    rt.run(options(kProcs), body);
+    EXPECT_EQ(rt.schedulerTrips(), static_cast<std::uint64_t>(kProcs));
+    rt.run(options(kProcs), body);
+    EXPECT_EQ(rt.schedulerTrips(), static_cast<std::uint64_t>(2 * kProcs));
+}
