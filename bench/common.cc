@@ -168,19 +168,6 @@ const Flag kFlags[] = {
              f, v, {storage::Kind::Mem, storage::Kind::Disk},
              storage::kindName);
      }},
-    {"--drain", "sync|async", "PFS drain execution (default async: "
-                              "flush I/O overlaps compute; output "
-                              "identical)",
-     [](Opt &o, const Flag &f, const char *v) {
-         o.spec.drain = choiceFlag(
-             f, v, {storage::DrainMode::Sync, storage::DrainMode::Async},
-             storage::drainModeName);
-     }},
-    {"--drain-depth", "N", "burst-buffer queue bound, 0 = unbounded "
-                           "(default 4; wall-clock only)",
-     [](Opt &o, const Flag &f, const char *v) {
-         o.spec.drainDepth = intFlag(f, v, 0);
-     }},
     {"--drain-capacity", "BYTES", "burst-buffer capacity; flushes "
                                   "stall (priced) when staged bytes "
                                   "exceed it (default 0 = unbounded)",

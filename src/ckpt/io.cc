@@ -5,12 +5,9 @@ namespace match::ckpt
 
 CkptIo::CkptIo(simmpi::Proc &proc,
                const std::shared_ptr<storage::Backend> &backend,
-               std::shared_ptr<storage::DrainWorker> drain,
                double virtualFactor, storage::TransformKind transform)
     : proc_(proc), store_(storage::resolve(backend)),
       faults_(dynamic_cast<storage::FaultInjectingBackend *>(&store_)),
-      drain_(drain ? std::move(drain)
-                   : std::make_shared<storage::DrainWorker>()),
       virtualFactor_(virtualFactor),
       compress_(storage::transformHasCompress(transform))
 {}
@@ -82,7 +79,7 @@ void
 CkptIo::reserve(std::uint64_t bytes, std::uint64_t capacity)
 {
     const double stall = channel_.reserve(
-        *drain_, proc_.now(), bytes, capacity,
+        proc_.now(), bytes, capacity,
         [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
                double factor) {
             return price(shipped, in_bytes, procs, factor);
@@ -95,7 +92,7 @@ void
 CkptIo::barrier()
 {
     const double wait = channel_.resolve(
-        *drain_, proc_.now(),
+        proc_.now(),
         [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
                double factor) {
             return price(shipped, in_bytes, procs, factor);

@@ -5,14 +5,14 @@
  *
  * A CkptIo is per-rank client state: the resolved backend, the fault
  * engine behind it (found once), the rank's fault epoch, the priced
- * retry policy, the drain worker and the rank's virtual drain channel
- * with its one price. What differs by design stays in each library:
- * the storage-fault pre-flight queries, the degrade decisions and the
- * flush bodies.
+ * retry policy, the inline flush path and the rank's virtual drain
+ * channel with its one price. What differs by design stays in each
+ * library: the storage-fault pre-flight queries, the degrade decisions
+ * and the flush bodies.
  *
  * Determinism: the decorator's per-actor strike counters make every
  * attempt count a pure function of the fault plan, so priced retries
- * are independent of --jobs, backend and drain scheduling.
+ * are independent of --jobs and backend.
  */
 
 #ifndef MATCH_CKPT_IO_HH
@@ -38,8 +38,6 @@ class CkptIo
   public:
     /**
      * @param backend the config's backend (null: the shared DiskBackend)
-     * @param drain the config's drain worker (null: a private sync
-     *        worker, so flushes complete inline at enqueue)
      * @param virtualFactor multiplier from shipped wall bytes to the
      *        virtual bytes the drain channel prices
      * @param transform the config's transform; a compress stage adds
@@ -47,7 +45,6 @@ class CkptIo
      */
     CkptIo(simmpi::Proc &proc,
            const std::shared_ptr<storage::Backend> &backend,
-           std::shared_ptr<storage::DrainWorker> drain,
            double virtualFactor, storage::TransformKind transform);
 
     storage::Backend &store() const { return store_; }
@@ -55,8 +52,6 @@ class CkptIo
     /** The fault engine when the backend is a FaultInjectingBackend,
      *  else null (the fast path: no plan queries, no retry pricing). */
     storage::FaultInjectingBackend *faults() const { return faults_; }
-
-    storage::DrainWorker &drain() const { return *drain_; }
 
     /** This rank's virtual drain channel (admit, stamp). */
     storage::DrainChannel &channel() { return channel_; }
@@ -110,46 +105,39 @@ class CkptIo
     /// @}
 
     /**
-     * Admit a flush job to the drain. `body(retryLimit)` performs the
-     * flush and returns the bytes it shipped; it runs on the drain
-     * thread, possibly after this instance died, so it must own what
-     * it touches. The job binds the enqueue-time `epoch` with `actor`
-     * (so injection is the same for any drain scheduling) and reruns
-     * the body up to the retry budget on StorageError — wall-clock
-     * only: the enqueuing rank prices the plan's transient strikes
+     * Run one flush inline and return the bytes it shipped (the caller
+     * admits them to channel()). `body(retryLimit)` performs the flush
+     * and returns those bytes. The flush binds `epoch` with `actor`
+     * and reruns the body up to the retry budget on StorageError —
+     * unpriced: the flushing rank prices the plan's transient strikes
      * itself. A permanently failed flush ships nothing.
      */
     template <typename Body>
-    storage::DrainWorker::Ticket
-    enqueue(int epoch, int actor, Body body, std::size_t wallBytes = 0)
+    std::uint64_t
+    flush(int epoch, int actor, Body &&body)
     {
-        return drain_->enqueue(
-            [faults = faults_, epoch, actor, limit = retryLimit(),
-             body = std::move(body)]() -> std::uint64_t {
-                storage::FaultEpochScope scope(faults, epoch, actor);
-                for (int attempt = 0;; ++attempt) {
-                    try {
-                        return body(limit);
-                    } catch (const storage::StorageError &) {
-                        if (attempt >= limit) {
-                            storage::noteFailedFlush();
-                            return 0;
-                        }
+        const int limit = retryLimit();
+        return storage::runFlush([&]() -> std::uint64_t {
+            storage::FaultEpochScope scope(faults_, epoch, actor);
+            for (int attempt = 0;; ++attempt) {
+                try {
+                    return body(limit);
+                } catch (const storage::StorageError &) {
+                    if (attempt >= limit) {
+                        storage::noteFailedFlush();
+                        return 0;
                     }
                 }
-            },
-            wallBytes);
+            }
+        });
     }
 
     /** Virtual burst-buffer capacity pressure: sleep until `bytes`
      *  more fit under `capacity` (0 = unbounded, no stall). */
     void reserve(std::uint64_t bytes, std::uint64_t capacity);
 
-    /**
-     * Quiesce point: wall-block until the drain ran every admitted
-     * job, fold this rank's pending flushes into the channel, and
-     * sleep until the channel's virtual completion.
-     */
+    /** Quiesce point: fold this rank's pending flushes into the
+     *  channel and sleep until its virtual completion. */
     void barrier();
 
   private:
@@ -162,7 +150,6 @@ class CkptIo
     simmpi::Proc &proc_;
     storage::Backend &store_;
     storage::FaultInjectingBackend *faults_ = nullptr;
-    std::shared_ptr<storage::DrainWorker> drain_;
     double virtualFactor_ = 1.0;
     bool compress_ = false;
     int epoch_ = 0;

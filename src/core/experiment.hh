@@ -58,9 +58,9 @@ struct ExperimentConfig
      *  (the default) leaves the backend undecorated — bit-identical to
      *  a build without the engine. Non-zero draws that many per-run
      *  fault windows from a dedicated RNG stream of cellSeed(), so
-     *  schedules are bit-identical across --jobs counts, storage
-     *  backends and drain modes. All of these axes change virtual
-     *  results and are part of configKey(). */
+     *  schedules are bit-identical across --jobs counts and storage
+     *  backends. All of these axes change virtual results and are part
+     *  of configKey(). */
     int storageFaultWindows = 0;
     /** Probability a drawn window targets the PFS path class. */
     double storageFaultPfsBias = 0.75;
@@ -84,8 +84,7 @@ struct ExperimentConfig
      *  sdcChecks; FtiConfig::scrubStride). */
     int scrubStride = 0;
     /** Virtual burst-buffer capacity for staged L4 flushes; 0 is
-     *  unbounded (FtiConfig::drainCapacityBytes). Also bounds the wall
-     *  worker's staged bytes. */
+     *  unbounded (FtiConfig::drainCapacityBytes). */
     std::size_t drainCapacityBytes = 0;
 
     /** Checkpoint data-reduction chain (FtiConfig::transform): delta
@@ -115,18 +114,12 @@ struct ExperimentConfig
      *  tests), so the kind is excluded from configKey(). */
     storage::Kind storage = storage::Kind::Mem;
 
-    /** Wall-clock execution mode of the PFS drain (L4 flushes, SCR
-     *  flush-to-prefix). Async (the default) overlaps the flush I/O
-     *  with the simulation on a background worker; Sync replays every
-     *  flush inline at enqueue. Results are bit-identical either way
-     *  and for any queue depth (locked in by tests) — virtual-time
-     *  drain accounting is deterministic — so, like the storage kind,
-     *  both fields are excluded from configKey(). */
-    storage::DrainMode drain = storage::DrainMode::Async;
-
-    /** Drain queue depth: flush jobs admitted but not yet executed
-     *  (bounds burst-buffer memory holding staged blobs); 0 means
-     *  unbounded. Wall-clock backpressure only. */
+    /** Inert: nothing reads drain or drainDepth. Every flush runs
+     *  inline (storage::runFlush). Both stay only because the benchmark
+     *  driver (perfbench/driver.cc) still assigns them; they are
+     *  excluded from configKey() and go with that driver's next
+     *  change. */
+    storage::DrainMode drain = storage::DrainMode::Sync;
     int drainDepth = 4;
 
     simmpi::CostParams costParams{};

@@ -124,8 +124,8 @@ struct GridTiming
      *  unique-cell order. */
     std::vector<double> cellSeconds;
     /** Per-phase wall-clock attribution accumulated across all worker
-     *  (and drain) threads while the grid ran: checkpoint serialize,
-     *  RS/XOR encode, drain jobs, storage backend I/O. */
+     *  threads while the grid ran: checkpoint serialize, RS/XOR
+     *  encode, PFS flushes, storage backend I/O. */
     util::PhaseTotals phases;
     /** Cells quarantined this run (empty on a healthy grid). Their
      *  result slots hold default (all-zero) ExperimentResults. */

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "src/storage/backend.hh"
-#include "src/storage/drain.hh"
 #include "src/storage/transform.hh"
 
 namespace match::fti
@@ -81,7 +80,7 @@ struct FtiConfig
      *  rank's staged-but-undrained L4 flushes; 0 = unbounded (the
      *  historical behaviour). When staging a flush would exceed it,
      *  the rank stalls in virtual time until enough earlier flushes
-     *  complete — capacity pressure turns the "free" async drain back
+     *  complete — capacity pressure turns the overlapped drain back
      *  into foreground checkpoint time. */
     std::size_t drainCapacityBytes = 0;
 
@@ -90,15 +89,6 @@ struct FtiConfig
      *  install a per-run MemBackend here so the checkpoint hot path
      *  makes zero syscalls. */
     std::shared_ptr<storage::Backend> backend;
-
-    /** Drain worker executing L4 PFS flushes. Shared by every FTI
-     *  incarnation of one run (the drain outlives a failed process,
-     *  like a real burst buffer's I/O agent). Null makes the instance
-     *  create a private sync worker — flushes then run inline at
-     *  enqueue, which is what the unit tests that inspect the sandbox
-     *  between phases rely on. Simulated results are bit-identical for
-     *  any worker mode or queue depth; only wall-clock changes. */
-    std::shared_ptr<storage::DrainWorker> drain;
 };
 
 } // namespace match::fti

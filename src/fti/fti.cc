@@ -120,10 +120,6 @@ Fti::metaFile(const FtiConfig &config, int ckpt_id)
 void
 Fti::purge(const FtiConfig &config)
 {
-    // Let in-flight flush jobs finish before sweeping the sandbox, or
-    // a drained object could land after (and survive) the purge.
-    if (config.drain)
-        config.drain->quiesce();
     storage::resolve(config.backend).removeTree(execDir(config));
 }
 
@@ -134,8 +130,7 @@ Fti::purge(const FtiConfig &config)
 Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     : proc_(proc), config_(std::move(config)),
       comm_(comm == simmpi::commNull ? proc.world() : comm),
-      io_(proc, config_.backend, config_.drain, config_.virtualFactor,
-          config_.transform)
+      io_(proc, config_.backend, config_.virtualFactor, config_.transform)
 {
     bindPaths();
     recoveryCkptId_ = newestCommittedCkpt();
@@ -208,7 +203,7 @@ Fti::serializeRegions() const
     // [u32 id][u64 bytes][raw payload] per region, in id order. The
     // snapshot lands directly in a pooled buffer: sealing it makes it
     // the very object the backend stores, the partner copy shares and
-    // the drain job captures — this one staging pass is the only
+    // the PFS flush ships — this one staging pass is the only
     // payload copy the checkpoint hot path performs.
     std::size_t total = 0;
     for (const auto &[id, region] : regions_)
@@ -526,20 +521,8 @@ Fti::removeCheckpointFiles(int id, int level)
         io_.store().remove(partnerFile(config_, rank, owner, id));
     if (level == 3)
         io_.store().remove(parityFile(config_, rank, id));
-    if (level == 4) {
-        // The flush that wrote the object may still be draining; route
-        // the removal through the same FIFO queue so it
-        // deterministically lands after the write it deletes, for any
-        // drain scheduling.
-        FtiConfig job_config = config_;
-        job_config.drain.reset();
-        io_.drain().enqueue([job_config = std::move(job_config), rank,
-                             id]() -> std::uint64_t {
-            storage::resolve(job_config.backend)
-                .remove(pfsFile(job_config, rank, id));
-            return 0;
-        });
-    }
+    if (level == 4)
+        io_.store().remove(pfsFile(config_, rank, id));
     if (rank == 0)
         io_.store().remove(metaPath(id));
 }
@@ -643,23 +626,15 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
 }
 
 void
-Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
+Fti::flushToPfs(int ckpt_id, storage::Blob blob)
 {
-    // The job owns a config copy (keeping the backend alive) and a
-    // refcounted handle to the staged blob — the burst buffer holds a
-    // reference, never a deep copy. Clearing the drain handle in the
-    // copy avoids the worker's queue holding a reference to the worker
-    // itself.
-    FtiConfig job_config = config_;
-    job_config.drain.reset();
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    const std::size_t wall_bytes = blob.size();
     const auto virt_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(wall_bytes) * config_.virtualFactor);
+        static_cast<double>(blob.size()) * config_.virtualFactor);
     // Burst-buffer capacity pressure, in virtual time: when the
     // staged-but-undrained flushes plus this one would exceed the
     // buffer, the rank stalls until enough earlier flushes finish
-    // streaming — capacity turns the "free" async drain back into
+    // streaming — capacity turns the overlapped drain back into
     // foreground checkpoint time (we run under CkptWrite here).
     io_.reserve(virt_bytes, config_.drainCapacityBytes);
     // The flush body writes the staged blob as the rank's whole PFS
@@ -669,27 +644,24 @@ Fti::enqueuePfsFlush(int ckpt_id, storage::Blob blob)
     // decompresses before verifying. The shipped size is a pure
     // function of the staged blob. A permanently failed flush leaves
     // the object lost or torn for recovery's ladder to deal with.
-    const auto ticket = io_.enqueue(
-        ckpt_id, rank,
-        [job_config = std::move(job_config), rank, ckpt_id,
-         blob = std::move(blob)](int retry_limit) -> std::uint64_t {
+    const std::uint64_t shipped =
+        io_.flush(ckpt_id, rank, [&](int retry_limit) -> std::uint64_t {
             const storage::Blob out =
-                storage::transformHasCompress(job_config.transform)
+                storage::transformHasCompress(config_.transform)
                     ? storage::compressEncode(blob)
                     : blob;
             storage::withIoRetry(
                 retry_limit,
                 [&] {
-                    storage::resolve(job_config.backend)
-                        .write(pfsFile(job_config, rank, ckpt_id), out);
+                    io_.store().write(pfsFile(config_, rank, ckpt_id),
+                                      out);
                 },
                 [](int) {});
             return out.size();
-        },
-        wall_bytes);
+        });
     // The virtual enqueue instant is stamped later, once checkpoint()
     // has charged the staging cost.
-    io_.channel().admit(ticket, proc_.runtime().commSize(comm_),
+    io_.channel().admit(shipped, proc_.runtime().commSize(comm_),
                         ckptFactor(), virt_bytes, virt_bytes);
 }
 
@@ -767,10 +739,10 @@ Fti::checkpoint(int ckpt_id, int level)
             level = 2;
         }
         if (level == 4) {
-            // Transient PFS strikes are ridden out on the drain
-            // thread, where wall-clock retries cannot price virtual
-            // time: charge the re-staging backoff here. (Local-tier
-            // writes price their actual attempts inside io_.retry.)
+            // Transient PFS strikes are ridden out by the flush's
+            // unpriced retry loop (CkptIo::flush): charge the
+            // re-staging backoff here. (Local-tier writes price their
+            // actual attempts inside io_.retry.)
             const int strikes = plan.transientWriteStrikes(
                 ckpt_id, storage::PathClass::Pfs, limit);
             if (strikes > 0) {
@@ -843,20 +815,18 @@ Fti::checkpoint(int ckpt_id, int level)
                 static_cast<unsigned long long>(crc));
 
     // Data path: every level keeps a local copy except L4, which is
-    // staged to the drain and streamed to the parallel file system in
-    // the background. L4 checkpoints are priced (on the drain channel)
-    // by the bytes actually shipped. The wall-clock enqueue happens
-    // here, before the consistency protocol, so an async worker
-    // overlaps the compress + PFS write with the collectives
-    // and the following compute phase. Every consumer — local store,
-    // partner store, drain job — shares the one sealed snapshot by
-    // refcount; no path deep-copies the payload.
+    // flushed to the parallel file system right here and priced on the
+    // virtual drain channel by the bytes actually shipped, where the
+    // streaming overlaps the collectives and the following compute
+    // phase. Every consumer — local store, partner store, PFS flush —
+    // shares the one sealed snapshot by refcount; no path deep-copies
+    // the payload.
     if (level <= 3)
         writeLocal(ckpt_id, blob);
     if (level == 2)
         writePartnerCopy(ckpt_id, blob);
     if (level == 4)
-        enqueuePfsFlush(ckpt_id, std::move(blob)); // staged, not copied
+        flushToPfs(ckpt_id, std::move(blob)); // staged, not copied
 
     // Consistency protocol: gather sizes/checksums at rank 0, which
     // commits the metadata record; everyone waits for the commit.
@@ -1159,9 +1129,8 @@ Fti::recover()
         if (!meta_ptr)
             continue; // same per-actor outcome on every rank
         const MetaInfo &meta = *meta_ptr;
-        // An L4 restore reads objects the drain may still be
-        // streaming: wait out the channel (virtually and in
-        // wall-clock) first.
+        // An L4 restore reads objects the drain channel may still be
+        // streaming in virtual time: wait it out first.
         if (meta.level == 4)
             io_.barrier();
         storage::Blob image;
@@ -1331,36 +1300,14 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
     if (newest == 0)
         return;
 
-    if (level <= 3) {
-        // Corruption injection is best-effort: a storage-fault window
-        // open at injection time just means the flip found nothing to
-        // rot.
-        try {
-            flipByte(store, ckptFile(config, rank, newest));
-        } catch (const storage::StorageError &) {
-        }
-        return;
+    // Corruption injection is best-effort: a storage-fault window open
+    // at injection time just means the flip found nothing to rot. L1-L3
+    // rot the local checkpoint file, L4 the rank's whole PFS object.
+    try {
+        flipByte(store, level <= 3 ? ckptFile(config, rank, newest)
+                                   : pfsFile(config, rank, newest));
+    } catch (const storage::StorageError &) {
     }
-    // L4: the object may still be draining. Route the bit-flip through
-    // the same FIFO so it deterministically lands after the flush that
-    // wrote the object, for any drain scheduling.
-    FtiConfig job_config = config;
-    job_config.drain.reset();
-    const auto job = [job_config = std::move(job_config), rank,
-                      newest]() -> std::uint64_t {
-        try {
-            flipByte(storage::resolve(job_config.backend),
-                     pfsFile(job_config, rank, newest));
-        } catch (const storage::StorageError &) {
-            // Best-effort (see the L1-3 path): an open fault window
-            // foils the injection, never the drain worker.
-        }
-        return 0;
-    };
-    if (config.drain)
-        config.drain->enqueue(job);
-    else
-        job();
 }
 
 void

@@ -21,11 +21,10 @@
  *        the loss of up to `parityShards` members per group.
  *  - L4: flush to the parallel file system, one whole object per rank
  *        and checkpoint (compressed when the transform says so).
- *        The flush is *drained*: the rank stages the blob into the
- *        burst buffer (config.drain) and resumes compute; the PFS
- *        streaming overlaps on a per-rank virtual drain channel and is
- *        only waited for at a quiesce point (recovery, finalize).
- *        Results are bit-identical for any drain scheduling.
+ *        The flush is *drained*: the rank pays only the burst-buffer
+ *        staging and resumes compute; the PFS streaming overlaps on
+ *        a per-rank virtual drain channel and is only waited for at a
+ *        quiesce point (recovery, finalize).
  *
  * Checkpoints are real objects under a sandbox directory in the
  * configured storage backend (MemBackend for simulation runs,
@@ -180,9 +179,9 @@ class Fti
      */
     void scrub();
 
-    /** FTI_Finalize: waits (in virtual and wall-clock time) for this
-     *  rank's pending PFS drains — a job cannot release its nodes while
-     *  its burst buffer still holds undrained checkpoints. */
+    /** FTI_Finalize: waits (in virtual time) for this rank's pending
+     *  PFS drains — a job cannot release its nodes while its burst
+     *  buffer still holds undrained checkpoints. */
     void finalize();
 
     /** Re-bind to a repaired world communicator (paper Fig. 3 note:
@@ -241,9 +240,7 @@ class Fti
      * object of the newest committed checkpoint, at rest, without
      * touching the metadata — the modelled bit-flip in burst-buffer or
      * node-local storage. L1-L3 corrupt the local checkpoint file; L4
-     * corrupts the whole PFS object, routing the flip through the drain
-     * FIFO so it deterministically lands after the flush that wrote the
-     * object. A no-op when nothing is
+     * corrupts the whole PFS object. A no-op when nothing is
      * committed. Static: callable from outside any rank context (the
      * failure-scenario corrupt hook runs on the simulation driver).
      */
@@ -267,9 +264,9 @@ class Fti
     void writeLocal(int ckpt_id, const storage::Blob &blob);
     void writePartnerCopy(int ckpt_id, const storage::Blob &blob);
     void encodeGroupParity(int ckpt_id, const MetaInfo &meta);
-    /** Stage the blob (a refcount, not a copy) and admit its PFS flush
-     *  job to the drain. */
-    void enqueuePfsFlush(int ckpt_id, storage::Blob blob);
+    /** Flush the staged blob (a refcount, not a copy) to the PFS
+     *  inline and admit the shipped bytes to the drain channel. */
+    void flushToPfs(int ckpt_id, storage::Blob blob);
     void commitMeta(const MetaInfo &meta);
     /** Fetch (soft read) and parse checkpoint `ckpt_id`'s
      *  record; null when it is missing, unreadable, incomplete or
@@ -318,8 +315,8 @@ class Fti
     std::string ckptPrefix_;
     std::string metaPrefix_;
     /** Sandbox storage, retry policy, fault epoch (the checkpoint id
-     *  being written, or the rung being restored) and the drain with
-     *  this rank's virtual channel of L4 flushes. */
+     *  being written, or the rung being restored) and this rank's
+     *  virtual drain channel of L4 flushes. */
     ckpt::CkptIo io_;
     /** Write-exhaustion decisions taken (demotions, epoch skips). */
     std::vector<storage::DegradeEvent> degradeEvents_;

@@ -86,10 +86,6 @@ Scr::flushedMarkerFile(const ScrConfig &config, int dataset, int rank)
 void
 Scr::purge(const ScrConfig &config)
 {
-    // Let in-flight flush jobs finish before sweeping, or a drained
-    // object could land after (and survive) the purge.
-    if (config.drain)
-        config.drain->quiesce();
     storage::Backend &store = storage::resolve(config.backend);
     store.removeTree(jobDir(config));
     store.removeTree(config.prefixDir + "/" + config.jobId);
@@ -98,7 +94,7 @@ Scr::purge(const ScrConfig &config)
 Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     : proc_(proc), config_(std::move(config)),
       // Flushes ship the cache's bytes as they are: virtual factor 1.
-      io_(proc, config_.backend, config_.drain, 1.0, config_.transform)
+      io_(proc, config_.backend, 1.0, config_.transform)
 {
     // SCR's prefix directory carries no "/pfs/" segment, so register it
     // as a PFS root with the fault engine — flushes and fetches against
@@ -106,10 +102,6 @@ Scr::Scr(simmpi::Proc &proc, ScrConfig config)
     // ones.
     if (storage::FaultInjectingBackend *faults = io_.faults())
         faults->addPfsPrefix(config_.prefixDir);
-    // Restart detection reads flushed markers the drain writes: wait
-    // out in-flight jobs so the decision depends only on what was
-    // admitted (deterministic), never on the worker's wall schedule.
-    io_.drain().quiesce();
     lastCommitted_ = newestCommittedDataset();
     restartDataset_ = lastCommitted_;
 }
@@ -140,9 +132,9 @@ Scr::newestCommittedDataset(int below) const
             newest = id;
     }
     // A dataset whose cache was lost is still restartable from its
-    // flushed prefix copy — but only when every rank's flush drained
-    // (a crash mid-drain leaves the dataset unfetchable, falling back
-    // to the newest fully flushed one).
+    // flushed prefix copy — but only when every rank's flush committed
+    // its marker (a flush that failed or was skipped leaves the dataset
+    // unfetchable, falling back to the newest fully flushed one).
     for (const std::string &name :
          io_.store().listDir(config_.prefixDir + "/" + config_.jobId)) {
         if (name.rfind("dataset", 0) != 0)
@@ -279,16 +271,13 @@ namespace
 {
 
 /**
- * The flush body, run by the drain worker: copy the rank's routed
- * files from the cache to the prefix directory, then commit the rank's
- * flushed marker. A free function over owned copies — it runs on the
- * drain thread, possibly after the enqueuing incarnation died.
+ * The flush body: copy the rank's routed files from the cache to the
+ * prefix directory, then commit the rank's flushed marker.
  *
- * A missing source file fails the flush *softly*: the cache was lost
- * while the flush waited in the queue. No marker is written, so the
- * dataset never becomes fetchable and restart falls back to the newest
- * fully drained one — the async drain loses exactly the undrained
- * datasets, it never aborts the survivors.
+ * A missing source file fails the flush *softly*: no
+ * marker is written, so the dataset never becomes fetchable and
+ * restart falls back to the newest fully flushed one — a failed flush
+ * loses its dataset's prefix copy, it never aborts the run.
  *
  * @return bytes shipped to the PFS (0 when the flush failed).
  */
@@ -300,9 +289,9 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
     // Transient fault windows strike each path independently, so the
     // retry budget must be spent per object: re-running the whole job
     // would burn attempts on paths that already landed and turn a
-    // rideable window into a spurious permanent failure. Drain-thread
-    // retries are wall-clock only — the enqueuing rank already priced
-    // the window's transient strikes in virtual time.
+    // rideable window into a spurious permanent failure. These
+    // retries are unpriced — the flushing rank already priced the
+    // window's transient strikes in virtual time.
     const auto retried = [retry_limit](auto &&op) {
         return storage::withIoRetry(
             retry_limit, std::forward<decltype(op)>(op), [](int) {});
@@ -354,10 +343,8 @@ scrFlushJob(const ScrConfig &config, int dataset, int rank,
 } // anonymous namespace
 
 void
-Scr::enqueueFlush(int dataset, std::size_t bytes)
+Scr::flushToPrefix(int dataset, std::size_t bytes)
 {
-    ScrConfig job_config = config_;
-    job_config.drain.reset(); // the queue must not own its worker
     std::vector<std::string> files = routedFiles_;
     if (config_.sdcChecks) {
         // Flush the integrity sidecars with their files, so a prefix
@@ -367,17 +354,15 @@ Scr::enqueueFlush(int dataset, std::size_t bytes)
     }
     // A permanently failed flush writes no flushed marker: the dataset
     // never becomes fetchable and restart falls back to the newest
-    // fully drained one — exactly the lost-cache soft-failure path.
+    // fully flushed one — exactly the lost-cache soft-failure path.
     const int r = rank();
-    const auto ticket = io_.enqueue(
-        dataset, r,
-        [job_config = std::move(job_config), dataset, r,
-         files = std::move(files)](int retry_limit) {
-            return scrFlushJob(job_config, dataset, r, files, retry_limit);
+    const std::uint64_t shipped =
+        io_.flush(dataset, r, [&](int retry_limit) {
+            return scrFlushJob(config_, dataset, r, files, retry_limit);
         });
     // No occupancy bytes: SCR has no burst-buffer capacity bound, so
     // the channel must not accumulate occupants it never evicts.
-    io_.channel().admit(ticket, size(), 1.0, 0, bytes);
+    io_.channel().admit(shipped, size(), 1.0, 0, bytes);
     // Staging the dataset into the burst buffer serializes the rank;
     // the PFS streaming overlaps on the virtual drain channel.
     proc_.sleepFor(proc_.runtime().costModel().drainStage(bytes, size()));
@@ -545,9 +530,9 @@ Scr::completeCheckpoint(bool valid)
                     util::warn("SCR dataset %d: PFS write-exhausted, "
                                "skipping prefix flush", lastCommitted_);
             } else {
-                // Transient PFS strikes ride out on the drain thread
-                // (wall-clock): price the re-staging backoff here, on
-                // the rank that admitted the flush.
+                // Transient PFS strikes ride out on the flush's
+                // unpriced retry loop: price the re-staging backoff
+                // here, on the rank that flushes.
                 const int strikes = plan.transientWriteStrikes(
                     lastCommitted_, storage::PathClass::Pfs, limit);
                 if (strikes > 0) {
@@ -563,26 +548,16 @@ Scr::completeCheckpoint(bool valid)
             }
         }
         if (flush_ok)
-            enqueueFlush(lastCommitted_, bytes);
+            flushToPrefix(lastCommitted_, bytes);
     }
 
-    // Drop the previous dataset (SCR keeps a bounded cache). Routed
-    // through the drain queue: a pending flush of that dataset must
-    // copy its files out before the prune deletes them, for any drain
-    // scheduling.
+    // Drop the previous dataset (SCR keeps a bounded cache); its
+    // flush, if any, already copied its files out.
     if (all_valid && lastCommitted_ >= 2) {
-        ScrConfig job_config = config_;
-        job_config.drain.reset();
-        io_.drain().enqueue([job_config = std::move(job_config),
-                             prev = lastCommitted_ - 1,
-                             r = rank()]() -> std::uint64_t {
-            storage::Backend &store =
-                storage::resolve(job_config.backend);
-            store.removeTree(Scr::datasetDir(job_config, prev, r));
-            if (r == 0)
-                store.remove(Scr::markerFile(job_config, prev));
-            return 0;
-        });
+        const int prev = lastCommitted_ - 1;
+        io_.store().removeTree(datasetDir(config_, prev, rank()));
+        if (rank() == 0)
+            io_.store().remove(markerFile(config_, prev));
     }
     writingDataset_ = 0;
     routedFiles_.clear();
@@ -654,8 +629,8 @@ bool
 Scr::tryFetchFromPrefix(const std::string &name)
 {
     // SCR_Fetch: pull the flushed copy back into the cache. The flush
-    // may still be draining — wait it out (virtually and in wall-clock)
-    // before looking.
+    // may still be draining in virtual time — wait it out before
+    // looking.
     io_.barrier();
     const std::string src =
         prefixDatasetDir(config_, restartDataset_, rank()) + "/" + name;

@@ -41,7 +41,6 @@
 #include "src/ckpt/io.hh"
 #include "src/simmpi/proc.hh"
 #include "src/storage/backend.hh"
-#include "src/storage/drain.hh"
 #include "src/storage/faults.hh"
 #include "src/storage/transform.hh"
 
@@ -73,9 +72,9 @@ struct ScrConfig
     /** SCR_Need_checkpoint: checkpoint every N loop iterations. */
     int checkpointInterval = 10;
     /** Flush every Nth checkpoint to the prefix directory (0 = never).
-     *  Like the real library, the flush is asynchronous: it is admitted
-     *  to the drain worker and overlaps compute; restarts that need the
-     *  prefix copy quiesce the drain first. */
+     *  Like the real library's, the flush overlaps compute: its bytes
+     *  are priced on the rank's virtual drain channel, and restarts
+     *  that need the prefix copy wait the channel out first. */
     int flushEvery = 0;
 
     /** Silent-data-corruption hardening. Off (the default) reproduces
@@ -106,13 +105,6 @@ struct ScrConfig
      *  backend, so the redundancy encoder sees their data (a write
      *  creates the dataset directory it lands in). */
     std::shared_ptr<storage::Backend> backend;
-
-    /** Drain worker executing flush-to-prefix jobs. Shared by every
-     *  SCR incarnation of one run. Null makes the instance create a
-     *  private sync worker (flushes complete inline at enqueue).
-     *  Simulated results are bit-identical for any worker mode or
-     *  queue depth; only wall-clock changes. */
-    std::shared_ptr<storage::DrainWorker> drain;
 };
 
 /** Per-rank SCR instance. */
@@ -159,7 +151,7 @@ class Scr
      * Route a file for reading; when the rank's cache copy is missing,
      * the redundancy scheme rebuilds it (partner fetch or XOR rebuild),
      * falling back to the dataset's flushed prefix copy (SCR_Fetch,
-     * waiting out a pending drain) before returning the path.
+     * waiting out the virtual drain channel) before returning the path.
      */
     std::string routeRestartFile(const std::string &name);
 
@@ -194,9 +186,10 @@ class Scr
     static std::string prefixDatasetDir(const ScrConfig &config,
                                         int dataset, int rank);
     /** Marker committed on the PFS once `rank`'s part of a dataset's
-     *  flush has drained. A dataset is fetchable on restart only when
-     *  every rank's marker exists — a crash mid-drain must not present
-     *  a half-flushed dataset as restartable. */
+     *  flush has landed. A dataset is fetchable on restart only when
+     *  every rank's marker exists — a flush that failed or was skipped
+     *  on any rank must not present a half-flushed dataset as
+     *  restartable. */
     static std::string flushedMarkerFile(const ScrConfig &config,
                                          int dataset, int rank);
     /// @}
@@ -221,15 +214,17 @@ class Scr
     /** CRC32C-verify a restored file against its sidecar (priced via
      *  scrubVerify); a missing sidecar is accepted. */
     bool verifyRestartFile(const std::string &path);
-    void enqueueFlush(int dataset, std::size_t bytes);
+    /** Flush the rank's part of `dataset` to the prefix directory
+     *  inline and admit the shipped bytes to the drain channel. */
+    void flushToPrefix(int dataset, std::size_t bytes);
     int rank() const;
     int size() const;
 
     simmpi::Proc &proc_;
     ScrConfig config_;
     /** Cache storage, retry policy, fault epoch (the dataset being
-     *  written or restored) and the drain with this rank's virtual
-     *  channel of flush-to-prefix jobs. A fault engine behind the
+     *  written or restored) and this rank's virtual drain channel of
+     *  flush-to-prefix jobs. A fault engine behind the
      *  backend has the prefix dir registered as a PFS root. */
     ckpt::CkptIo io_;
     /** Tier-exhaustion decisions taken (abandoned datasets, skipped

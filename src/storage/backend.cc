@@ -65,9 +65,9 @@ createParent(const std::string &path)
 /**
  * In-process object store: one mutex over one ordered map keyed by full
  * path. A store is private to one run (runExperiment builds a fresh
- * backend per run), so at most the run's cell thread and its drain
- * thread share it; prefix operations (removeTree, listDir) are one
- * ordered range scan.
+ * backend per run), so in a run only the cell's thread touches it;
+ * the mutex keeps a store shared across threads (tests) consistent.
+ * Prefix operations (removeTree, listDir) are one ordered range scan.
  *
  * Objects are refcounted Blobs: a write stores the caller's sealed
  * buffer (zero memcpy), read() hands out handle copies that outlive

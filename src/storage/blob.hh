@@ -6,8 +6,7 @@
  * Every checkpoint byte used to be memcpy'd at least twice on the hot
  * path — once serializing the protected regions into a staging vector,
  * then again into the storage backend's own vector (and a third time
- * for partner copies, drain jobs capturing "owned blobs", and
- * read-backs). Blob collapses all of that into reference counting:
+ * for partner copies, PFS flushes and read-backs). Blob collapses all of that into reference counting:
  *
  *  - Blob: an immutable, refcounted view of a byte buffer. Copying a
  *    Blob copies a handle, never bytes. A Blob stored in a MemBackend
@@ -30,8 +29,8 @@
  * the zero-copy claim measurable: on the MemBackend checkpoint hot
  * path, bytesCopied stays ~0 while bytesStored counts the payload.
  *
- * Thread-safety: BlobPool is safe to share across threads (buffers are
- * routinely released on a drain thread that did not acquire them);
+ * Thread-safety: BlobPool is safe to share across threads (a buffer
+ * may be released on a thread other than the one that acquired it);
  * Blob handles are as thread-safe as shared_ptr. A MutableBlob must be
  * confined to one thread until sealed.
  */

@@ -12,9 +12,8 @@
  *  - StorageFaultPlan: a set of FaultWindows — per-tier outage
  *    intervals over the checkpoint-epoch axis — generated as a pure
  *    function of (config, seed) by generatePlan(), so a plan is
- *    bit-identical across --jobs counts, storage backends, drain modes
- *    and kernels, and serializable to a replayable trace (see
- *    bench/FAULTS.md).
+ *    bit-identical across --jobs counts, storage backends and kernels,
+ *    and serializable to a replayable trace (see bench/FAULTS.md).
  *  - FaultInjectingBackend: a decorator over any Backend that turns
  *    the plan's windows into real injected failures: reads/writes
  *    throw StorageError, torn writes persist a prefix of the object
@@ -27,7 +26,7 @@
  * (actor, path) attempt count) — never on wall-clock, thread identity
  * or operation order across paths or actors — so the simulated results
  * of a faulty run are as reproducible as a clean one. The "actor" is
- * the logical agent driving the I/O (a simulated rank, a drain-job
+ * the logical agent driving the I/O (a simulated rank, a rank's PFS
  * flush): keying the strike counters and the effective epoch per actor
  * keeps shared objects (FTI's rank-less meta files) from letting one
  * rank's retries consume another rank's strike budget — every rank
@@ -294,10 +293,9 @@ void noteFailedFlush();
  * actor's (epoch, actor id) around each injected operation with a
  * FaultEpochScope — per-rank state, never shared, so ranks sitting on
  * different recovery rungs cannot flap each other's effective epoch.
- * Drain-thread flush jobs bind the epoch their checkpoint was
- * enqueued at the same way, so an async flush sees the same windows
- * whether it runs immediately (sync drain) or seconds later —
- * injection is drain-mode independent. setEpoch() publishes a
+ * A PFS flush binds its checkpoint's epoch and the flushing rank
+ * the same way, around its whole body (ckpt::CkptIo::flush: the body
+ * never yields the fiber). setEpoch() publishes a
  * fallback epoch for unscoped accesses (tests, the simulation
  * driver's corruption injector).
  *
@@ -359,7 +357,7 @@ class FaultInjectingBackend final : public Backend
     friend class FaultEpochScope;
 
     /** The effective epoch for the calling thread: a FaultEpochScope
-     *  binding when one is active (client I/O, drain jobs), else the
+     *  binding when one is active (client I/O, PFS flushes), else the
      *  published fallback epoch. */
     int effectiveEpoch() const;
 
@@ -399,11 +397,10 @@ class FaultInjectingBackend final : public Backend
  * Thread-local (epoch, actor) binding for injected I/O. Checkpoint
  * clients install one around each backend operation with the calling
  * rank's own epoch and identity (ckpt::CkptIo::retry does this for
- * FTI and SCR); drain-thread jobs install one for the job's duration with
- * the epoch the flush was enqueued at, so injection decisions are
- * identical whether the job runs inline (sync drain) or later on a
- * worker. `actor` keys the strike counters: pass the simulated
- * global rank (or the flushing rank for drain jobs); -1 leaves the
+ * FTI and SCR); a PFS flush installs one for the flush's duration with
+ * its checkpoint's epoch (ckpt::CkptIo::flush). `actor` keys the
+ * strike counters: pass the simulated global rank (or the flushing
+ * rank for a flush); -1 leaves the
  * access on the shared unbound bucket (tests, driver-side injection).
  * A null backend makes the scope a no-op (faults off).
  *

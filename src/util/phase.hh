@@ -15,9 +15,9 @@
  * without double counting, and "sim core" falls out at report time as
  * total minus the measured phases.
  *
- * Counters are process-wide relaxed atomics, not thread-locals: async
- * drain jobs run on their own worker threads and must fold into the
- * same totals the grid run is diffed over. The per-thread scope stack
+ * Counters are process-wide relaxed atomics, not thread-locals: grid
+ * workers run cells on their own threads, and all of them must fold
+ * into the same totals the grid run is diffed over. The per-thread scope stack
  * is thread_local, so nesting is tracked correctly per thread while
  * the accumulation stays global. Overhead per scope is two
  * steady_clock reads plus two relaxed fetch_adds — fine at

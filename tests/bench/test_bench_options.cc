@@ -63,8 +63,7 @@ TEST(BenchOptions, FlagsLandInSpecAndBenchFields)
     const BenchOptions options = parseArgs(
         {"--runs", "3", "--seed", "7", "--apps", "HPCCG,miniVite",
          "--sandbox", "/tmp/sbx", "--jobs", "2", "--storage", "disk",
-         "--drain", "sync", "--drain-depth", "0", "--drain-capacity",
-         "1024", "--strict",
+         "--drain-capacity", "1024", "--strict",
          "--failure-model", "correlated", "--mean-failures", "2",
          "--cascade-prob", "0.5", "--corrupt-fraction", "0.25",
          "--sdc-checks", "--scrub-stride", "5", "--transform", "delta",
@@ -79,8 +78,6 @@ TEST(BenchOptions, FlagsLandInSpecAndBenchFields)
     EXPECT_EQ(spec.sandboxDir, "/tmp/sbx");
     EXPECT_EQ(spec.cacheDir, "/tmp/sbx/cell-cache");
     EXPECT_EQ(spec.storage, storage::Kind::Disk);
-    EXPECT_EQ(spec.drain, storage::DrainMode::Sync);
-    EXPECT_EQ(spec.drainDepth, 0);
     EXPECT_EQ(spec.drainCapacityBytes, 1024u);
     EXPECT_EQ(spec.failureModel, ft::FailureModelKind::Correlated);
     EXPECT_EQ(spec.meanFailures, 2.0);
@@ -174,7 +171,6 @@ TEST(BenchOptionsDeathTest, RejectsBadValues)
         {"--drain-capacity", "lots"},
         {"--storage-fault-strikes", "0"},
         {"--storage", "tape"},
-        {"--drain", "lazy"},
         {"--failure-model", "weibull"},
         {"--transform", "gzip"},
         {"--apps", "NoSuchApp"},
@@ -193,11 +189,13 @@ TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknown)
     // Removed flags are unknown options like any other: --pin (worker
     // placement, no measured gain), --perf (the figure benches' own
     // timing sweep; perfbench times the grids instead),
-    // --resume/--no-resume (the result cache is the resume journal) and
+    // --resume/--no-resume (the result cache is the resume journal),
     // --cell-timeout/--cell-retries (a cell runs once: a deterministic
-    // cell that throws throws again).
+    // cell that throws throws again) and --drain/--drain-depth (every
+    // flush runs inline; there is no drain thread to configure).
     for (const char *name : {"pin", "perf", "resume", "no-resume",
-                             "cell-timeout", "cell-retries"}) {
+                             "cell-timeout", "cell-retries", "drain",
+                             "drain-depth"}) {
         const std::string flag = std::string("--") + name;
         EXPECT_EXIT(parseArgs({flag}), ::testing::ExitedWithCode(1),
                     "fatal: unknown option: " + flag + " \\(see --help\\)")

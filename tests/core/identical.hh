@@ -1,7 +1,7 @@
 /**
  * @file
  * Bit-identity check for experiment results, shared by the core tests
- * that run one cell two ways (storage backends, drain modes, fault
+ * that run one cell two ways (storage backends, --jobs counts, fault
  * trace replay) and require the same answer to the last bit.
  */
 

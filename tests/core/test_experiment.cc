@@ -209,35 +209,12 @@ TEST(Experiment, TransformedSdcCellsAgreeAcrossBackends)
     }
 }
 
-TEST(Experiment, DrainModesAndDepthsProduceIdenticalResults)
-{
-    // The PFS drain is a wall-clock execution strategy: a grid cell
-    // whose checkpoints carry L4 flush traffic must produce
-    // bit-identical results whether the drain replays flushes inline
-    // (sync) or overlaps them on a background worker (async), at any
-    // queue depth. Injected failures exercise restart-while-draining
-    // and the L4 recovery barrier as well.
-    for (const bool inject : {false, true}) {
-        auto config = smallConfig(Design::ReinitFti, inject);
-        config.ckptLevel = 4;
-        config.drain = match::storage::DrainMode::Sync;
-        const auto sync = runExperiment(config);
-        config.drain = match::storage::DrainMode::Async;
-        for (const int depth : {1, 4, 0 /* unbounded */}) {
-            config.drainDepth = depth;
-            const auto async = runExperiment(config);
-            expectIdenticalResults(sync, async);
-        }
-    }
-}
-
 TEST(Experiment, DrainedL4CellsAgreeAcrossBackends)
 {
-    // The drain jobs run backend I/O off-thread; the storage kind must
-    // still be invisible in the results.
+    // L4 flushes and their recovery reads go through the backend; the
+    // storage kind must still be invisible in the results.
     auto config = smallConfig(Design::RestartFti, true);
     config.ckptLevel = 4;
-    config.drain = match::storage::DrainMode::Async;
     config.storage = match::storage::Kind::Mem;
     const auto mem = runExperiment(config);
     config.storage = match::storage::Kind::Disk;
@@ -417,8 +394,6 @@ TEST(Experiment, L4TransformByteCountersArePinned)
         config.ckptLevel = 4;
         config.ckptStride = 2;
         config.storage = storage::Kind::Mem;
-        // Sync drain: every flush has run when runExperiment returns.
-        config.drain = storage::DrainMode::Sync;
         config.transform = pin.kind;
         config.sandboxDir =
             (fs::temp_directory_path() / "match-core-tests").string();
@@ -753,7 +728,6 @@ TEST(Experiment, MiniViteCheckpointedRunsAreRepeatable)
     config.ckptStride = 1;
     config.transform = storage::TransformKind::DeltaCompress;
     config.runs = 1;
-    config.drain = storage::DrainMode::Sync;
     config.sandboxDir =
         (fs::temp_directory_path() / "match-core-tests").string();
     const ExperimentResult first = runExperiment(config);

@@ -149,26 +149,20 @@ TEST(GridRunner, ParallelRunIsBitIdenticalToSerial)
     fs::remove_all(spec.sandboxDir);
 }
 
-TEST(GridRunner, AsyncDrainStaysBitIdenticalForAnyWorkerCount)
+TEST(GridRunner, DrainedL4CellsStayBitIdenticalForAnyWorkerCount)
 {
-    // Drained L4 cells add a second layer of concurrency — grid worker
-    // threads *and* one drain worker per run — and the determinism
-    // contract must hold across both: any --jobs count, either drain
-    // mode, byte-identical results.
+    // Drained L4 cells flush every checkpoint to the PFS and price it
+    // on the virtual drain channel; the determinism contract must hold
+    // for them too: one worker or four, byte-identical results.
     GridSpec spec = smallSpec("drain");
     spec.ckptLevels = {4};
-    spec.drain = storage::DrainMode::Sync;
-    const auto cells_sync = spec.enumerate();
-    const auto sync = GridRunner(1).run(cells_sync);
-    spec.drain = storage::DrainMode::Async;
-    spec.drainDepth = 1; // maximum backpressure
-    const auto async_serial = GridRunner(1).run(spec.enumerate());
-    const auto async_parallel = GridRunner(4).run(spec.enumerate());
-    ASSERT_EQ(sync.size(), async_serial.size());
-    for (std::size_t i = 0; i < sync.size(); ++i) {
-        expectIdentical(sync[i], async_serial[i]);
-        expectIdentical(sync[i], async_parallel[i]);
-    }
+    const auto cells = spec.enumerate();
+    const auto serial = GridRunner(1).run(cells);
+    const auto parallel = GridRunner(4).run(cells);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectIdentical(serial[i], parallel[i]);
+    fs::remove_all(spec.sandboxDir);
 }
 
 TEST(GridRunner, DuplicateCellsShareOneComputation)

@@ -1,7 +1,8 @@
 /**
  * @file
  * SCR under storage-tier faults: a persistent PFS outage skips the
- * prefix flush (no flushed markers, restart falls back to the cache),
+ * prefix flush (no flushed markers: restart falls back to the cache,
+ * or with the cache lost to the newest fully flushed dataset),
  * transient PFS faults ride out on the flush job's retry loop, and an
  * exhausted cache tier abandons the dataset through SCR's own validity
  * vote instead of dying.
@@ -127,6 +128,59 @@ TEST(ScrFaults, PersistentPfsOutageSkipsFlushAndRestartUsesCache)
                                              sizeof(double)));
         ASSERT_TRUE(static_cast<bool>(in));
         EXPECT_DOUBLE_EQ(state[0], proc.rank() + 1.5);
+        scr.completeRestart(true);
+    });
+    Scr::purge(config);
+}
+
+TEST(ScrFaults, UnflushedDatasetFallsBackToNewestFlushedAfterCacheLoss)
+{
+    // Dataset 1 flushes; a persistent PFS outage in epoch 2 skips
+    // dataset 2's flush, so dataset 2 gets no flushed marker. With the
+    // node cache lost, restart must fall back to dataset 1 — the newest
+    // fully flushed dataset — and fetch it from the prefix.
+    auto backend = faultyBackend(
+        {{2, 2, PathClass::Pfs, FaultKind::WriteFault, 999}});
+    auto config = faultConfig("pfs-outage-fallback", backend);
+    Scr::purge(config);
+    const int procs = 4;
+
+    Runtime rt1;
+    rt1.run(options(procs), [&](Proc &proc) {
+        Scr scr(proc, config);
+        for (const double value : {1.0, 2.0}) {
+            std::vector<double> state(32, proc.rank() + value);
+            scr.startCheckpoint();
+            writeState(scr.routeFile("state.bin"), state);
+            scr.completeCheckpoint(true);
+        }
+        ASSERT_EQ(scr.degradeEvents().size(), 1u);
+        EXPECT_EQ(scr.degradeEvents()[0].epoch, 2);
+        EXPECT_EQ(scr.degradeEvents()[0].fromLevel, 4);
+        scr.finalize();
+    });
+    for (int r = 0; r < procs; ++r) {
+        EXPECT_TRUE(backend->exists(Scr::flushedMarkerFile(config, 1, r)));
+        EXPECT_FALSE(
+            backend->exists(Scr::flushedMarkerFile(config, 2, r)));
+    }
+    fs::remove_all(config.cacheDir + "/" + config.jobId); // cache dies
+
+    Runtime rt2;
+    rt2.run(options(procs), [&](Proc &proc) {
+        Scr scr(proc, config);
+        ASSERT_TRUE(scr.haveRestart());
+        scr.startRestart();
+        std::vector<double> state(32, 0.0);
+        std::ifstream in(scr.routeRestartFile("state.bin"),
+                         std::ios::binary);
+        ASSERT_TRUE(static_cast<bool>(in));
+        in.read(reinterpret_cast<char *>(state.data()),
+                static_cast<std::streamsize>(state.size() *
+                                             sizeof(double)));
+        ASSERT_TRUE(static_cast<bool>(in));
+        EXPECT_DOUBLE_EQ(state[0], proc.rank() + 1.0)
+            << "restart must fall back to flushed dataset 1";
         scr.completeRestart(true);
     });
     Scr::purge(config);

@@ -4,21 +4,24 @@
  * survives remove and overwrite of its path), pool recycling that never
  * aliases live blobs, exact-once copy accounting in Backend::read(),
  * and a concurrency
- * stress of pool recycle racing drain traffic (the TSAN CI lane runs
- * this under -fsanitize=thread).
+ * stress of pool recycle racing blobs released on another thread (the
+ * TSAN CI lane runs this under -fsanitize=thread).
  */
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/storage/backend.hh"
 #include "src/storage/blob.hh"
-#include "src/storage/drain.hh"
 
 using namespace match;
 using match::storage::Backend;
@@ -186,17 +189,40 @@ TEST(ReadAccounting, CopiesExactlyOnceOnDiskBackend)
     backend->removeTree(root);
 }
 
-TEST(BlobStress, ConcurrentPoolRecycleAndDrainTraffic)
+TEST(BlobStress, ConcurrentPoolRecycleAndCrossThreadRelease)
 {
     // One shared pool and backend, hammered from three sides at once:
-    // writers stage blobs and transfer them to the store, a drain
-    // worker executes flush jobs holding blob refs, and the main
-    // thread overwrites/removes the same paths. Every held view must
-    // keep serving the exact bytes it was taken over — recycled
-    // buffers may only be handed out once their last ref dropped.
+    // writers stage blobs and transfer them to the store, hand a view
+    // of each to a consumer thread that holds it and then drops it,
+    // and overwrite/remove the same paths. Every held view must keep
+    // serving the exact bytes it was taken over — recycled buffers may
+    // only be handed out once their last ref dropped, wherever that
+    // happened.
     const auto backend = storage::makeBackend(Kind::Mem);
-    storage::DrainWorker drain(storage::DrainMode::Async, 4);
     constexpr int kThreads = 4, kRounds = 64;
+    std::mutex mutex;
+    std::condition_variable ready;
+    std::deque<std::pair<Blob, std::string>> handed;
+    int producersLeft = kThreads;
+    int consumed = 0;
+    std::thread consumer([&] {
+        for (;;) {
+            std::unique_lock<std::mutex> lock(mutex);
+            ready.wait(lock, [&] {
+                return !handed.empty() || producersLeft == 0;
+            });
+            if (handed.empty())
+                return;
+            const auto [view, text] = std::move(handed.front());
+            handed.pop_front();
+            lock.unlock();
+            // The consumer holds a ref: the payload must stay intact
+            // whatever the writers recycle meanwhile. The ref drops
+            // here, on this thread.
+            EXPECT_EQ(asText(view), text);
+            ++consumed;
+        }
+    });
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
@@ -208,22 +234,23 @@ TEST(BlobStress, ConcurrentPoolRecycleAndDrainTraffic)
                     path + "#" + std::to_string(round);
                 backend->write(path, sealText(pool, text));
                 const Blob view = backend->read(path);
-                drain.enqueue([view, text]() -> std::uint64_t {
-                    // The drain holds a ref: the payload must stay
-                    // intact whatever the writers recycle meanwhile.
-                    EXPECT_EQ(asText(view), text);
-                    return view.size();
-                });
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    handed.emplace_back(view, text);
+                }
+                ready.notify_one();
                 backend->copy(path, path + ".mirror");
                 if (round % 8 == 7)
                     backend->remove(path);
                 EXPECT_EQ(asText(view), text);
             }
+            std::lock_guard<std::mutex> lock(mutex);
+            --producersLeft;
+            ready.notify_one();
         });
     }
     for (auto &thread : threads)
         thread.join();
-    drain.quiesce();
-    EXPECT_EQ(drain.completedJobs(),
-              static_cast<std::uint64_t>(kThreads) * kRounds);
+    consumer.join();
+    EXPECT_EQ(consumed, kThreads * kRounds);
 }
