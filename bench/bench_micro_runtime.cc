@@ -123,6 +123,17 @@ operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 namespace
 {
 
+/** Defined below; declared so the row can register first. */
+void BM_AllreduceDeepFrames(benchmark::State &state);
+
+/** Registered first, so its 512 fiber stacks are the process's first
+ *  128 KiB allocations: glibc serves each as its own mmap, as in a
+ *  fresh grid process. (Once a freed mmapped chunk raises glibc's
+ *  dynamic mmap threshold, later stacks are carved from the heap
+ *  instead.) The stacks stay in the thread's pool for the later
+ *  rows. */
+BENCHMARK(BM_AllreduceDeepFrames)->Arg(512);
+
 void
 BM_FiberSwitch(benchmark::State &state)
 {
@@ -249,12 +260,37 @@ BM_PingPong(benchmark::State &state)
 }
 BENCHMARK(BM_PingPong)->Arg(8)->Arg(1 << 10)->Arg(64 << 10);
 
+/** Live stack below each rank's fiber top while it is blocked in the
+ *  allreduce: an app's solver frames (measured rank-fiber high-water
+ *  is 2.4-5.3 KiB). */
+constexpr std::size_t kAppFrameBytes = 2560;
+
+/** One allreduce issued from under an app-depth frame. A byte every
+ *  512 B of the frame (five lines, like an app's scattered loop
+ *  locals) is written before the rank blocks and read back after it
+ *  resumes, so the frame stays live across the switch and the rank
+ *  blocks 2.5 KiB below its top. */
+[[gnu::noinline]] double
+allreduceUnderAppFrame(Proc &proc, double acc)
+{
+    volatile std::uint8_t frame[kAppFrameBytes];
+    for (std::size_t i = 0; i < kAppFrameBytes; i += 512)
+        frame[i] = static_cast<std::uint8_t>(i + proc.rank());
+    const double sum = proc.allreduce(acc);
+    unsigned check = 0;
+    for (std::size_t i = 0; i < kAppFrameBytes; i += 512)
+        check += frame[i];
+    benchmark::DoNotOptimize(check);
+    return sum;
+}
+
 /** Allreduce loop over state.range(0) ranks. Skewed ranks sleep a
  *  rank- and iteration-dependent time before each allreduce, so they
  *  arrive (and are woken) out of rank order: the ready queue's heap
- *  side instead of its sorted run. */
+ *  side instead of its sorted run. Deep ranks block under an app-depth
+ *  frame (allreduceUnderAppFrame). */
 void
-allreduceLoop(benchmark::State &state, bool skewed)
+allreduceLoop(benchmark::State &state, bool skewed, bool deep = false)
 {
     const int procs = static_cast<int>(state.range(0));
     constexpr int kIters = 20, kWarmup = 4;
@@ -271,7 +307,9 @@ allreduceLoop(benchmark::State &state, bool skewed)
                     window.open();
                 if (skewed)
                     proc.sleepFor(1e-6 * ((proc.rank() * 7 + i) % 13));
-                acc = proc.allreduce(acc) / procs;
+                acc = (deep ? allreduceUnderAppFrame(proc, acc)
+                            : proc.allreduce(acc)) /
+                      procs;
             }
             benchmark::DoNotOptimize(acc);
             // The first rank out left the last allreduce: every rank
@@ -297,6 +335,15 @@ BM_AllreduceSkewed(benchmark::State &state)
     allreduceLoop(state, true);
 }
 BENCHMARK(BM_AllreduceSkewed)->Arg(512);
+
+/** The shallow BM_Allreduce frames leave a few live lines per stack,
+ *  so their per-rank rate does not depend on where the stacks sit in
+ *  the cache; app-depth frames do. Registered first (see the top). */
+void
+BM_AllreduceDeepFrames(benchmark::State &state)
+{
+    allreduceLoop(state, false, true);
+}
 
 void
 BM_JobSpinUp(benchmark::State &state)

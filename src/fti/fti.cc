@@ -616,9 +616,8 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
                         group_lo + i);
         data[i] = {members[i].data(), members[i].size()};
     }
-    const RsCodec codec(k, m);
     auto parity =
-        codec.encode(data, stripe, storage::BlobPool::local());
+        rsCodec(k, m).encode(data, stripe, storage::BlobPool::local());
     for (int p = 0; p < m; ++p) {
         const std::string path = parityFile(config_, group_lo + p, ckpt_id);
         io_.retry([&] { io_.store().write(path, parity[p]); });
@@ -980,13 +979,22 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
         if (blob && blob.size() == stripe)
             shards[k + p] = take(blob);
     }
-    const RsCodec codec(k, m);
-    auto data = codec.reconstruct(shards);
+    auto data = rsCodec(k, m).reconstruct(shards);
     if (data.empty())
         return storage::Blob();
     auto blob = std::move(data[rank - group_lo]);
     blob.resize(meta.bytesPerRank[rank]);
     return storage::Blob::fromVector(std::move(blob));
+}
+
+const RsCodec &
+Fti::rsCodec(int k, int m)
+{
+    for (const RsCodec &codec : rsCodecs_) {
+        if (codec.dataShards() == k && codec.parityShards() == m)
+            return codec;
+    }
+    return rsCodecs_.emplace_back(k, m);
 }
 
 storage::Blob

@@ -14,6 +14,7 @@
 #define MATCH_SIMMPI_ERRORS_HH
 
 #include <stdexcept>
+#include <string>
 
 #include "src/simmpi/types.hh"
 
@@ -60,6 +61,20 @@ struct UlfmRestart : FiberUnwind
 struct MpiUsageError : std::runtime_error
 {
     explicit MpiUsageError(const std::string &message)
+        : std::runtime_error(message)
+    {}
+};
+
+/**
+ * The scheduler found live ranks but none runnable (every one blocked on
+ * an event no rank can deliver). Runtime::run/runReinit throw it after
+ * unwinding every rank fiber, so the job fails as a whole without a
+ * JobResult: this is a simulator or application defect, not a failure a
+ * recovery design could relaunch from.
+ */
+struct SchedulerDeadlock : std::runtime_error
+{
+    explicit SchedulerDeadlock(const std::string &message)
         : std::runtime_error(message)
     {}
 };

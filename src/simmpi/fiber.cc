@@ -139,9 +139,10 @@ Fiber::initStack()
 {
     // Craft the initial stack so the first matchCtxSwap "returns" into
     // trampolineEntry with correct 16-byte alignment (entry rsp % 16 ==
-    // 8, as after a call) and a null fake return address above it.
-    std::uintptr_t top =
-        reinterpret_cast<std::uintptr_t>(stack_.data.get() + stack_.size);
+    // 8, as after a call) and a null fake return address above it,
+    // starting the stack's cache color below its upper end.
+    std::uintptr_t top = reinterpret_cast<std::uintptr_t>(
+        stack_.data.get() + stack_.size - stack_.color);
     top &= ~static_cast<std::uintptr_t>(15);
     auto *slots = reinterpret_cast<void **>(top);
     // Layout downward from top: [fake ret=0][RIP][rbp][rbx][r12..r15].
@@ -171,14 +172,19 @@ Fiber::current()
 namespace
 {
 
+/// Stacks this thread has allocated, pooled or not: the source of
+/// each stack's cache color (see FiberStack).
+thread_local std::size_t stacksAllocated = 0;
+
 FiberStack
 allocStack(std::size_t bytes)
 {
     // new[] on uint8_t default-initializes: no memset, and untouched
     // guard pages never fault in.
+    const std::size_t color = 64 * (stacksAllocated++ % 64);
     return FiberStack{std::unique_ptr<std::uint8_t[]>(
                           new std::uint8_t[bytes]),
-                      bytes};
+                      bytes, color};
 }
 
 } // anonymous namespace

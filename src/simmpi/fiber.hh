@@ -32,11 +32,21 @@ namespace match::simmpi
  * fresh pages) dominates job spin-up — profiling showed it at ~95% of
  * an 8-rank collective microbenchmark. The stack is left uninitialized;
  * initStack() writes the only bytes the first switch reads.
+ *
+ * Each stack also carries a cache color: initStack() starts the first
+ * frame `color` bytes below the upper end. Without it every stack top
+ * has the same offset within the allocation, and equally strided
+ * allocations (glibc serves each 128 KiB stack as its own mmap, 132 KiB
+ * apart) put the hot top lines of a 512-rank job on a few L2 sets,
+ * 16 fibers per set. The n-th stack a thread allocates gets color
+ * 64 * (n mod 64) bytes, so consecutive stacks never share a top line
+ * offset; usable depth shrinks by at most 4032 bytes.
  */
 struct FiberStack
 {
     std::unique_ptr<std::uint8_t[]> data;
     std::size_t size = 0;
+    std::size_t color = 0; ///< bytes left unused below data + size
 };
 
 /**
@@ -130,6 +140,13 @@ class Fiber
 
     /** Fiber currently executing, or nullptr in scheduler context. */
     static Fiber *current();
+
+    /** One past the highest byte of this fiber's stack allocation
+     *  (the first frame starts the stack's color below it). */
+    const std::uint8_t *stackEnd() const
+    {
+        return stack_.data.get() + stack_.size;
+    }
 
     /** Fiber-local storage slot (thread_local is useless under fibers:
      *  they all share one OS thread). Used by the MPI compat shim. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "src/simmpi/proc.hh"
 #include "src/util/logging.hh"
@@ -143,9 +144,15 @@ Runtime::runImpl(const JobOptions &options, std::function<void(int)> body)
     recoveries_ = 0;
     failTime_ = 0.0;
     failedRanks_.clear();
+    deadlocked_ = false;
 
     scheduleLoop();
 
+    if (deadlocked_) {
+        throw SchedulerDeadlock(
+            "simmpi scheduler deadlock: no runnable rank among " +
+            std::to_string(options.nprocs) + " ranks");
+    }
     JobResult result;
     buildResult(result);
     return result;
@@ -212,7 +219,15 @@ Runtime::scheduleLoop()
                            static_cast<int>(rs.blockReason), rs.failed,
                            rs.clock);
             }
-            util::panic("simmpi scheduler deadlock: no runnable rank");
+            // Ranks already unwinding cannot be unwound again.
+            if (deadlocked_ || jobAborting_)
+                util::panic("simmpi scheduler deadlock: no runnable rank");
+            // Fail the job, not the process: unwind every live fiber
+            // through the abort path so its stack objects are
+            // destroyed, then runImpl throws SchedulerDeadlock.
+            deadlocked_ = true;
+            unwindLiveRanks();
+            continue;
         }
         running_ = next;
         ranks_[next].fiber->resume();
@@ -443,6 +458,12 @@ Runtime::triggerJobAbort(SimTime when)
         return;
     jobAborting_ = true;
     abortTime_ = when;
+    unwindLiveRanks();
+}
+
+void
+Runtime::unwindLiveRanks()
+{
     for (auto &rs : ranks_) {
         if (rs.fiber->finished())
             continue;
@@ -1311,8 +1332,9 @@ Runtime::repairWorldCommon(int g, bool shrinking)
         completeRepair();
     } else {
         block(g, BlockReason::Repair);
-        // No signal check: under the Return policy the repair owns this
-        // fiber; aborts/rollbacks do not occur here.
+        // The Return policy neither aborts nor rolls back: only a
+        // deadlock unwind signals a rank parked in a repair.
+        checkSignals(g);
     }
 
     MATCH_ASSERT(repairOp_.done, "woken from an incomplete world repair");

@@ -213,7 +213,9 @@ class Runtime
     Runtime(const Runtime &) = delete;
     Runtime &operator=(const Runtime &) = delete;
 
-    /** Run a job under the Fatal or Return error policy. */
+    /** Run a job under the Fatal or Return error policy. Throws
+     *  SchedulerDeadlock, after unwinding every rank fiber, when live
+     *  ranks remain but none is runnable (so does runReinit). */
     JobResult run(const JobOptions &options, RankMain main);
 
     /** Run a job under the Reinit policy with a resilient main. */
@@ -610,6 +612,9 @@ class Runtime
     void onRankDeath(int g);
     void failPendingOpsFor(int deadGlobal);
     void triggerJobAbort(SimTime when);
+    /** Wake every unfinished fiber with the abort signal set, so it
+     *  unwinds (JobAborted) at its next signal check. */
+    void unwindLiveRanks();
     void triggerReinitRecovery(SimTime when);
 
     // --- collectives ----------------------------------------------------------
@@ -693,6 +698,9 @@ class Runtime
     std::uint64_t schedulerTrips_ = 0;
 
     bool jobAborting_ = false;
+    /** The scheduler found no runnable rank and is unwinding them all;
+     *  runImpl then throws SchedulerDeadlock. */
+    bool deadlocked_ = false;
     SimTime abortTime_ = 0.0;
     SimTime reinitRestartTime_ = 0.0;
     int failureCount_ = 0;

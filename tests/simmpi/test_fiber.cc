@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -96,7 +99,9 @@ TEST(Fiber, DestructorsRunDuringUnwind)
 
 TEST(Fiber, DeepStackUsageSurvives)
 {
-    // Recursion touching ~100 KiB of the 512 KiB default stack.
+    // Recursion touching ~95 KiB of the 128 KiB default stack: ~118 KiB
+    // under ASan, whose redzones grow every frame, which still fits
+    // below the stack's cache color (at most 4032 B).
     std::function<int(int)> burn = [&](int depth) -> int {
         volatile char pad[1024];
         pad[0] = static_cast<char>(depth);
@@ -105,9 +110,46 @@ TEST(Fiber, DeepStackUsageSurvives)
         return burn(depth - 1) + (pad[0] ? 1 : 0);
     };
     int result = -1;
-    Fiber fiber([&] { result = burn(100); });
+    Fiber fiber([&] { result = burn(90); });
     fiber.resume();
-    EXPECT_EQ(result, 100);
+    EXPECT_EQ(result, 90);
+}
+
+TEST(Fiber, PooledStacksStartAtDistinctCacheColors)
+{
+    // Equally strided stack allocations (one mmap each, 132 KiB apart)
+    // would put every stack's live top on the same page offset. Each
+    // live frame must instead sit at a distinct distance below its
+    // stack's upper end, modulo the page, whatever the allocator did.
+    constexpr int kFibers = 64;
+    FiberStackPool pool;
+    std::vector<std::uintptr_t> depth(kFibers, 0);
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    for (int i = 0; i < kFibers; ++i) {
+        fibers.push_back(std::make_unique<Fiber>(
+            [&depth, i] {
+                volatile char local = 0;
+                const auto end = reinterpret_cast<std::uintptr_t>(
+                    Fiber::current()->stackEnd());
+                depth[i] = end - reinterpret_cast<std::uintptr_t>(&local);
+                Fiber::current()->yield();
+            },
+            Fiber::defaultStackBytes, &pool));
+    }
+    for (auto &fiber : fibers)
+        fiber->resume(); // all 64 stacks are live at once
+    std::set<std::uintptr_t> offsets;
+    for (int i = 0; i < kFibers; ++i) {
+        EXPECT_GT(depth[i], 0u);
+        EXPECT_LT(depth[i], Fiber::defaultStackBytes);
+        offsets.insert(depth[i] % 4096);
+    }
+    EXPECT_EQ(offsets.size(), static_cast<std::size_t>(kFibers));
+    for (auto &fiber : fibers) {
+        fiber->setState(Fiber::State::Runnable);
+        fiber->resume();
+        EXPECT_TRUE(fiber->finished());
+    }
 }
 
 TEST(FiberDeath, EscapingStdExceptionPanics)

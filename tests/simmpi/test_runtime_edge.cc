@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
+#include "src/simmpi/errors.hh"
+#include "src/simmpi/fiber.hh"
 #include "src/simmpi/proc.hh"
 #include "src/simmpi/runtime.hh"
 
@@ -301,4 +305,44 @@ TEST(RuntimeScheduler, ReturnsToSchedulerOncePerFinishedFiber)
     EXPECT_EQ(rt.schedulerTrips(), static_cast<std::uint64_t>(kProcs));
     rt.run(options(kProcs), body);
     EXPECT_EQ(rt.schedulerTrips(), static_cast<std::uint64_t>(2 * kProcs));
+}
+
+TEST(RuntimeScheduler, DeadlockUnwindsRanksAndThrows)
+{
+    // Every rank waits on a neighbour that never sends: live ranks, none
+    // runnable. The job fails with a typed error instead of killing the
+    // process, after destroying each rank's stack objects, and the same
+    // thread runs the next job on the recycled stacks.
+    constexpr int kProcs = 4;
+    struct Sentinel
+    {
+        int *destroyed;
+        ~Sentinel() { ++*destroyed; }
+    };
+    int destroyed = 0;
+    std::set<const std::uint8_t *> deadlockedStacks;
+    Runtime rt;
+    EXPECT_THROW(rt.run(options(kProcs),
+                        [&](Proc &proc) {
+                            Sentinel sentinel{&destroyed};
+                            deadlockedStacks.insert(
+                                Fiber::current()->stackEnd());
+                            double token = 0.0;
+                            proc.recv((proc.rank() + 1) % kProcs, 0,
+                                      &token, sizeof(token));
+                            ADD_FAILURE() << "recv returned";
+                        }),
+                 SchedulerDeadlock);
+    EXPECT_EQ(destroyed, kProcs);
+    EXPECT_EQ(deadlockedStacks.size(), static_cast<std::size_t>(kProcs));
+
+    std::set<const std::uint8_t *> nextStacks;
+    const JobResult result = rt.run(options(kProcs), [&](Proc &proc) {
+        nextStacks.insert(Fiber::current()->stackEnd());
+        EXPECT_DOUBLE_EQ(proc.allreduce(1.0), kProcs);
+    });
+    EXPECT_FALSE(result.aborted);
+    EXPECT_GT(result.makespan, 0.0);
+    // The unwound fibers handed their stacks back to the thread's pool.
+    EXPECT_EQ(nextStacks, deadlockedStacks);
 }
