@@ -123,17 +123,6 @@ operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 namespace
 {
 
-/** Defined below; declared so the row can register first. */
-void BM_AllreduceDeepFrames(benchmark::State &state);
-
-/** Registered first, so its 512 fiber stacks are the process's first
- *  128 KiB allocations: glibc serves each as its own mmap, as in a
- *  fresh grid process. (Once a freed mmapped chunk raises glibc's
- *  dynamic mmap threshold, later stacks are carved from the heap
- *  instead.) The stacks stay in the thread's pool for the later
- *  rows. */
-BENCHMARK(BM_AllreduceDeepFrames)->Arg(512);
-
 void
 BM_FiberSwitch(benchmark::State &state)
 {
@@ -338,12 +327,18 @@ BENCHMARK(BM_AllreduceSkewed)->Arg(512);
 
 /** The shallow BM_Allreduce frames leave a few live lines per stack,
  *  so their per-rank rate does not depend on where the stacks sit in
- *  the cache; app-depth frames do. Registered first (see the top). */
+ *  the cache; app-depth frames do. Run alone
+ *  (--benchmark_filter=BM_AllreduceDeepFrames), its 512 stacks are the
+ *  process's first 128 KiB allocations and glibc mmaps each, as in a
+ *  fresh grid process; in a full run it reuses the stacks the earlier
+ *  rows left in the thread's pool, carved from the heap once a freed
+ *  mmapped chunk raised glibc's dynamic mmap threshold. */
 void
 BM_AllreduceDeepFrames(benchmark::State &state)
 {
     allreduceLoop(state, false, true);
 }
+BENCHMARK(BM_AllreduceDeepFrames)->Arg(512);
 
 void
 BM_JobSpinUp(benchmark::State &state)

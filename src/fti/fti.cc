@@ -616,8 +616,9 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
                         group_lo + i);
         data[i] = {members[i].data(), members[i].size()};
     }
+    const RsCodec codec(k, m);
     auto parity =
-        rsCodec(k, m).encode(data, stripe, storage::BlobPool::local());
+        codec.encode(data, stripe, storage::BlobPool::local());
     for (int p = 0; p < m; ++p) {
         const std::string path = parityFile(config_, group_lo + p, ckpt_id);
         io_.retry([&] { io_.store().write(path, parity[p]); });
@@ -979,22 +980,13 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
         if (blob && blob.size() == stripe)
             shards[k + p] = take(blob);
     }
-    auto data = rsCodec(k, m).reconstruct(shards);
+    const RsCodec codec(k, m);
+    auto data = codec.reconstruct(shards);
     if (data.empty())
         return storage::Blob();
     auto blob = std::move(data[rank - group_lo]);
     blob.resize(meta.bytesPerRank[rank]);
     return storage::Blob::fromVector(std::move(blob));
-}
-
-const RsCodec &
-Fti::rsCodec(int k, int m)
-{
-    for (const RsCodec &codec : rsCodecs_) {
-        if (codec.dataShards() == k && codec.parityShards() == m)
-            return codec;
-    }
-    return rsCodecs_.emplace_back(k, m);
 }
 
 storage::Blob

@@ -44,7 +44,6 @@
 
 #include "src/ckpt/io.hh"
 #include "src/fti/config.hh"
-#include "src/fti/rs_codec.hh"
 #include "src/simmpi/proc.hh"
 #include "src/storage/blob.hh"
 #include "src/storage/faults.hh"
@@ -290,10 +289,6 @@ class Fti
      *  shards failing their CRC32C count as lost. Null when too many
      *  shards are gone. */
     storage::Blob reconstructFromGroup(const MetaInfo &meta);
-    /** The L3 codec for a (k, m) group geometry, built on first use
-     *  and kept, so an encode or rebuild no longer pays for a fresh
-     *  Vandermonde matrix. */
-    const RsCodec &rsCodec(int k, int m);
     /** This rank's whole L4 object, decompressed when the transform
      *  has a compress stage; not yet verified (see readStored). */
     storage::Blob readPfsBlob(const MetaInfo &meta, const char *&why);
@@ -345,9 +340,6 @@ class Fti
      *  a full envelope supersedes the chain. The delta-vs-full
      *  decision is collective, so every rank tracks the same chain. */
     std::vector<std::pair<int, int>> deltaChain_;
-    /** Every (k, m) codec this rank has used (the last group of a
-     *  world can be short, and a shrink regroups). */
-    std::vector<RsCodec> rsCodecs_;
 };
 
 } // namespace match::fti

@@ -176,15 +176,22 @@ namespace
 /// each stack's cache color (see FiberStack).
 thread_local std::size_t stacksAllocated = 0;
 
+/// Cache colors step by one line over 64 lines; the largest is
+/// allocated as headroom on top of every stack.
+constexpr std::size_t kColorStep = 64;
+constexpr std::size_t kColors = 64;
+constexpr std::size_t kColorHeadroom = kColorStep * (kColors - 1);
+
 FiberStack
 allocStack(std::size_t bytes)
 {
     // new[] on uint8_t default-initializes: no memset, and untouched
     // guard pages never fault in.
-    const std::size_t color = 64 * (stacksAllocated++ % 64);
-    return FiberStack{std::unique_ptr<std::uint8_t[]>(
-                          new std::uint8_t[bytes]),
-                      bytes, color};
+    const std::size_t color = kColorStep * (stacksAllocated++ % kColors);
+    const std::size_t size = bytes + kColorHeadroom;
+    return FiberStack{
+        std::unique_ptr<std::uint8_t[]>(new std::uint8_t[size]), size,
+        color};
 }
 
 } // anonymous namespace
@@ -192,7 +199,7 @@ allocStack(std::size_t bytes)
 FiberStack
 FiberStackPool::acquire(std::size_t bytes)
 {
-    if (!free_.empty() && free_.back().size >= bytes) {
+    if (!free_.empty() && free_.back().usable() >= bytes) {
         FiberStack stack = std::move(free_.back());
         free_.pop_back();
         return stack;

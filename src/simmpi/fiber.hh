@@ -40,13 +40,18 @@ namespace match::simmpi
  * apart) put the hot top lines of a 512-rank job on a few L2 sets,
  * 16 fibers per set. The n-th stack a thread allocates gets color
  * 64 * (n mod 64) bytes, so consecutive stacks never share a top line
- * offset; usable depth shrinks by at most 4032 bytes.
+ * offset. The largest color, 4032 bytes, is allocated on top of the
+ * requested size, so every stack keeps at least that much usable depth
+ * (a 128 KiB stack still fits the same 33 mmapped pages).
  */
 struct FiberStack
 {
     std::unique_ptr<std::uint8_t[]> data;
-    std::size_t size = 0;
+    std::size_t size = 0;  ///< whole allocation, color headroom included
     std::size_t color = 0; ///< bytes left unused below data + size
+
+    /** Bytes below the first frame: at least the size asked for. */
+    std::size_t usable() const { return size - color; }
 };
 
 /**
