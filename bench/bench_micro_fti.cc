@@ -318,11 +318,9 @@ BENCHMARK(BM_Recover);
  * Recovery at scale, the FTI share of a Fig. 6/9 recovery cell: a
  * fresh P-rank job scans the committed meta records and restores the
  * newest link of a delta chain (a full checkpoint plus three deltas).
- * Each iteration first commits new epochs, untimed, so the records are
- * new text as in a grid where every cell writes its own. The
- * `metaParses` counter (per iteration) stays at the number of records,
- * one parse per distinct text per thread, while `metaHits` grows with
- * P: every rank still fetches and checks every record.
+ * Each iteration first commits new epochs, untimed, as in a grid where
+ * every cell writes its own. Every rank fetches and checks every
+ * commit record, so the meta reads grow with P.
  */
 void
 BM_RecoverScaling(benchmark::State &state)
@@ -335,10 +333,7 @@ BM_RecoverScaling(benchmark::State &state)
     cfg.transform = match::storage::TransformKind::Delta;
     JobOptions opts;
     opts.nprocs = procs;
-    const fti::MetaMemoStats before = fti::metaMemoStats();
-    // Never reset between the runs google-benchmark makes per row, so
-    // no round's records repeat one the memo still holds.
-    static int round = 0;
+    int round = 0;
     for (auto _ : state) {
         state.PauseTiming();
         fti::Fti::purge(cfg);
@@ -366,13 +361,6 @@ BM_RecoverScaling(benchmark::State &state)
         });
     }
     fti::Fti::purge(cfg);
-    const fti::MetaMemoStats after = fti::metaMemoStats();
-    state.counters["metaParses"] = benchmark::Counter(
-        static_cast<double>(after.misses - before.misses),
-        benchmark::Counter::kAvgIterations);
-    state.counters["metaHits"] = benchmark::Counter(
-        static_cast<double>(after.hits - before.hits),
-        benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RecoverScaling)->Arg(64)->Arg(512)->Unit(
     benchmark::kMillisecond);

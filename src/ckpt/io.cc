@@ -76,14 +76,17 @@ CkptIo::price(std::uint64_t shipped, std::uint64_t inVirtBytes, int procs,
 }
 
 void
+CkptIo::drain(std::uint64_t shipped, int procs, double factor,
+              std::uint64_t inVirtBytes, std::uint64_t occupancy)
+{
+    channel_.add(proc_.now(), price(shipped, inVirtBytes, procs, factor),
+                 occupancy);
+}
+
+void
 CkptIo::reserve(std::uint64_t bytes, std::uint64_t capacity)
 {
-    const double stall = channel_.reserve(
-        proc_.now(), bytes, capacity,
-        [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
-               double factor) {
-            return price(shipped, in_bytes, procs, factor);
-        });
+    const double stall = channel_.reserve(proc_.now(), bytes, capacity);
     if (stall > 0.0)
         proc_.sleepFor(stall);
 }
@@ -91,12 +94,7 @@ CkptIo::reserve(std::uint64_t bytes, std::uint64_t capacity)
 void
 CkptIo::barrier()
 {
-    const double wait = channel_.resolve(
-        proc_.now(),
-        [this](std::uint64_t shipped, std::uint64_t in_bytes, int procs,
-               double factor) {
-            return price(shipped, in_bytes, procs, factor);
-        });
+    const double wait = channel_.resolve(proc_.now());
     if (wait > 0.0)
         proc_.sleepFor(wait);
 }

@@ -53,9 +53,6 @@ class CkptIo
      *  else null (the fast path: no plan queries, no retry pricing). */
     storage::FaultInjectingBackend *faults() const { return faults_; }
 
-    /** This rank's virtual drain channel (admit, stamp). */
-    storage::DrainChannel &channel() { return channel_; }
-
     /** Re-key this rank's fault epoch, and publish it as the engine's
      *  fallback for unscoped accesses. The epoch is per-instance:
      *  ranks on different recovery rungs never flap each other's. */
@@ -106,7 +103,7 @@ class CkptIo
 
     /**
      * Run one flush inline and return the bytes it shipped (the caller
-     * admits them to channel()). `body(retryLimit)` performs the flush
+     * hands them to drain()). `body(retryLimit)` performs the flush
      * and returns those bytes. The flush binds `epoch` with `actor`
      * and reruns the body up to the retry budget on StorageError —
      * unpriced: the flushing rank prices the plan's transient strikes
@@ -132,12 +129,23 @@ class CkptIo
         });
     }
 
+    /**
+     * Enqueue one flush on this rank's virtual drain channel, now —
+     * once the client has charged the staging cost. `shipped` is what
+     * flush() returned, `inVirtBytes` the virtual size of the staged
+     * object before any drain-stage transform, `factor` the client's
+     * cost multiplier, and `occupancy` the virtual burst-buffer bytes
+     * the flush holds until it finishes (0: none).
+     */
+    void drain(std::uint64_t shipped, int procs, double factor,
+               std::uint64_t inVirtBytes, std::uint64_t occupancy = 0);
+
     /** Virtual burst-buffer capacity pressure: sleep until `bytes`
      *  more fit under `capacity` (0 = unbounded, no stall). */
     void reserve(std::uint64_t bytes, std::uint64_t capacity);
 
-    /** Quiesce point: fold this rank's pending flushes into the
-     *  channel and sleep until its virtual completion. */
+    /** Quiesce point: sleep until the drain channel's virtual
+     *  completion. */
     void barrier();
 
   private:

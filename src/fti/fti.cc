@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/fti/rs_codec.hh"
-#include "src/util/ini.hh"
 #include "src/util/logging.hh"
 #include "src/util/phase.hh"
 
@@ -35,24 +34,16 @@ fnv1a(const void *data, std::size_t bytes, std::uint64_t seed)
 namespace
 {
 
-/** Append n in decimal (std::to_string's digits, no temporary). */
-template <typename Int>
-void
-appendDecimal(std::string &out, Int n)
-{
-    char digits[24];
-    const char *end = std::to_chars(digits, digits + sizeof(digits), n).ptr;
-    out.append(digits, static_cast<std::size_t>(end - digits));
-}
-
 /** prefix + decimal id + suffix, built in one allocation. */
 std::string
 idPath(const std::string &prefix, int id, const char *suffix)
 {
+    char digits[12];
+    const char *end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
     std::string path;
-    path.reserve(prefix.size() + 12 + std::strlen(suffix));
+    path.reserve(prefix.size() + sizeof(digits) + std::strlen(suffix));
     path.append(prefix);
-    appendDecimal(path, id);
+    path.append(digits, static_cast<std::size_t>(end - digits));
     path.append(suffix);
     return path;
 }
@@ -136,8 +127,8 @@ Fti::Fti(simmpi::Proc &proc, FtiConfig config, simmpi::CommId comm)
     recoveryCkptId_ = newestCommittedCkpt();
     if (recoveryCkptId_ > 0) {
         if (const auto meta = loadMeta(recoveryCkptId_)) {
-            prevCkptId_ = meta->ckptId;
-            prevLevel_ = meta->level;
+            prevCkptId_ = meta.ckptId;
+            prevLevel_ = meta.level;
         }
     }
 }
@@ -262,211 +253,76 @@ Fti::deserializeRegions(const std::uint8_t *data, std::size_t bytes)
 // Metadata
 // ---------------------------------------------------------------------------
 
+// The record is read and written with plain loads and stores of its
+// little-endian fields.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "the binary commit record assumes a little-endian host");
+
 namespace
 {
 
-/** Call f(r) for every r in [0, n), in the order of r's decimal
- *  strings (0, 1, 10, 100, 101, ..., 11, ..., 2, ...): a walk of the
- *  decimal digit trie, so no keys are built or sorted. */
-template <typename F>
-void
-forEachInDecimalStringOrder(int n, F &&f)
+template <typename T>
+T
+load(const std::uint8_t *p)
 {
-    if (n <= 0)
-        return;
-    f(0); // "0" is the only string that starts with '0'
-    long long r = 1;
-    for (int emitted = 1; emitted < n; ++emitted) {
-        f(static_cast<int>(r));
-        if (r * 10 < n) {
-            r *= 10; // "r" is followed by "r0"
-        } else {
-            // Climb past every last sibling, then step to the next one.
-            while (r % 10 == 9 || r + 1 >= n)
-                r /= 10;
-            ++r;
-        }
-    }
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** Rank r's {bytes, crc} entry of a valid record. */
+const std::uint8_t *
+entryOf(const MetaInfo &meta, int r)
+{
+    MATCH_ASSERT(r >= 0 && r < meta.nprocs, "rank outside the record");
+    return meta.record.data() + MetaInfo::kHeaderBytes +
+           MetaInfo::kEntryBytes * static_cast<std::size_t>(r);
 }
 
 } // anonymous namespace
 
-std::string
-formatMeta(const MetaInfo &meta)
+std::size_t
+MetaInfo::bytes(int r) const
 {
-    // util::IniFile::toString's layout: sections, then keys, in
-    // std::map (lexicographic) order, each section closed by a blank
-    // line. The [ranks] section exists only when it has keys.
-    std::string text;
-    text.reserve(64 + static_cast<std::size_t>(std::max(meta.nprocs, 0)) *
-                          48);
-    text += "[ckpt]\nid = ";
-    appendDecimal(text, meta.ckptId);
-    text += "\nlevel = ";
-    appendDecimal(text, meta.level);
-    text += "\nnprocs = ";
-    appendDecimal(text, meta.nprocs);
-    text += "\n\n";
-    if (meta.nprocs <= 0)
-        return text;
-    text += "[ranks]\n";
-    forEachInDecimalStringOrder(meta.nprocs, [&](int r) {
-        text += "bytes";
-        appendDecimal(text, r);
-        text += " = ";
-        appendDecimal(text, static_cast<long>(meta.bytesPerRank[r]));
-        text += '\n';
-    });
-    forEachInDecimalStringOrder(meta.nprocs, [&](int r) {
-        text += "crc";
-        appendDecimal(text, r);
-        text += " = ";
-        appendDecimal(text, meta.checksumPerRank[r]);
-        text += '\n';
-    });
-    text += '\n';
-    return text;
+    return static_cast<std::size_t>(
+        load<std::uint64_t>(entryOf(*this, r)));
 }
 
-void
-Fti::commitMeta(const MetaInfo &meta)
+std::uint64_t
+MetaInfo::crc(int r) const
 {
-    const std::string path = metaPath(meta.ckptId);
-    const std::string text = formatMeta(meta);
-    const storage::Blob blob =
-        storage::BlobPool::local().copyOf(text.data(), text.size());
-    io_.retry([&] { io_.store().writeAtomic(path, blob); });
+    return load<std::uint64_t>(entryOf(*this, r) + 8);
 }
 
-std::shared_ptr<const MetaInfo>
-parseMeta(const storage::Blob &text)
+MetaInfo
+parseMeta(storage::Blob record)
 {
-    util::IniFile ini;
-    if (!ini.parseString(
-            std::string(reinterpret_cast<const char *>(text.data()),
-                        text.size())))
-        return nullptr;
-    auto meta = std::make_shared<MetaInfo>();
-    meta->ckptId = static_cast<int>(ini.getInt("ckpt", "id", 0));
-    meta->level = static_cast<int>(ini.getInt("ckpt", "level", 0));
-    meta->nprocs = static_cast<int>(ini.getInt("ckpt", "nprocs", 0));
-    if (meta->level < 1 || meta->nprocs < 1)
-        return meta;
-    // Grown entry by entry, so a garbled nprocs cannot size a huge
-    // allocation before the first missing entry rejects the record.
-    for (int r = 0; r < meta->nprocs; ++r) {
-        const std::string crc =
-            ini.getString("ranks", "crc" + std::to_string(r), "");
-        if (crc.empty()) {
-            meta->bytesPerRank.clear();
-            meta->checksumPerRank.clear();
-            return meta;
-        }
-        meta->bytesPerRank.push_back(static_cast<std::size_t>(
-            ini.getInt("ranks", "bytes" + std::to_string(r), -1)));
-        meta->checksumPerRank.push_back(
-            std::strtoull(crc.c_str(), nullptr, 10));
-    }
-    meta->complete = true;
+    if (record.size() < MetaInfo::kHeaderBytes)
+        return {};
+    const std::uint8_t *p = record.data();
+    MetaInfo meta;
+    meta.ckptId = load<std::int32_t>(p + 4);
+    meta.level = load<std::int32_t>(p + 8);
+    meta.nprocs = load<std::int32_t>(p + 12);
+    if (load<std::int32_t>(p) != MetaInfo::kMagic || meta.level < 1 ||
+        meta.level > 4 || meta.nprocs < 1 ||
+        record.size() != MetaInfo::recordBytes(meta.nprocs))
+        return {};
+    meta.record = std::move(record);
     return meta;
 }
 
-namespace
-{
-
-/**
- * The calling thread's parsed meta records, least recently used
- * evicted first. Each entry pins the text buffer it was parsed from, so
- * a buffer address seen again is the same immutable bytes — the fast
- * path under MemBackend, whose read hands out the stored object. A
- * fresh copy (DiskBackend) matches by size, CRC32C and equal bytes.
- */
-struct MetaMemo
-{
-    struct Entry
-    {
-        storage::Blob text;
-        std::shared_ptr<const MetaInfo> meta;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::vector<Entry> entries;
-    std::uint64_t clock = 0;
-    MetaMemoStats stats;
-
-    static MetaMemo &
-    local()
-    {
-        thread_local MetaMemo memo;
-        return memo;
-    }
-
-    Entry *
-    find(const storage::Blob &text)
-    {
-        for (Entry &e : entries)
-            if (e.text.data() == text.data() && e.text.size() == text.size())
-                return &e;
-        const std::uint32_t crc = text.crc32c();
-        for (Entry &e : entries) {
-            if (e.text.size() == text.size() && e.text.crc32c() == crc &&
-                (text.size() == 0 ||
-                 std::memcmp(e.text.data(), text.data(), text.size()) ==
-                     0)) {
-                e.text = text; // the newest buffer takes the fast path
-                return &e;
-            }
-        }
-        return nullptr;
-    }
-};
-
-} // anonymous namespace
-
-std::shared_ptr<const MetaInfo>
-parseMetaMemo(const storage::Blob &text)
-{
-    MetaMemo &memo = MetaMemo::local();
-    ++memo.clock;
-    if (MetaMemo::Entry *hit = memo.find(text)) {
-        hit->lastUse = memo.clock;
-        ++memo.stats.hits;
-        return hit->meta;
-    }
-    ++memo.stats.misses;
-    MetaMemo::Entry entry{text, parseMeta(text), memo.clock};
-    if (memo.entries.size() < kMetaMemoCapacity) {
-        memo.entries.push_back(entry);
-    } else {
-        *std::min_element(memo.entries.begin(), memo.entries.end(),
-                          [](const auto &a, const auto &b) {
-                              return a.lastUse < b.lastUse;
-                          }) = entry;
-        ++memo.stats.evictions;
-    }
-    return entry.meta;
-}
-
-MetaMemoStats
-metaMemoStats()
-{
-    return MetaMemo::local().stats;
-}
-
-std::shared_ptr<const MetaInfo>
+MetaInfo
 Fti::loadMeta(int ckpt_id) const
 {
     // Retry exhaustion reads as "metadata missing": recovery walks to
     // an older committed checkpoint instead of aborting on a tier
-    // fault window. Every call fetches, even when the parse is
-    // memoized: meta reads are fault-injectable per actor, so a skipped
-    // fetch would shift strike budgets and priced retries.
-    const storage::Blob text = io_.readSoft(metaPath(ckpt_id));
-    if (!text)
-        return nullptr;
-    std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
-    if (!meta || !meta->complete || meta->ckptId != ckpt_id)
-        return nullptr;
+    // fault window. Meta reads are fault-injectable per actor, so every
+    // rank fetches every record it checks: strike budgets and priced
+    // retries follow the fetches.
+    MetaInfo meta = parseMeta(io_.readSoft(metaPath(ckpt_id)));
+    if (!meta || meta.ckptId != ckpt_id)
+        return {};
     return meta;
 }
 
@@ -481,8 +337,8 @@ Fti::newestCommittedCkpt() const
         const int id = std::atoi(name.c_str() + 4);
         if (id <= newest)
             continue;
-        const auto meta = loadMeta(id);
-        if (meta && meta->nprocs == proc_.runtime().commSize(comm_))
+        const MetaInfo meta = loadMeta(id);
+        if (meta && meta.nprocs == proc_.runtime().commSize(comm_))
             newest = id;
     }
     return newest;
@@ -500,8 +356,8 @@ Fti::committedCkptsNewestFirst() const
         if (name.rfind("ckpt", 0) != 0)
             continue;
         const int id = std::atoi(name.c_str() + 4);
-        const auto meta = id > 0 ? loadMeta(id) : nullptr;
-        if (meta && meta->nprocs == proc_.runtime().commSize(comm_))
+        const MetaInfo meta = id > 0 ? loadMeta(id) : MetaInfo();
+        if (meta && meta.nprocs == proc_.runtime().commSize(comm_))
             ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end(),
@@ -575,7 +431,7 @@ Fti::writePartnerCopy(int ckpt_id, const storage::Blob &blob)
 }
 
 void
-Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
+Fti::encodeGroupParity(int ckpt_id, const std::vector<std::uint64_t> &sizes)
 {
     // The group leader (first rank of each encoding group) reads the
     // group's data files, pads them to the longest, and writes one parity
@@ -601,7 +457,8 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     // handles the store then keeps.
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
-        stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
+        stripe = std::max(stripe,
+                          static_cast<std::size_t>(sizes[group_lo + i]));
     std::vector<RsCodec::ShardView> data(k);
     std::vector<storage::Blob> members(k);
     for (int i = 0; i < k; ++i) {
@@ -625,7 +482,7 @@ Fti::encodeGroupParity(int ckpt_id, const MetaInfo &meta)
     }
 }
 
-void
+std::uint64_t
 Fti::flushToPfs(int ckpt_id, storage::Blob blob)
 {
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
@@ -644,25 +501,17 @@ Fti::flushToPfs(int ckpt_id, storage::Blob blob)
     // decompresses before verifying. The shipped size is a pure
     // function of the staged blob. A permanently failed flush leaves
     // the object lost or torn for recovery's ladder to deal with.
-    const std::uint64_t shipped =
-        io_.flush(ckpt_id, rank, [&](int retry_limit) -> std::uint64_t {
-            const storage::Blob out =
-                storage::transformHasCompress(config_.transform)
-                    ? storage::compressEncode(blob)
-                    : blob;
-            storage::withIoRetry(
-                retry_limit,
-                [&] {
-                    io_.store().write(pfsFile(config_, rank, ckpt_id),
-                                      out);
-                },
-                [](int) {});
-            return out.size();
-        });
-    // The virtual enqueue instant is stamped later, once checkpoint()
-    // has charged the staging cost.
-    io_.channel().admit(shipped, proc_.runtime().commSize(comm_),
-                        ckptFactor(), virt_bytes, virt_bytes);
+    return io_.flush(ckpt_id, rank, [&](int retry_limit) -> std::uint64_t {
+        const storage::Blob out =
+            storage::transformHasCompress(config_.transform)
+                ? storage::compressEncode(blob)
+                : blob;
+        storage::withIoRetry(
+            retry_limit,
+            [&] { io_.store().write(pfsFile(config_, rank, ckpt_id), out); },
+            [](int) {});
+        return out.size();
+    });
 }
 
 void
@@ -825,36 +674,29 @@ Fti::checkpoint(int ckpt_id, int level)
         writeLocal(ckpt_id, blob);
     if (level == 2)
         writePartnerCopy(ckpt_id, blob);
+    std::uint64_t shipped = 0;
     if (level == 4)
-        flushToPfs(ckpt_id, std::move(blob)); // staged, not copied
+        shipped = flushToPfs(ckpt_id, std::move(blob)); // staged, not copied
 
-    // Consistency protocol: gather sizes/checksums at rank 0, which
-    // commits the metadata record; everyone waits for the commit.
-    struct Entry
-    {
-        std::uint64_t bytes;
-        std::uint64_t crc;
-    };
+    // Consistency protocol: gather sizes/checksums at rank 0, straight
+    // into the body of the commit record (see MetaInfo), which rank 0
+    // then commits; everyone waits for the commit. The other ranks
+    // build no record (a non-root gather ignores its receive buffer).
     const int size = proc_.runtime().commSize(comm_);
     const int rank = proc_.runtime().commRank(proc_.globalIndex(), comm_);
-    // Only the root reads the gathered table and the record built from
-    // it; the other ranks size neither (a non-root gather ignores its
-    // receive buffer).
-    Entry mine{blob_bytes, crc};
-    std::vector<Entry> entries(rank == 0 ? static_cast<std::size_t>(size)
-                                         : 0);
-    proc_.gather(0, &mine, sizeof(mine), entries.data(), comm_);
-
-    MetaInfo meta;
-    meta.ckptId = ckpt_id;
-    meta.level = level;
-    meta.nprocs = size;
-    meta.bytesPerRank.reserve(entries.size());
-    meta.checksumPerRank.reserve(entries.size());
-    for (const Entry &e : entries) {
-        meta.bytesPerRank.push_back(static_cast<std::size_t>(e.bytes));
-        meta.checksumPerRank.push_back(e.crc);
+    const std::uint64_t mine[2] = {blob_bytes, crc};
+    storage::MutableBlob record;
+    if (rank == 0) {
+        record = storage::BlobPool::local().acquire(
+            MetaInfo::recordBytes(size));
+        const std::int32_t header[4] = {MetaInfo::kMagic, ckpt_id, level,
+                                        size};
+        std::memcpy(record.data(), header, sizeof(header));
     }
+    proc_.gather(0, mine, sizeof(mine),
+                 rank == 0 ? record.data() + MetaInfo::kHeaderBytes
+                           : nullptr,
+                 comm_);
 
     if (level == 3) {
         // All data files must exist before the leaders encode.
@@ -863,14 +705,17 @@ Fti::checkpoint(int ckpt_id, int level)
         std::vector<std::uint64_t> sizes(static_cast<std::size_t>(size));
         std::uint64_t my_size = blob_bytes;
         proc_.allgather(&my_size, sizeof(my_size), sizes.data(), comm_);
-        MetaInfo enc_meta;
-        enc_meta.bytesPerRank.assign(sizes.begin(), sizes.end());
-        encodeGroupParity(ckpt_id, enc_meta);
+        encodeGroupParity(ckpt_id, sizes);
         proc_.barrier(comm_);
     }
 
-    if (rank == 0)
-        commitMeta(meta);
+    if (rank == 0) {
+        // writeAtomic, which no fault ever tears: recovery never sees a
+        // half-written record.
+        const std::string path = metaPath(ckpt_id);
+        const storage::Blob sealed = std::move(record).seal();
+        io_.retry([&] { io_.store().writeAtomic(path, sealed); });
+    }
     int committed = 1;
     proc_.bcast(0, &committed, sizeof(committed), comm_);
 
@@ -886,9 +731,10 @@ Fti::checkpoint(int ckpt_id, int level)
             proc_.runtime().costModel().drainStage(
                 static_cast<std::size_t>(virt_bytes), size) *
             ckptFactor());
-        // Stamp the flush's virtual enqueue instant: the drain channel
-        // may start streaming once the blob is staged.
-        io_.channel().stamp(proc_.now());
+        // The flush enters the drain channel once the blob is staged,
+        // and holds its staged bytes of the burst buffer until drained.
+        const auto staged = static_cast<std::uint64_t>(virt_bytes);
+        io_.drain(shipped, size, ckptFactor(), staged, staged);
     } else {
         proc_.sleepFor(
             proc_.runtime().costModel().checkpointWrite(
@@ -930,8 +776,8 @@ namespace
 bool
 intact(const storage::Blob &blob, const MetaInfo &meta, int rank)
 {
-    return blob && blob.size() == meta.bytesPerRank[rank] &&
-           blob.crc32c() == meta.checksumPerRank[rank];
+    return blob && blob.size() == meta.bytes(rank) &&
+           blob.crc32c() == meta.crc(rank);
 }
 
 } // anonymous namespace
@@ -948,7 +794,7 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
     const int m = std::min(k, config_.parityShards);
     std::size_t stripe = 0;
     for (int i = 0; i < k; ++i)
-        stripe = std::max(stripe, meta.bytesPerRank[group_lo + i]);
+        stripe = std::max(stripe, meta.bytes(group_lo + i));
 
     // The codec decodes in place, so each surviving shard is copied
     // out of its (immutable) stored blob into a stripe-sized buffer.
@@ -985,7 +831,7 @@ Fti::reconstructFromGroup(const MetaInfo &meta)
     if (data.empty())
         return storage::Blob();
     auto blob = std::move(data[rank - group_lo]);
-    blob.resize(meta.bytesPerRank[rank]);
+    blob.resize(meta.bytes(rank));
     return storage::Blob::fromVector(std::move(blob));
 }
 
@@ -1076,7 +922,7 @@ Fti::loadImage(const MetaInfo &meta, const char *&why, int depth)
             why = "malformed delta chain";
             return storage::Blob();
         }
-        const auto base_meta = loadMeta(info.baseCkptId);
+        const MetaInfo base_meta = loadMeta(info.baseCkptId);
         if (!base_meta) {
             why = "delta base checkpoint lost its metadata";
             return storage::Blob();
@@ -1086,12 +932,12 @@ Fti::loadImage(const MetaInfo &meta, const char *&why, int depth)
         const int rank =
             proc_.runtime().commRank(proc_.globalIndex(), comm_);
         proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
-            base_meta->level,
+            base_meta.level,
             static_cast<std::size_t>(
-                static_cast<double>(base_meta->bytesPerRank[rank]) *
+                static_cast<double>(base_meta.bytes(rank)) *
                 config_.virtualFactor),
             proc_.runtime().commSize(comm_)));
-        base = loadImage(*base_meta, why, depth + 1);
+        base = loadImage(base_meta, why, depth + 1);
         if (!base)
             return base;
     }
@@ -1125,10 +971,9 @@ Fti::recover()
         // read: the windows of the checkpoint being restored gate all
         // of the rung's I/O, the meta file included.
         io_.setEpoch(id);
-        const auto meta_ptr = loadMeta(id);
-        if (!meta_ptr)
+        const MetaInfo meta = loadMeta(id);
+        if (!meta)
             continue; // same per-actor outcome on every rank
-        const MetaInfo &meta = *meta_ptr;
         // An L4 restore reads objects the drain channel may still be
         // streaming in virtual time: wait it out first.
         if (meta.level == 4)
@@ -1150,7 +995,7 @@ Fti::recover()
         // Verification and the restore read are priced from the stored
         // bytes (for a delta chain, the envelope, not the image).
         const auto stored_bytes = static_cast<std::size_t>(
-            static_cast<double>(meta.bytesPerRank[rank]) *
+            static_cast<double>(meta.bytes(rank)) *
             config_.virtualFactor);
         if (config_.sdcChecks) {
             // A checkpoint any rank cannot verify is rejected by all.
@@ -1217,8 +1062,8 @@ Fti::scrub()
     const int newest = newestCommittedCkpt();
     if (newest == 0)
         return;
-    const auto meta = loadMeta(newest);
-    if (!meta || meta->level > 3)
+    const MetaInfo meta = loadMeta(newest);
+    if (!meta || meta.level > 3)
         return; // L4 objects live behind the drain; nothing local
     CategoryScope scope(proc_, TimeCategory::CkptWrite);
     const double t0 = proc_.now();
@@ -1229,11 +1074,11 @@ Fti::scrub()
     // nothing to verify and the next recovery handles the fallout.
     const storage::Blob blob = io_.readSoft(path);
     const double virt_bytes =
-        static_cast<double>(meta->bytesPerRank[rank]) *
+        static_cast<double>(meta.bytes(rank)) *
         config_.virtualFactor;
     proc_.sleepFor(proc_.runtime().costModel().scrubVerify(
         static_cast<std::size_t>(virt_bytes)));
-    if (blob && !intact(blob, *meta, rank)) {
+    if (blob && !intact(blob, meta, rank)) {
         // Deleting the rotten object turns a silent-corruption hazard
         // into an ordinary lost-object recovery: the next recover()
         // falls back to this level's redundancy deterministically.
@@ -1284,18 +1129,15 @@ Fti::corruptAtRest(const FtiConfig &config, int rank)
         // Best-effort, like the flip sections below: a read window
         // open at injection time just hides this id from the scan —
         // it must never abort the simulation driver.
-        storage::Blob text;
+        MetaInfo meta;
         try {
-            text = store.read(metaFile(config, id));
+            meta = parseMeta(store.read(metaFile(config, id)));
         } catch (const storage::StorageError &) {
         }
-        if (!text)
-            continue;
-        const std::shared_ptr<const MetaInfo> meta = parseMetaMemo(text);
-        if (!meta || meta->level < 1)
+        if (!meta)
             continue;
         newest = id;
-        level = meta->level;
+        level = meta.level;
     }
     if (newest == 0)
         return;

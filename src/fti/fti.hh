@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,52 +62,49 @@ struct ProtectedRegion
 std::uint64_t fnv1a(const void *data, std::size_t bytes,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);
 
-/** One checkpoint's metadata record (the INI text rank 0 commits). */
+/**
+ * One checkpoint's commit record, read in place. Rank 0 commits the
+ * record as fixed-width little-endian binary: a 16-byte header of four
+ * int32 fields (magic, ckptId, level, nprocs), then nprocs entries of
+ * {u64 stored bytes, u64 CRC32C}, in rank order. A MetaInfo is a view
+ * of such a record: it holds the stored Blob (a handle, not a copy) and
+ * loads the header fields once; the per-rank entries are loaded on
+ * access. A default-constructed view is invalid.
+ */
 struct MetaInfo
 {
+    /** "MFTI" as the header's first little-endian int32. */
+    static constexpr std::int32_t kMagic = 0x4954464d;
+    static constexpr std::size_t kHeaderBytes = 16;
+    static constexpr std::size_t kEntryBytes = 16;
+
+    /** The record's exact size for `nprocs` ranks. */
+    static constexpr std::size_t
+    recordBytes(int nprocs)
+    {
+        return kHeaderBytes +
+               kEntryBytes * static_cast<std::size_t>(nprocs);
+    }
+
     int ckptId = 0;
     int level = 0;
     int nprocs = 0;
-    std::vector<std::size_t> bytesPerRank;
-    std::vector<std::uint64_t> checksumPerRank;
-    /** Level and nprocs are positive and every rank has a checksum.
-     *  The per-rank vectors are filled only for a complete record. */
-    bool complete = false;
+    /** The stored record; null for an invalid view. */
+    storage::Blob record;
+
+    explicit operator bool() const { return static_cast<bool>(record); }
+
+    /** Rank r's stored object size and CRC32C (0 <= r < nprocs). */
+    std::size_t bytes(int r) const;
+    std::uint64_t crc(int r) const;
 };
 
 /**
- * Parse a metadata record's text (pure; util::IniFile is the parser).
- * Null when the text is not an INI document.
+ * Check a stored record and return its view (pure, O(1)). The view is
+ * valid when the magic matches, 1 <= level <= 4, nprocs >= 1 and the
+ * record is exactly recordBytes(nprocs) long.
  */
-std::shared_ptr<const MetaInfo> parseMeta(const storage::Blob &text);
-
-/**
- * A metadata record's text, written in one pass: byte-identical to the
- * util::IniFile document with [ckpt] id/level/nprocs and [ranks]
- * bytes<r>/crc<r> entries (keys in lexicographic order). The per-rank
- * vectors must hold nprocs entries.
- */
-std::string formatMeta(const MetaInfo &meta);
-
-/**
- * parseMeta through the calling thread's memo: a bounded LRU keyed by
- * the exact text bytes (same buffer, or same size and equal bytes). All
- * ranks of a job run on one thread, so each distinct record is parsed
- * once per worker thread instead of once per rank per read.
- */
-std::shared_ptr<const MetaInfo> parseMetaMemo(const storage::Blob &text);
-
-/** Records the per-thread meta memo holds before evicting. */
-constexpr std::size_t kMetaMemoCapacity = 64;
-
-/** The calling thread's meta memo counters. */
-struct MetaMemoStats
-{
-    std::uint64_t hits = 0;      ///< lookups served without parsing
-    std::uint64_t misses = 0;    ///< lookups that parsed the text
-    std::uint64_t evictions = 0; ///< records dropped at capacity
-};
-MetaMemoStats metaMemoStats();
+MetaInfo parseMeta(storage::Blob record);
 
 /** Per-rank FTI instance (the library is an MPI library: one per rank). */
 class Fti
@@ -263,15 +259,17 @@ class Fti
     void deserializeRegions(const std::uint8_t *data, std::size_t bytes);
     void writeLocal(int ckpt_id, const storage::Blob &blob);
     void writePartnerCopy(int ckpt_id, const storage::Blob &blob);
-    void encodeGroupParity(int ckpt_id, const MetaInfo &meta);
+    /** `sizes` holds every rank's stored object size (allgathered). */
+    void encodeGroupParity(int ckpt_id,
+                           const std::vector<std::uint64_t> &sizes);
     /** Flush the staged blob (a refcount, not a copy) to the PFS
-     *  inline and admit the shipped bytes to the drain channel. */
-    void flushToPfs(int ckpt_id, storage::Blob blob);
-    void commitMeta(const MetaInfo &meta);
-    /** Fetch (soft read) and parse checkpoint `ckpt_id`'s
-     *  record; null when it is missing, unreadable, incomplete or
+     *  inline; returns the bytes it shipped, which checkpoint() hands
+     *  to the drain channel once the staging cost is charged. */
+    std::uint64_t flushToPfs(int ckpt_id, storage::Blob blob);
+    /** Fetch (soft read) and check checkpoint `ckpt_id`'s record;
+     *  an invalid view when it is missing, unreadable, malformed or
      *  names another id. */
-    std::shared_ptr<const MetaInfo> loadMeta(int ckpt_id) const;
+    MetaInfo loadMeta(int ckpt_id) const;
     int newestCommittedCkpt() const;
     /** Every committed checkpoint id, newest first (the recovery
      *  ladder walks this list). */

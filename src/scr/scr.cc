@@ -360,13 +360,12 @@ Scr::flushToPrefix(int dataset, std::size_t bytes)
         io_.flush(dataset, r, [&](int retry_limit) {
             return scrFlushJob(config_, dataset, r, files, retry_limit);
         });
-    // No occupancy bytes: SCR has no burst-buffer capacity bound, so
-    // the channel must not accumulate occupants it never evicts.
-    io_.channel().admit(shipped, size(), 1.0, 0, bytes);
     // Staging the dataset into the burst buffer serializes the rank;
-    // the PFS streaming overlaps on the virtual drain channel.
+    // the PFS streaming overlaps on the virtual drain channel. No
+    // occupancy bytes: SCR has no burst-buffer capacity bound, so the
+    // channel must not accumulate occupants it never evicts.
     proc_.sleepFor(proc_.runtime().costModel().drainStage(bytes, size()));
-    io_.channel().stamp(proc_.now());
+    io_.drain(shipped, size(), 1.0, bytes);
 }
 
 void

@@ -15,8 +15,9 @@
  * sees every earlier write, and a later removal or corruption of the
  * flushed object is a plain store call. The pricing bookkeeping lives
  * in the checkpoint client layer (ckpt::CkptIo, shared by FTI and
- * SCR), which records the virtual enqueue instant and lazily folds the
- * channel when a quiesce point needs it.
+ * SCR), which prices each flush and folds it into the channel at its
+ * virtual enqueue instant, once the client has charged the staging
+ * cost.
  */
 
 #ifndef MATCH_STORAGE_DRAIN_HH
@@ -49,10 +50,11 @@ std::uint64_t drainGlobalShippedBytes();
 std::uint64_t runFlush(const std::function<std::uint64_t()> &job);
 
 /**
- * Virtual-time accounting for one rank's drain traffic: the flushes
- * admitted but not yet priced, plus the channel's virtual completion
- * time so far. Owned by the checkpoint client layer (ckpt::CkptIo),
- * so the determinism-critical pricing fold exists exactly once.
+ * Virtual-time accounting for one rank's drain traffic: the channel's
+ * virtual completion time and the flushes still occupying the virtual
+ * burst buffer. Owned by the checkpoint client layer (ckpt::CkptIo),
+ * which prices each flush; the determinism-critical fold exists
+ * exactly once, in add().
  *
  * The channel is per-incarnation state: a restarted library instance
  * starts a fresh channel (deterministically).
@@ -60,46 +62,25 @@ std::uint64_t runFlush(const std::function<std::uint64_t()> &job);
 class DrainChannel
 {
   public:
-    /** One flush admitted to the drain but not yet priced. */
-    struct Pending
-    {
-        std::uint64_t shipped = 0; ///< wall bytes the flush shipped
-        double enqueuedAt = 0.0; ///< virtual time of the enqueue
-        int procs = 0;
-        double factor = 1.0; ///< client cost multiplier at enqueue
-        std::uint64_t bytes = 0; ///< virtual burst-buffer footprint
-        std::uint64_t inBytes = 0; ///< virtual bytes entering the stage
-    };
-
-    /** Record a flush that shipped `shipped` bytes; stamp() prices its
-     *  enqueue instant once the client has charged the staging cost.
-     *  `inBytes` is the virtual size of the staged object *before* any
-     *  drain-stage transform, so the price callback can charge
-     *  transform CPU on the input while charging the flush on the
-     *  (smaller) shipped output. */
+    /**
+     * Fold one flush into the channel, in enqueue order: it starts at
+     * max(enqueuedAt, finish of the previous flush) and runs for
+     * `cost`. With `bytes` > 0 it occupies that many virtual
+     * burst-buffer bytes until it finishes.
+     */
     void
-    admit(std::uint64_t shipped, int procs, double factor = 1.0,
-          std::uint64_t bytes = 0, std::uint64_t inBytes = 0)
+    add(double enqueuedAt, double cost, std::uint64_t bytes = 0)
     {
-        pending_.push_back(
-            Pending{shipped, 0.0, procs, factor, bytes, inBytes});
+        finish_ = (finish_ > enqueuedAt ? finish_ : enqueuedAt) + cost;
+        if (bytes > 0)
+            occupants_.push_back(Occupant{finish_, bytes});
     }
 
-    /** Stamp the newest admitted flush's virtual enqueue instant. */
-    void stamp(double now) { pending_.back().enqueuedAt = now; }
-
-    /**
-     * Quiesce point: fold the pending flushes into the channel in
-     * enqueue order — flush j starts at max(enqueue instant, finish of
-     * flush j-1) and runs for price(shipped, inBytes, procs, factor) —
-     * and return the virtual wait the rank still owes (0 when the
-     * drain fully overlapped).
-     */
-    template <typename PriceFn>
+    /** Quiesce point: the virtual wait the rank still owes at `now`
+     *  (0 when the drain fully overlapped). */
     double
-    resolve(double now, PriceFn &&price)
+    resolve(double now) const
     {
-        priceAll(price);
         return finish_ > now ? finish_ - now : 0.0;
     }
 
@@ -107,23 +88,18 @@ class DrainChannel
      * Virtual burst-buffer capacity pressure: the stall (in virtual
      * time, from `now`) the rank must absorb before `bytes` more can
      * be staged without the sum of in-flight occupants exceeding
-     * `capacity`. Prices every pending flush first (each occupies the
-     * buffer from its enqueue until its drain finishes), drops the
-     * occupants already drained by `now`, then evicts the oldest
-     * remaining occupants — in drain-completion order — until the new
-     * flush fits; the stall runs to the last eviction's finish
-     * instant. A flush larger than the whole capacity admits once the
-     * buffer is empty rather than deadlocking. capacity == 0 means
-     * unbounded (no stall, no pricing).
+     * `capacity`. Drops the occupants already drained by `now`, then
+     * evicts the oldest remaining occupants — in drain-completion
+     * order — until the new flush fits; the stall runs to the last
+     * eviction's finish instant. A flush larger than the whole
+     * capacity admits once the buffer is empty rather than
+     * deadlocking. capacity == 0 means unbounded (no stall).
      */
-    template <typename PriceFn>
     double
-    reserve(double now, std::uint64_t bytes, std::uint64_t capacity,
-            PriceFn &&price)
+    reserve(double now, std::uint64_t bytes, std::uint64_t capacity)
     {
         if (capacity == 0)
             return 0.0;
-        priceAll(price);
         std::uint64_t used = 0;
         std::size_t firstLive = occupants_.size();
         for (std::size_t i = 0; i < occupants_.size(); ++i) {
@@ -147,38 +123,17 @@ class DrainChannel
     }
 
   private:
-    /** One priced flush still occupying the virtual burst buffer. */
+    /** One flush still occupying the virtual burst buffer. */
     struct Occupant
     {
         double finish = 0.0; ///< virtual drain-completion instant
         std::uint64_t bytes = 0;
     };
 
-    /** Fold every pending flush into the channel in enqueue order (the
-     *  determinism-critical fold — exists exactly once; resolve() and
-     *  reserve() both route through it). */
-    template <typename PriceFn>
-    void
-    priceAll(PriceFn &&price)
-    {
-        for (const Pending &pending : pending_) {
-            const double cost = price(pending.shipped, pending.inBytes,
-                                      pending.procs, pending.factor);
-            finish_ = (finish_ > pending.enqueuedAt
-                           ? finish_
-                           : pending.enqueuedAt) +
-                      cost;
-            if (pending.bytes > 0)
-                occupants_.push_back(Occupant{finish_, pending.bytes});
-        }
-        pending_.clear();
-    }
-
-    std::vector<Pending> pending_;
-    /** Flushes priced but possibly still draining, in finish order
-     *  (finish_ is monotone over the fold, so appends stay sorted). */
+    /** In finish order (finish_ is monotone over add(), so appends
+     *  stay sorted). */
     std::vector<Occupant> occupants_;
-    double finish_ = 0.0; ///< virtual completion of flushes priced so far
+    double finish_ = 0.0; ///< virtual completion of the flushes so far
 };
 
 } // namespace match::storage

@@ -473,7 +473,7 @@ FaultInjectingBackend::failWrite(const std::string &path,
         // CRC/marker machinery, never silently restored. writeAtomic
         // keeps its contract even here: the tear lands in the tmp
         // object the failed rename discards, so nothing is persisted
-        // and the previous object stays intact — FTI meta INI files
+        // and the previous object stays intact — FTI commit records
         // and SCR markers are detected by a bare exists() and must
         // never be observable half-written.
         c.tornWrites.fetch_add(1, std::memory_order_relaxed);

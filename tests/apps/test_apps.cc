@@ -556,89 +556,13 @@ INSTANTIATE_TEST_SUITE_P(
 namespace
 {
 
-/**
- * A MemBackend that counts the FTI metadata records written to it. A
- * record prints each rank's CRC32C in decimal, so its length follows
- * the checkpoint contents; every other stored byte count follows only
- * the protected sizes.
- */
-class MetaCountingBackend final : public storage::Backend
-{
-  public:
-    std::uint64_t metaWrites = 0;
-    std::uint64_t metaBytes = 0;
-
-    storage::Kind kind() const override { return inner_->kind(); }
-    storage::Blob
-    read(const std::string &path) const override
-    {
-        return inner_->read(path);
-    }
-    void
-    write(const std::string &path, storage::Blob blob) override
-    {
-        count(path, blob);
-        inner_->write(path, std::move(blob));
-    }
-    void
-    writeAtomic(const std::string &path, storage::Blob blob) override
-    {
-        count(path, blob);
-        inner_->writeAtomic(path, std::move(blob));
-    }
-    bool
-    exists(const std::string &path) const override
-    {
-        return inner_->exists(path);
-    }
-    bool
-    size(const std::string &path, std::size_t &bytes) const override
-    {
-        return inner_->size(path, bytes);
-    }
-    bool
-    copy(const std::string &src, const std::string &dst) override
-    {
-        count(dst, inner_->read(src));
-        return inner_->copy(src, dst);
-    }
-    void remove(const std::string &path) override { inner_->remove(path); }
-    void
-    removeTree(const std::string &dir) override
-    {
-        inner_->removeTree(dir);
-    }
-    std::vector<std::string>
-    listDir(const std::string &dir) const override
-    {
-        return inner_->listDir(dir);
-    }
-
-  private:
-    void
-    count(const std::string &path, const storage::Blob &blob)
-    {
-        const std::string suffix = ".meta";
-        if (path.size() >= suffix.size() &&
-            path.compare(path.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-            ++metaWrites;
-            metaBytes += blob.size();
-        }
-    }
-
-    std::shared_ptr<storage::Backend> inner_ =
-        storage::makeBackend(storage::Kind::Mem);
-};
-
 /** What a run leaves outside its checkpoint contents: the breakdown,
- *  the data bytes it stored (metadata records apart) and shipped, and
- *  how many metadata records it wrote. */
+ *  and the bytes it stored (data objects and commit records alike)
+ *  and shipped. */
 struct PricedRun
 {
     ft::Breakdown breakdown;
-    std::uint64_t dataBytesStored = 0;
-    std::uint64_t metaWrites = 0;
+    std::uint64_t bytesStored = 0;
     std::uint64_t shippedBytes = 0;
 };
 
@@ -657,8 +581,7 @@ runPriced(const std::string &app, Design design,
     ft::DesignRunConfig cfg = appRunConfig(app, design, false, 0, procs);
     cfg.failureEvents = events;
     cfg.ftiConfig.defaultLevel = 4;
-    const auto backend = std::make_shared<MetaCountingBackend>();
-    cfg.ftiConfig.backend = backend;
+    cfg.ftiConfig.backend = storage::makeBackend(storage::Kind::Mem);
     const std::uint64_t stored0 =
         storage::BlobPool::globalStats().bytesStored;
     const std::uint64_t shipped0 = storage::drainGlobalShippedBytes();
@@ -667,9 +590,7 @@ runPriced(const std::string &app, Design design,
                                            const fti::FtiConfig &fcfg) {
         spec.main(proc, fcfg, params);
     });
-    run.dataBytesStored = storage::BlobPool::globalStats().bytesStored -
-                          stored0 - backend->metaBytes;
-    run.metaWrites = backend->metaWrites;
+    run.bytesStored = storage::BlobPool::globalStats().bytesStored - stored0;
     run.shippedBytes = storage::drainGlobalShippedBytes() - shipped0;
     return run;
 }
@@ -714,9 +635,8 @@ expectPriceOnlyMatchesKernels(const std::string &app, Design design,
         EXPECT_EQ(a.attempts, b.attempts) << where;
         EXPECT_EQ(a.recoveries, b.recoveries) << where;
         EXPECT_EQ(a.failureFired, b.failureFired) << where;
-        EXPECT_EQ(full.dataBytesStored, priced.dataBytesStored) << where;
-        EXPECT_EQ(full.metaWrites, priced.metaWrites) << where;
-        EXPECT_GT(full.metaWrites, 0u) << where;
+        EXPECT_EQ(full.bytesStored, priced.bytesStored) << where;
+        EXPECT_GT(full.bytesStored, 0u) << where;
         EXPECT_EQ(full.shippedBytes, priced.shippedBytes) << where;
         EXPECT_GT(full.shippedBytes, 0u) << where;
         EXPECT_EQ(a.failureFired, !events.empty()) << where;

@@ -4,7 +4,7 @@
  * before anything can verify them: the compress envelope (MCMP,
  * storage::compressDecode / compressRawBytes), the delta envelope
  * (MDLT, storage::deltaInspect / deltaDecode) and the metadata record
- * (fti::parseMeta). Each parser gets thousands of byte flips,
+ * (fti::parseMeta, FTI's binary commit record). Each parser gets thousands of byte flips,
  * truncations, extensions and extreme header values of valid inputs,
  * and must reject softly: a null result, or one whose size matches
  * what its header claims — never a crash, an abort or a runaway
@@ -209,29 +209,42 @@ TEST(ParserMutation, CompressedDeltaChainRejectsSoftly)
 
 TEST(ParserMutation, MetaRecordRejectsSoftly)
 {
-    fti::MetaInfo info;
-    info.ckptId = 7;
-    info.level = 4;
-    info.nprocs = 12;
-    for (int r = 0; r < info.nprocs; ++r) {
-        info.bytesPerRank.push_back(18432 + 8 * r);
-        info.checksumPerRank.push_back(0x9e3779b97f4a7c15ULL * (r + 1));
+    // The commit record FTI writes at rank 0 (see fti::MetaInfo): the
+    // header, then one {bytes, crc} entry per rank.
+    constexpr int kRanks = 12;
+    const std::int32_t header[4] = {fti::MetaInfo::kMagic, 7, 4, kRanks};
+    std::vector<std::uint8_t> valid(fti::MetaInfo::recordBytes(kRanks));
+    std::memcpy(valid.data(), header, sizeof(header));
+    for (int r = 0; r < kRanks; ++r) {
+        const std::uint64_t entry[2] = {
+            18432 + 8 * static_cast<std::uint64_t>(r),
+            0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1)};
+        std::memcpy(valid.data() + fti::MetaInfo::kHeaderBytes +
+                        fti::MetaInfo::kEntryBytes * r,
+                    entry, sizeof(entry));
     }
-    const std::string text = fti::formatMeta(info);
-    const std::vector<std::uint8_t> valid(text.begin(), text.end());
-    const auto parsed = fti::parseMeta(Blob::fromVector(
-        std::vector<std::uint8_t>(valid)));
-    ASSERT_TRUE(parsed && parsed->complete);
-    ASSERT_EQ(parsed->checksumPerRank, info.checksumPerRank);
+    const fti::MetaInfo parsed = fti::parseMeta(
+        Blob::fromVector(std::vector<std::uint8_t>(valid)));
+    ASSERT_TRUE(parsed);
+    ASSERT_EQ(parsed.nprocs, kRanks);
+    for (int r = 0; r < kRanks; ++r)
+        ASSERT_EQ(parsed.crc(r),
+                  0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1));
 
     util::Rng rng(kSeed, 4);
     for (int t = 0; t < kTrials; ++t) {
-        const auto meta = fti::parseMeta(mutate(valid, rng));
+        const fti::MetaInfo meta = fti::parseMeta(mutate(valid, rng));
         if (!meta)
             continue;
-        const std::size_t ranks =
-            meta->complete ? static_cast<std::size_t>(meta->nprocs) : 0;
-        ASSERT_EQ(meta->bytesPerRank.size(), ranks) << "trial " << t;
-        ASSERT_EQ(meta->checksumPerRank.size(), ranks) << "trial " << t;
+        ASSERT_EQ(meta.record.size(),
+                  fti::MetaInfo::recordBytes(meta.nprocs))
+            << "trial " << t;
+        ASSERT_GE(meta.level, 1) << "trial " << t;
+        ASSERT_LE(meta.level, 4) << "trial " << t;
+        // Every entry of a valid view lies inside the record.
+        for (int r = 0; r < meta.nprocs; ++r) {
+            meta.bytes(r);
+            meta.crc(r);
+        }
     }
 }

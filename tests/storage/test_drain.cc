@@ -111,24 +111,17 @@ TEST_P(DrainContract, FlushesSeeEarlierWrites)
 TEST_P(DrainContract, ShippedBytesReachTheCounterAndTheChannel)
 {
     // The flush's return value is what the channel prices: 40 shipped
-    // bytes at 1 virtual second per 10 bytes, admitted and stamped at
-    // t=2, finish at t=6.
+    // bytes at 1 virtual second per 10 bytes, enqueued at t=2, finish
+    // at t=6.
     const std::uint64_t before = storage::drainGlobalShippedBytes();
     const std::uint64_t shipped =
         flush(root_ + "/pfs/obj", std::string(40, 'x'));
     EXPECT_EQ(storage::drainGlobalShippedBytes() - before, 40u);
 
     storage::DrainChannel channel;
-    channel.admit(shipped, 8);
-    channel.stamp(2.0);
-    std::uint64_t priced = 0;
-    const double wait = channel.resolve(
-        0.0, [&](std::uint64_t bytes, std::uint64_t, int, double) {
-            priced = bytes;
-            return static_cast<double>(bytes) / 10.0;
-        });
-    EXPECT_EQ(priced, 40u);
-    EXPECT_DOUBLE_EQ(wait, 6.0);
+    channel.add(2.0, static_cast<double>(shipped) / 10.0);
+    EXPECT_EQ(shipped, 40u);
+    EXPECT_DOUBLE_EQ(channel.resolve(0.0), 6.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, DrainContract,
@@ -146,17 +139,12 @@ TEST(DrainChannel, ReservePricesCapacityEvictionDeterministically)
     // the two oldest occupants (120 staged + 40 > 100 until only one
     // remains), so the stall runs to the second occupant's finish.
     storage::DrainChannel channel;
-    const auto price = [](std::uint64_t, std::uint64_t, int, double) {
-        return 10.0;
-    };
-    for (int i = 0; i < 3; ++i) {
-        channel.admit(40, 8, 1.0, 40);
-        channel.stamp(static_cast<double>(i) * 10.0);
-    }
-    EXPECT_DOUBLE_EQ(channel.reserve(0.0, 40, 100, price), 20.0);
+    for (int i = 0; i < 3; ++i)
+        channel.add(static_cast<double>(i) * 10.0, 10.0, 40);
+    EXPECT_DOUBLE_EQ(channel.reserve(0.0, 40, 100), 20.0);
     // The evicted occupant is gone and a later reservation at t=25 sees
     // only the t=30 occupant: 40 + 40 fits, no stall.
-    EXPECT_DOUBLE_EQ(channel.reserve(25.0, 40, 100, price), 0.0);
+    EXPECT_DOUBLE_EQ(channel.reserve(25.0, 40, 100), 0.0);
     // Unbounded capacity never stalls.
-    EXPECT_DOUBLE_EQ(channel.reserve(0.0, 1 << 20, 0, price), 0.0);
+    EXPECT_DOUBLE_EQ(channel.reserve(0.0, 1 << 20, 0), 0.0);
 }

@@ -398,7 +398,7 @@ TEST(FaultBackend, TornAtomicWritePersistsNothing)
 {
     // writeAtomic's contract — a reader never observes a partial
     // write, the previous object stays intact — must hold under an
-    // injected tear too: meta INI files and SCR markers are detected
+    // injected tear too: FTI commit records and SCR markers are detected
     // by a bare exists() with no CRC, so a persisted prefix would be
     // trusted as a complete object after a crash.
     auto backend =
