@@ -192,6 +192,7 @@ amgMain(Proc &proc, const fti::FtiConfig &fti_config,
     const double real_bytes =
         static_cast<double>(fine.u.size() * 3 * sizeof(double));
     fcfg.virtualFactor = std::max(1.0, virt_bytes / real_bytes);
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     double norm = 0.0;

@@ -167,6 +167,7 @@ comdMain(Proc &proc, const fti::FtiConfig &fti_config,
     fcfg.virtualFactor = std::max(
         1.0, virt_atoms * 6 * sizeof(double) /
                  (static_cast<double>(n) * 6 * sizeof(double)));
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     double energy = 0.0;

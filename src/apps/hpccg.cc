@@ -165,6 +165,7 @@ hpccgMain(Proc &proc, const fti::FtiConfig &fti_config,
         (cg.x.size() + cg.r.size() + cg.p.size()) * sizeof(double) +
         sizeof(int) + sizeof(double));
     fcfg.virtualFactor = virt_ckpt_bytes / real_ckpt_bytes;
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     fti.protect(0, &iter, sizeof(iter));

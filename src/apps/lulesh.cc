@@ -78,6 +78,7 @@ luleshMain(Proc &proc, const fti::FtiConfig &fti_config,
     const double real_bytes = static_cast<double>(4 * elems + 2) *
                               sizeof(double);
     fcfg.virtualFactor = std::max(1.0, virt_bytes / real_bytes);
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     fti.protect(0, &iter, sizeof(iter));

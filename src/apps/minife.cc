@@ -90,6 +90,7 @@ minifeMain(Proc &proc, const fti::FtiConfig &fti_config,
     fcfg.virtualFactor = std::max(
         1.0, 3.0 * virt_rows * sizeof(double) /
                  (3.0 * real_rows * sizeof(double)));
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     fti.protect(0, &iter, sizeof(iter));

@@ -93,6 +93,7 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
     fcfg.virtualFactor = std::max(
         1.0, virt_vertices * (sizeof(std::int32_t) + degree * 8.0) /
                  (static_cast<double>(n) * sizeof(std::int32_t)));
+    fcfg.snapshotRegions = params.runKernels();
     fti::Fti fti(proc, fcfg);
     int iter = 0;
     double modularity = 0.0;

@@ -45,6 +45,14 @@ struct FtiConfig
      *  ones). */
     double virtualFactor = 1.0;
 
+    /** Snapshot the protected regions into each checkpoint. False, for
+     *  a run whose protected bytes reach no result (an app that skips
+     *  its kernels), stores a shared all-zero image of the same size:
+     *  every stored object, priced byte and I/O decision stays the
+     *  same, and recovery restores no region. The apps set it from
+     *  AppParams::runKernels(). */
+    bool snapshotRegions = true;
+
     /** Silent-data-corruption hardening. Off (the default) reproduces
      *  the historical behaviour bit-for-bit: recovery trusts the
      *  within-level redundancy and any unrecoverable object is fatal.

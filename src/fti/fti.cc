@@ -187,6 +187,16 @@ Fti::protectedBytes() const
 // Serialization
 // ---------------------------------------------------------------------------
 
+std::size_t
+Fti::imageBytes() const
+{
+    std::size_t total = 0;
+    for (const auto &[id, region] : regions_)
+        total += sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+                 region.bytes;
+    return total;
+}
+
 storage::Blob
 Fti::serializeRegions() const
 {
@@ -196,12 +206,8 @@ Fti::serializeRegions() const
     // the very object the backend stores, the partner copy shares and
     // the PFS flush ships — this one staging pass is the only
     // payload copy the checkpoint hot path performs.
-    std::size_t total = 0;
-    for (const auto &[id, region] : regions_)
-        total += sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                 region.bytes;
     storage::MutableBlob blob =
-        storage::BlobPool::local().acquire(total);
+        storage::BlobPool::local().acquire(imageBytes());
     std::size_t off = 0;
     for (const auto &[id, region] : regions_) {
         const auto id32 = static_cast<std::uint32_t>(id);
@@ -616,7 +622,12 @@ Fti::checkpoint(int ckpt_id, int level)
     if (fault_penalty > 0.0)
         proc_.sleepFor(fault_penalty);
 
-    storage::Blob blob = serializeRegions();
+    // Without snapshots every rank and checkpoint of this thread stores
+    // one shared zero image of the serialized size: the same objects,
+    // sizes and decisions downstream, with no copy and one CRC pass.
+    storage::Blob blob = config_.snapshotRegions
+                             ? serializeRegions()
+                             : storage::zeroBlob(imageBytes());
     bool emitted_full = true;
     if (storage::transformHasDelta(config_.transform)) {
         // Differential checkpoint: encode the image against the
@@ -947,7 +958,7 @@ Fti::loadImage(const MetaInfo &meta, const char *&why, int depth)
     return image;
 }
 
-void
+int
 Fti::recover()
 {
     MATCH_ASSERT(!finalized_, "recover after finalize");
@@ -1018,7 +1029,8 @@ Fti::recover()
         MATCH_DEBUG("FTI recover: g=%d comm=%d rank=%d ckpt=%d "
                     "bytes=%zu", proc_.globalIndex(), comm_, rank, id,
                     image.size());
-        deserializeRegions(image.data(), image.size());
+        if (config_.snapshotRegions)
+            deserializeRegions(image.data(), image.size());
         proc_.sleepFor(proc_.runtime().costModel().checkpointRead(
             meta.level, stored_bytes, size));
         restored = std::move(image);
@@ -1052,6 +1064,7 @@ Fti::recover()
     }
     recoveryCkptId_ = 0; // the paper's loop recovers exactly once
     readSeconds_ += proc_.now() - t0;
+    return restored_id;
 }
 
 void

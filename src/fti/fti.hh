@@ -30,6 +30,9 @@
  * configured storage backend (MemBackend for simulation runs,
  * DiskBackend for inspectable on-disk sandboxes); recovery really
  * restores the protected buffers (bit-for-bit, verified by checksums).
+ * A run with config.snapshotRegions off stores a shared zero image of
+ * the serialized size instead and restores no region: its objects,
+ * checksums and prices follow the sizes alone.
  * Virtual time is charged through the runtime's cost model.
  */
 
@@ -162,8 +165,14 @@ class Fti
      * fresh start (initial values), never a silently restored rot.
      * Without it, a lost object is fatal ("L<level> recovery failed
      * ...") and so is running out of rungs.
+     *
+     * With config.snapshotRegions off the ladder reads, verifies and
+     * prices exactly the same objects but writes no region: the
+     * caller derives what it needs from the returned id.
+     *
+     * @return the restored checkpoint id; 0 after a fresh start
      */
-    void recover();
+    int recover();
 
     /**
      * SDC scrub pass: CRC32C-verify this rank's local object of the
@@ -253,6 +262,9 @@ class Fti
      *  from the cached prefixes. */
     std::string ckptPath(int ckpt_id) const;
     std::string metaPath(int ckpt_id) const;
+    /** Serialized size of the protected regions: the size of every
+     *  image this rank stores, snapshot or zero. */
+    std::size_t imageBytes() const;
     /** Snapshot every protected region into one pooled, sealed blob
      *  (the only payload copy on the checkpoint hot path). */
     storage::Blob serializeRegions() const;

@@ -147,6 +147,22 @@ Blob::fromVector(std::vector<std::uint8_t> &&bytes)
     return Blob(std::move(buf));
 }
 
+Blob
+zeroBlob(std::size_t bytes)
+{
+    // A handful of sizes covers a job (one image size per rank shape);
+    // the oldest entry makes room for a new size.
+    constexpr std::size_t kSizes = 8;
+    thread_local std::vector<Blob> cache;
+    for (const Blob &blob : cache)
+        if (blob.size() == bytes)
+            return blob;
+    if (cache.size() == kSizes)
+        cache.erase(cache.begin());
+    cache.push_back(Blob::fromVector(std::vector<std::uint8_t>(bytes)));
+    return cache.back();
+}
+
 std::uint32_t
 Blob::crc32c() const
 {

@@ -172,6 +172,15 @@ void noteBlobCopy(std::size_t bytes);
  *  zero-copy ratio). */
 void noteBlobStore(std::size_t bytes);
 
+/**
+ * The calling thread's shared, all-zero blob of exactly `bytes` bytes.
+ * Repeated calls with one size return handles to the same buffer, so
+ * its CRC32C is computed once and then read from the cache. The buffer
+ * never returns to a pool: it lives while any handle does. Each thread
+ * keeps a few recent sizes.
+ */
+Blob zeroBlob(std::size_t bytes);
+
 /** Slab recycler of checkpoint-sized buffers (see file comment). */
 class BlobPool
 {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include "src/apps/minivite.hh"
 #include "src/ft/design.hh"
 #include "src/ft/failure_model.hh"
+#include "src/fti/fti.hh"
 #include "src/storage/backend.hh"
 #include "src/storage/blob.hh"
 #include "src/storage/drain.hh"
@@ -525,13 +527,18 @@ class AppDesignMatrix
 TEST_P(AppDesignMatrix, FailureDoesNotChangeTheAnswer)
 {
     const auto [app, design] = GetParam();
-    const auto clean = runApp(app, design, false);
-    const auto failed = runApp(app, design, true);
-    ASSERT_EQ(clean.size(), failed.size());
-    for (std::size_t r = 0; r < clean.size(); ++r)
-        EXPECT_TRUE(sameBits(clean[r], failed[r]))
-            << clean[r] << " vs " << failed[r] << ": " << app << " under " << ft::designName(design) << " rank "
-            << r;
+    // Requesting a price-only run with a finals sink still runs the
+    // kernels, so its checkpoints must snapshot and restore real state.
+    for (const bool kernels : {true, false}) {
+        const auto clean = runApp(app, design, false, 8, kernels);
+        const auto failed = runApp(app, design, true, 8, kernels);
+        ASSERT_EQ(clean.size(), failed.size());
+        for (std::size_t r = 0; r < clean.size(); ++r)
+            EXPECT_TRUE(sameBits(clean[r], failed[r]))
+                << clean[r] << " vs " << failed[r] << ": " << app
+                << " under " << ft::designName(design) << " rank " << r
+                << (kernels ? "" : ", kernels = false requested");
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -557,21 +564,38 @@ namespace
 {
 
 /** What a run leaves outside its checkpoint contents: the breakdown,
- *  and the bytes it stored (data objects and commit records alike)
- *  and shipped. */
+ *  the bytes it stored (data objects and commit records alike) and
+ *  shipped, and (on disk) the size of every file it left behind. */
 struct PricedRun
 {
     ft::Breakdown breakdown;
     std::uint64_t bytesStored = 0;
     std::uint64_t shippedBytes = 0;
+    std::vector<std::pair<std::string, std::uintmax_t>> files;
 };
 
-/** One L4 run on a fresh MemBackend, so both the local writes and the
- *  drained PFS flushes are counted. */
+/** The sandbox's files and their sizes, by path under the sandbox. */
+std::vector<std::pair<std::string, std::uintmax_t>>
+sandboxFiles(const fti::FtiConfig &config)
+{
+    std::vector<std::pair<std::string, std::uintmax_t>> files;
+    const fs::path root = fti::Fti::execDir(config);
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        if (entry.is_regular_file())
+            files.emplace_back(
+                fs::relative(entry.path(), root).string(),
+                entry.file_size());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/** One run at `level` on a fresh backend of `kind`. MemBackend counts
+ *  every local write and every L2/L3 redundancy object; the drain
+ *  counts the L4 flushes on either backend. */
 PricedRun
 runPriced(const std::string &app, Design design,
           const std::vector<ft::FailureEvent> &events, bool kernels,
-          int procs)
+          int procs, int level, storage::Kind kind)
 {
     const AppSpec &spec = findApp(app);
     AppParams params;
@@ -580,8 +604,8 @@ runPriced(const std::string &app, Design design,
     params.kernels = kernels;
     ft::DesignRunConfig cfg = appRunConfig(app, design, false, 0, procs);
     cfg.failureEvents = events;
-    cfg.ftiConfig.defaultLevel = 4;
-    cfg.ftiConfig.backend = storage::makeBackend(storage::Kind::Mem);
+    cfg.ftiConfig.defaultLevel = level;
+    cfg.ftiConfig.backend = storage::makeBackend(kind);
     const std::uint64_t stored0 =
         storage::BlobPool::globalStats().bytesStored;
     const std::uint64_t shipped0 = storage::drainGlobalShippedBytes();
@@ -592,6 +616,10 @@ runPriced(const std::string &app, Design design,
     });
     run.bytesStored = storage::BlobPool::globalStats().bytesStored - stored0;
     run.shippedBytes = storage::drainGlobalShippedBytes() - shipped0;
+    if (kind == storage::Kind::Disk) {
+        run.files = sandboxFiles(cfg.ftiConfig);
+        fti::Fti::purge(cfg.ftiConfig);
+    }
     return run;
 }
 
@@ -615,31 +643,44 @@ priceScenarios(const std::string &app, int procs)
             {"independent", std::move(independent)}};
 }
 
+/** Both ways at every level, under all three failure scenarios.
+ *  Price-only runs store zero images, so at L2 and L3 the partner
+ *  copies, RS parity and any rebuild run over zero shards. */
 void
 expectPriceOnlyMatchesKernels(const std::string &app, Design design,
-                              int procs)
+                              int procs,
+                              storage::Kind kind = storage::Kind::Mem)
 {
-    for (const auto &[scenario, events] : priceScenarios(app, procs)) {
-        const PricedRun full = runPriced(app, design, events, true, procs);
-        const PricedRun priced =
-            runPriced(app, design, events, false, procs);
-        const ft::Breakdown &a = full.breakdown;
-        const ft::Breakdown &b = priced.breakdown;
-        const std::string where = app + " under " +
-                                  ft::designName(design) + ", " +
-                                  scenario + ", p" + std::to_string(procs);
-        EXPECT_TRUE(sameBits(a.application, b.application)) << where;
-        EXPECT_TRUE(sameBits(a.ckptWrite, b.ckptWrite)) << where;
-        EXPECT_TRUE(sameBits(a.ckptRead, b.ckptRead)) << where;
-        EXPECT_TRUE(sameBits(a.recovery, b.recovery)) << where;
-        EXPECT_EQ(a.attempts, b.attempts) << where;
-        EXPECT_EQ(a.recoveries, b.recoveries) << where;
-        EXPECT_EQ(a.failureFired, b.failureFired) << where;
-        EXPECT_EQ(full.bytesStored, priced.bytesStored) << where;
-        EXPECT_GT(full.bytesStored, 0u) << where;
-        EXPECT_EQ(full.shippedBytes, priced.shippedBytes) << where;
-        EXPECT_GT(full.shippedBytes, 0u) << where;
-        EXPECT_EQ(a.failureFired, !events.empty()) << where;
+    for (int level = 1; level <= 4; ++level) {
+        for (const auto &[scenario, events] :
+             priceScenarios(app, procs)) {
+            const PricedRun full =
+                runPriced(app, design, events, true, procs, level, kind);
+            const PricedRun priced =
+                runPriced(app, design, events, false, procs, level, kind);
+            const ft::Breakdown &a = full.breakdown;
+            const ft::Breakdown &b = priced.breakdown;
+            const std::string where =
+                app + " under " + ft::designName(design) + ", L" +
+                std::to_string(level) + ", " + scenario + ", p" +
+                std::to_string(procs) + " on " + storage::kindName(kind);
+            EXPECT_TRUE(sameBits(a.application, b.application)) << where;
+            EXPECT_TRUE(sameBits(a.ckptWrite, b.ckptWrite)) << where;
+            EXPECT_TRUE(sameBits(a.ckptRead, b.ckptRead)) << where;
+            EXPECT_TRUE(sameBits(a.recovery, b.recovery)) << where;
+            EXPECT_EQ(a.attempts, b.attempts) << where;
+            EXPECT_EQ(a.recoveries, b.recoveries) << where;
+            EXPECT_EQ(a.failureFired, b.failureFired) << where;
+            EXPECT_EQ(full.bytesStored, priced.bytesStored) << where;
+            EXPECT_EQ(full.shippedBytes, priced.shippedBytes) << where;
+            EXPECT_EQ(full.files, priced.files) << where;
+            if (kind == storage::Kind::Mem)
+                EXPECT_GT(full.bytesStored, 0u) << where;
+            else
+                EXPECT_FALSE(full.files.empty()) << where;
+            EXPECT_EQ(full.shippedBytes > 0, level == 4) << where;
+            EXPECT_EQ(a.failureFired, !events.empty()) << where;
+        }
     }
 }
 
@@ -672,4 +713,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PriceOnly, P64HpccgMatchesKernels)
 {
     expectPriceOnlyMatchesKernels("HPCCG", Design::ReinitFti, 64);
+}
+
+TEST(PriceOnly, DiskBackendMatchesKernels)
+{
+    // DiskBackend writes the zero images as real files and reads them
+    // back through the same size and CRC check.
+    expectPriceOnlyMatchesKernels("HPCCG", Design::RestartFti, 8,
+                                  storage::Kind::Disk);
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <tuple>
 
@@ -91,6 +92,69 @@ TEST(CheckpointLoop, NoCheckpointWhenStrideExceedsLoop)
     });
     EXPECT_TRUE(probe.ckpt_iters.empty());
     EXPECT_DOUBLE_EQ(probe.final_acc, 8 * 4.0);
+}
+
+namespace
+{
+
+/** Rank 0's executed iterations of a 20-iteration, stride-5 loop whose
+ *  rank 1 fails at iteration 13. */
+std::vector<int>
+iterationsAcrossAFailure(const std::string &id, bool snapshot)
+{
+    std::vector<int> iters;
+    auto cfg = config(id, Design::ReinitFti);
+    cfg.ftiConfig.snapshotRegions = snapshot;
+    cfg.failureEvents = {{13, 1}};
+    runDesign(cfg, [&](Proc &proc, const fti::FtiConfig &fcfg) {
+        fti::Fti fti(proc, fcfg);
+        int iter = 0;
+        fti.protect(0, &iter, sizeof(iter));
+        CheckpointLoop loop(proc, fti, 5);
+        loop.run(&iter, 20, [&](int i) {
+            proc.allreduce(1.0);
+            if (proc.rank() == 0)
+                iters.push_back(i);
+        });
+        fti.finalize();
+    });
+    return iters;
+}
+
+} // namespace
+
+TEST(CheckpointLoop, ZeroImageRunsResumeAtTheRestoredCheckpoint)
+{
+    // Without snapshots nothing restores the counter: the loop derives
+    // it from the restored id and resumes where a snapshot run does.
+    const std::vector<int> zero = iterationsAcrossAFailure("zero", false);
+    EXPECT_EQ(zero, iterationsAcrossAFailure("snapshot", true));
+    EXPECT_EQ(std::count(zero.begin(), zero.end(), 9), 1);
+    EXPECT_EQ(std::count(zero.begin(), zero.end(), 10), 2);
+    ASSERT_FALSE(zero.empty());
+    EXPECT_EQ(zero.back(), 19);
+}
+
+TEST(CheckpointLoopDeathTest, RestoredCounterMustMatchTheCheckpointId)
+{
+    // The protected int is not the loop counter, so the restore leaves
+    // the counter at the re-entered main's 0 instead of checkpoint 2's
+    // iteration 10.
+    auto cfg = config("decoy", Design::ReinitFti);
+    cfg.failureEvents = {{13, 1}};
+    EXPECT_DEATH(
+        runDesign(cfg,
+                  [](Proc &proc, const fti::FtiConfig &fcfg) {
+                      fti::Fti fti(proc, fcfg);
+                      int iter = 0;
+                      int decoy = 0;
+                      fti.protect(0, &decoy, sizeof(decoy));
+                      CheckpointLoop loop(proc, fti, 5);
+                      loop.run(&iter, 20,
+                               [&](int) { proc.allreduce(1.0); });
+                      fti.finalize();
+                  }),
+        "restored loop counter 0, expected 10");
 }
 
 // Property sweep: failure equivalence for every (site, design) cell.
